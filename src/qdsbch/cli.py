@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from . import __version__
 from .bch import bch_construct
@@ -28,7 +27,7 @@ from .sim import SimGrid, build_grid, combine_grid
 from .stabilizer import (
     BudgetExceededError,
     StabilizerCode,
-    iter_weight_paulis,
+    _min_logical_weight,
     lookup_decoder_build,
     parse_stabilizer_code,
     steane_code,
@@ -115,26 +114,8 @@ def _sm_meta(args) -> dict:
     return {"sm": "identity"}
 
 
-def _base_distance(code: StabilizerCode, budget: int = 10**6) -> Optional[int]:
-    """Minimum weight of a logical operator, by ascending enumeration.
-
-    Returns None when enumeration would blow the budget first.
-    """
-    spent = 0
-    for w in range(1, code.n + 1):
-        spent += comb(code.n, w) * 3**w
-        if spent > budget:
-            return None
-        for p in iter_weight_paulis(code.n, w):
-            if any(code.syndrome(p)):
-                continue
-            if code.classify(p) == "logical":
-                return w
-    return None
-
-
 def _decoder_for(base: StabilizerCode, budget: int = 10**7):
-    d = _base_distance(base)
+    d = _min_logical_weight(base)
     if d is None:
         raise UsageError("base code too large to build a lookup decoder for")
     return lookup_decoder_build(base, (d - 1) // 2, budget=budget)
@@ -162,7 +143,7 @@ def _cmd_qds_assemble(args) -> int:
     base = _load_base_code(args)
     sm = _build_sm(args, base.ell)
     q = qds_assemble(base, sm)
-    d = _base_distance(base)
+    d = _min_logical_weight(base)
     params = {
         "n": base.n,
         "k": base.k,

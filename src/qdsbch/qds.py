@@ -27,13 +27,21 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, factorial
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .bch import BchCode, bch_select_m, bch_select_parameters
 from .linalg import BinaryMatrix
-from .stabilizer import BudgetExceededError, PauliOperator, StabilizerCode, iter_weight_paulis
+from .stabilizer import (
+    RESIDUAL_TRIVIAL,
+    BudgetExceededError,
+    PauliOperator,
+    StabilizerCode,
+    iter_weight_paulis,
+)
 
 Bits = Tuple[int, ...]
 
@@ -49,6 +57,19 @@ def _bits_to_mask(bits: Sequence[int], what: str) -> int:
 
 def _mask_to_bits(mask: int, width: int) -> Bits:
     return tuple((mask >> i) & 1 for i in range(width))
+
+
+def _pack_rows(bits: np.ndarray) -> List[int]:
+    """Each row of a 0/1 array as a Python int, column j at bit j.
+
+    Packs 62 columns at a time so every chunk fits an int64.
+    """
+    packed = [0] * bits.shape[0]
+    for lo in range(0, bits.shape[1], 62):
+        chunk = bits[:, lo : lo + 62].astype(np.int64)
+        values = (chunk @ (np.int64(1) << np.arange(chunk.shape[1], dtype=np.int64))).tolist()
+        packed = values if lo == 0 else [p | (v << lo) for p, v in zip(packed, values)]
+    return packed
 
 
 class SyndromeMeasurementCode(ABC):
@@ -204,6 +225,14 @@ class QdsCode:
             for i in range(self.h_q.rows)
         )
         self.row_weights = tuple((rx | rz).bit_count() for rx, rz in self._rows)
+        # x and z halves of H_Q as n x n_s arrays, for batched readout:
+        # readout = z @ _x_part + x @ _z_part (mod 2)
+        self._x_part = np.array(
+            [[(rx >> q) & 1 for rx, _ in self._rows] for q in range(n)], dtype=np.uint8
+        )
+        self._z_part = np.array(
+            [[(rz >> q) & 1 for _, rz in self._rows] for q in range(n)], dtype=np.uint8
+        )
 
     def measurement_pauli(self, i: int) -> PauliOperator:
         """Row i of H_Q as the product of generators it measures."""
@@ -246,6 +275,27 @@ class QdsCode:
         if correction is None:
             return None
         return correction, _mask_to_bits(msg, self.sm.ell)
+
+    def _count_failures(self, decoder, x: np.ndarray, z: np.ndarray, flips: np.ndarray) -> int:
+        """Failures over a batch of trials given as uint8 0/1 arrays: row i
+        of x, z (n columns) is trial i's data error, row i of flips (n_s
+        columns) its readout flips.  A trial fails when the SM decoder gives
+        up, the syndrome is missing from the lookup table, or the residual
+        is not a stabilizer."""
+        # uint8 sums wrap mod 256, which keeps their parity
+        words = _pack_rows((z @ self._x_part + x @ self._z_part + flips) & 1)
+        sm_decode = self.sm._decode_mask
+        lookup = decoder._decode_mask
+        classify = self.base._classify_mask
+        failures = 0
+        for word, ex, ez in zip(words, _pack_rows(x), _pack_rows(z)):
+            msg = sm_decode(word)
+            correction = None if msg is None else lookup(msg)
+            if correction is None:
+                failures += 1
+            elif classify(ex ^ correction.x, ez ^ correction.z) != RESIDUAL_TRIVIAL:
+                failures += 1
+        return failures
 
     def __repr__(self) -> str:
         return f"QdsCode(base={self.base!r}, sm={self.sm!r})"
@@ -368,15 +418,7 @@ class VerifyCell:
     failures: int
 
 
-def _iter_weight_masks(n: int, w: int):
-    if w == 0:
-        yield 0
-        return
-    for support in combinations(range(n), w):
-        mask = 0
-        for p in support:
-            mask |= 1 << p
-        yield mask
+_VERIFY_BATCH = 1024
 
 
 def verify_correction_guarantee(
@@ -404,27 +446,30 @@ def verify_correction_guarantee(
             required=total,
             budget=budget,
         )
-    base = qds.base
+    # all flip patterns of each weight, lexicographic by support
+    flip_sets = []
+    for w_s in range(t_s + 1):
+        count = comb(n_s, w_s)
+        sites = np.fromiter(
+            chain.from_iterable(combinations(range(n_s), w_s)), dtype=np.intp, count=count * w_s
+        ).reshape(count, w_s)
+        flips = np.zeros((count, n_s), dtype=np.uint8)
+        flips[np.arange(count)[:, None], sites] = 1
+        flip_sets.append(flips)
     cells = []
     for w_q in range(t_data + 1):
         data_errors = list(iter_weight_paulis(n, w_q))
-        for w_s in range(t_s + 1):
-            cases = 0
+        for w_s, flips in enumerate(flip_sets):
             failures = 0
             for e in data_errors:
-                clean = qds._measure_mask(e.x, e.z, 0)
-                for flips in _iter_weight_masks(n_s, w_s):
-                    cases += 1
-                    out = qds.sm._decode_mask(clean ^ flips)
-                    if out is None:
-                        failures += 1
-                        continue
-                    correction = quantum_decoder._decode_mask(out)
-                    if correction is None:
-                        failures += 1
-                        continue
-                    residual = PauliOperator(n, e.x ^ correction.x, e.z ^ correction.z)
-                    if base.classify(residual) != "trivial":
-                        failures += 1
+                x = np.array(e.x_bits, dtype=np.uint8)
+                z = np.array(e.z_bits, dtype=np.uint8)
+                # bounded batches keep the kernel's temporaries small
+                for lo in range(0, len(flips), _VERIFY_BATCH):
+                    block = flips[lo : lo + _VERIFY_BATCH]
+                    shape = (len(block), n)
+                    xs, zs = np.broadcast_to(x, shape), np.broadcast_to(z, shape)
+                    failures += qds._count_failures(quantum_decoder, xs, zs, block)
+            cases = len(data_errors) * len(flips)
             cells.append(VerifyCell(w_q=w_q, w_s=w_s, cases=cases, failures=failures))
     return cells

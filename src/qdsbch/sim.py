@@ -114,20 +114,6 @@ class SimGrid:
             held.trials += trials
             held.failures += failures
 
-    def merge(self, other: "SimGrid") -> "SimGrid":
-        """Union of two grids over disjoint cell sets (same code, same seed)."""
-        if self.code_meta != other.code_meta:
-            raise ValueError("cannot merge grids with different code_meta")
-        if self.seed != other.seed:
-            raise ValueError("cannot merge grids with different seeds")
-        overlap = self.cells.keys() & other.cells.keys()
-        if overlap:
-            raise ValueError(f"cell sets overlap: {sorted(overlap)[:4]}...")
-        merged = SimGrid(self.code_meta, self.seed, self.cells)
-        for key, st in other.cells.items():
-            merged.cells[key] = CellStats(st.trials, st.failures)
-        return merged
-
     def to_json_dict(self) -> dict:
         return {
             "code_meta": self.code_meta,
@@ -148,9 +134,21 @@ class SimGrid:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimGrid":
+        """Parse a grid file, rejecting cells no sampler could have written:
+        duplicates, cells outside the weight domain of code_meta's n and
+        n_s, and counts that are not 0 <= failures <= trials, trials >= 1."""
         grid = cls(obj["code_meta"], obj["seed"])
+        n, n_s = _domain_from_meta(grid)
         for cell in obj["cells"]:
-            grid.add(cell["wq"], cell["ws"], cell["trials"], cell["failures"])
+            key = (cell["wq"], cell["ws"])
+            trials, failures = cell["trials"], cell["failures"]
+            if key in grid.cells:
+                raise ValueError(f"grid file repeats cell {key}")
+            if not (0 <= key[0] <= n and 0 <= key[1] <= n_s):
+                raise ValueError(f"grid cell {key} is outside [0, {n}] x [0, {n_s}]")
+            if trials < 1 or not 0 <= failures <= trials:
+                raise ValueError(f"grid cell {key} has {failures} failures in {trials} trials")
+            grid.cells[key] = CellStats(trials, failures)
         return grid
 
     @classmethod
@@ -177,74 +175,20 @@ def _cell_generator(seed: int, w_q: int, w_s: int) -> np.random.Generator:
 
 def _run_cell(qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng) -> int:
     """Failure count over `trials` samples at exact weights (w_q, w_s)."""
-    base = qds.base
-    n = base.n
+    n = qds.base.n
     n_s = qds.sm.n_s
-    rows = qds._rows
-    gen_masks = base._gen_masks
-    basis = base._membership_basis
-    sm_decode = qds.sm._decode_mask
-    table = decoder._table
-
-    supports = letters = flip_sites = None
+    rows = np.arange(trials)[:, None]
+    x = np.zeros((trials, n), dtype=np.uint8)
+    z = np.zeros((trials, n), dtype=np.uint8)
+    flips = np.zeros((trials, n_s), dtype=np.uint8)
     if w_q:
-        u = rng.random((trials, n))
-        supports = np.argsort(u, axis=1)[:, :w_q].tolist()
-        letters = rng.integers(0, 3, size=(trials, w_q)).tolist()
+        supports = np.argsort(rng.random((trials, n)), axis=1)[:, :w_q]
+        letters = rng.integers(0, 3, size=(trials, w_q))  # 0 = X, 1 = Y, 2 = Z
+        x[rows, supports] = letters <= 1
+        z[rows, supports] = letters >= 1
     if w_s:
-        u = rng.random((trials, n_s))
-        flip_sites = np.argsort(u, axis=1)[:, :w_s].tolist()
-
-    failures = 0
-    for idx in range(trials):
-        ex = ez = 0
-        if w_q:
-            sup = supports[idx]
-            lets = letters[idx]
-            for j in range(w_q):
-                bit = 1 << sup[j]
-                letter = lets[j]
-                if letter == 0:
-                    ex |= bit
-                elif letter == 1:
-                    ex |= bit
-                    ez |= bit
-                else:
-                    ez |= bit
-        word = 0
-        if w_s:
-            for p in flip_sites[idx]:
-                word |= 1 << p
-        for i, (rx, rz) in enumerate(rows):
-            if ((rx & ez).bit_count() + (rz & ex).bit_count()) & 1:
-                word ^= 1 << i
-        msg = sm_decode(word)
-        if msg is None:
-            failures += 1
-            continue
-        correction = table.get(msg)
-        if correction is None:
-            failures += 1
-            continue
-        rx = ex ^ correction.x
-        rz = ez ^ correction.z
-        if rx == 0 and rz == 0:
-            continue
-        detectable = False
-        for gx, gz in gen_masks:
-            if ((gx & rz).bit_count() + (gz & rx).bit_count()) & 1:
-                detectable = True
-                break
-        if detectable:
-            failures += 1
-            continue
-        v = rx | (rz << n)
-        for pivot, row in basis:
-            if (v >> pivot) & 1:
-                v ^= row
-        if v != 0:
-            failures += 1  # logical
-    return failures
+        flips[rows, np.argsort(rng.random((trials, n_s)), axis=1)[:, :w_s]] = 1
+    return qds._count_failures(decoder, x, z, flips)
 
 
 def estimate_cell(
@@ -315,6 +259,33 @@ def build_grid(
     return grid
 
 
+def _kept_cells(
+    n: int, n_s: int, p_q: float, p_s: float, truncation: float
+) -> Tuple[List[Tuple[int, int, float]], int]:
+    """The (w_q, w_s, prefactor) cells whose binomial prefactor reaches
+    truncation, in row-major order, and the count of cells dropped."""
+    for name, v in (("p_q", p_q), ("p_s", p_s)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must be a probability, got {v}")
+    if truncation < 0.0:
+        raise ValueError("truncation must be nonnegative")
+    col = [binomial_weight_probability(ws, p_s, n_s) for ws in range(n_s + 1)]
+    kept = []
+    dropped = 0
+    for wq in range(n + 1):
+        aq = binomial_weight_probability(wq, p_q, n)
+        if aq < truncation:  # every cell in this row is below threshold
+            dropped += n_s + 1
+            continue
+        for ws in range(n_s + 1):
+            pref = aq * col[ws]
+            if pref < truncation:
+                dropped += 1
+            else:
+                kept.append((wq, ws, pref))
+    return kept, dropped
+
+
 @dataclass(frozen=True)
 class CombineResult:
     p_err: float
@@ -331,32 +302,16 @@ def combine_grid(
     worst-case total is reported as truncation_mass.  A cell that is
     needed (prefactor >= truncation) but absent from the grid is an error.
     """
-    n, n_s = _domain_from_meta(grid)
-    for name, v in (("p_q", p_q), ("p_s", p_s)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be a probability, got {v}")
-    if truncation < 0.0:
-        raise ValueError("truncation must be nonnegative")
-    col = [binomial_weight_probability(ws, p_s, n_s) for ws in range(n_s + 1)]
+    kept, dropped = _kept_cells(*_domain_from_meta(grid), p_q, p_s, truncation)
     p_err = 0.0
-    dropped = 0
-    for wq in range(n + 1):
-        aq = binomial_weight_probability(wq, p_q, n)
-        if aq < truncation:  # every cell in this row is below threshold
-            dropped += n_s + 1
-            continue
-        for ws in range(n_s + 1):
-            pref = aq * col[ws]
-            if pref < truncation:
-                dropped += 1
-                continue
-            st = grid.cells.get((wq, ws))
-            if st is None:
-                raise ValueError(
-                    f"grid is missing cell ({wq}, {ws}) with prefactor {pref:.3g} "
-                    f">= truncation {truncation:.3g}"
-                )
-            p_err += pref * (st.failures / st.trials)
+    for wq, ws, pref in kept:
+        st = grid.cells.get((wq, ws))
+        if st is None:
+            raise ValueError(
+                f"grid is missing cell ({wq}, {ws}) with prefactor {pref:.3g} "
+                f">= truncation {truncation:.3g}"
+            )
+        p_err += pref * (st.failures / st.trials)
     return CombineResult(p_err=p_err, truncation_mass=truncation * dropped, dropped_cells=dropped)
 
 
@@ -369,33 +324,20 @@ def combine_grid_bounds(
     w_s <= t_s from code_meta) are exactly zero and contribute no
     uncertainty.  The upper bound includes the truncation mass.
     """
-    n, n_s = _domain_from_meta(grid)
     t_data = grid.code_meta.get("t_data")
     t_s = grid.code_meta.get("t_s")
-    col = [binomial_weight_probability(ws, p_s, n_s) for ws in range(n_s + 1)]
+    kept, dropped = _kept_cells(*_domain_from_meta(grid), p_q, p_s, truncation)
     lo = hi = 0.0
-    dropped = 0
-    for wq in range(n + 1):
-        aq = binomial_weight_probability(wq, p_q, n)
-        if aq < truncation:
-            dropped += n_s + 1
+    for wq, ws, pref in kept:
+        st = grid.cells.get((wq, ws))
+        if st is None:
+            raise ValueError(f"grid is missing cell ({wq}, {ws})")
+        certified = t_data is not None and t_s is not None and wq <= t_data and ws <= t_s
+        if certified and st.failures == 0:
             continue
-        for ws in range(n_s + 1):
-            pref = aq * col[ws]
-            if pref < truncation:
-                dropped += 1
-                continue
-            st = grid.cells.get((wq, ws))
-            if st is None:
-                raise ValueError(f"grid is missing cell ({wq}, {ws})")
-            certified = (
-                t_data is not None and t_s is not None and wq <= t_data and ws <= t_s
-            )
-            if certified and st.failures == 0:
-                continue
-            cell_lo, cell_hi = wilson_interval(st.failures, st.trials, z)
-            lo += pref * cell_lo
-            hi += pref * cell_hi
+        cell_lo, cell_hi = wilson_interval(st.failures, st.trials, z)
+        lo += pref * cell_lo
+        hi += pref * cell_hi
     return lo, hi + truncation * dropped
 
 
@@ -412,14 +354,8 @@ def required_cells(
     """Cells whose prefactor reaches truncation at any (p_q, p_s) point."""
     needed: Set[Cell] = set()
     for p_q, p_s in points:
-        col = [binomial_weight_probability(ws, p_s, n_s) for ws in range(n_s + 1)]
-        for wq in range(n + 1):
-            aq = binomial_weight_probability(wq, p_q, n)
-            if aq < truncation:
-                continue
-            for ws in range(n_s + 1):
-                if aq * col[ws] >= truncation:
-                    needed.add((wq, ws))
+        kept, _ = _kept_cells(n, n_s, p_q, p_s, truncation)
+        needed.update((wq, ws) for wq, ws, _ in kept)
     return needed
 
 
@@ -449,9 +385,6 @@ def sweep(
     existing grid is passed in) and recombines it per point.
     """
     points = [(ratio * ps, ps) for ps in p_s_values]
-    for p_q, p_s in points:
-        if not (0.0 <= p_q <= 1.0 and 0.0 <= p_s <= 1.0):
-            raise ValueError(f"point (p_q={p_q}, p_s={p_s}) is not a probability pair")
     if grid is None:
         cells = required_cells(qds.base.n, qds.sm.n_s, points, truncation)
         grid = build_grid(
@@ -481,14 +414,8 @@ def direct_monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    base = qds.base
-    n = base.n
+    n = qds.base.n
     n_s = qds.sm.n_s
-    rows = qds._rows
-    gen_masks = base._gen_masks
-    basis = base._membership_basis
-    sm_decode = qds.sm._decode_mask
-    table = decoder._table
     if model.weight_aware:
         row_p = np.array(
             [stabilizer_meas_error_prob(w, model.p_s) if w else 0.0 for w in qds.row_weights]
@@ -498,59 +425,8 @@ def direct_monte_carlo(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     hits = rng.random((trials, n)) < model.p_q
-    letters = rng.integers(0, 3, size=(trials, n))
+    letters = rng.integers(0, 3, size=(trials, n))  # 0 = X, 1 = Y, 2 = Z
     flips = rng.random((trials, n_s)) < row_p
-    hits = hits.tolist()
-    letters = letters.tolist()
-    flips = flips.tolist()
-
-    failures = 0
-    for idx in range(trials):
-        ex = ez = 0
-        hit_row = hits[idx]
-        letter_row = letters[idx]
-        for q in range(n):
-            if hit_row[q]:
-                bit = 1 << q
-                letter = letter_row[q]
-                if letter == 0:
-                    ex |= bit
-                elif letter == 1:
-                    ex |= bit
-                    ez |= bit
-                else:
-                    ez |= bit
-        word = 0
-        flip_row = flips[idx]
-        for i in range(n_s):
-            if flip_row[i]:
-                word |= 1 << i
-        for i, (rx, rz) in enumerate(rows):
-            if ((rx & ez).bit_count() + (rz & ex).bit_count()) & 1:
-                word ^= 1 << i
-        msg = sm_decode(word)
-        if msg is None:
-            failures += 1
-            continue
-        correction = table.get(msg)
-        if correction is None:
-            failures += 1
-            continue
-        rx = ex ^ correction.x
-        rz = ez ^ correction.z
-        if rx == 0 and rz == 0:
-            continue
-        bad = False
-        for gx, gz in gen_masks:
-            if ((gx & rz).bit_count() + (gz & rx).bit_count()) & 1:
-                bad = True
-                break
-        if not bad:
-            v = rx | (rz << n)
-            for pivot, row in basis:
-                if (v >> pivot) & 1:
-                    v ^= row
-            bad = v != 0
-        if bad:
-            failures += 1
-    return failures / trials
+    x = (hits & (letters <= 1)).astype(np.uint8)
+    z = (hits & (letters >= 1)).astype(np.uint8)
+    return qds._count_failures(decoder, x, z, flips.astype(np.uint8)) / trials

@@ -205,9 +205,17 @@ class StabilizerCode:
 
     def classify(self, residual: PauliOperator) -> str:
         """One of "trivial", "logical", "detectable" for a residual error."""
-        if any(self.syndrome(residual)):
-            return RESIDUAL_DETECTABLE
-        v = residual.symplectic_mask()
+        if residual.n != self.n:
+            raise ValueError("error acts on wrong qubit count")
+        return self._classify_mask(residual.x, residual.z)
+
+    def _classify_mask(self, x: int, z: int) -> str:
+        if x == 0 and z == 0:
+            return RESIDUAL_TRIVIAL
+        for gx, gz in self._gen_masks:
+            if ((gx & z).bit_count() + (gz & x).bit_count()) & 1:
+                return RESIDUAL_DETECTABLE
+        v = x | (z << self.n)
         for pivot, row in self._membership_basis:
             if (v >> pivot) & 1:
                 v ^= row
@@ -223,6 +231,22 @@ def syndrome_of(code: StabilizerCode, error: PauliOperator) -> Tuple[int, ...]:
 
 def classify_residual(code: StabilizerCode, residual: PauliOperator) -> str:
     return code.classify(residual)
+
+
+def _min_logical_weight(code: StabilizerCode, budget: int = 10**6) -> Optional[int]:
+    """Minimum weight of a logical operator, by ascending enumeration.
+
+    Returns None when enumeration would blow the budget first.
+    """
+    spent = 0
+    for w in range(1, code.n + 1):
+        spent += comb(code.n, w) * 3**w
+        if spent > budget:
+            return None
+        for p in iter_weight_paulis(code.n, w):
+            if code._classify_mask(p.x, p.z) == RESIDUAL_LOGICAL:
+                return w
+    return None
 
 
 def css_from_parity(h: BinaryMatrix) -> StabilizerCode:

@@ -256,6 +256,22 @@ def test_sim_sweep_missing_grid_file(tmp_path, capsys):
     assert not curve_path.exists()
 
 
+def test_sim_sweep_rejects_malformed_grid_file(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    cell = {"wq": 0, "ws": 0, "trials": 10, "failures": 0}
+    grid_path.write_text(
+        json.dumps({"code_meta": {"n": 7, "n_s": 6}, "seed": 1, "cells": [cell, cell]})
+    )
+    curve_path = tmp_path / "curve.csv"
+    code, _, err = run(
+        capsys, "sim", "sweep", "--grid", str(grid_path),
+        "--ps", "1e-3", "--ratio", "0.1", "--truncation", "1e-2", "--out", str(curve_path),
+    )
+    assert code == 1
+    assert "repeats cell (0, 0)" in err
+    assert not curve_path.exists()
+
+
 def test_sim_sweep_bad_points_spec(tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
     run(capsys, "sim", "grid", "--sm", "identity", "--trials", "50",

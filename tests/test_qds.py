@@ -1,9 +1,11 @@
 """QDS assembly, noisy measurement, two-step decoding, overhead counting."""
 
+import itertools
 import math
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from qdsbch.qds import (
@@ -190,6 +192,41 @@ def test_two_step_decode_propagates_sm_failure():
     assert qds_decode_two_step(q, found, dec) is None
 
 
+# --- batched trial kernel -----------------------------------------------------
+
+
+def _oracle_fails(q, dec, e, flips):
+    """One trial through the public chain: measure, decode twice, classify."""
+    out = qds_decode_two_step(q, qds_measure(q, e, flips), dec)
+    return out is None or q.base.classify(out[0] * e) != "trivial"
+
+
+@pytest.mark.parametrize("sm", [bch_sm(6, 3), repetition_sm(6, 3), bch_sm(6, 10)],
+                         ids=["bch-t3", "rep3", "bch-t10-69bits"])
+def test_trial_kernel_matches_the_public_chain(sm):
+    base = steane_code()
+    q = qds_assemble(base, sm)
+    dec = lookup_decoder_build(base, max_weight=1)
+    rng = np.random.default_rng(113)
+    trials = 300
+    # per-trial rates, so weights spread from inside the guarantee to beyond it
+    hits = rng.random((trials, 7)) < 0.3 * rng.random((trials, 1))
+    letters = rng.integers(0, 3, size=(trials, 7))
+    x = (hits & (letters <= 1)).astype(np.uint8)
+    z = (hits & (letters >= 1)).astype(np.uint8)
+    flip_rate = 2.0 * sm.t_s / sm.n_s * rng.random((trials, 1))
+    flips = (rng.random((trials, sm.n_s)) < flip_rate).astype(np.uint8)
+    want = []
+    for i in range(trials):
+        e = PauliOperator(7, int(x[i] @ (1 << np.arange(7))), int(z[i] @ (1 << np.arange(7))))
+        want.append(_oracle_fails(q, dec, e, tuple(flips[i].tolist())))
+    # both verdicts occur, so a wrong readout bit cannot hide
+    assert 0 < sum(want) < trials
+    assert q._count_failures(dec, x, z, flips) == sum(want)
+    for i in range(trials):
+        assert q._count_failures(dec, x[i : i + 1], z[i : i + 1], flips[i : i + 1]) == want[i]
+
+
 # --- overhead counting --------------------------------------------------------
 
 
@@ -269,6 +306,47 @@ def test_verify_identity_sm():
     assert [(c.w_q, c.w_s) for c in cells] == [(0, 0), (1, 0)]
     assert [c.cases for c in cells] == [1, 21]
     assert all(c.failures == 0 for c in cells)
+
+
+def test_verify_looks_up_every_case_once():
+    """Inside the guarantee every case reaches the lookup decoder, so the
+    lookups must equal the cases, including cells split into batches."""
+
+    class CountingDecoder:
+        def __init__(self, inner):
+            self.inner = inner
+            self.max_weight = inner.max_weight
+            self.calls = 0
+
+        def _decode_mask(self, mask):
+            self.calls += 1
+            return self.inner._decode_mask(mask)
+
+    base = steane_code()
+    q = qds_assemble(base, bch_sm(6, 3))
+    dec = CountingDecoder(lookup_decoder_build(base, max_weight=0))
+    cells = verify_correction_guarantee(q, dec)
+    assert [c.cases for c in cells] == [comb(21, w) for w in range(4)]  # 1330 > one batch
+    assert all(c.failures == 0 for c in cells)
+    assert dec.calls == sum(c.cases for c in cells)
+
+
+def test_verify_counts_the_failures_of_an_overreaching_decoder():
+    """A lookup decoder built to weight 2 claims more than the distance-3
+    Steane code can correct, so verify must report the oracle's failures."""
+    base = steane_code()
+    q = qds_assemble(base, repetition_sm(6, 3))
+    dec = lookup_decoder_build(base, max_weight=2)
+    cells = verify_correction_guarantee(q, dec)
+    for cell in cells:
+        want = 0
+        for e in iter_weight_paulis(7, cell.w_q):
+            for sites in itertools.combinations(range(q.sm.n_s), cell.w_s):
+                flips = tuple(int(i in sites) for i in range(q.sm.n_s))
+                want += _oracle_fails(q, dec, e, flips)
+        assert cell.failures == want
+        assert cell.cases == comb(7, cell.w_q) * 3**cell.w_q * comb(q.sm.n_s, cell.w_s)
+    assert sum(c.failures for c in cells) > 0
 
 
 def test_verify_budget_refusal():

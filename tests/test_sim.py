@@ -1,5 +1,6 @@
 """Weight-stratified Monte Carlo: determinism, recombination, cross-checks."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -148,29 +149,29 @@ def test_grid_add_accumulates():
     assert grid.cells[(0, 0)] == CellStats(150, 5)
 
 
-def test_grid_merge_rules():
-    meta = {"n": 7, "n_s": 6}
-    a = SimGrid(meta, seed=1)
-    a.add(0, 0, 10, 0)
-    b = SimGrid(meta, seed=1)
-    b.add(1, 0, 10, 1)
-    merged = a.merge(b)
-    assert set(merged.cells) == {(0, 0), (1, 0)}
+def _cell(wq=0, ws=0, trials=10, failures=1):
+    return {"wq": wq, "ws": ws, "trials": trials, "failures": failures}
 
-    overlapping = SimGrid(meta, seed=1)
-    overlapping.add(0, 0, 5, 0)
-    with pytest.raises(ValueError):
-        a.merge(overlapping)
 
-    other_seed = SimGrid(meta, seed=2)
-    other_seed.add(2, 0, 5, 0)
+@pytest.mark.parametrize(
+    "meta, cells",
+    [
+        ({"n": 7, "n_s": 6}, [_cell(1, 2), _cell(1, 2)]),  # duplicate cell
+        ({"n": 7, "n_s": 6}, [_cell(trials=0, failures=0)]),
+        ({"n": 7, "n_s": 6}, [_cell(failures=-1)]),
+        ({"n": 7, "n_s": 6}, [_cell(failures=11)]),
+        ({"n": 7, "n_s": 6}, [_cell(wq=8)]),
+        ({"n": 7, "n_s": 6}, [_cell(ws=7)]),
+        ({"n": 7, "n_s": 6}, [_cell(wq=-1)]),
+        ({"n_s": 6}, [_cell()]),
+        ({"n": 7}, [_cell()]),
+    ],
+)
+def test_grid_from_json_rejects_malformed_files(meta, cells):
+    good = SimGrid.from_json_dict({"code_meta": {"n": 7, "n_s": 6}, "seed": 1, "cells": [_cell()]})
+    assert good.cells[(0, 0)] == CellStats(10, 1)
     with pytest.raises(ValueError):
-        a.merge(other_seed)
-
-    other_meta = SimGrid({"n": 9, "n_s": 6}, seed=1)
-    other_meta.add(2, 0, 5, 0)
-    with pytest.raises(ValueError):
-        a.merge(other_meta)
+        SimGrid.from_json_dict({"code_meta": meta, "seed": 1, "cells": cells})
 
 
 def test_build_grid_repeats_byte_identical():
@@ -250,6 +251,13 @@ def test_combine_validates_probabilities():
         combine_grid(grid, -0.1, 0.1, truncation=1e-2)
     with pytest.raises(ValueError):
         combine_grid(grid, 0.1, 1.1, truncation=1e-2)
+    # the bounds and the cell planner share the same prefactor loop and checks
+    with pytest.raises(ValueError):
+        combine_grid_bounds(grid, 0.1, 1.1, truncation=1e-2)
+    with pytest.raises(ValueError):
+        required_cells(7, 6, [(1e-3, 1e-3), (-0.1, 0.1)], truncation=1e-2)
+    with pytest.raises(ValueError):
+        required_cells(7, 6, [(1e-3, 1e-3)], truncation=-1.0)
 
 
 def test_combine_requires_domain_metadata():
@@ -364,3 +372,40 @@ def test_slope_is_two_for_bare_syndrome_readout_in_data_noise():
     r_hi = combine_grid(grid, hi_p, 0.0, truncation=1e-9).p_err
     slope = math.log(r_hi / r_lo) / math.log(hi_p / lo_p)
     assert slope == pytest.approx(2.0, abs=0.3)
+
+
+# --- pinned outputs ----------------------------------------------------------------
+# Values recorded from the per-trial loops that preceded the batched trial
+# kernel: the kernel must consume the same draws and reach the same verdicts.
+
+
+@pytest.mark.parametrize(
+    "sm, digest, p_err, bounds",
+    [
+        (
+            bch_sm(6, 3),
+            "ee01376d11bd2a18359f6c789eff287fbea8f4466bb76995fe3ce897fdeb3266",
+            0.006187133239758391,
+            (0.004965297418482696, 0.006985443603570706),
+        ),
+        (
+            repetition_sm(6, 3),
+            "8b9a6254c16abc68a7392f8478bfef74deeb5542aaba8077e89943871143a9c2",
+            0.007187743800787022,
+            (0.005293648013964337, 0.009674986686381315),
+        ),
+    ],
+)
+def test_pinned_grid_and_recombination(sm, digest, p_err, bounds):
+    q, dec = _steane_qds(sm)
+    grid = build_grid(q, dec, seed=424242, boundary_trials=40, bulk_trials=10)
+    assert hashlib.sha256(grid.to_json_text().encode()).hexdigest() == digest
+    assert combine_grid(grid, 0.02, 0.01, truncation=1e-9).p_err == p_err
+    assert combine_grid_bounds(grid, 0.02, 0.01, truncation=1e-9) == bounds
+
+
+@pytest.mark.parametrize("weight_aware, want", [(False, 0.0415), (True, 0.343)])
+def test_pinned_direct_monte_carlo(weight_aware, want):
+    q, dec = _steane_qds(bch_sm(6, 3))
+    model = ErrorModel(p_q=0.05, p_s=0.03, weight_aware=weight_aware)
+    assert direct_monte_carlo(q, dec, model, trials=2_000, seed=5) == want
