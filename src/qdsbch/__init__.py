@@ -14,10 +14,6 @@ from .fields import (
     GF2m,
     PRIMITIVE_POLYNOMIALS,
     cyclotomic_cosets,
-    gf4_add,
-    gf4_conjugate,
-    gf4_mul,
-    gf4_trace_inner_product,
     minimal_polynomial,
     poly_lcm,
 )
@@ -92,10 +88,6 @@ __all__ = [
     "GF2m",
     "PRIMITIVE_POLYNOMIALS",
     "cyclotomic_cosets",
-    "gf4_add",
-    "gf4_conjugate",
-    "gf4_mul",
-    "gf4_trace_inner_product",
     "minimal_polynomial",
     "poly_lcm",
     # linalg

@@ -30,10 +30,11 @@ from .fields import (
     MAX_EXTENSION_DEGREE,
     BinaryPolynomial,
     GF2m,
+    _coset,
     minimal_polynomial,
     poly_lcm,
 )
-from .linalg import BinaryMatrix
+from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits
 
 
 class BchCode:
@@ -97,13 +98,8 @@ class BchCode:
         message = list(message)
         if len(message) != self.dimension:
             raise ValueError(f"message length must be {self.dimension}")
-        mask = 0
-        for i, b in enumerate(message):
-            if b not in (0, 1):
-                raise ValueError("message bits must be 0 or 1")
-            mask |= b << i
-        word = self._encode_mask(mask)
-        return tuple((word >> j) & 1 for j in range(self.length))
+        word = self._encode_mask(_bits_to_mask(message, "message"))
+        return _mask_to_bits(word, self.length)
 
     def _encode_mask(self, msg_mask: int) -> int:
         # parent message has the dropped prefix fixed to zero
@@ -130,17 +126,11 @@ class BchCode:
         received = list(received)
         if len(received) != self.length:
             raise ValueError(f"received word length must be {self.length}")
-        mask = 0
-        for i, b in enumerate(received):
-            if b not in (0, 1):
-                raise ValueError("received bits must be 0 or 1")
-            mask |= b << i
-        out = self._decode_mask(mask)
+        out = self._decode_mask(_bits_to_mask(received, "received word"))
         if out is None:
             return None
         msg_mask, positions = out
-        msg = tuple((msg_mask >> i) & 1 for i in range(self.dimension))
-        return msg, positions
+        return _mask_to_bits(msg_mask, self.dimension), positions
 
     def _decode_mask(self, word: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
         a = self.shorten_by
@@ -274,13 +264,9 @@ def bch_construct(m: int, t: int, primitive_polynomial=None) -> BchCode:
     seen_exponents = set()
     minimal_polys = []
     for e in range(1, 2 * t + 1):
-        if e in seen_exponents:
-            continue
-        c = e
-        while c not in seen_exponents:
-            seen_exponents.add(c)
-            c = (2 * c) % n
-        minimal_polys.append(minimal_polynomial(field, e))
+        if e not in seen_exponents:
+            seen_exponents.update(_coset(e, n))
+            minimal_polys.append(minimal_polynomial(field, e))
     g = poly_lcm(minimal_polys)
     code = BchCode(field, t, g)
     if code.r > m * t:
@@ -302,16 +288,10 @@ def parity_bit_count(m: int, t: int) -> int:
     if t < 1 or 2 * t >= n:
         raise ValueError("need 1 <= t and 2t < 2^m - 1")
     counted = set()
-    total = 0
     for e in range(1, 2 * t + 1):
-        if e in counted:
-            continue
-        c = e
-        while c not in counted:
-            counted.add(c)
-            total += 1
-            c = (2 * c) % n
-    return total
+        if e not in counted:
+            counted.update(_coset(e, n))
+    return len(counted)
 
 
 def bch_select_parameters(ell: int, t: int, max_m: int = MAX_EXTENSION_DEGREE) -> Tuple[int, int]:

@@ -1,17 +1,20 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 budget
-refusal.  File outputs are built fully in memory and written last, so a
-bad flag or a failed computation never leaves a partial file behind.
+refusal.  File outputs are built fully in memory and written last, each
+through a temp file renamed over its target, so a bad flag, a failed
+computation or a failed write never leaves a partial file behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Tuple
 
 from . import __version__
 from .bch import bch_construct
@@ -114,7 +117,28 @@ def _sm_meta(args) -> dict:
     return {"sm": "identity"}
 
 
+def _write_atomic(*outputs: Tuple[str, str]) -> None:
+    """Write each (path, text): stage every text in a temp file beside its
+    target, then rename the temps over the targets.  A failure while
+    staging leaves every target untouched, and a failed write or rename
+    leaves no temp behind."""
+    staged = []
+    try:
+        for path, text in outputs:
+            tmp = Path(f"{path}.{os.getpid()}.tmp")
+            staged.append((tmp, path))
+            tmp.write_text(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                tmp.unlink()
+
+
 def _decoder_for(base: StabilizerCode, budget: int = 10**7):
+    if base.k == 0:
+        raise UsageError("base code has k=0: no logical operator, so nothing to decode")
     d = _min_logical_weight(base)
     if d is None:
         raise UsageError("base code too large to build a lookup decoder for")
@@ -156,8 +180,7 @@ def _cmd_qds_assemble(args) -> int:
     matrix_text = q.h_q.to_text()
     params_text = json.dumps(params, sort_keys=True, indent=2) + "\n"
     if args.out:
-        Path(args.out + ".txt").write_text(matrix_text)
-        Path(args.out + ".json").write_text(params_text)
+        _write_atomic((args.out + ".txt", matrix_text), (args.out + ".json", params_text))
         print(f"wrote {args.out}.txt and {args.out}.json")
     else:
         sys.stdout.write(matrix_text)
@@ -182,7 +205,7 @@ def _cmd_qds_count(args) -> int:
         lines.append(f"{row.ell},{row.t},{row.bch},{fuji},{row.repetition}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write_atomic((args.out, text))
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:
         sys.stdout.write(text)
@@ -223,7 +246,7 @@ def _cmd_sim_grid(args) -> int:
         cells=cells,
         code_meta=meta,
     )
-    Path(args.out).write_text(grid.to_json_text())
+    _write_atomic((args.out, grid.to_json_text()))
     print(f"wrote {args.out} ({len(grid.cells)} cells)")
     return 0
 
@@ -254,7 +277,7 @@ def _cmd_sim_sweep(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write_atomic((args.out, text))
         print(f"wrote {args.out} ({len(ps_values)} points)")
     else:
         sys.stdout.write(text)

@@ -1,4 +1,4 @@
-"""Arithmetic substrate: polynomials over GF(2), GF(2^m) tables, and GF(4).
+"""Arithmetic substrate: polynomials over GF(2), GF(2^m) tables, cyclotomic cosets.
 
 Polynomials over GF(2) are integer bit masks: bit i holds the coefficient
 of x^i, so 0b100101 is x^5 + x^2 + 1.  Field elements of GF(2^m) are
@@ -6,19 +6,15 @@ integers in [0, 2^m) whose bits are coordinates in the polynomial basis
 {1, alpha, ..., alpha^(m-1)} with alpha = x a root of the primitive
 polynomial; multiplication goes through log/antilog tables.
 
-GF(4) elements are the integers 0..3 under the bit-pair encoding
-
-    0 <-> (0, 0)    1 <-> (1, 0)    omega <-> (0, 1)    omega-bar <-> (1, 1)
-
-with value = x_bit + 2 * z_bit, which is exactly the Pauli correspondence
-I -> 0, X -> 1, Z -> omega, Y -> omega-bar used by the stabilizer layer.
-Addition is XOR of encodings; the trace inner product of two GF(4) vectors
-is the commutation indicator of the underlying Pauli operators.
+`_coset` is the one walk over a 2-cyclotomic coset; the coset list, the
+minimal polynomials and the BCH parity count are all built on it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
+
+from .linalg import _bits_to_mask, _mask_to_bits
 
 # Primitive polynomials over GF(2), one per supported extension degree.
 # Masks are bit-reversible to the usual textbook tables; each is checked
@@ -79,12 +75,7 @@ class BinaryPolynomial:
     @classmethod
     def from_coefficients(cls, coeffs: Iterable[int]) -> "BinaryPolynomial":
         """Build from coefficients listed lowest degree first."""
-        mask = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError("coefficients must be 0 or 1")
-            mask |= c << i
-        return cls(mask)
+        return cls(_bits_to_mask(coeffs, "coefficients"))
 
     @classmethod
     def from_hex(cls, text: str) -> "BinaryPolynomial":
@@ -104,9 +95,7 @@ class BinaryPolynomial:
 
     def coefficients(self) -> Tuple[int, ...]:
         """Coefficients lowest degree first; () for the zero polynomial."""
-        if self.mask == 0:
-            return ()
-        return tuple((self.mask >> i) & 1 for i in range(self.degree + 1))
+        return _mask_to_bits(self.mask, self.degree + 1)
 
     def __add__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
         return BinaryPolynomial(self.mask ^ other.mask)
@@ -274,6 +263,20 @@ class GF2m:
         return f"GF2m(m={self.m}, primitive={self.primitive_polynomial.to_hex()})"
 
 
+def _coset(e: int, n: int) -> List[int]:
+    """The 2-cyclotomic coset of e mod n in walk order e, 2e, 4e, ...
+
+    n is odd (n = 2^m - 1 here), so doubling permutes [0, n) and the walk
+    comes back to e.
+    """
+    coset = [e]
+    c = (2 * e) % n
+    while c != e:
+        coset.append(c)
+        c = (2 * c) % n
+    return coset
+
+
 def cyclotomic_cosets(m: int) -> List[List[int]]:
     """2-cyclotomic cosets mod 2^m - 1, each sorted, ordered by leader.
 
@@ -284,18 +287,13 @@ def cyclotomic_cosets(m: int) -> List[List[int]]:
     if m < 1:
         raise ValueError("m must be positive")
     n = (1 << m) - 1
-    seen = [False] * n
+    seen = set()
     cosets: List[List[int]] = []
     for lead in range(n):
-        if seen[lead]:
-            continue
-        coset = []
-        e = lead
-        while not seen[e]:
-            seen[e] = True
-            coset.append(e)
-            e = (2 * e) % n
-        cosets.append(sorted(coset))
+        if lead not in seen:
+            coset = _coset(lead, n)
+            seen.update(coset)
+            cosets.append(sorted(coset))
     return cosets
 
 
@@ -307,12 +305,7 @@ def minimal_polynomial(field: GF2m, exponent: int) -> BinaryPolynomial:
     asserted rather than assumed.
     """
     n = field.group_order
-    exponent %= n
-    coset = []
-    e = exponent
-    while e not in coset:
-        coset.append(e)
-        e = (2 * e) % n
+    coset = _coset(exponent % n, n)
     # coefficients of the product live in the extension field until the end
     coeffs = [1]  # the constant polynomial 1, lowest degree first
     for c in coset:
@@ -330,48 +323,3 @@ def minimal_polynomial(field: GF2m, exponent: int) -> BinaryPolynomial:
             raise AssertionError("minimal polynomial left the prime field")
         mask |= ci << i
     return BinaryPolynomial(mask)
-
-
-# --- GF(4) under the bit-pair encoding ------------------------------------
-
-GF4_ZERO = 0
-GF4_ONE = 1
-GF4_OMEGA = 2
-GF4_OMEGA_BAR = 3
-
-_GF4_MUL = (
-    (0, 0, 0, 0),
-    (0, 1, 2, 3),
-    (0, 2, 3, 1),
-    (0, 3, 1, 2),
-)
-_GF4_CONJ = (0, 1, 3, 2)
-
-
-def gf4_add(a: int, b: int) -> int:
-    """Addition in GF(4); XOR of the bit-pair encodings."""
-    return a ^ b
-
-
-def gf4_mul(a: int, b: int) -> int:
-    return _GF4_MUL[a][b]
-
-
-def gf4_conjugate(a: int) -> int:
-    """Conjugation (Frobenius) a -> a^2: swaps omega and omega-bar."""
-    return _GF4_CONJ[a]
-
-
-def gf4_trace_inner_product(xs: Sequence[int], ys: Sequence[int]) -> int:
-    """Trace inner product sum_i tr(x_i * conj(y_i)) of two GF(4) vectors.
-
-    Returns 0 or 1.  Under the Pauli correspondence this is 0 exactly when
-    the two operators commute.
-    """
-    if len(xs) != len(ys):
-        raise ValueError("vectors must have equal length")
-    acc = 0
-    for x, y in zip(xs, ys):
-        acc ^= _GF4_MUL[x][_GF4_CONJ[y]] ^ _GF4_MUL[_GF4_CONJ[x]][y]
-    # x*conj(y) + conj(x)*y is fixed by conjugation, so it lies in {0, 1}
-    return acc

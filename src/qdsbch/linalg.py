@@ -4,17 +4,35 @@ Each row is one Python integer; bit j of row i is the entry (i, j).
 Elimination and products are XOR word operations, which keeps the sizes
 used here (hundreds of columns) far from needing anything fancier.
 
+This module also owns the bit-vector convention of the whole package:
+entry i of a 0/1 tuple is bit i of an integer mask, and any entry other
+than 0 or 1 is a ValueError.  Every public call that takes or returns
+such a tuple converts through `_bits_to_mask` and `_mask_to_bits`.
+
 Text serialization: a header line "rows cols", then one line of '0'/'1'
-characters per row.  The JSON form is a dict with the same three fields,
-rows as strings.
+characters per row.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+
+def _bits_to_mask(bits: Iterable[int], what: str) -> int:
+    """Pack 0/1 entries into a mask, entry i at bit i."""
+    mask = 0
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise ValueError(f"{what} must be 0/1 bits")
+        mask |= b << i
+    return mask
+
+
+def _mask_to_bits(mask: int, width: int) -> Tuple[int, ...]:
+    """The low width bits of mask as a tuple, bit i at entry i."""
+    return tuple((mask >> i) & 1 for i in range(width))
 
 
 class BinaryMatrix:
@@ -41,17 +59,9 @@ class BinaryMatrix:
         bit_rows = [list(r) for r in bit_rows]
         if cols is None:
             cols = len(bit_rows[0]) if bit_rows else 0
-        data = []
-        for r in bit_rows:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            mask = 0
-            for j, b in enumerate(r):
-                if b not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                mask |= b << j
-            data.append(mask)
-        return cls(len(bit_rows), cols, data)
+        if any(len(r) != cols for r in bit_rows):
+            raise ValueError("ragged rows")
+        return cls(len(bit_rows), cols, [_bits_to_mask(r, "matrix entries") for r in bit_rows])
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BinaryMatrix":
@@ -76,8 +86,7 @@ class BinaryMatrix:
         return self.data[i]
 
     def row_bits(self, i: int) -> Tuple[int, ...]:
-        r = self.data[i]
-        return tuple((r >> j) & 1 for j in range(self.cols))
+        return _mask_to_bits(self.data[i], self.cols)
 
     def to_lists(self) -> List[List[int]]:
         return [list(self.row_bits(i)) for i in range(self.rows)]
@@ -163,12 +172,7 @@ class BinaryMatrix:
         vector = list(vector)
         if len(vector) != self.cols:
             raise ValueError("vector length must equal column count")
-        mask = 0
-        for j, b in enumerate(vector):
-            if b not in (0, 1):
-                raise ValueError("entries must be 0 or 1")
-            mask |= b << j
-        return self._contains_mask(mask)
+        return self._contains_mask(_bits_to_mask(vector, "vector entries"))
 
     def _contains_mask(self, mask: int) -> bool:
         rref, rank, pivots = self._rref()
@@ -205,32 +209,6 @@ class BinaryMatrix:
                 raise ValueError(f"row {i} contains characters other than 0/1")
             data.append(int(line[::-1], 2) if line else 0)
         return cls(rows, cols, data)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "data": ["".join(str(b) for b in self.row_bits(i)) for i in range(self.rows)],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BinaryMatrix":
-        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-        if len(data) != rows:
-            raise ValueError("row count mismatch")
-        masks = []
-        for line in data:
-            if len(line) != cols:
-                raise ValueError("ragged rows")
-            masks.append(int(line[::-1], 2) if line else 0)
-        return cls(rows, cols, masks)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BinaryMatrix":
-        return cls.from_json_dict(json.loads(text))
 
     # --- misc ---
 

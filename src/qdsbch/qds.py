@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bch import BchCode, bch_select_m, bch_select_parameters
-from .linalg import BinaryMatrix
+from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits
 from .stabilizer import (
     RESIDUAL_TRIVIAL,
     BudgetExceededError,
@@ -44,19 +44,6 @@ from .stabilizer import (
 )
 
 Bits = Tuple[int, ...]
-
-
-def _bits_to_mask(bits: Sequence[int], what: str) -> int:
-    mask = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"{what} must be 0/1 bits")
-        mask |= b << i
-    return mask
-
-
-def _mask_to_bits(mask: int, width: int) -> Bits:
-    return tuple((mask >> i) & 1 for i in range(width))
 
 
 def _pack_rows(bits: np.ndarray) -> List[int]:

@@ -2,8 +2,7 @@
 
 A Pauli on n qubits is stored phase-free as two n-bit masks (x, z): bit i
 of x set means the letter on qubit i has an X component, bit i of z a Z
-component, so per qubit (0,0)=I, (1,0)=X, (0,1)=Z, (1,1)=Y.  This is the
-same bit-pair encoding as the GF(4) layer in fields.py, and string order
+component, so per qubit (0,0)=I, (1,0)=X, (0,1)=Z, (1,1)=Y.  String order
 is qubit 0 first.
 
 The symplectic product x_a.z_b + z_a.x_b (mod 2) is 0 exactly when two
@@ -22,7 +21,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .linalg import BinaryMatrix
+from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits
 
 _LETTERS = "IXZY"  # index = x_bit + 2*z_bit
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -88,17 +87,11 @@ class PauliOperator:
 
     @property
     def x_bits(self) -> Tuple[int, ...]:
-        return tuple((self.x >> i) & 1 for i in range(self.n))
+        return _mask_to_bits(self.x, self.n)
 
     @property
     def z_bits(self) -> Tuple[int, ...]:
-        return tuple((self.z >> i) & 1 for i in range(self.n))
-
-    def to_gf4(self) -> Tuple[int, ...]:
-        """The GF(4) vector of this Pauli under the bit-pair encoding."""
-        return tuple(
-            ((self.x >> i) & 1) | (((self.z >> i) & 1) << 1) for i in range(self.n)
-        )
+        return _mask_to_bits(self.z, self.n)
 
     def symplectic_mask(self) -> int:
         """The [x_bits | z_bits] row as a 2n-bit mask (x in the low half)."""
@@ -184,17 +177,13 @@ class StabilizerCode:
         self.check_matrix = check
         # fast-path caches for the simulation loop
         self._gen_masks = tuple((g.x, g.z) for g in generators)
-        rref, rank, pivots = check.row_reduce()
+        rref, rank, pivots = check._rref()
         self._membership_basis = tuple(zip(pivots, rref.data[:rank]))
 
     def syndrome(self, error: PauliOperator) -> Tuple[int, ...]:
         if error.n != self.n:
             raise ValueError("error acts on wrong qubit count")
-        ex, ez = error.x, error.z
-        return tuple(
-            ((gx & ez).bit_count() + (gz & ex).bit_count()) & 1
-            for gx, gz in self._gen_masks
-        )
+        return _mask_to_bits(self._syndrome_mask(error.x, error.z), self.ell)
 
     def _syndrome_mask(self, ex: int, ez: int) -> int:
         s = 0
@@ -297,12 +286,7 @@ class LookupDecoder:
         syndrome = tuple(syndrome)
         if len(syndrome) != self.code.ell:
             raise ValueError("syndrome length must equal generator count")
-        mask = 0
-        for i, b in enumerate(syndrome):
-            if b not in (0, 1):
-                raise ValueError("syndrome bits must be 0 or 1")
-            mask |= b << i
-        return self._table.get(mask)
+        return self._table.get(_bits_to_mask(syndrome, "syndrome"))
 
     def _decode_mask(self, mask: int) -> Optional[PauliOperator]:
         return self._table.get(mask)

@@ -1,9 +1,12 @@
 """BCH construction, encoding, decoding, and parameter selection."""
 
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdsbch.bch import (
     BchCode,
@@ -274,3 +277,42 @@ def test_parity_bit_count_matches_generator_degree_larger_fields():
     for m, ts in [(7, range(1, 16)), (8, range(1, 13))]:
         for t in ts:
             assert parity_bit_count(m, t) == bch_construct(m, t).generator.degree
+
+
+_parent_code = lru_cache(maxsize=None)(bch_construct)
+
+
+@st.composite
+def _bch_codes(draw):
+    """A (possibly shortened) code for random feasible (m, t, shorten)."""
+    m = draw(st.integers(3, 6))
+    t = draw(st.integers(1, ((1 << m) - 2) // 2))
+    code = _parent_code(m, t)
+    return code.shortened(draw(st.integers(0, code.k - 1)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_bch_codes(), st.data())
+def test_tuple_encode_decode_match_mask_twins(code, data):
+    bits = st.integers(0, 1)
+    msg = data.draw(st.lists(bits, min_size=code.dimension, max_size=code.dimension))
+    word_mask = code._encode_mask(sum(b << i for i, b in enumerate(msg)))
+    word = code.encode(msg)
+    assert word == tuple((word_mask >> j) & 1 for j in range(code.length))
+    assert code.decode(word) == (tuple(msg), ())
+    # flips up to t + 2 reach both the corrected and the given-up outcomes
+    flips = data.draw(st.sets(st.integers(0, code.length - 1), max_size=code.t + 2))
+    received = [b ^ (j in flips) for j, b in enumerate(word)]
+    want = code._decode_mask(word_mask ^ sum(1 << j for j in flips))
+    if want is None:
+        assert code.decode(received) is None
+    else:
+        msg_mask, positions = want
+        assert code.decode(received) == (
+            tuple((msg_mask >> i) & 1 for i in range(code.dimension)),
+            positions,
+        )
+    for call, arg in ((code.encode, msg), (code.decode, received)):
+        arg[data.draw(st.integers(0, len(arg) - 1))] = 2
+        with pytest.raises(ValueError):
+            call(arg)

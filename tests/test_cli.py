@@ -1,6 +1,8 @@
 """Command line interface: outputs, file formats, exit codes."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +113,26 @@ def test_qds_assemble_rejects_invalid_code_file(tmp_path, capsys):
     assert err != ""
 
 
+def test_qds_assemble_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """Both outputs are staged before either is committed: a write that
+    dies on the second file leaves neither target nor any temp."""
+    real_write = Path.write_text
+
+    def fail_on_json(self, data, *args, **kwargs):
+        if ".json" in self.name:
+            real_write(self, data[:10], *args, **kwargs)
+            raise OSError("disk full")
+        return real_write(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_on_json)
+    code, _, err = run(
+        capsys, "qds", "assemble", "--sm", "bch", "--t", "3", "--out", str(tmp_path / "q")
+    )
+    assert code == 1
+    assert "disk full" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_qds_assemble_bch_requires_t(capsys):
     code, _, err = run(capsys, "qds", "assemble", "--sm", "bch")
     assert code == 1
@@ -194,6 +216,17 @@ def test_sim_grid_is_byte_deterministic(tmp_path, capsys):
     c = tmp_path / "c.json"
     assert run(capsys, *_grid_args(c, seed="8"))[0] == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_sim_grid_failed_rename_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, *_grid_args(tmp_path / "g.json"))
+    assert code == 1
+    assert "rename refused" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sim_grid_requires_seed(tmp_path, capsys):
@@ -300,6 +333,16 @@ def test_verify_bch_passes(capsys):
     code, out, _ = run(capsys, "verify", "--sm", "bch", "--t", "3")
     assert code == 0
     assert "PASS: all 34364 cases corrected exactly" in out
+
+
+def test_verify_refuses_base_code_without_logical_qubit(tmp_path, capsys):
+    path = tmp_path / "k0.txt"
+    path.write_text("2 0\nXX\nZZ\n")
+    code, out, err = run(capsys, "verify", "--code-file", str(path), "--sm", "identity")
+    assert code == 1
+    assert "k=0" in err
+    assert "too large" not in err
+    assert "PASS" not in out
 
 
 def test_verify_budget_refusal(capsys):

@@ -4,20 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdsbch.fields import (
     PRIMITIVE_POLYNOMIALS,
     BinaryPolynomial,
     GF2m,
-    GF4_OMEGA,
-    GF4_OMEGA_BAR,
-    GF4_ONE,
-    GF4_ZERO,
     cyclotomic_cosets,
-    gf4_add,
-    gf4_conjugate,
-    gf4_mul,
-    gf4_trace_inner_product,
     minimal_polynomial,
     poly_lcm,
 )
@@ -222,61 +216,17 @@ def test_minimal_polynomial_properties(m):
         assert _trial_divide_irreducible(mp)
 
 
-# --- GF(4) -------------------------------------------------------------------
-
-
-def test_gf4_constants():
-    assert (GF4_ZERO, GF4_ONE, GF4_OMEGA, GF4_OMEGA_BAR) == (0, 1, 2, 3)
-
-
-def test_gf4_is_a_field():
-    elems = range(4)
-    for a in elems:
-        assert gf4_add(a, a) == 0
-        assert gf4_mul(a, 1) == a
-        for b in elems:
-            assert gf4_mul(a, b) == gf4_mul(b, a)
-            for c in elems:
-                assert gf4_mul(a, gf4_mul(b, c)) == gf4_mul(gf4_mul(a, b), c)
-                assert gf4_mul(a, gf4_add(b, c)) == gf4_add(gf4_mul(a, b), gf4_mul(a, c))
-    # every nonzero element has an inverse
-    for a in (1, 2, 3):
-        assert any(gf4_mul(a, b) == 1 for b in (1, 2, 3))
-    assert gf4_mul(GF4_OMEGA, GF4_OMEGA) == GF4_OMEGA_BAR
-    assert gf4_mul(GF4_OMEGA, GF4_OMEGA_BAR) == GF4_ONE
-
-
-def test_gf4_conjugation_is_an_automorphism():
-    for a in range(4):
-        assert gf4_conjugate(gf4_conjugate(a)) == a
-        for b in range(4):
-            assert gf4_conjugate(gf4_mul(a, b)) == gf4_mul(gf4_conjugate(a), gf4_conjugate(b))
-    assert gf4_conjugate(GF4_ZERO) == GF4_ZERO
-    assert gf4_conjugate(GF4_ONE) == GF4_ONE
-    assert gf4_conjugate(GF4_OMEGA) == GF4_OMEGA_BAR
-
-
-def test_gf4_trace_inner_product_is_the_symplectic_form():
-    """tr(a conj(b)) on bit-pair encodings equals x1&z2 XOR z1&x2."""
-    for x1 in (0, 1):
-        for z1 in (0, 1):
-            for x2 in (0, 1):
-                for z2 in (0, 1):
-                    a = x1 + 2 * z1
-                    b = x2 + 2 * z2
-                    want = (x1 & z2) ^ (z1 & x2)
-                    assert gf4_trace_inner_product([a], [b]) == want
-
-
-def test_gf4_trace_inner_product_sums_coordinates():
-    rng = random.Random(103)
-    for _ in range(100):
-        n = rng.randrange(1, 8)
-        xs = [rng.randrange(4) for _ in range(n)]
-        ys = [rng.randrange(4) for _ in range(n)]
-        want = 0
-        for a, b in zip(xs, ys):
-            want ^= gf4_trace_inner_product([a], [b])
-        assert gf4_trace_inner_product(xs, ys) == want
-    with pytest.raises(ValueError):
-        gf4_trace_inner_product([0, 1], [2])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 1), max_size=40), st.data())
+def test_polynomial_coefficients_roundtrip(coeffs, data):
+    p = BinaryPolynomial.from_coefficients(coeffs)
+    assert p.mask == sum(c << i for i, c in enumerate(coeffs))
+    trimmed = list(coeffs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    assert p.coefficients() == tuple(trimmed)
+    assert BinaryPolynomial.from_coefficients(p.coefficients()) == p
+    if coeffs:
+        coeffs[data.draw(st.integers(0, len(coeffs) - 1))] = 2
+        with pytest.raises(ValueError):
+            BinaryPolynomial.from_coefficients(coeffs)

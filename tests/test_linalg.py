@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdsbch.linalg import BinaryMatrix
 
@@ -145,8 +147,24 @@ def test_from_text_rejects_garbage():
         BinaryMatrix.from_text("")
 
 
-def test_json_roundtrip():
-    rng = random.Random(59)
-    a = _random_matrix(rng, 4, 9)
-    obj = a.to_json_dict()
-    assert BinaryMatrix.from_json_dict(obj) == a
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 70).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(0, 1), min_size=cols, max_size=cols), min_size=1, max_size=6
+        )
+    ),
+    st.data(),
+)
+def test_from_rows_row_bits_roundtrip(rows, data):
+    m = BinaryMatrix.from_rows(rows)
+    assert m.data == tuple(sum(b << j for j, b in enumerate(r)) for r in rows)
+    assert [m.row_bits(i) for i in range(m.rows)] == [tuple(r) for r in rows]
+    assert BinaryMatrix.from_rows(m.to_lists()) == m
+    i = data.draw(st.integers(0, len(rows) - 1))
+    assert m.in_row_space(rows[i])
+    rows[i][data.draw(st.integers(0, len(rows[i]) - 1))] = 2
+    with pytest.raises(ValueError):
+        BinaryMatrix.from_rows(rows)
+    with pytest.raises(ValueError):
+        m.in_row_space(rows[i])

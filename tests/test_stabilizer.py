@@ -6,6 +6,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdsbch.linalg import BinaryMatrix
 from qdsbch.stabilizer import (
@@ -49,7 +51,6 @@ def test_pauli_weight_and_bits():
     assert p.weight == 3
     assert p.x_bits == (0, 1, 0, 1)
     assert p.z_bits == (0, 0, 1, 1)
-    assert p.to_gf4() == (0, 1, 2, 3)
 
 
 def test_pauli_product_is_phase_free_composition():
@@ -293,3 +294,27 @@ def test_parse_rejects_invalid_codes():
         parse_stabilizer_code("2 1\nXXX\n")  # wrong length
     with pytest.raises(ValueError):
         parse_stabilizer_code("3 1\nXIX\n")  # line count inconsistent with k
+
+
+FIVE_QUBIT_GENERATORS = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]  # the non-CSS [[5,1,3]] code
+_TWIN_CODES = [
+    steane_code(),
+    StabilizerCode([pauli_parse(s) for s in FIVE_QUBIT_GENERATORS]),
+]
+_TWIN_CASES = [(code, lookup_decoder_build(code, 1)) for code in _TWIN_CODES]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_TWIN_CASES), st.data())
+def test_syndrome_and_lookup_match_mask_twins(case, data):
+    code, decoder = case
+    x = data.draw(st.integers(0, (1 << code.n) - 1))
+    z = data.draw(st.integers(0, (1 << code.n) - 1))
+    syndrome = code.syndrome(PauliOperator(code.n, x, z))
+    mask = code._syndrome_mask(x, z)
+    assert syndrome == tuple((mask >> i) & 1 for i in range(code.ell))
+    assert decoder.decode(syndrome) is decoder._decode_mask(mask)
+    bad = list(syndrome)
+    bad[data.draw(st.integers(0, code.ell - 1))] = 2
+    with pytest.raises(ValueError):
+        decoder.decode(bad)
