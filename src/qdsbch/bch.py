@@ -80,39 +80,24 @@ class BchCode:
         return BchCode(self.field, self.t, self.generator, self.shorten_by + a)
 
     def generator_matrix(self) -> BinaryMatrix:
-        """Systematic dimension x length generator matrix [I | P]."""
+        """Systematic dimension x length generator matrix [I | P]: row i is
+        the encoding of message bit i."""
         if self._gen_matrix is None:
-            g = self.generator
-            a, k, r = self.shorten_by, self.k, self.r
-            xpow = BinaryPolynomial.x_power
-            rows = []
-            for i in range(a, k):
-                parity = (xpow(i + r) % g).mask
-                rows.append(((1 << i) | (parity << k)) >> a)
+            rows = [self._encode_mask(1 << i) for i in range(self.dimension)]
             self._gen_matrix = BinaryMatrix(self.dimension, self.length, rows)
         return self._gen_matrix
 
     # --- encode ---
 
     def encode(self, message: Sequence[int]) -> Tuple[int, ...]:
-        message = list(message)
-        if len(message) != self.dimension:
-            raise ValueError(f"message length must be {self.dimension}")
-        word = self._encode_mask(_bits_to_mask(message, "message"))
+        word = self._encode_mask(_bits_to_mask(message, "message", self.dimension))
         return _mask_to_bits(word, self.length)
 
     def _encode_mask(self, msg_mask: int) -> int:
         # parent message has the dropped prefix fixed to zero
         parent_msg = msg_mask << self.shorten_by
-        parity = self._poly_mod_generator(parent_msg << self.r)
+        parity = (BinaryPolynomial(parent_msg << self.r) % self.generator).mask
         return ((parity << self.k) | parent_msg) >> self.shorten_by
-
-    def _poly_mod_generator(self, mask: int) -> int:
-        gmask = self.generator.mask
-        gdeg = self.r
-        while mask.bit_length() - 1 >= gdeg:
-            mask ^= gmask << (mask.bit_length() - 1 - gdeg)
-        return mask
 
     # --- decode ---
 
@@ -123,10 +108,7 @@ class BchCode:
         Up to t bit errors are always corrected; beyond t the call may
         return None or a wrong codeword's message, never a non-codeword.
         """
-        received = list(received)
-        if len(received) != self.length:
-            raise ValueError(f"received word length must be {self.length}")
-        out = self._decode_mask(_bits_to_mask(received, "received word"))
+        out = self._decode_mask(_bits_to_mask(received, "received word", self.length))
         if out is None:
             return None
         msg_mask, positions = out

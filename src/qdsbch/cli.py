@@ -26,7 +26,7 @@ from .qds import (
     repetition_sm,
     verify_correction_guarantee,
 )
-from .sim import SimGrid, build_grid, combine_grid
+from .sim import SimGrid, _recombine, build_grid, default_code_meta
 from .stabilizer import (
     BudgetExceededError,
     StabilizerCode,
@@ -130,6 +130,9 @@ def _write_atomic(*outputs: Tuple[str, str]) -> None:
             tmp.write_text(text)
         for tmp, path in staged:
             os.replace(tmp, path)
+    except OSError as exc:
+        # name the target, not the temp file the error was raised on
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         for tmp, _ in staged:
             with contextlib.suppress(FileNotFoundError):
@@ -224,16 +227,10 @@ def _cmd_sim_grid(args) -> int:
         max_ws = args.max_ws if args.max_ws is not None else sm.n_s
         cells = [(wq, ws) for wq in range(max_wq + 1) for ws in range(max_ws + 1)]
     meta = {
-        "version": __version__,
+        **default_code_meta(q, decoder),
         "command": "sim grid",
         "code": "file" if args.code_file else args.code,
         **_sm_meta(args),
-        "n": base.n,
-        "k": base.k,
-        "ell": base.ell,
-        "n_s": sm.n_s,
-        "t_s": sm.t_s,
-        "t_data": decoder.max_weight,
         "boundary_trials": args.trials,
         "bulk_trials": bulk,
     }
@@ -269,12 +266,9 @@ def _cmd_sim_sweep(args) -> int:
         ),
         "p_s,p_q,p_err,truncation_mass",
     ]
-    for p_s in ps_values:
-        p_q = args.ratio * p_s
-        res = combine_grid(grid, p_q, p_s, truncation=args.truncation)
-        lines.append(
-            f"{p_s:.12g},{p_q:.12g},{res.p_err:.12g},{res.truncation_mass:.12g}"
-        )
+    points = [(args.ratio * p_s, p_s) for p_s in ps_values]
+    for pt in _recombine(grid, points, args.truncation):
+        lines.append(f"{pt.p_s:.12g},{pt.p_q:.12g},{pt.p_err:.12g},{pt.truncation_mass:.12g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_atomic((args.out, text))

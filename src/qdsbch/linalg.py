@@ -20,8 +20,12 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 
-def _bits_to_mask(bits: Iterable[int], what: str) -> int:
-    """Pack 0/1 entries into a mask, entry i at bit i."""
+def _bits_to_mask(bits: Iterable[int], what: str, width: int | None = None) -> int:
+    """Pack 0/1 entries into a mask, entry i at bit i.  With width given,
+    any other entry count is a ValueError."""
+    bits = tuple(bits)
+    if width is not None and len(bits) != width:
+        raise ValueError(f"{what} must have {width} entries, got {len(bits)}")
     mask = 0
     for i, b in enumerate(bits):
         if b not in (0, 1):
@@ -56,12 +60,10 @@ class BinaryMatrix:
 
     @classmethod
     def from_rows(cls, bit_rows: Sequence[Sequence[int]], cols: int | None = None) -> "BinaryMatrix":
-        bit_rows = [list(r) for r in bit_rows]
+        bit_rows = [tuple(r) for r in bit_rows]
         if cols is None:
             cols = len(bit_rows[0]) if bit_rows else 0
-        if any(len(r) != cols for r in bit_rows):
-            raise ValueError("ragged rows")
-        return cls(len(bit_rows), cols, [_bits_to_mask(r, "matrix entries") for r in bit_rows])
+        return cls(len(bit_rows), cols, [_bits_to_mask(r, "row", cols) for r in bit_rows])
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BinaryMatrix":
@@ -169,10 +171,7 @@ class BinaryMatrix:
 
     def in_row_space(self, vector: Sequence[int]) -> bool:
         """Is the given bit vector a GF(2) combination of the rows?"""
-        vector = list(vector)
-        if len(vector) != self.cols:
-            raise ValueError("vector length must equal column count")
-        return self._contains_mask(_bits_to_mask(vector, "vector entries"))
+        return self._contains_mask(_bits_to_mask(vector, "vector", self.cols))
 
     def _contains_mask(self, mask: int) -> bool:
         rref, rank, pivots = self._rref()

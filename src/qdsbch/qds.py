@@ -73,21 +73,17 @@ class SyndromeMeasurementCode(ABC):
     name: str
 
     @property
-    @abstractmethod
     def encode_matrix(self) -> BinaryMatrix:
-        """ell x n_s matrix G with encode(s) = s G."""
+        """ell x n_s matrix G with encode(s) = s G: row i encodes bit i."""
+        rows = [self._encode_mask(1 << i) for i in range(self.ell)]
+        return BinaryMatrix(self.ell, self.n_s, rows)
 
     def encode(self, syndrome: Sequence[int]) -> Bits:
-        syndrome = tuple(syndrome)
-        if len(syndrome) != self.ell:
-            raise ValueError(f"syndrome length must be {self.ell}")
-        return _mask_to_bits(self._encode_mask(_bits_to_mask(syndrome, "syndrome")), self.n_s)
+        mask = _bits_to_mask(syndrome, "syndrome", self.ell)
+        return _mask_to_bits(self._encode_mask(mask), self.n_s)
 
     def decode(self, received: Sequence[int]) -> Optional[Bits]:
-        received = tuple(received)
-        if len(received) != self.n_s:
-            raise ValueError(f"received length must be {self.n_s}")
-        msg = self._decode_mask(_bits_to_mask(received, "received word"))
+        msg = self._decode_mask(_bits_to_mask(received, "received word", self.n_s))
         return None if msg is None else _mask_to_bits(msg, self.ell)
 
     @abstractmethod
@@ -114,10 +110,6 @@ class BchSyndromeMeasurement(SyndromeMeasurementCode):
         self.ell = code.dimension
         self.n_s = code.length
         self.t_s = code.t
-
-    @property
-    def encode_matrix(self) -> BinaryMatrix:
-        return self.code.generator_matrix()
 
     def _encode_mask(self, mask: int) -> int:
         return self.code._encode_mask(mask)
@@ -146,16 +138,6 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
         self.n_s = ell * reps
         self.t_s = (reps - 1) // 2
         self.name = "identity" if reps == 1 else "repetition"
-
-    @property
-    def encode_matrix(self) -> BinaryMatrix:
-        rows = []
-        for b in range(self.ell):
-            mask = 0
-            for c in range(self.reps):
-                mask |= 1 << (b + c * self.ell)
-            rows.append(mask)
-        return BinaryMatrix(self.ell, self.n_s, rows)
 
     def _encode_mask(self, mask: int) -> int:
         word = 0
@@ -214,12 +196,8 @@ class QdsCode:
         self.row_weights = tuple((rx | rz).bit_count() for rx, rz in self._rows)
         # x and z halves of H_Q as n x n_s arrays, for batched readout:
         # readout = z @ _x_part + x @ _z_part (mod 2)
-        self._x_part = np.array(
-            [[(rx >> q) & 1 for rx, _ in self._rows] for q in range(n)], dtype=np.uint8
-        )
-        self._z_part = np.array(
-            [[(rz >> q) & 1 for _, rz in self._rows] for q in range(n)], dtype=np.uint8
-        )
+        columns = self.h_q.to_numpy().T
+        self._x_part, self._z_part = columns[:n], columns[n:]
 
     def measurement_pauli(self, i: int) -> PauliOperator:
         """Row i of H_Q as the product of generators it measures."""
@@ -234,10 +212,7 @@ class QdsCode:
             raise ValueError("data error acts on wrong qubit count")
         flips = 0
         if syndrome_error is not None:
-            syndrome_error = tuple(syndrome_error)
-            if len(syndrome_error) != self.sm.n_s:
-                raise ValueError(f"syndrome error length must be {self.sm.n_s}")
-            flips = _bits_to_mask(syndrome_error, "syndrome error")
+            flips = _bits_to_mask(syndrome_error, "syndrome error", self.sm.n_s)
         word = self._measure_mask(data_error.x, data_error.z, flips)
         return _mask_to_bits(word, self.sm.n_s)
 
@@ -252,10 +227,7 @@ class QdsCode:
         """SM-decode the readout, then look up a correction for the
         recovered syndrome.  Returns (correction, syndrome_bits) or None
         if either step fails."""
-        measured = tuple(measured)
-        if len(measured) != self.sm.n_s:
-            raise ValueError(f"measured word length must be {self.sm.n_s}")
-        msg = self.sm._decode_mask(_bits_to_mask(measured, "measured word"))
+        msg = self.sm._decode_mask(_bits_to_mask(measured, "measured word", self.sm.n_s))
         if msg is None:
             return None
         correction = quantum_decoder._decode_mask(msg)

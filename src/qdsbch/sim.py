@@ -194,15 +194,13 @@ def _run_cell(qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng) -> in
 def estimate_cell(
     qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, seed: int
 ) -> float:
-    """Failure fraction at exact weights (w_q, w_s), reproducible by seed."""
-    if not 0 <= w_q <= qds.base.n:
-        raise ValueError("w_q out of range")
-    if not 0 <= w_s <= qds.sm.n_s:
-        raise ValueError("w_s out of range")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    rng = _cell_generator(seed, w_q, w_s)
-    return _run_cell(qds, decoder, w_q, w_s, trials, rng) / trials
+    """Failure fraction at exact weights (w_q, w_s), reproducible by seed:
+    the (w_q, w_s) cell of a grid with that seed and trial count."""
+    grid = build_grid(
+        qds, decoder, seed=seed, boundary_trials=trials, bulk_trials=trials, cells=[(w_q, w_s)]
+    )
+    st = grid.cells[(w_q, w_s)]
+    return st.failures / st.trials
 
 
 def default_code_meta(qds: QdsCode, decoder) -> dict:
@@ -395,13 +393,20 @@ def sweep(
             bulk_trials=bulk_trials,
             cells=cells,
         )
+    return grid, _recombine(grid, points, truncation)
+
+
+def _recombine(
+    grid: SimGrid, points: Sequence[Tuple[float, float]], truncation: float
+) -> List[SweepPoint]:
+    """combine_grid at each (p_q, p_s) point, as sweep points."""
     out = []
     for p_q, p_s in points:
         res = combine_grid(grid, p_q, p_s, truncation)
         out.append(
             SweepPoint(p_s=p_s, p_q=p_q, p_err=res.p_err, truncation_mass=res.truncation_mass)
         )
-    return grid, out
+    return out
 
 
 def direct_monte_carlo(

@@ -283,10 +283,7 @@ class LookupDecoder:
 
     def decode(self, syndrome: Sequence[int]) -> Optional[PauliOperator]:
         """The stored correction, or None if the syndrome was never reached."""
-        syndrome = tuple(syndrome)
-        if len(syndrome) != self.code.ell:
-            raise ValueError("syndrome length must equal generator count")
-        return self._table.get(_bits_to_mask(syndrome, "syndrome"))
+        return self._table.get(_bits_to_mask(syndrome, "syndrome", self.code.ell))
 
     def _decode_mask(self, mask: int) -> Optional[PauliOperator]:
         return self._table.get(mask)

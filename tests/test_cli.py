@@ -1,15 +1,18 @@
 """Command line interface: outputs, file formats, exit codes."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qdsbch.cli import main
 from qdsbch.linalg import BinaryMatrix
-from qdsbch.sim import SimGrid
-from qdsbch.stabilizer import format_stabilizer_code, steane_code
+from qdsbch.qds import identity_sm, qds_assemble
+from qdsbch.sim import SimGrid, build_grid, default_code_meta, sweep
+from qdsbch.stabilizer import format_stabilizer_code, lookup_decoder_build, steane_code
 
 
 def run(capsys, *argv):
@@ -87,6 +90,23 @@ def test_qds_assemble_files(tmp_path, capsys):
     assert params["t_s"] == 3
     assert "version" in params["meta"]
     assert params["meta"]["command"] == "qds assemble"
+
+
+@pytest.mark.parametrize(
+    "sm_flags, digest",
+    [
+        (["--sm", "bch", "--t", "3"],
+         "297f351f02a7831419607155d021fb71aa63fe137f4f018ee28e6e7bcdb04d85"),
+        (["--sm", "repetition", "--reps", "3"],
+         "6bcaa51f2a217694b95174ad9d3effa934b52ac6ae253cb4863cef2afbc02b3d"),
+    ],
+    ids=["bch-t3", "repetition-reps3"],
+)
+def test_qds_assemble_matrix_is_pinned(tmp_path, capsys, sm_flags, digest):
+    """H_Q text recorded while G was still built apart from the encoder."""
+    code, _, _ = run(capsys, "qds", "assemble", *sm_flags, "--out", str(tmp_path / "q"))
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "q.txt").read_bytes()).hexdigest() == digest
 
 
 def test_qds_assemble_identity_matches_base(capsys):
@@ -227,6 +247,62 @@ def test_sim_grid_failed_rename_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "rename refused" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["qds", "assemble", "--sm", "identity", "--out", "nodir/q"], "nodir/q.txt"),
+        (_grid_args("nodir/g.json"), "nodir/g.json"),
+    ],
+    ids=["qds-assemble", "sim-grid"],
+)
+def test_out_into_missing_directory_names_the_target(tmp_path, capsys, monkeypatch, argv, target):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert target in err
+    assert ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _library_grid():
+    base = steane_code()
+    dec = lookup_decoder_build(base, max_weight=1)
+    q = qds_assemble(base, identity_sm(base.ell))
+    cells = [(wq, ws) for wq in range(4) for ws in range(5)]
+    return q, dec, build_grid(q, dec, seed=7, boundary_trials=200, bulk_trials=40, cells=cells)
+
+
+def test_sim_grid_matches_the_library(tmp_path, capsys):
+    """The CLI grid is build_grid's grid, with the library code_meta plus
+    the command's provenance."""
+    out_path = tmp_path / "grid.json"
+    assert run(capsys, *_grid_args(out_path))[0] == 0
+    cli_grid = SimGrid.from_json_text(out_path.read_text())
+    q, dec, grid = _library_grid()
+    meta = default_code_meta(q, dec)
+    assert {key: cli_grid.code_meta.get(key) for key in meta} == meta
+    assert cli_grid.cells == grid.cells
+
+
+def test_sim_sweep_rows_match_library_sweep(tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    assert run(capsys, *_grid_args(grid_path))[0] == 0
+    code, out, _ = run(
+        capsys, "sim", "sweep", "--grid", str(grid_path),
+        "--ps", "1e-4:1e-2:log5", "--ratio", "0.5", "--truncation", "1e-6",
+    )
+    assert code == 0
+    q, dec, _ = _library_grid()
+    grid = SimGrid.from_json_text(grid_path.read_text())
+    ps = [float(p) for p in np.logspace(-4, -2, 5)]
+    _, points = sweep(q, dec, ps, 0.5, seed=grid.seed, truncation=1e-6, grid=grid)
+    want = [
+        f"{pt.p_s:.12g},{pt.p_q:.12g},{pt.p_err:.12g},{pt.truncation_mass:.12g}"
+        for pt in points
+    ]
+    assert out.strip().split("\n")[2:] == want
 
 
 def test_sim_grid_requires_seed(tmp_path, capsys):

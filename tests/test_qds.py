@@ -8,6 +8,8 @@ from math import comb
 import numpy as np
 import pytest
 
+from qdsbch.bch import bch_construct
+from qdsbch.linalg import BinaryMatrix
 from qdsbch.qds import (
     BchSyndromeMeasurement,
     QdsCode,
@@ -101,6 +103,34 @@ def test_encode_validates_length():
         sm.encode((1, 0))
     with pytest.raises(ValueError):
         sm.decode([0] * 10)
+
+
+def _codec_callers():
+    """Each public call that packs a fixed-width 0/1 tuple, with its width."""
+    code = bch_construct(5, 3).shortened(10)
+    base = steane_code()
+    q = qds_assemble(base, bch_sm(6, 3))
+    dec = lookup_decoder_build(base, max_weight=1)
+    return {
+        "BchCode.encode": (code.encode, code.dimension),
+        "BchCode.decode": (code.decode, code.length),
+        "SyndromeMeasurementCode.encode": (q.sm.encode, q.sm.ell),
+        "SyndromeMeasurementCode.decode": (q.sm.decode, q.sm.n_s),
+        "QdsCode.measure": (lambda bits: q.measure(PauliOperator.identity(7), bits), q.sm.n_s),
+        "QdsCode.decode_two_step": (lambda bits: q.decode_two_step(bits, dec), q.sm.n_s),
+        "LookupDecoder.decode": (dec.decode, base.ell),
+        "BinaryMatrix.in_row_space": (base.check_matrix.in_row_space, 2 * base.n),
+        "BinaryMatrix.from_rows": (lambda bits: BinaryMatrix.from_rows([[0] * 5, bits]), 5),
+    }
+
+
+@pytest.mark.parametrize("caller", sorted(_codec_callers()))
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+def test_codec_callers_reject_wrong_length(caller, delta):
+    call, width = _codec_callers()[caller]
+    call((0,) * width)
+    with pytest.raises(ValueError, match=f"must have {width} entries, got {width + delta}"):
+        call((0,) * (width + delta))
 
 
 # --- QDS assembly -------------------------------------------------------------

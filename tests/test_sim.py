@@ -119,6 +119,13 @@ def test_estimate_cell_all_flips_is_deterministic_failure_fraction():
     assert frac in (0.0, 1.0)
 
 
+@pytest.mark.parametrize("sm, want", [(bch_sm(6, 3), 0.75), (repetition_sm(6, 3), 0.78)])
+def test_pinned_estimate_cell(sm, want):
+    """Values taken before estimate_cell became a one-cell build_grid."""
+    q, dec = _steane_qds(sm)
+    assert estimate_cell(q, dec, 2, 2, 200, 3) == want
+
+
 def test_estimate_cell_validates_inputs():
     q, dec = _steane_qds()
     with pytest.raises(ValueError):
