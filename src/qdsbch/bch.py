@@ -12,11 +12,11 @@ so the parity block lands in the last r positions and no elimination is
 needed.
 
 Shortening by a drops the first a coordinates (fixing them to zero), an
-[n-a, k-a, >= 2t+1] code; decoding re-prepends a zeros and rejects any
-correction that lands inside the dropped prefix.
+[n-a, k-a, >= 2t+1] code; decoding re-prepends a zeros.
 
-Decoding is classical Berlekamp-Massey plus Chien search over the 2t
-power-sum syndromes S_j = r(alpha^j).  Within the design radius t it
+Decoding is classical Berlekamp-Massey over the 2t power-sum syndromes
+S_j = r(alpha^j), then a search for the error locator's roots alpha^-p
+over the live positions p in [a, n) only.  Within the design radius t it
 corrects exactly; beyond it, it either reports failure (None) or lands on
 a wrong codeword, but it never emits a non-codeword: corrected words are
 re-checked against all 2t syndromes.
@@ -24,6 +24,7 @@ re-checked against all 2t syndromes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .fields import (
@@ -69,7 +70,6 @@ class BchCode:
         self.dimension = k - shorten_by
         self.distance = 2 * t + 1
         self._gen_matrix: Optional[BinaryMatrix] = None
-        self._pow_tables: Optional[List[List[int]]] = None
 
     # --- derived structure ---
 
@@ -118,8 +118,6 @@ class BchCode:
         a = self.shorten_by
         parent = word << a
         pow_tables = self._pow_tables
-        if pow_tables is None:
-            pow_tables = self._build_pow_tables()
         # power-sum syndromes S_j = sum over support of alpha^(j*i)
         syndromes = [0] * (2 * self.t)
         rem = parent
@@ -134,33 +132,38 @@ class BchCode:
         sigma, errors = self._berlekamp_massey(syndromes)
         if errors == 0 or errors > self.t or len(sigma) - 1 != errors:
             return None
-        positions = self._chien_search(sigma)
-        if positions is None or len(positions) != errors:
-            return None
-        if positions[0] < a:  # sorted ascending; a correction in the prefix
+        # a root in the dropped prefix, or a repeated one, leaves fewer
+        # live roots than deg sigma
+        n = self.n
+        log = self.field._log
+        antilog = self.field._antilog
+        terms = [(log[c], j) for j, c in enumerate(sigma) if c]
+        positions = []
+        for p in range(a, n):
+            v = 0
+            for log_c, j in terms:
+                v ^= antilog[(log_c - p * j) % n]
+            if v == 0:
+                positions.append(p)
+        if len(positions) != errors:
             return None
         # reject any locator whose flips do not cancel every syndrome
-        for j in range(2 * self.t):
-            s = syndromes[j]
-            tab = pow_tables[j]
+        for s, tab in zip(syndromes, pow_tables):
             for p in positions:
                 s ^= tab[p]
             if s:
                 return None
-        flip = 0
+        positions = tuple(p - a for p in positions)
         for p in positions:
-            flip |= 1 << p
-        corrected = parent ^ flip
-        msg_mask = (corrected >> a) & ((1 << self.dimension) - 1)
-        return msg_mask, tuple(p - a for p in positions)
+            word ^= 1 << p
+        return word & ((1 << self.dimension) - 1), positions
 
-    def _build_pow_tables(self) -> List[List[int]]:
+    @cached_property
+    def _pow_tables(self) -> List[List[int]]:
+        """Row j-1 holds alpha^(j*i) for every parent position i."""
         antilog = self.field._antilog
         n = self.n
-        self._pow_tables = [
-            [antilog[(j * i) % n] for i in range(n)] for j in range(1, 2 * self.t + 1)
-        ]
-        return self._pow_tables
+        return [[antilog[(j * i) % n] for i in range(n)] for j in range(1, 2 * self.t + 1)]
 
     def _berlekamp_massey(self, syndromes: List[int]) -> Tuple[List[int], int]:
         """Minimal LFSR (error locator sigma, as field coefficients lowest
@@ -177,56 +180,19 @@ class BchCode:
             for j in range(1, length + 1):
                 if j < len(sigma) and sigma[j] and syndromes[i - j]:
                     disc ^= mul(sigma[j], syndromes[i - j])
-            if disc == 0:
-                shift += 1
-                continue
-            coef = div(disc, prev_disc)
-            needed = len(prev) + shift
-            if len(sigma) < needed:
-                sigma.extend([0] * (needed - len(sigma)))
-            if 2 * length <= i:
-                saved = list(sigma[: length + 1])
+            if disc:
+                coef = div(disc, prev_disc)
+                sigma.extend([0] * (len(prev) + shift - len(sigma)))
+                saved = sigma[: length + 1]
                 for j, pj in enumerate(prev):
                     if pj:
                         sigma[j + shift] ^= mul(coef, pj)
-                length = i + 1 - length
-                prev = saved
-                prev_disc = disc
-                shift = 1
-            else:
-                for j, pj in enumerate(prev):
-                    if pj:
-                        sigma[j + shift] ^= mul(coef, pj)
-                shift += 1
+                if 2 * length <= i:
+                    length, prev, prev_disc, shift = i + 1 - length, saved, disc, 0
+            shift += 1
         while sigma and sigma[-1] == 0:
             sigma.pop()
         return sigma, length
-
-    def _chien_search(self, sigma: List[int]) -> Optional[List[int]]:
-        """Distinct roots of sigma as error positions, sorted ascending.
-
-        sigma(alpha^i) = 0 puts an error at position (n - i) mod n.
-        Returns None if the root count does not match deg sigma.
-        """
-        n = self.n
-        mul = self.field.mul
-        antilog = self.field._antilog
-        deg = len(sigma) - 1
-        work = list(sigma)
-        positions = []
-        for i in range(n):
-            v = 0
-            for w in work:
-                v ^= w
-            if v == 0:
-                positions.append((n - i) % n)
-            for jj in range(1, deg + 1):
-                if work[jj]:
-                    work[jj] = mul(work[jj], antilog[jj])
-        if len(positions) != deg:
-            return None
-        positions.sort()
-        return positions
 
     def __repr__(self) -> str:
         return (

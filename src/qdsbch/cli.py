@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -216,6 +217,10 @@ def _cmd_qds_count(args) -> int:
 
 
 def _cmd_sim_grid(args) -> int:
+    # sampling can take minutes: refuse an output with no directory first,
+    # with the message a failed write would give
+    if not Path(args.out).parent.is_dir():
+        raise OSError(f"cannot write {args.out}: {os.strerror(errno.ENOENT)}")
     base = _load_base_code(args)
     sm = _build_sm(args, base.ell)
     q = qds_assemble(base, sm)

@@ -7,7 +7,8 @@ used here (hundreds of columns) far from needing anything fancier.
 This module also owns the bit-vector convention of the whole package:
 entry i of a 0/1 tuple is bit i of an integer mask, and any entry other
 than 0 or 1 is a ValueError.  Every public call that takes or returns
-such a tuple converts through `_bits_to_mask` and `_mask_to_bits`.
+such a tuple converts through `_bits_to_mask` and `_mask_to_bits`, and
+the rows of a 0/1 array pack into masks through `_pack_rows`.
 
 Text serialization: a header line "rows cols", then one line of '0'/'1'
 characters per row.
@@ -37,6 +38,19 @@ def _bits_to_mask(bits: Iterable[int], what: str, width: int | None = None) -> i
 def _mask_to_bits(mask: int, width: int) -> Tuple[int, ...]:
     """The low width bits of mask as a tuple, bit i at entry i."""
     return tuple((mask >> i) & 1 for i in range(width))
+
+
+def _pack_rows(bits: np.ndarray) -> List[int]:
+    """Each row of a 0/1 array as a Python int, column j at bit j.
+
+    Packs 62 columns at a time so every chunk fits an int64.
+    """
+    packed = [0] * bits.shape[0]
+    for lo in range(0, bits.shape[1], 62):
+        chunk = bits[:, lo : lo + 62].astype(np.int64)
+        values = (chunk @ (np.int64(1) << np.arange(chunk.shape[1], dtype=np.int64))).tolist()
+        packed = values if lo == 0 else [p | (v << lo) for p, v in zip(packed, values)]
+    return packed
 
 
 class BinaryMatrix:

@@ -34,9 +34,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bch import BchCode, bch_select_m, bch_select_parameters
-from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits
+from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits, _pack_rows
 from .stabilizer import (
-    RESIDUAL_TRIVIAL,
     BudgetExceededError,
     PauliOperator,
     StabilizerCode,
@@ -44,19 +43,6 @@ from .stabilizer import (
 )
 
 Bits = Tuple[int, ...]
-
-
-def _pack_rows(bits: np.ndarray) -> List[int]:
-    """Each row of a 0/1 array as a Python int, column j at bit j.
-
-    Packs 62 columns at a time so every chunk fits an int64.
-    """
-    packed = [0] * bits.shape[0]
-    for lo in range(0, bits.shape[1], 62):
-        chunk = bits[:, lo : lo + 62].astype(np.int64)
-        values = (chunk @ (np.int64(1) << np.arange(chunk.shape[1], dtype=np.int64))).tolist()
-        packed = values if lo == 0 else [p | (v << lo) for p, v in zip(packed, values)]
-    return packed
 
 
 class SyndromeMeasurementCode(ABC):
@@ -146,19 +132,16 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
         return word
 
     def _decode_mask(self, mask: int) -> int:
-        if self.reps == 1:
-            return mask
-        out = 0
-        half = self.reps // 2
-        for b in range(self.ell):
-            count = 0
-            pos = b
-            for _ in range(self.reps):
-                count += (mask >> pos) & 1
-                pos += self.ell
-            if count > half:
-                out |= 1 << b
-        return out
+        # at_least[k] holds the bits set in more than k of the copies so far;
+        # a majority is more than reps // 2
+        full = (1 << self.ell) - 1
+        at_least = [0] * (self.reps // 2 + 1)
+        for c in range(self.reps):
+            copy = (mask >> (c * self.ell)) & full
+            for k in range(len(at_least) - 1, 0, -1):
+                at_least[k] |= at_least[k - 1] & copy
+            at_least[0] |= copy
+        return at_least[-1]
 
 
 def bch_sm(ell: int, t: int) -> BchSyndromeMeasurement:
@@ -240,19 +223,19 @@ class QdsCode:
         of x, z (n columns) is trial i's data error, row i of flips (n_s
         columns) its readout flips.  A trial fails when the SM decoder gives
         up, the syndrome is missing from the lookup table, or the residual
-        is not a stabilizer."""
+        is not in the stabilizer group (the row space of H)."""
         # uint8 sums wrap mod 256, which keeps their parity
         words = _pack_rows((z @ self._x_part + x @ self._z_part + flips) & 1)
+        # each error as its symplectic mask x | z << n
+        errors = _pack_rows(np.concatenate((x, z), axis=1))
         sm_decode = self.sm._decode_mask
         lookup = decoder._decode_mask
-        classify = self.base._classify_mask
+        contains = self.base.check_matrix._contains_mask
         failures = 0
-        for word, ex, ez in zip(words, _pack_rows(x), _pack_rows(z)):
+        for word, e in zip(words, errors):
             msg = sm_decode(word)
-            correction = None if msg is None else lookup(msg)
-            if correction is None:
-                failures += 1
-            elif classify(ex ^ correction.x, ez ^ correction.z) != RESIDUAL_TRIVIAL:
+            c = None if msg is None else lookup(msg)
+            if c is None or not contains(e ^ c.symplectic_mask()):
                 failures += 1
         return failures
 

@@ -10,9 +10,10 @@ Paulis commute; a stabilizer code's check matrix has one [x_bits | z_bits]
 row of length 2n per generator and a syndrome is the vector of symplectic
 products of an error with each generator.
 
-Classification of a residual error: "detectable" if any generator
-anticommutes with it, otherwise "trivial" if it is in the row space of the
-check matrix (an element of the stabilizer group) and "logical" if not.
+Classification of a residual error: "trivial" if it is in the row space
+of the check matrix (an element of the stabilizer group), otherwise
+"detectable" if any generator anticommutes with it (a nonzero syndrome)
+and "logical" if none does.
 """
 
 from __future__ import annotations
@@ -175,10 +176,8 @@ class StabilizerCode:
         self.k = n - self.ell
         self.generators = generators
         self.check_matrix = check
-        # fast-path caches for the simulation loop
+        # fast-path cache for the simulation loop
         self._gen_masks = tuple((g.x, g.z) for g in generators)
-        rref, rank, pivots = check._rref()
-        self._membership_basis = tuple(zip(pivots, rref.data[:rank]))
 
     def syndrome(self, error: PauliOperator) -> Tuple[int, ...]:
         if error.n != self.n:
@@ -199,16 +198,11 @@ class StabilizerCode:
         return self._classify_mask(residual.x, residual.z)
 
     def _classify_mask(self, x: int, z: int) -> str:
-        if x == 0 and z == 0:
+        if self.check_matrix._contains_mask(x | (z << self.n)):
             return RESIDUAL_TRIVIAL
-        for gx, gz in self._gen_masks:
-            if ((gx & z).bit_count() + (gz & x).bit_count()) & 1:
-                return RESIDUAL_DETECTABLE
-        v = x | (z << self.n)
-        for pivot, row in self._membership_basis:
-            if (v >> pivot) & 1:
-                v ^= row
-        return RESIDUAL_TRIVIAL if v == 0 else RESIDUAL_LOGICAL
+        if self._syndrome_mask(x, z):
+            return RESIDUAL_DETECTABLE
+        return RESIDUAL_LOGICAL
 
     def __repr__(self) -> str:
         return f"StabilizerCode(n={self.n}, k={self.k}, ell={self.ell})"

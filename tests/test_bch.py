@@ -1,5 +1,6 @@
 """BCH construction, encoding, decoding, and parameter selection."""
 
+import hashlib
 import random
 from functools import lru_cache
 from math import comb
@@ -215,6 +216,47 @@ def test_decode_beyond_t_never_returns_quietly_wrong_parity():
         assert dist <= code.t
         assert dist == len(positions)
         assert all(word[p] != again[p] for p in positions)
+
+
+# sha256 of _decode_mask over _decode_pin_words, recorded with an independent
+# root search (a Chien search over all n parent positions); it pins the
+# beyond-t behaviour (which words give up, which land on a wrong codeword)
+DECODE_PINS = {
+    (5, 3, 10):
+        "da8cbb82f48bab03978320d8757dc6f41cfb8d368b7f94b707417c06399aa7cd",
+    (6, 5, 25):
+        "e39596e2707a63be575f1b11cb9691258c0dc74b9c9dc167e80ba6050bb48592",
+    (4, 2, 0):
+        "75b7b2bc8d7dd0cfa28fd7701c0a8d122cf08d62fa53aa1359e15ee522680871",
+    (7, 4, 60):
+        "1924d8f28901b60d13bbf3cb68d991894731495e0b5ab3ac45ffd216aac7fb48",
+}
+
+
+def _decode_pin_words(code, seed, per_weight=150):
+    """Seeded received words: codewords with 0..t+3 flips, then uniform words."""
+    rng = random.Random(seed)
+    for w in range(code.t + 4):
+        for _ in range(per_weight):
+            word = code._encode_mask(rng.getrandbits(code.dimension))
+            for p in rng.sample(range(code.length), w):
+                word ^= 1 << p
+            yield word
+    for _ in range(per_weight):
+        yield rng.getrandbits(code.length)
+
+
+@pytest.mark.parametrize("m,t,a", sorted(DECODE_PINS))
+def test_decode_results_are_pinned(m, t, a):
+    code = bch_construct(m, t).shortened(a)
+    digest = hashlib.sha256()
+    gave_up = 0
+    for word in _decode_pin_words(code, 100 * m + 10 * t + a):
+        out = code._decode_mask(word)
+        gave_up += out is None
+        digest.update(repr((word, out)).encode())
+    assert gave_up > 0  # the pinned set reaches past the decoding radius
+    assert digest.hexdigest() == DECODE_PINS[(m, t, a)]
 
 
 # --- parameter selection -----------------------------------------------------

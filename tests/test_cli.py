@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdsbch import cli
 from qdsbch.cli import main
 from qdsbch.linalg import BinaryMatrix
 from qdsbch.qds import identity_sm, qds_assemble
@@ -259,6 +260,11 @@ def test_sim_grid_failed_rename_leaves_no_file(tmp_path, capsys, monkeypatch):
 )
 def test_out_into_missing_directory_names_the_target(tmp_path, capsys, monkeypatch, argv, target):
     monkeypatch.chdir(tmp_path)
+
+    def refuse_to_sample(*args, **kwargs):
+        raise AssertionError("sampled a grid that has nowhere to go")
+
+    monkeypatch.setattr(cli, "build_grid", refuse_to_sample)
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert target in err

@@ -27,6 +27,7 @@ from qdsbch.qds import (
 from qdsbch.stabilizer import (
     BudgetExceededError,
     PauliOperator,
+    StabilizerCode,
     iter_weight_paulis,
     lookup_decoder_build,
     pauli_parse,
@@ -59,17 +60,20 @@ def test_bch_sm_encode_decode_roundtrip():
         assert sm.decode(word) == syn
 
 
-def test_repetition_sm_majority_exhaustive():
-    sm = repetition_sm(3, 3)
-    assert (sm.ell, sm.n_s, sm.t_s) == (3, 9, 1)
-    assert sm.extra_measurements == 6
-    for mask in range(1 << 9):
-        word = [(mask >> i) & 1 for i in range(9)]
+@pytest.mark.parametrize("ell, reps", [(3, 1), (3, 3), (2, 5), (1, 7), (4, 3)])
+def test_repetition_sm_majority_exhaustive(ell, reps):
+    sm = repetition_sm(ell, reps)
+    n_s = ell * reps
+    assert (sm.ell, sm.n_s, sm.t_s) == (ell, n_s, reps // 2)
+    assert sm.extra_measurements == n_s - ell
+    for mask in range(1 << n_s):
+        word = [(mask >> i) & 1 for i in range(n_s)]
         got = sm.decode(word)
         assert got is not None
-        # copy-major layout: copies of bit b live at b, b+ell, b+2*ell
+        # copy-major layout: copies of bit b live at b, b+ell, b+2*ell, ...
         want = tuple(
-            1 if word[b] + word[b + 3] + word[b + 6] >= 2 else 0 for b in range(3)
+            1 if sum(word[b + c * ell] for c in range(reps)) > reps // 2 else 0
+            for b in range(ell)
         )
         assert got == want
 
@@ -231,24 +235,35 @@ def _oracle_fails(q, dec, e, flips):
     return out is None or q.base.classify(out[0] * e) != "trivial"
 
 
-@pytest.mark.parametrize("sm", [bch_sm(6, 3), repetition_sm(6, 3), bch_sm(6, 10)],
-                         ids=["bch-t3", "rep3", "bch-t10-69bits"])
-def test_trial_kernel_matches_the_public_chain(sm):
-    base = steane_code()
+FIVE_QUBIT = StabilizerCode([pauli_parse(s) for s in ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]])
+
+
+@pytest.mark.parametrize(
+    "base, sm",
+    [
+        (steane_code(), bch_sm(6, 3)),
+        (steane_code(), repetition_sm(6, 3)),
+        (steane_code(), bch_sm(6, 10)),
+        (FIVE_QUBIT, bch_sm(4, 2)),
+    ],
+    ids=["bch-t3", "rep3", "bch-t10-69bits", "five-qubit-bch-t2"],
+)
+def test_trial_kernel_matches_the_public_chain(base, sm):
+    n = base.n
     q = qds_assemble(base, sm)
     dec = lookup_decoder_build(base, max_weight=1)
     rng = np.random.default_rng(113)
     trials = 300
     # per-trial rates, so weights spread from inside the guarantee to beyond it
-    hits = rng.random((trials, 7)) < 0.3 * rng.random((trials, 1))
-    letters = rng.integers(0, 3, size=(trials, 7))
+    hits = rng.random((trials, n)) < 0.3 * rng.random((trials, 1))
+    letters = rng.integers(0, 3, size=(trials, n))
     x = (hits & (letters <= 1)).astype(np.uint8)
     z = (hits & (letters >= 1)).astype(np.uint8)
     flip_rate = 2.0 * sm.t_s / sm.n_s * rng.random((trials, 1))
     flips = (rng.random((trials, sm.n_s)) < flip_rate).astype(np.uint8)
     want = []
     for i in range(trials):
-        e = PauliOperator(7, int(x[i] @ (1 << np.arange(7))), int(z[i] @ (1 << np.arange(7))))
+        e = PauliOperator(n, int(x[i] @ (1 << np.arange(n))), int(z[i] @ (1 << np.arange(n))))
         want.append(_oracle_fails(q, dec, e, tuple(flips[i].tolist())))
     # both verdicts occur, so a wrong readout bit cannot hide
     assert 0 < sum(want) < trials

@@ -1,6 +1,7 @@
 """Pauli algebra and stabilizer codes, with a matrix-representation oracle."""
 
 import random
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -29,6 +30,11 @@ from qdsbch.stabilizer import (
 )
 
 STEANE_GENERATORS = ["XIXIXIX", "IXXIIXX", "IIIXXXX", "ZIZIZIZ", "IZZIIZZ", "IIIZZZZ"]
+FIVE_QUBIT_GENERATORS = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]  # the non-CSS [[5,1,3]] code
+SHOR_GENERATORS = [
+    "ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ",
+    "XXXXXXIII", "IIIXXXXXX",
+]
 
 
 # --- Pauli operators ---------------------------------------------------------
@@ -188,13 +194,21 @@ def test_steane_weight_one_syndromes_distinct():
     assert len(seen) == 21
 
 
-def test_classify_generator_products_trivial():
-    code = steane_code()
+def _stabilizer_group(code):
+    """All 2^ell products of the generators."""
+    group = set()
     for mask in range(1 << code.ell):
         op = PauliOperator.identity(code.n)
         for i in range(code.ell):
             if (mask >> i) & 1:
                 op = op * code.generators[i]
+        group.add(op)
+    return group
+
+
+def test_classify_generator_products_trivial():
+    code = steane_code()
+    for op in _stabilizer_group(code):
         assert code.classify(op) == "trivial"
 
 
@@ -204,6 +218,34 @@ def test_classify_logical_and_detectable():
     assert code.classify(logical_x) == "logical"
     assert classify_residual(code, pauli_parse("IXIIIII")) == "detectable"
     assert code.classify(PauliOperator.identity(7)) == "trivial"
+
+
+@pytest.mark.parametrize(
+    "generators, max_weight, counts",
+    [
+        (FIVE_QUBIT_GENERATORS, 5, {"trivial": 16, "logical": 48, "detectable": 960}),
+        (SHOR_GENERATORS, 2, {"trivial": 10, "detectable": 342}),
+    ],
+    ids=["five-qubit-all", "shor-weight-2"],
+)
+def test_classify_matches_group_enumeration(generators, max_weight, counts):
+    """Oracle: trivial means one of the 2^ell generator products, detectable
+    a nonzero syndrome, and anything else logical."""
+    code = StabilizerCode([pauli_parse(s) for s in generators])
+    group = _stabilizer_group(code)
+    assert len(group) == 1 << code.ell
+    seen = Counter()
+    for w in range(max_weight + 1):
+        for p in iter_weight_paulis(code.n, w):
+            if p in group:
+                want = "trivial"
+            elif any(symplectic_product(g, p) for g in code.generators):
+                want = "detectable"
+            else:
+                want = "logical"
+            assert code.classify(p) == want, p
+            seen[want] += 1
+    assert seen == counts
 
 
 # --- lookup decoder ----------------------------------------------------------
@@ -296,7 +338,6 @@ def test_parse_rejects_invalid_codes():
         parse_stabilizer_code("3 1\nXIX\n")  # line count inconsistent with k
 
 
-FIVE_QUBIT_GENERATORS = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]  # the non-CSS [[5,1,3]] code
 _TWIN_CODES = [
     steane_code(),
     StabilizerCode([pauli_parse(s) for s in FIVE_QUBIT_GENERATORS]),
