@@ -18,8 +18,8 @@ Decoding is classical Berlekamp-Massey over the 2t power-sum syndromes
 S_j = r(alpha^j), then a search for the error locator's roots alpha^-p
 over the live positions p in [a, n) only.  Within the design radius t it
 corrects exactly; beyond it, it either reports failure (None) or lands on
-a wrong codeword, but it never emits a non-codeword: corrected words are
-re-checked against all 2t syndromes.
+a wrong codeword, but it never emits a non-codeword (BchCode._decode_mask
+gives the proof).
 """
 
 from __future__ import annotations
@@ -115,6 +115,18 @@ class BchCode:
         return _mask_to_bits(msg_mask, self.dimension), positions
 
     def _decode_mask(self, word: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """(message mask, flipped positions) for a received word, or None.
+
+        A corrected word is always a codeword, with no re-check of the
+        syndromes.  BM returns the shortest LFSR generating S_1..S_2t; a
+        result needs its length L <= t to equal deg sigma and sigma to have
+        L distinct live roots X_i = alpha^p_i.  The sequences that
+        recurrence generates are then the sums S_j = sum_i Y_i X_i^j.  A
+        binary word has S_2j = S_j^2, so sum_i (Y_i + Y_i^2) X_i^2j = 0 for
+        j = 1..t, and the Vandermonde matrix on the L <= t distinct X_i^2
+        gives every Y_i in {0, 1}.  A zero Y_i would leave a shorter LFSR,
+        so every Y_i = 1: flipping the p_i cancels every syndrome.
+        """
         a = self.shorten_by
         parent = word << a
         pow_tables = self._pow_tables
@@ -147,12 +159,6 @@ class BchCode:
                 positions.append(p)
         if len(positions) != errors:
             return None
-        # reject any locator whose flips do not cancel every syndrome
-        for s, tab in zip(syndromes, pow_tables):
-            for p in positions:
-                s ^= tab[p]
-            if s:
-                return None
         positions = tuple(p - a for p in positions)
         for p in positions:
             word ^= 1 << p

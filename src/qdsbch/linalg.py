@@ -8,7 +8,9 @@ This module also owns the bit-vector convention of the whole package:
 entry i of a 0/1 tuple is bit i of an integer mask, and any entry other
 than 0 or 1 is a ValueError.  Every public call that takes or returns
 such a tuple converts through `_bits_to_mask` and `_mask_to_bits`, and
-the rows of a 0/1 array pack into masks through `_pack_rows`.
+the rows of a 0/1 array pack into an array of masks through `_pack_rows`.
+Tables indexed by a mask (a syndrome) are built only up to
+2^_MAX_TABLE_BITS entries.
 
 Text serialization: a header line "rows cols", then one line of '0'/'1'
 characters per row.
@@ -19,6 +21,9 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+# the widest index of a lookup table built as an array: 2^20 int64 entries is 8 MB
+_MAX_TABLE_BITS = 20
 
 
 def _bits_to_mask(bits: Iterable[int], what: str, width: int | None = None) -> int:
@@ -40,16 +45,23 @@ def _mask_to_bits(mask: int, width: int) -> Tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(width))
 
 
-def _pack_rows(bits: np.ndarray) -> List[int]:
-    """Each row of a 0/1 array as a Python int, column j at bit j.
+def _mask_dtype(width: int):
+    """The dtype of an array of width-bit masks: int64 up to 62 bits,
+    else object (Python ints)."""
+    return np.int64 if width <= 62 else object
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Each row of a 0/1 array as a mask, column j at bit j, in an array of
+    `_mask_dtype` of the column count.
 
     Packs 62 columns at a time so every chunk fits an int64.
     """
-    packed = [0] * bits.shape[0]
+    packed = np.zeros(bits.shape[0], dtype=_mask_dtype(bits.shape[1]))
     for lo in range(0, bits.shape[1], 62):
         chunk = bits[:, lo : lo + 62].astype(np.int64)
-        values = (chunk @ (np.int64(1) << np.arange(chunk.shape[1], dtype=np.int64))).tolist()
-        packed = values if lo == 0 else [p | (v << lo) for p, v in zip(packed, values)]
+        values = chunk @ (np.int64(1) << np.arange(chunk.shape[1], dtype=np.int64))
+        packed |= values.astype(packed.dtype) << lo
     return packed
 
 
@@ -193,6 +205,16 @@ class BinaryMatrix:
             if (mask >> col) & 1:
                 mask ^= rref.data[i]
         return mask == 0
+
+    def _contains_masks(self, masks: np.ndarray) -> np.ndarray:
+        """`_contains_mask` over an array of masks (int64, or object for
+        rows wider than 62 bits), as a bool array: one masked XOR pass over
+        the whole batch per pivot."""
+        rref, _, pivots = self._rref()
+        masks = masks.copy()
+        for row, col in zip(rref.data, pivots):
+            masks ^= ((masks >> col) & 1) * row
+        return masks == 0
 
     # --- serialization ---
 

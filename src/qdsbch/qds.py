@@ -17,6 +17,22 @@ Three SM families are provided: a shortened BCH code of dimension ell
 (the interesting one), the (2t+1)-fold repetition of all ell measurements,
 and the identity (plain single measurement, no protection).
 
+Every trial, sampled or enumerated, goes through one batched kernel,
+QdsCode._count_failures, as whole-batch numpy operations on tables that
+are built on the first batch (never by QdsCode() or decode):
+
+- SM decode: a BCH readout looks its syndrome up in a table of the coset
+  leaders of weight <= t; a repetition readout takes a majority over its
+  copies.  A BCH code whose table would pass 2^20 entries is decoded word
+  by word with Berlekamp-Massey instead.
+- Lookup: a LookupDecoder's corrections as an array over all 2^ell
+  syndromes.  Any other decoder is called once per trial whose SM decode
+  succeeded.
+- Residual: row-space membership of the whole batch in H.
+
+measure, decode_two_step and StabilizerCode.classify are the one-trial
+path the tests check the kernel against.
+
 For overhead comparisons, fujiwara_extra_measurements counts the extra
 rows of the earlier distinct-pair-measurement construction, and
 overhead_table tabulates all three against each other.
@@ -27,6 +43,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb, factorial
 from typing import List, Optional, Sequence, Tuple
@@ -34,9 +51,17 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bch import BchCode, bch_select_m, bch_select_parameters
-from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits, _pack_rows
+from .linalg import (
+    _MAX_TABLE_BITS,
+    BinaryMatrix,
+    _bits_to_mask,
+    _mask_dtype,
+    _mask_to_bits,
+    _pack_rows,
+)
 from .stabilizer import (
     BudgetExceededError,
+    LookupDecoder,
     PauliOperator,
     StabilizerCode,
     iter_weight_paulis,
@@ -78,6 +103,18 @@ class SyndromeMeasurementCode(ABC):
     @abstractmethod
     def _decode_mask(self, mask: int) -> Optional[int]: ...
 
+    def _decode_rows(self, bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Decode each row of a 0/1 array (n_s columns).  Returns the
+        messages as an array of masks and a bool array that is False where
+        the decoder gave up (the message there is meaningless).
+
+        This loop over `_decode_mask` is the reference that the subclasses'
+        table decoders are tested against, and their fallback."""
+        out = [self._decode_mask(word) for word in _pack_rows(bits).tolist()]
+        ok = np.array([msg is not None for msg in out], dtype=bool)
+        msgs = np.array([msg or 0 for msg in out], dtype=_mask_dtype(self.ell))
+        return msgs, ok
+
     @property
     def extra_measurements(self) -> int:
         return self.n_s - self.ell
@@ -103,6 +140,48 @@ class BchSyndromeMeasurement(SyndromeMeasurementCode):
     def _decode_mask(self, mask: int) -> Optional[int]:
         out = self.code._decode_mask(mask)
         return None if out is None else out[0]
+
+    def _decode_rows(self, bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Syndrome decoding by table: the code is systematic, so the
+        message is the word's first ell bits with the table's fix applied."""
+        table = self._fix_table
+        if table is None:
+            return super()._decode_rows(bits)
+        parities, fix = table
+        words = _pack_rows(bits)
+        # the received parity bits against those of the received message
+        syndromes = words >> self.ell
+        for j, parity in enumerate(parities):
+            syndromes ^= ((words >> j) & 1) * parity
+        fixes = fix[syndromes]
+        return (words & ((1 << self.ell) - 1)) ^ fixes, fixes >= 0
+
+    @cached_property
+    def _fix_table(self) -> Optional[Tuple[List[int], np.ndarray]]:
+        """Coset leaders of weight <= t as a table, built on first use.
+
+        Returns (parities, fix).  parities[j] is the R parity bits of
+        message bit j (R = n_s - ell).  fix[s] is the first ell bits of the
+        pattern of weight <= t with syndrome s, or -1 where there is none.
+        Distance 2t+1 gives those patterns distinct syndromes, so there are
+        at most 2^R of them.  None, and BM decoding, when 2^R passes
+        2^_MAX_TABLE_BITS or a word does not fit an int64.
+        """
+        r = self.n_s - self.ell
+        if r > _MAX_TABLE_BITS or self.n_s > 62:
+            return None
+        gen = self.code.generator_matrix()
+        parities = [gen.row_mask(j) >> self.ell for j in range(self.ell)]
+        # a flip at message bit j moves the syndrome by that bit's parity
+        # bits, a flip at parity bit i by bit i
+        position_syndrome = np.array(parities + [1 << i for i in range(r)], dtype=np.int64)
+        position_fix = np.array([1 << j for j in range(self.ell)] + [0] * r, dtype=np.int64)
+        fix = np.full(1 << r, -1, dtype=np.int64)
+        for w in range(self.t_s + 1):
+            sites = _supports(self.n_s, w)
+            leaders = np.bitwise_xor.reduce(position_syndrome[sites], axis=1)
+            fix[leaders] = np.bitwise_xor.reduce(position_fix[sites], axis=1)
+        return parities, fix
 
 
 class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
@@ -131,6 +210,10 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
             word |= mask << (c * self.ell)
         return word
 
+    def _decode_rows(self, bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        votes = bits.reshape(len(bits), self.reps, self.ell).sum(axis=1)
+        return _pack_rows(votes > self.reps // 2), np.ones(len(bits), dtype=bool)
+
     def _decode_mask(self, mask: int) -> int:
         # at_least[k] holds the bits set in more than k of the copies so far;
         # a majority is more than reps // 2
@@ -142,6 +225,13 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
                 at_least[k] |= at_least[k - 1] & copy
             at_least[0] |= copy
         return at_least[-1]
+
+
+def _supports(n: int, w: int) -> np.ndarray:
+    """Every w-subset of range(n) as a row, lexicographic: C(n, w) x w."""
+    count = comb(n, w)
+    flat = chain.from_iterable(combinations(range(n), w))
+    return np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
 
 
 def bch_sm(ell: int, t: int) -> BchSyndromeMeasurement:
@@ -223,21 +313,27 @@ class QdsCode:
         of x, z (n columns) is trial i's data error, row i of flips (n_s
         columns) its readout flips.  A trial fails when the SM decoder gives
         up, the syndrome is missing from the lookup table, or the residual
-        is not in the stabilizer group (the row space of H)."""
+        is not in the stabilizer group (the row space of H).  The module
+        docstring lists the tables each step uses and their fallbacks."""
         # uint8 sums wrap mod 256, which keeps their parity
-        words = _pack_rows((z @ self._x_part + x @ self._z_part + flips) & 1)
+        msgs, ok = self.sm._decode_rows((z @ self._x_part + x @ self._z_part + flips) & 1)
         # each error as its symplectic mask x | z << n
         errors = _pack_rows(np.concatenate((x, z), axis=1))
-        sm_decode = self.sm._decode_mask
-        lookup = decoder._decode_mask
-        contains = self.base.check_matrix._contains_mask
-        failures = 0
-        for word, e in zip(words, errors):
-            msg = sm_decode(word)
-            c = None if msg is None else lookup(msg)
-            if c is None or not contains(e ^ c.symplectic_mask()):
-                failures += 1
-        return failures
+        table = decoder._correction_masks if type(decoder) is LookupDecoder else None
+        if table is not None:
+            corrections = np.where(ok, table[np.where(ok, msgs, 0)], -1)
+        else:
+            # one call per trial the SM decoder did not give up on
+            found = [
+                decoder._decode_mask(m) if good else None
+                for m, good in zip(msgs.tolist(), ok.tolist())
+            ]
+            corrections = np.array(
+                [-1 if c is None else c.symplectic_mask() for c in found], dtype=errors.dtype
+            )
+        hit = corrections >= 0
+        trivial = self.base.check_matrix._contains_masks(errors[hit] ^ corrections[hit])
+        return len(errors) - int(np.count_nonzero(trivial))
 
     def __repr__(self) -> str:
         return f"QdsCode(base={self.base!r}, sm={self.sm!r})"
@@ -391,12 +487,9 @@ def verify_correction_guarantee(
     # all flip patterns of each weight, lexicographic by support
     flip_sets = []
     for w_s in range(t_s + 1):
-        count = comb(n_s, w_s)
-        sites = np.fromiter(
-            chain.from_iterable(combinations(range(n_s), w_s)), dtype=np.intp, count=count * w_s
-        ).reshape(count, w_s)
-        flips = np.zeros((count, n_s), dtype=np.uint8)
-        flips[np.arange(count)[:, None], sites] = 1
+        sites = _supports(n_s, w_s)
+        flips = np.zeros((len(sites), n_s), dtype=np.uint8)
+        flips[np.arange(len(sites))[:, None], sites] = 1
         flip_sets.append(flips)
     cells = []
     for w_q in range(t_data + 1):

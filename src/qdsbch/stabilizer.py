@@ -18,11 +18,14 @@ and "logical" if none does.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits
+import numpy as np
+
+from .linalg import _MAX_TABLE_BITS, BinaryMatrix, _bits_to_mask, _mask_dtype, _mask_to_bits
 
 _LETTERS = "IXZY"  # index = x_bit + 2*z_bit
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -281,6 +284,19 @@ class LookupDecoder:
 
     def _decode_mask(self, mask: int) -> Optional[PauliOperator]:
         return self._table.get(mask)
+
+    @cached_property
+    def _correction_masks(self) -> Optional[np.ndarray]:
+        """The table as an array over all 2^ell syndromes: each
+        correction's symplectic mask, -1 where the table has none.  None
+        when it would pass 2^_MAX_TABLE_BITS entries; built on first use,
+        for the batched trial kernel."""
+        if self.code.ell > _MAX_TABLE_BITS:
+            return None
+        masks = np.full(1 << self.code.ell, -1, dtype=_mask_dtype(2 * self.code.n))
+        for s, p in self._table.items():
+            masks[s] = p.symplectic_mask()
+        return masks
 
     @property
     def covered(self) -> bool:

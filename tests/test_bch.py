@@ -259,6 +259,28 @@ def test_decode_results_are_pinned(m, t, a):
     assert digest.hexdigest() == DECODE_PINS[(m, t, a)]
 
 
+@pytest.mark.parametrize("m,t,a", [(4, 2, 3), (4, 3, 1), (5, 2, 16)])
+def test_decode_is_bounded_distance_by_brute_force(m, t, a):
+    """Over every received word: a decode lands on the one codeword within
+    distance t, and None comes only when there is no such codeword."""
+    code = bch_construct(m, t).shortened(a)
+    codewords = [code._encode_mask(msg) for msg in range(1 << code.dimension)]
+    gave_up = 0
+    for word in range(1 << code.length):
+        near = [c for c in codewords if (word ^ c).bit_count() <= t]
+        out = code._decode_mask(word)
+        if out is None:
+            assert near == []
+            gave_up += 1
+            continue
+        msg, positions = out
+        corrected = word ^ sum(1 << p for p in positions)
+        assert near == [code._encode_mask(msg)] == [corrected]
+    # the words outside every radius-t ball
+    ball = sum(comb(code.length, w) for w in range(t + 1))
+    assert gave_up == (1 << code.length) - len(codewords) * ball
+
+
 # --- parameter selection -----------------------------------------------------
 
 

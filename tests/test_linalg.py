@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdsbch.linalg import BinaryMatrix
+from qdsbch.linalg import BinaryMatrix, _bits_to_mask, _pack_rows
 
 
 def _random_matrix(rng, rows, cols):
@@ -119,6 +119,22 @@ def test_in_row_space_exhaustive():
         for mask in range(1 << 7):
             vec = [(mask >> j) & 1 for j in range(7)]
             assert a.in_row_space(vec) == (mask in span)
+
+
+def test_batched_membership_past_62_columns():
+    """Rows too wide for int64 pack to Python ints, and the batched test
+    runs on them unchanged."""
+    rng = np.random.default_rng(53)
+    a = BinaryMatrix.from_rows(rng.integers(0, 2, size=(5, 70)).tolist())
+    members = rng.integers(0, 2, size=(40, 5)) @ a.to_numpy() % 2
+    others = rng.integers(0, 2, size=(40, 70))
+    rows = np.concatenate((members, others))
+    masks = _pack_rows(rows)
+    assert masks.dtype == object
+    assert masks.tolist() == [_bits_to_mask(row, "row") for row in rows.tolist()]
+    want = [a._contains_mask(m) for m in masks.tolist()]
+    assert a._contains_masks(masks).tolist() == want
+    assert want[:40] == [True] * 40 and not all(want[40:])
 
 
 def test_in_row_space_length_check():

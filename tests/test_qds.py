@@ -7,9 +7,11 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdsbch.bch import bch_construct
-from qdsbch.linalg import BinaryMatrix
+from qdsbch.bch import bch_construct, parity_bit_count
+from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix
 from qdsbch.qds import (
     BchSyndromeMeasurement,
     QdsCode,
@@ -28,6 +30,7 @@ from qdsbch.stabilizer import (
     BudgetExceededError,
     PauliOperator,
     StabilizerCode,
+    css_from_parity,
     iter_weight_paulis,
     lookup_decoder_build,
     pauli_parse,
@@ -76,6 +79,49 @@ def test_repetition_sm_majority_exhaustive(ell, reps):
             for b in range(ell)
         )
         assert got == want
+    # the batched majority against the per-word one
+    masks = np.arange(1 << n_s)
+    msgs, ok = sm._decode_rows(((masks[:, None] >> np.arange(n_s)) & 1).astype(np.uint8))
+    assert ok.all()
+    assert msgs.tolist() == [sm._decode_mask(mask) for mask in masks.tolist()]
+
+
+# every (m, t) with m = 3..6 whose syndrome table fits, so the table path runs
+_TABULATED = [
+    (m, t)
+    for m in range(3, 7)
+    for t in range(1, ((1 << m) - 2) // 2 + 1)
+    if parity_bit_count(m, t) <= _MAX_TABLE_BITS
+]
+
+
+@st.composite
+def _tabulated_bch_sms(draw):
+    m, t = draw(st.sampled_from(_TABULATED))
+    code = bch_construct(m, t)
+    return BchSyndromeMeasurement(code.shortened(draw(st.integers(0, code.k - 1))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_tabulated_bch_sms(), st.data())
+def test_bch_table_decode_matches_berlekamp_massey(sm, data):
+    code = sm.code
+    assert sm._fix_table is not None
+    words = []
+    for w in range(code.t + 4):  # inside the radius, at it and past it
+        for _ in range(5):
+            word = code._encode_mask(data.draw(st.integers(0, (1 << sm.ell) - 1)))
+            for p in data.draw(st.sets(st.integers(0, sm.n_s - 1), min_size=w, max_size=w)):
+                word ^= 1 << p
+            words.append(word)
+    words += data.draw(st.lists(st.integers(0, (1 << sm.n_s) - 1), min_size=20, max_size=20))
+    bits = np.array([[(word >> i) & 1 for i in range(sm.n_s)] for word in words], dtype=np.uint8)
+    msgs, ok = sm._decode_rows(bits)
+    want = [code._decode_mask(word) for word in words]
+    assert ok.tolist() == [out is not None for out in want]
+    assert [msg for msg, good in zip(msgs.tolist(), ok) if good] == [
+        out[0] for out in want if out is not None
+    ]
 
 
 def test_repetition_sm_encode_layout():
@@ -235,7 +281,26 @@ def _oracle_fails(q, dec, e, flips):
     return out is None or q.base.classify(out[0] * e) != "trivial"
 
 
+class _CountingDecoder:
+    """Forwards `_decode_mask` to a decoder and counts the calls; the kernel
+    has no table for it, so it looks up trial by trial."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.max_weight = inner.max_weight
+        self.calls = 0
+
+    def _decode_mask(self, mask):
+        self.calls += 1
+        return self.inner._decode_mask(mask)
+
+
 FIVE_QUBIT = StabilizerCode([pauli_parse(s) for s in ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]])
+# Hamming checks repeated over five blocks: 35 qubits, so 2n = 70 bits is too
+# wide for int64 masks
+WIDE = css_from_parity(
+    BinaryMatrix.from_strings([row * 5 for row in ["1010101", "0110011", "0001111"]])
+)
 
 
 @pytest.mark.parametrize(
@@ -245,8 +310,9 @@ FIVE_QUBIT = StabilizerCode([pauli_parse(s) for s in ["XZZXI", "IXZZX", "XIXZZ",
         (steane_code(), repetition_sm(6, 3)),
         (steane_code(), bch_sm(6, 10)),
         (FIVE_QUBIT, bch_sm(4, 2)),
+        (WIDE, bch_sm(6, 3)),
     ],
-    ids=["bch-t3", "rep3", "bch-t10-69bits", "five-qubit-bch-t2"],
+    ids=["bch-t3", "rep3", "bch-t10-69bits", "five-qubit-bch-t2", "wide-70bit-masks"],
 )
 def test_trial_kernel_matches_the_public_chain(base, sm):
     n = base.n
@@ -262,14 +328,20 @@ def test_trial_kernel_matches_the_public_chain(base, sm):
     flip_rate = 2.0 * sm.t_s / sm.n_s * rng.random((trials, 1))
     flips = (rng.random((trials, sm.n_s)) < flip_rate).astype(np.uint8)
     want = []
+    sm_decoded = 0
     for i in range(trials):
         e = PauliOperator(n, int(x[i] @ (1 << np.arange(n))), int(z[i] @ (1 << np.arange(n))))
         want.append(_oracle_fails(q, dec, e, tuple(flips[i].tolist())))
+        sm_decoded += sm.decode(qds_measure(q, e, tuple(flips[i].tolist()))) is not None
     # both verdicts occur, so a wrong readout bit cannot hide
     assert 0 < sum(want) < trials
-    assert q._count_failures(dec, x, z, flips) == sum(want)
-    for i in range(trials):
-        assert q._count_failures(dec, x[i : i + 1], z[i : i + 1], flips[i : i + 1]) == want[i]
+    # the gathered lookup of a real decoder, then per-trial calls to a proxy
+    for decoder in (dec, _CountingDecoder(dec)):
+        assert q._count_failures(decoder, x, z, flips) == sum(want)
+        for i in range(trials):
+            one = slice(i, i + 1)
+            assert q._count_failures(decoder, x[one], z[one], flips[one]) == want[i]
+    assert decoder.calls == 2 * sm_decoded
 
 
 # --- overhead counting --------------------------------------------------------
@@ -356,20 +428,9 @@ def test_verify_identity_sm():
 def test_verify_looks_up_every_case_once():
     """Inside the guarantee every case reaches the lookup decoder, so the
     lookups must equal the cases, including cells split into batches."""
-
-    class CountingDecoder:
-        def __init__(self, inner):
-            self.inner = inner
-            self.max_weight = inner.max_weight
-            self.calls = 0
-
-        def _decode_mask(self, mask):
-            self.calls += 1
-            return self.inner._decode_mask(mask)
-
     base = steane_code()
     q = qds_assemble(base, bch_sm(6, 3))
-    dec = CountingDecoder(lookup_decoder_build(base, max_weight=0))
+    dec = _CountingDecoder(lookup_decoder_build(base, max_weight=0))
     cells = verify_correction_guarantee(q, dec)
     assert [c.cases for c in cells] == [comb(21, w) for w in range(4)]  # 1330 > one batch
     assert all(c.failures == 0 for c in cells)

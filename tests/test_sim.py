@@ -8,6 +8,8 @@ from math import comb
 
 import pytest
 
+from qdsbch.bch import BchCode
+from qdsbch.linalg import BinaryMatrix
 from qdsbch.qds import bch_sm, identity_sm, qds_assemble, repetition_sm
 from qdsbch.sim import (
     CellStats,
@@ -25,7 +27,7 @@ from qdsbch.sim import (
     sweep,
     wilson_interval,
 )
-from qdsbch.stabilizer import lookup_decoder_build, steane_code
+from qdsbch.stabilizer import LookupDecoder, lookup_decoder_build, steane_code
 
 
 def _steane_qds(sm=None):
@@ -409,6 +411,22 @@ def test_pinned_grid_and_recombination(sm, digest, p_err, bounds):
     assert hashlib.sha256(grid.to_json_text().encode()).hexdigest() == digest
     assert combine_grid(grid, 0.02, 0.01, truncation=1e-9).p_err == p_err
     assert combine_grid_bounds(grid, 0.02, 0.01, truncation=1e-9) == bounds
+
+
+def test_bch_grid_runs_on_the_tables(monkeypatch):
+    """A Steane + BCH(t=3) grid decodes, looks up and tests membership by
+    table, so none of the per-trial oracles may run: a call would mean the
+    kernel fell back to its loop."""
+
+    def refuse(*args):
+        raise AssertionError("per-trial call in the batched trial kernel")
+
+    q, dec = _steane_qds(bch_sm(6, 3))
+    for owner in (BchCode, LookupDecoder):
+        monkeypatch.setattr(owner, "_decode_mask", refuse)
+    monkeypatch.setattr(BinaryMatrix, "_contains_mask", refuse)
+    grid = build_grid(q, dec, seed=7, boundary_trials=20, bulk_trials=5)
+    assert sum(st.failures for st in grid.cells.values()) > 0
 
 
 @pytest.mark.parametrize("weight_aware, want", [(False, 0.0415), (True, 0.343)])

@@ -248,6 +248,21 @@ def test_classify_matches_group_enumeration(generators, max_weight, counts):
     assert seen == counts
 
 
+@pytest.mark.parametrize(
+    "generators, max_weight",
+    [(STEANE_GENERATORS, 7), (FIVE_QUBIT_GENERATORS, 5), (SHOR_GENERATORS, 3)],
+    ids=["steane-all", "five-qubit-all", "shor-weight-3"],
+)
+def test_batched_membership_matches_the_mask_loop(generators, max_weight):
+    code = StabilizerCode([pauli_parse(s) for s in generators])
+    paulis = [p for w in range(max_weight + 1) for p in iter_weight_paulis(code.n, w)]
+    paulis += _stabilizer_group(code)
+    masks = np.array([p.symplectic_mask() for p in paulis], dtype=np.int64)
+    want = [code.check_matrix._contains_mask(m) for m in masks.tolist()]
+    assert code.check_matrix._contains_masks(masks).tolist() == want
+    assert sum(want) >= 1 << code.ell
+
+
 # --- lookup decoder ----------------------------------------------------------
 
 
