@@ -336,12 +336,13 @@ def test_trial_kernel_matches_the_public_chain(base, sm):
     # both verdicts occur, so a wrong readout bit cannot hide
     assert 0 < sum(want) < trials
     # the gathered lookup of a real decoder, then per-trial calls to a proxy
-    for decoder in (dec, _CountingDecoder(dec)):
+    proxy = _CountingDecoder(dec)
+    for decoder in (dec, proxy):
         assert q._count_failures(decoder, x, z, flips) == sum(want)
         for i in range(trials):
             one = slice(i, i + 1)
             assert q._count_failures(decoder, x[one], z[one], flips[one]) == want[i]
-    assert decoder.calls == 2 * sm_decoded
+    assert proxy.calls == 2 * sm_decoded
 
 
 # --- overhead counting --------------------------------------------------------

@@ -426,7 +426,7 @@ def test_bch_grid_runs_on_the_tables(monkeypatch):
         monkeypatch.setattr(owner, "_decode_mask", refuse)
     monkeypatch.setattr(BinaryMatrix, "_contains_mask", refuse)
     grid = build_grid(q, dec, seed=7, boundary_trials=20, bulk_trials=5)
-    assert sum(st.failures for st in grid.cells.values()) > 0
+    assert sum(cell.failures for cell in grid.cells.values()) > 0
 
 
 @pytest.mark.parametrize("weight_aware, want", [(False, 0.0415), (True, 0.343)])
