@@ -10,7 +10,10 @@ t wrong outcomes costs extra measurements.  Three ways to pay:
                 shortened BCH generator matrix             ->  R(m,t) extra
 
 The BCH column wins everywhere it is defined, and keeps winning as the
-guarantee is strengthened.
+guarantee is strengthened.  The last table is the paper's scaling claim
+as numbers: BCH costs about t*log2(ell) extra measurements, distinct-pair
+about t^3*log2(ell), and neither count builds a field, so ell can run far
+past the GF(2^m) tables.
 """
 
 from qdsbch import bch_select_m, fujiwara_extra_measurements, overhead_table
@@ -42,3 +45,17 @@ print(
 )
 print("  -> eleven correctable readout faults for fewer measurements than")
 print("     the pair construction spends to guarantee three.")
+
+# --- scaling: O(t log ell) against O(t^3 log ell) ---------------------------
+#
+# At fixed t, bch / (t*log2 ell) = m/log2(ell) tends to 1, and
+# dpm / (t^3*log2 ell) tends to (2t^2+1)/(3t^2): the i-th stage width is
+# about (2i-1)*log2(ell) bits.
+
+print(f"\n{'ell':>6} {'t':>3} {'bch':>5} {'dpm':>7} {'bch/(t lg ell)':>15} "
+      f"{'dpm/(t^3 lg ell)':>17} {'limit':>6}")
+for k in (8, 16, 30):
+    for e in overhead_table([2**k], [1, 4, 16]):
+        t = e.t
+        print(f"{'2^' + str(k):>6} {t:>3} {e.bch:>5} {e.fujiwara:>7} {e.bch / (t * k):>15.3f} "
+              f"{e.fujiwara / (t**3 * k):>17.3f} {(2 * t * t + 1) / (3 * t * t):>6.3f}")

@@ -5,6 +5,10 @@ A code is defined over GF(2^m) by the generator polynomial
     g(x) = lcm of the minimal polynomials of alpha, alpha^2, ..., alpha^2t,
 
 giving a cyclic [n, k, >= 2t+1] code with n = 2^m - 1, k = n - deg g.
+The minimal polynomial of alpha^j depends only on the 2-cyclotomic coset
+of j mod n, and those of distinct cosets are distinct irreducibles, so
+pairwise coprime: g is the product of one minimal polynomial per coset
+meeting {1, ..., 2t}, and deg g is the total size of those cosets.
 Codewords are bit masks, position j = coefficient of x^j.  Encoding is
 systematic with the message in the first k positions: because x^n = 1
 (mod g), the matrix row for message bit i is x^i + x^k * (x^(i+r) mod g),
@@ -27,14 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import (
-    MAX_EXTENSION_DEGREE,
-    BinaryPolynomial,
-    GF2m,
-    _coset,
-    minimal_polynomial,
-    poly_lcm,
-)
+from .fields import BinaryPolynomial, GF2m, _coset, minimal_polynomial
 from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits
 
 
@@ -207,21 +204,32 @@ class BchCode:
         )
 
 
-def bch_construct(m: int, t: int, primitive_polynomial=None) -> BchCode:
-    """The primitive narrow-sense BCH code of length 2^m - 1 correcting t errors."""
+def _designed_cosets(m: int, t: int) -> List[List[int]]:
+    """The distinct 2-cyclotomic cosets mod 2^m - 1 that meet {1, ..., 2t}:
+    the root exponents of the (m, t) generator, one coset per minimal
+    polynomial."""
+    n = (1 << m) - 1 if m >= 1 else 0
     if t < 1:
         raise ValueError("t must be at least 1")
-    n = (1 << m) - 1 if m >= 1 else 0
     if 2 * t >= n:
         raise ValueError(f"2t = {2 * t} must be below the code length {n}")
-    field = GF2m(m, primitive_polynomial)
-    seen_exponents = set()
-    minimal_polys = []
+    seen = set()
+    cosets = []
     for e in range(1, 2 * t + 1):
-        if e not in seen_exponents:
-            seen_exponents.update(_coset(e, n))
-            minimal_polys.append(minimal_polynomial(field, e))
-    g = poly_lcm(minimal_polys)
+        if e not in seen:
+            coset = _coset(e, n)
+            seen.update(coset)
+            cosets.append(coset)
+    return cosets
+
+
+def bch_construct(m: int, t: int) -> BchCode:
+    """The primitive narrow-sense BCH code of length 2^m - 1 correcting t errors."""
+    cosets = _designed_cosets(m, t)
+    field = GF2m(m)
+    g = BinaryPolynomial.one()
+    for coset in cosets:
+        g = g * minimal_polynomial(field, coset[0])
     code = BchCode(field, t, g)
     if code.r > m * t:
         raise AssertionError("parity count exceeded the m*t bound")
@@ -233,47 +241,38 @@ def bch_shorten(code: BchCode, a: int) -> BchCode:
 
 
 def parity_bit_count(m: int, t: int) -> int:
-    """R(m, t) = deg g for the (m, t) code, via cyclotomic coset sizes.
-
-    deg g is the number of distinct roots of g, i.e. the total size of the
-    cosets meeting {1, ..., 2t}.  No field build needed.
-    """
-    n = (1 << m) - 1
-    if t < 1 or 2 * t >= n:
-        raise ValueError("need 1 <= t and 2t < 2^m - 1")
-    counted = set()
-    for e in range(1, 2 * t + 1):
-        if e not in counted:
-            counted.update(_coset(e, n))
-    return len(counted)
+    """R(m, t) = deg g for the (m, t) code: the number of distinct roots of
+    g, i.e. the total size of the cosets meeting {1, ..., 2t}.  No field is
+    built, so m has no cap here."""
+    return sum(len(coset) for coset in _designed_cosets(m, t))
 
 
-def bch_select_parameters(ell: int, t: int, max_m: int = MAX_EXTENSION_DEGREE) -> Tuple[int, int]:
+def bch_select_parameters(ell: int, t: int) -> Tuple[int, int]:
     """(m, R) for the smallest m with ell <= 2^m - m*t - 1.
 
     The bound guarantees room for ell message bits even in the worst case
-    deg g = m*t; R is the actual parity count of the selected code.  No
-    field tables are built.
+    deg g = m*t; R is the actual parity count of the selected code.  This
+    counts coset sizes and builds no field, so m has no cap: the search
+    always ends, because 2^m - m*t - 1 grows without bound.
     """
     if ell < 1:
         raise ValueError("ell must be positive")
     if t < 1:
         raise ValueError("t must be at least 1")
-    for m in range(2, max_m + 1):
-        n = (1 << m) - 1
-        if 2 * t >= n:
-            continue
-        if ell <= (1 << m) - m * t - 1:
-            return m, parity_bit_count(m, t)
-    raise ValueError(f"no extension degree m <= {max_m} fits ell={ell}, t={t}")
+    m = 2
+    while 2 * t >= (1 << m) - 1 or ell > (1 << m) - m * t - 1:
+        m += 1
+    return m, parity_bit_count(m, t)
 
 
-def bch_select_m(ell: int, t: int, max_m: int = MAX_EXTENSION_DEGREE) -> Tuple[int, BchCode]:
+def bch_select_m(ell: int, t: int) -> Tuple[int, BchCode]:
     """Smallest-m BCH code shortened to dimension ell, correcting t errors.
 
-    Returns (m, code); the code's length is ell + R(m, t).
+    Returns (m, code); the code's length is ell + R(m, t).  The selection
+    has no degree cap, but building the code needs GF(2^m), which raises
+    ValueError past the primitive-polynomial table.
     """
-    m, _ = bch_select_parameters(ell, t, max_m)
+    m, _ = bch_select_parameters(ell, t)
     code = bch_construct(m, t)
     return m, code.shortened(code.k - ell)
 

@@ -187,7 +187,9 @@ class GF2m:
     Parameters
     ----------
     m:
-        Extension degree, 2 <= m <= 16.
+        Extension degree, 2 <= m <= 16, the degrees PRIMITIVE_POLYNOMIALS
+        covers.  This is the package's one degree cap: counting builds no
+        field.
     primitive_polynomial:
         Degree-m polynomial defining the field, as a BinaryPolynomial or a
         bit mask.  Defaults to the entry in PRIMITIVE_POLYNOMIALS.  The
@@ -197,7 +199,10 @@ class GF2m:
 
     def __init__(self, m: int, primitive_polynomial=None):
         if not 2 <= m <= MAX_EXTENSION_DEGREE:
-            raise ValueError(f"m must be in [2, {MAX_EXTENSION_DEGREE}], got {m}")
+            raise ValueError(
+                f"no primitive polynomial is tabulated for m = {m}; "
+                f"GF(2^m) is built for m in [2, {MAX_EXTENSION_DEGREE}]"
+            )
         if primitive_polynomial is None:
             primitive_polynomial = BinaryPolynomial(PRIMITIVE_POLYNOMIALS[m])
         elif isinstance(primitive_polynomial, int):

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb, factorial
@@ -357,26 +356,21 @@ def qds_decode_two_step(qds: QdsCode, measured: Sequence[int], quantum_decoder):
 
 
 def _min_power_of_two_exponent_times_e(d: int) -> int:
-    """Smallest z with 2^z >= d * e, computed with exact rational bounds.
+    """Smallest z with 2^z >= d * e, computed exactly in integers.
 
-    Brackets e between partial sums of sum 1/k! (the tail after k = K-1 is
-    below 2/K!), widening K until both bounds give the same z.
+    Brackets e between p/q = sum_{j<K} 1/j! with q = (K-1)! and
+    p/q + 2/(Kq) (the tail after j = K-1 is below 2/K!).  For a bound a/b,
+    z is the bit length of ceil(d*a/b) - 1; K widens until both bounds give
+    the same z.
     """
     if d <= 0:
         raise ValueError("d must be positive")
     terms = 30
     while True:
-        e_low = sum(Fraction(1, factorial(j)) for j in range(terms))
-        e_high = e_low + Fraction(2, factorial(terms))
-
-        def min_exponent(bound: Fraction) -> int:
-            z = max(0, (bound.numerator // bound.denominator).bit_length() - 1)
-            while Fraction(1 << z) < d * bound:
-                z += 1
-            return z
-
-        z_low = min_exponent(e_low)
-        z_high = min_exponent(e_high)
+        q = factorial(terms - 1)
+        p = sum(q // factorial(j) for j in range(terms))
+        z_low = (-(-d * p // q) - 1).bit_length()
+        z_high = (-(-d * (terms * p + 2) // (terms * q)) - 1).bit_length()
         if z_low == z_high:
             return z_low
         terms += 20

@@ -106,13 +106,11 @@ class SimGrid:
         self.cells: Dict[Cell, CellStats] = dict(cells) if cells else {}
 
     def add(self, w_q: int, w_s: int, trials: int, failures: int) -> None:
+        """Record one cell; a cell is sampled once, so a repeat is an error."""
         key = (w_q, w_s)
-        held = self.cells.get(key)
-        if held is None:
-            self.cells[key] = CellStats(trials, failures)
-        else:
-            held.trials += trials
-            held.failures += failures
+        if key in self.cells:
+            raise ValueError(f"grid repeats cell {key}")
+        self.cells[key] = CellStats(trials, failures)
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,13 +140,11 @@ class SimGrid:
         for cell in obj["cells"]:
             key = (cell["wq"], cell["ws"])
             trials, failures = cell["trials"], cell["failures"]
-            if key in grid.cells:
-                raise ValueError(f"grid file repeats cell {key}")
             if not (0 <= key[0] <= n and 0 <= key[1] <= n_s):
                 raise ValueError(f"grid cell {key} is outside [0, {n}] x [0, {n_s}]")
             if trials < 1 or not 0 <= failures <= trials:
                 raise ValueError(f"grid cell {key} has {failures} failures in {trials} trials")
-            grid.cells[key] = CellStats(trials, failures)
+            grid.add(*key, trials, failures)
         return grid
 
     @classmethod

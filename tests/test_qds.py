@@ -1,5 +1,6 @@
 """QDS assembly, noisy measurement, two-step decoding, overhead counting."""
 
+import decimal
 import itertools
 import math
 import random
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdsbch.bch import bch_construct, parity_bit_count
+from qdsbch.bch import bch_construct, bch_select_m, bch_select_parameters, parity_bit_count
 from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix
 from qdsbch.qds import (
     BchSyndromeMeasurement,
     QdsCode,
     RepetitionSyndromeMeasurement,
+    _min_power_of_two_exponent_times_e,
     bch_sm,
     fujiwara_extra_measurements,
     identity_sm,
@@ -378,6 +380,44 @@ def test_fujiwara_block_sizes_match_float_logs():
                 assert 2.0**m_i >= d * math.e * (1 - 1e-12)
                 running += (2 * t_c - 2 * i + 1) * m_i
             assert running == total
+
+
+def test_e_bound_matches_a_decimal_oracle():
+    """The least z with 2^z >= d*e, against e to 200 digits, for the d that
+    straddle each power of two up to 2^400: there the first bracket of e
+    gives two answers and only the widening decides."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 200
+        e = decimal.Decimal(1).exp()
+        for z in range(2, 401):
+            near = int(decimal.Decimal(1 << z) / e)
+            for d in range(max(1, near - 1), near + 3):
+                # d*e is irrational, so 2^z >= d*e exactly when 2^z > floor(d*e)
+                want = int(d * e).bit_length()
+                assert _min_power_of_two_exponent_times_e(d) == want, (z, d)
+
+
+def test_overhead_scales_as_the_abstract_claims():
+    """BCH needs about t*log2(ell) extra measurements and the distinct-pair
+    construction about t^3*log2(ell), for ell past the GF(2^m) table.
+
+    d_i = C(ell, 2i) - C(ell - 2i, 2i) grows like ell^(2i-1), so
+    m_i ~ (2i-1)*log2(ell) and the distinct-pair count over t^3*log2(ell)
+    tends to sum_i (2t-2i+1)(2i-1) / t^2 = (2t^2+1)/(3t^2) at fixed t."""
+    for k in range(8, 31):
+        for t in range(1, 17):
+            assert bch_select_parameters(2**k, t) == (k + 1, (k + 1) * t), (k, t)
+    (row,) = overhead_table([2**20], [16])
+    assert (row.bch, row.fujiwara) == (336, 48931)
+    for t in range(1, 17):
+        limit = (2 * t * t + 1) / (3 * t * t)
+        gaps = [
+            abs(fujiwara_extra_measurements(2**k, t)[0] / (t**3 * k) - limit) for k in (8, 30)
+        ]
+        assert gaps[1] < gaps[0], t
+    # counting has no degree cap; building the field still has one
+    with pytest.raises(ValueError, match="no primitive polynomial is tabulated"):
+        bch_select_m(2**16, 1)
 
 
 def test_fujiwara_monotone_in_t():

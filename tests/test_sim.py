@@ -151,11 +151,12 @@ def test_grid_json_roundtrip_is_byte_identical():
     assert again.to_json_text() == text
 
 
-def test_grid_add_accumulates():
+def test_grid_add_refuses_a_repeated_cell():
     grid = SimGrid({"n": 7, "n_s": 6}, seed=1)
     grid.add(0, 0, 100, 3)
-    grid.add(0, 0, 50, 2)
-    assert grid.cells[(0, 0)] == CellStats(150, 5)
+    with pytest.raises(ValueError, match=r"repeats cell \(0, 0\)"):
+        grid.add(0, 0, 50, 2)
+    assert grid.cells == {(0, 0): CellStats(100, 3)}
 
 
 def _cell(wq=0, ws=0, trials=10, failures=1):
