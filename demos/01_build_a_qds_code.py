@@ -10,10 +10,7 @@ and undone before the quantum correction is even looked up.
 from qdsbch import (
     PauliOperator,
     bch_construct,
-    bch_generator_matrix,
-    bch_shorten,
     bch_sm,
-    classify_residual,
     lookup_decoder_build,
     qds_assemble,
     steane_code,
@@ -33,10 +30,10 @@ print(f"generator:   {parent.generator.to_hex()} (degree {parent.r})")
 # message bits to zero leaves a [21,6,7] code.  Distance never drops
 # under shortening, and the parity bit count R = 15 is untouched.
 
-code = bch_shorten(parent, 10)
+code = parent.shortened(10)
 print(f"shortened:   [{code.length},{code.dimension},{code.distance}]")
 
-G = bch_generator_matrix(code)
+G = code.generator_matrix()
 print(f"\nsystematic generator matrix ({G.rows}x{G.cols}):")
 for i in range(G.rows):
     print("  " + "".join(str(b) for b in G.row_bits(i)))
@@ -80,6 +77,6 @@ correction, syndrome = qds.decode_two_step(measured, decoder)
 print("recovered syndrome:", syndrome)
 print("correction:        ", correction.to_string())
 
-residual = classify_residual(steane, error * correction)
+residual = steane.classify(error * correction)
 print(f"residual after correction: {residual}")
 assert residual == "trivial"

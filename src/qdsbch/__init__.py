@@ -23,27 +23,22 @@ from .stabilizer import (
     LookupDecoder,
     PauliOperator,
     StabilizerCode,
-    classify_residual,
     css_from_parity,
     format_stabilizer_code,
     hamming_parity_check,
     iter_weight_paulis,
     lookup_decoder_build,
     parse_stabilizer_code,
-    pauli_parse,
     steane_code,
     symplectic_product,
-    syndrome_of,
 )
 from .bch import (
     BchCode,
     bch_construct,
     bch_decode,
     bch_encode,
-    bch_generator_matrix,
     bch_select_m,
     bch_select_parameters,
-    bch_shorten,
     parity_bit_count,
 )
 from .qds import (
@@ -58,8 +53,6 @@ from .qds import (
     identity_sm,
     overhead_table,
     qds_assemble,
-    qds_decode_two_step,
-    qds_measure,
     repetition_sm,
     verify_correction_guarantee,
 )
@@ -97,26 +90,21 @@ __all__ = [
     "LookupDecoder",
     "PauliOperator",
     "StabilizerCode",
-    "classify_residual",
     "css_from_parity",
     "format_stabilizer_code",
     "hamming_parity_check",
     "iter_weight_paulis",
     "lookup_decoder_build",
     "parse_stabilizer_code",
-    "pauli_parse",
     "steane_code",
     "symplectic_product",
-    "syndrome_of",
     # bch
     "BchCode",
     "bch_construct",
     "bch_decode",
     "bch_encode",
-    "bch_generator_matrix",
     "bch_select_m",
     "bch_select_parameters",
-    "bch_shorten",
     "parity_bit_count",
     # qds
     "BchSyndromeMeasurement",
@@ -130,8 +118,6 @@ __all__ = [
     "identity_sm",
     "overhead_table",
     "qds_assemble",
-    "qds_decode_two_step",
-    "qds_measure",
     "repetition_sm",
     "verify_correction_guarantee",
     # sim

@@ -236,10 +236,6 @@ def bch_construct(m: int, t: int) -> BchCode:
     return code
 
 
-def bch_shorten(code: BchCode, a: int) -> BchCode:
-    return code.shortened(a)
-
-
 def parity_bit_count(m: int, t: int) -> int:
     """R(m, t) = deg g for the (m, t) code: the number of distinct roots of
     g, i.e. the total size of the cosets meeting {1, ..., 2t}.  No field is
@@ -275,10 +271,6 @@ def bch_select_m(ell: int, t: int) -> Tuple[int, BchCode]:
     m, _ = bch_select_parameters(ell, t)
     code = bch_construct(m, t)
     return m, code.shortened(code.k - ell)
-
-
-def bch_generator_matrix(code: BchCode) -> BinaryMatrix:
-    return code.generator_matrix()
 
 
 def bch_encode(code: BchCode, message: Sequence[int]) -> Tuple[int, ...]:

@@ -121,17 +121,29 @@ def _sm_meta(args) -> dict:
 def _write_atomic(*outputs: Tuple[str, str]) -> None:
     """Write each (path, text): stage every text in a temp file beside its
     target, then rename the temps over the targets.  A failure while
-    staging leaves every target untouched, and a failed write or rename
-    leaves no temp behind."""
+    staging leaves every target untouched; a failed rename puts back the
+    targets already renamed, removing those that did not exist before.
+    Neither leaves a temp behind."""
     staged = []
+    renamed = []  # (target, its prior bytes or None where it did not exist)
     try:
         for path, text in outputs:
             tmp = Path(f"{path}.{os.getpid()}.tmp")
             staged.append((tmp, path))
             tmp.write_text(text)
         for tmp, path in staged:
+            try:
+                prior = Path(path).read_bytes()
+            except FileNotFoundError:
+                prior = None
             os.replace(tmp, path)
+            renamed.append((Path(path), prior))
     except OSError as exc:
+        for target, prior in reversed(renamed):
+            if prior is None:
+                target.unlink()
+            else:
+                target.write_bytes(prior)
         # name the target, not the temp file the error was raised on
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:

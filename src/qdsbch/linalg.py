@@ -3,6 +3,8 @@
 Each row is one Python integer; bit j of row i is the entry (i, j).
 Elimination and products are XOR word operations, which keeps the sizes
 used here (hundreds of columns) far from needing anything fancier.
+A whole array of masks times a matrix is `BinaryMatrix._mul_masks`, the
+one batched GF(2) product: one table gather per 8 rows.
 
 This module also owns the bit-vector convention of the whole package:
 entry i of a 0/1 tuple is bit i of an integer mask, and any entry other
@@ -18,6 +20,7 @@ characters per row.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -152,6 +155,26 @@ class BinaryMatrix:
                 r ^= low
             out.append(acc)
         return BinaryMatrix(self.rows, other.cols, out)
+
+    @cached_property
+    def _byte_tables(self) -> List[np.ndarray]:
+        """For rows 8k..8k+7, the XOR of the rows picked by each byte value,
+        as an array of `_mask_dtype` of the column count."""
+        tables = []
+        for lo in range(0, self.rows, 8):
+            table = [0]
+            for row in self.data[lo : lo + 8]:
+                table += [v ^ row for v in table]
+            tables.append(np.array(table, dtype=_mask_dtype(self.cols)))
+        return tables
+
+    def _mul_masks(self, masks: np.ndarray) -> np.ndarray:
+        """Each mask (rows bits, int64 or object) as a row vector times the
+        matrix, as an array of `_mask_dtype` of the column count."""
+        out = np.zeros(len(masks), dtype=_mask_dtype(self.cols))
+        for k, table in enumerate(self._byte_tables):
+            out ^= table[((masks >> (8 * k)) & 0xFF).astype(np.intp)]
+        return out
 
     def __xor__(self, other: "BinaryMatrix") -> "BinaryMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

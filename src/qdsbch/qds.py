@@ -19,12 +19,18 @@ and the identity (plain single measurement, no protection).
 
 Every trial, sampled or enumerated, goes through one batched kernel,
 QdsCode._count_failures, as whole-batch numpy operations on tables that
-are built on the first batch (never by QdsCode() or decode):
+are built on the first batch (never by QdsCode() or decode).  A batch is
+an array of error masks x | z << n and one of n_s-bit flip masks, the
+masks the one-trial path uses; every GF(2) product on it is
+BinaryMatrix._mul_masks:
 
-- SM decode: a BCH readout looks its syndrome up in a table of the coset
-  leaders of weight <= t; a repetition readout takes a majority over its
-  copies.  A BCH code whose table would pass 2^20 entries is decoded word
-  by word with Berlekamp-Massey instead.
+- Readout: the error masks times H_Q transposed with its x and z halves
+  swapped, XOR the flips.
+- SM decode: a BCH readout looks its syndrome (one more product) up in a
+  table of the coset leaders of weight <= t; a repetition readout takes
+  the bit-sliced majority of _decode_mask over the whole array.  A BCH
+  code whose table would pass 2^20 entries is decoded word by word with
+  Berlekamp-Massey instead.
 - Lookup: a LookupDecoder's corrections as an array over all 2^ell
   syndromes.  Any other decoder is called once per trial whose SM decode
   succeeded.
@@ -56,7 +62,6 @@ from .linalg import (
     _bits_to_mask,
     _mask_dtype,
     _mask_to_bits,
-    _pack_rows,
 )
 from .stabilizer import (
     BudgetExceededError,
@@ -102,14 +107,15 @@ class SyndromeMeasurementCode(ABC):
     @abstractmethod
     def _decode_mask(self, mask: int) -> Optional[int]: ...
 
-    def _decode_rows(self, bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Decode each row of a 0/1 array (n_s columns).  Returns the
-        messages as an array of masks and a bool array that is False where
-        the decoder gave up (the message there is meaningless).
+    def _decode_masks(self, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """`_decode_mask` over an array of n_s-bit words (`_mask_dtype` of
+        n_s).  Returns the messages as an array of masks and a bool array
+        that is False where the decoder gave up (the message there is
+        meaningless).
 
         This loop over `_decode_mask` is the reference that the subclasses'
         table decoders are tested against, and their fallback."""
-        out = [self._decode_mask(word) for word in _pack_rows(bits).tolist()]
+        out = [self._decode_mask(word) for word in words.tolist()]
         ok = np.array([msg is not None for msg in out], dtype=bool)
         msgs = np.array([msg or 0 for msg in out], dtype=_mask_dtype(self.ell))
         return msgs, ok
@@ -140,47 +146,40 @@ class BchSyndromeMeasurement(SyndromeMeasurementCode):
         out = self.code._decode_mask(mask)
         return None if out is None else out[0]
 
-    def _decode_rows(self, bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _decode_masks(self, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Syndrome decoding by table: the code is systematic, so the
         message is the word's first ell bits with the table's fix applied."""
         table = self._fix_table
         if table is None:
-            return super()._decode_rows(bits)
-        parities, fix = table
-        words = _pack_rows(bits)
-        # the received parity bits against those of the received message
-        syndromes = words >> self.ell
-        for j, parity in enumerate(parities):
-            syndromes ^= ((words >> j) & 1) * parity
-        fixes = fix[syndromes]
+            return super()._decode_masks(words)
+        syndrome, fix = table
+        fixes = fix[syndrome._mul_masks(words)]
         return (words & ((1 << self.ell) - 1)) ^ fixes, fixes >= 0
 
     @cached_property
-    def _fix_table(self) -> Optional[Tuple[List[int], np.ndarray]]:
+    def _fix_table(self) -> Optional[Tuple[BinaryMatrix, np.ndarray]]:
         """Coset leaders of weight <= t as a table, built on first use.
 
-        Returns (parities, fix).  parities[j] is the R parity bits of
-        message bit j (R = n_s - ell).  fix[s] is the first ell bits of the
-        pattern of weight <= t with syndrome s, or -1 where there is none.
-        Distance 2t+1 gives those patterns distinct syndromes, so there are
-        at most 2^R of them.  None, and BM decoding, when 2^R passes
-        2^_MAX_TABLE_BITS or a word does not fit an int64.
+        Returns (syndrome, fix).  syndrome is the n_s x R matrix (R =
+        n_s - ell) whose product with a word is its syndrome: row j < ell
+        is the parity bits of message bit j, row ell + i is bit i.  fix[s]
+        is the first ell bits of the pattern of weight <= t with syndrome
+        s, or -1 where there is none.  Distance 2t+1 gives those patterns
+        distinct syndromes, so there are at most 2^R of them.  None, and BM
+        decoding, when 2^R passes 2^_MAX_TABLE_BITS or a word does not fit
+        an int64.
         """
         r = self.n_s - self.ell
         if r > _MAX_TABLE_BITS or self.n_s > 62:
             return None
         gen = self.code.generator_matrix()
         parities = [gen.row_mask(j) >> self.ell for j in range(self.ell)]
-        # a flip at message bit j moves the syndrome by that bit's parity
-        # bits, a flip at parity bit i by bit i
-        position_syndrome = np.array(parities + [1 << i for i in range(r)], dtype=np.int64)
-        position_fix = np.array([1 << j for j in range(self.ell)] + [0] * r, dtype=np.int64)
+        syndrome = BinaryMatrix(self.n_s, r, parities + [1 << i for i in range(r)])
         fix = np.full(1 << r, -1, dtype=np.int64)
         for w in range(self.t_s + 1):
-            sites = _supports(self.n_s, w)
-            leaders = np.bitwise_xor.reduce(position_syndrome[sites], axis=1)
-            fix[leaders] = np.bitwise_xor.reduce(position_fix[sites], axis=1)
-        return parities, fix
+            patterns = _support_masks(self.n_s, w)
+            fix[syndrome._mul_masks(patterns)] = patterns & ((1 << self.ell) - 1)
+        return syndrome, fix
 
 
 class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
@@ -209,9 +208,10 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
             word |= mask << (c * self.ell)
         return word
 
-    def _decode_rows(self, bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        votes = bits.reshape(len(bits), self.reps, self.ell).sum(axis=1)
-        return _pack_rows(votes > self.reps // 2), np.ones(len(bits), dtype=bool)
+    def _decode_masks(self, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # the bit-sliced majority runs unchanged on a whole array of words
+        msgs = self._decode_mask(words).astype(_mask_dtype(self.ell))
+        return msgs, np.ones(len(words), dtype=bool)
 
     def _decode_mask(self, mask: int) -> int:
         # at_least[k] holds the bits set in more than k of the copies so far;
@@ -226,11 +226,13 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
         return at_least[-1]
 
 
-def _supports(n: int, w: int) -> np.ndarray:
-    """Every w-subset of range(n) as a row, lexicographic: C(n, w) x w."""
+def _support_masks(n: int, w: int) -> np.ndarray:
+    """Every w-subset of range(n) as a mask, lexicographic, in an array of
+    the `_mask_dtype` of n."""
     count = comb(n, w)
     flat = chain.from_iterable(combinations(range(n), w))
-    return np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
+    sites = np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
+    return np.bitwise_or.reduce(np.array(1, dtype=_mask_dtype(n)) << sites, axis=1)
 
 
 def bch_sm(ell: int, t: int) -> BchSyndromeMeasurement:
@@ -266,10 +268,11 @@ class QdsCode:
             for i in range(self.h_q.rows)
         )
         self.row_weights = tuple((rx | rz).bit_count() for rx, rz in self._rows)
-        # x and z halves of H_Q as n x n_s arrays, for batched readout:
-        # readout = z @ _x_part + x @ _z_part (mod 2)
-        columns = self.h_q.to_numpy().T
-        self._x_part, self._z_part = columns[:n], columns[n:]
+        # H_Q transposed with its halves swapped, so that an error mask
+        # x | z << n times it is the readout: an X on qubit j flips the rows
+        # with a Z at j, and a Z the rows with an X
+        columns = self.h_q.transpose().data
+        self._readout = BinaryMatrix(2 * n, self.h_q.rows, columns[n:] + columns[:n])
 
     def measurement_pauli(self, i: int) -> PauliOperator:
         """Row i of H_Q as the product of generators it measures."""
@@ -307,17 +310,15 @@ class QdsCode:
             return None
         return correction, _mask_to_bits(msg, self.sm.ell)
 
-    def _count_failures(self, decoder, x: np.ndarray, z: np.ndarray, flips: np.ndarray) -> int:
-        """Failures over a batch of trials given as uint8 0/1 arrays: row i
-        of x, z (n columns) is trial i's data error, row i of flips (n_s
-        columns) its readout flips.  A trial fails when the SM decoder gives
-        up, the syndrome is missing from the lookup table, or the residual
-        is not in the stabilizer group (the row space of H).  The module
-        docstring lists the tables each step uses and their fallbacks."""
-        # uint8 sums wrap mod 256, which keeps their parity
-        msgs, ok = self.sm._decode_rows((z @ self._x_part + x @ self._z_part + flips) & 1)
-        # each error as its symplectic mask x | z << n
-        errors = _pack_rows(np.concatenate((x, z), axis=1))
+    def _count_failures(self, decoder, errors: np.ndarray, flips: np.ndarray) -> int:
+        """Failures over a batch of trials given as masks: errors[i] is
+        trial i's data error as its symplectic mask x | z << n, flips[i]
+        its n_s readout flips, each array of the `_mask_dtype` of its width.
+        A trial fails when the SM decoder gives up, the syndrome is missing
+        from the lookup table, or the residual is not in the stabilizer
+        group (the row space of H).  The module docstring lists the tables
+        each step uses and their fallbacks."""
+        msgs, ok = self.sm._decode_masks(self._readout._mul_masks(errors) ^ flips)
         table = decoder._correction_masks if type(decoder) is LookupDecoder else None
         if table is not None:
             corrections = np.where(ok, table[np.where(ok, msgs, 0)], -1)
@@ -340,16 +341,6 @@ class QdsCode:
 
 def qds_assemble(base: StabilizerCode, sm: SyndromeMeasurementCode) -> QdsCode:
     return QdsCode(base, sm)
-
-
-def qds_measure(
-    qds: QdsCode, data_error: PauliOperator, syndrome_error: Optional[Sequence[int]] = None
-) -> Bits:
-    return qds.measure(data_error, syndrome_error)
-
-
-def qds_decode_two_step(qds: QdsCode, measured: Sequence[int], quantum_decoder):
-    return qds.decode_two_step(measured, quantum_decoder)
 
 
 # --- measurement overhead counting -----------------------------------------
@@ -479,26 +470,18 @@ def verify_correction_guarantee(
             budget=budget,
         )
     # all flip patterns of each weight, lexicographic by support
-    flip_sets = []
-    for w_s in range(t_s + 1):
-        sites = _supports(n_s, w_s)
-        flips = np.zeros((len(sites), n_s), dtype=np.uint8)
-        flips[np.arange(len(sites))[:, None], sites] = 1
-        flip_sets.append(flips)
+    flip_sets = [_support_masks(n_s, w_s) for w_s in range(t_s + 1)]
     cells = []
     for w_q in range(t_data + 1):
         data_errors = list(iter_weight_paulis(n, w_q))
         for w_s, flips in enumerate(flip_sets):
             failures = 0
             for e in data_errors:
-                x = np.array(e.x_bits, dtype=np.uint8)
-                z = np.array(e.z_bits, dtype=np.uint8)
                 # bounded batches keep the kernel's temporaries small
                 for lo in range(0, len(flips), _VERIFY_BATCH):
                     block = flips[lo : lo + _VERIFY_BATCH]
-                    shape = (len(block), n)
-                    xs, zs = np.broadcast_to(x, shape), np.broadcast_to(z, shape)
-                    failures += qds._count_failures(quantum_decoder, xs, zs, block)
+                    errors = np.full(len(block), e.symplectic_mask(), dtype=_mask_dtype(2 * n))
+                    failures += qds._count_failures(quantum_decoder, errors, block)
             cases = len(data_errors) * len(flips)
             cells.append(VerifyCell(w_q=w_q, w_s=w_s, cases=cases, failures=failures))
     return cells

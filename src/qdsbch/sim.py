@@ -30,6 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import __version__
+from .linalg import _pack_rows
 from .qds import QdsCode
 
 Cell = Tuple[int, int]
@@ -174,17 +175,17 @@ def _run_cell(qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng) -> in
     n = qds.base.n
     n_s = qds.sm.n_s
     rows = np.arange(trials)[:, None]
-    x = np.zeros((trials, n), dtype=np.uint8)
-    z = np.zeros((trials, n), dtype=np.uint8)
+    # each error as the 0/1 row of its symplectic mask x | z << n
+    errors = np.zeros((trials, 2 * n), dtype=np.uint8)
     flips = np.zeros((trials, n_s), dtype=np.uint8)
     if w_q:
         supports = np.argsort(rng.random((trials, n)), axis=1)[:, :w_q]
         letters = rng.integers(0, 3, size=(trials, w_q))  # 0 = X, 1 = Y, 2 = Z
-        x[rows, supports] = letters <= 1
-        z[rows, supports] = letters >= 1
+        errors[rows, supports] = letters <= 1
+        errors[rows, supports + n] = letters >= 1
     if w_s:
         flips[rows, np.argsort(rng.random((trials, n_s)), axis=1)[:, :w_s]] = 1
-    return qds._count_failures(decoder, x, z, flips)
+    return qds._count_failures(decoder, _pack_rows(errors), _pack_rows(flips))
 
 
 def estimate_cell(
@@ -428,6 +429,5 @@ def direct_monte_carlo(
     hits = rng.random((trials, n)) < model.p_q
     letters = rng.integers(0, 3, size=(trials, n))  # 0 = X, 1 = Y, 2 = Z
     flips = rng.random((trials, n_s)) < row_p
-    x = (hits & (letters <= 1)).astype(np.uint8)
-    z = (hits & (letters >= 1)).astype(np.uint8)
-    return qds._count_failures(decoder, x, z, flips.astype(np.uint8)) / trials
+    errors = np.concatenate((hits & (letters <= 1), hits & (letters >= 1)), axis=1)
+    return qds._count_failures(decoder, _pack_rows(errors), _pack_rows(flips)) / trials

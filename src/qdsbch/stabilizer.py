@@ -122,10 +122,6 @@ class PauliOperator:
         return f"PauliOperator({self.to_string()!r})"
 
 
-def pauli_parse(s: str) -> PauliOperator:
-    return PauliOperator.from_string(s)
-
-
 def symplectic_product(a: PauliOperator, b: PauliOperator) -> int:
     if a.n != b.n:
         raise ValueError("qubit count mismatch")
@@ -209,14 +205,6 @@ class StabilizerCode:
 
     def __repr__(self) -> str:
         return f"StabilizerCode(n={self.n}, k={self.k}, ell={self.ell})"
-
-
-def syndrome_of(code: StabilizerCode, error: PauliOperator) -> Tuple[int, ...]:
-    return code.syndrome(error)
-
-
-def classify_residual(code: StabilizerCode, residual: PauliOperator) -> str:
-    return code.classify(residual)
 
 
 def _min_logical_weight(code: StabilizerCode, budget: int = 10**6) -> Optional[int]:
@@ -371,7 +359,7 @@ def parse_stabilizer_code(text: str) -> StabilizerCode:
     if len(header) != 2:
         raise ValueError("header must be 'n k'")
     n, k = int(header[0]), int(header[1])
-    gens = [pauli_parse(s) for s in lines[1:]]
+    gens = [PauliOperator.from_string(s) for s in lines[1:]]
     if len(gens) != n - k:
         raise ValueError(f"expected {n - k} generators for n={n}, k={k}, got {len(gens)}")
     for i, g in enumerate(gens):

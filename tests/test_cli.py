@@ -154,6 +154,27 @@ def test_qds_assemble_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("prior", [None, "old matrix\n"], ids=["txt-absent", "txt-present"])
+def test_qds_assemble_failed_rename_restores_the_first_target(tmp_path, capsys, prior):
+    """The .json target is a directory, so its rename fails after the .txt
+    one succeeded: the .txt goes back to what it was before the command."""
+    (tmp_path / "q.json").mkdir()
+    txt = tmp_path / "q.txt"
+    if prior is not None:
+        txt.write_text(prior)
+    code, _, err = run(
+        capsys, "qds", "assemble", "--sm", "bch", "--t", "3", "--out", str(tmp_path / "q")
+    )
+    assert code == 1
+    assert f"cannot write {tmp_path / 'q.json'}" in err
+    names = {p.name for p in tmp_path.iterdir()}
+    if prior is None:
+        assert names == {"q.json"}
+    else:
+        assert names == {"q.json", "q.txt"}
+        assert txt.read_text() == prior
+
+
 def test_qds_assemble_bch_requires_t(capsys):
     code, _, err = run(capsys, "qds", "assemble", "--sm", "bch")
     assert code == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdsbch.linalg import BinaryMatrix, _bits_to_mask, _pack_rows
+from qdsbch.linalg import BinaryMatrix, _bits_to_mask, _mask_dtype, _pack_rows
 
 
 def _random_matrix(rng, rows, cols):
@@ -135,6 +135,23 @@ def test_batched_membership_past_62_columns():
     want = [a._contains_mask(m) for m in masks.tolist()]
     assert a._contains_masks(masks).tolist() == want
     assert want[:40] == [True] * 40 and not all(want[40:])
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(0, 5), (0, 70), (5, 3), (13, 21), (16, 21), (21, 15), (66, 6), (70, 21), (21, 70), (8, 0)],
+)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mul_masks_is_the_row_vector_product(rows, cols, data):
+    """Each mask times the matrix, against a one-row mat_mul: row counts off
+    a multiple of 8, no rows, and rows or columns past 62 (object masks)."""
+    data_rows = st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)
+    a = BinaryMatrix(rows, cols, data.draw(data_rows))
+    masks = data.draw(st.lists(st.integers(0, (1 << rows) - 1), max_size=20))
+    got = a._mul_masks(np.array(masks, dtype=_mask_dtype(rows)))
+    assert got.dtype == _mask_dtype(cols)
+    assert got.tolist() == [BinaryMatrix(1, rows, [m]).mat_mul(a).data[0] for m in masks]
 
 
 def test_in_row_space_length_check():

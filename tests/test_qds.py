@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdsbch.bch import bch_construct, bch_select_m, bch_select_parameters, parity_bit_count
-from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix
+from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix, _pack_rows
 from qdsbch.qds import (
     BchSyndromeMeasurement,
     QdsCode,
@@ -23,8 +23,6 @@ from qdsbch.qds import (
     identity_sm,
     overhead_table,
     qds_assemble,
-    qds_decode_two_step,
-    qds_measure,
     repetition_sm,
     verify_correction_guarantee,
 )
@@ -35,7 +33,6 @@ from qdsbch.stabilizer import (
     css_from_parity,
     iter_weight_paulis,
     lookup_decoder_build,
-    pauli_parse,
     steane_code,
 )
 
@@ -83,7 +80,7 @@ def test_repetition_sm_majority_exhaustive(ell, reps):
         assert got == want
     # the batched majority against the per-word one
     masks = np.arange(1 << n_s)
-    msgs, ok = sm._decode_rows(((masks[:, None] >> np.arange(n_s)) & 1).astype(np.uint8))
+    msgs, ok = sm._decode_masks(masks)
     assert ok.all()
     assert msgs.tolist() == [sm._decode_mask(mask) for mask in masks.tolist()]
 
@@ -101,7 +98,9 @@ _TABULATED = [
 def _tabulated_bch_sms(draw):
     m, t = draw(st.sampled_from(_TABULATED))
     code = bch_construct(m, t)
-    return BchSyndromeMeasurement(code.shortened(draw(st.integers(0, code.k - 1))))
+    # shortened to n_s <= 62, the widest word the table decodes
+    shorten = draw(st.integers(max(0, code.n - 62), code.k - 1))
+    return BchSyndromeMeasurement(code.shortened(shorten))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -117,8 +116,7 @@ def test_bch_table_decode_matches_berlekamp_massey(sm, data):
                 word ^= 1 << p
             words.append(word)
     words += data.draw(st.lists(st.integers(0, (1 << sm.n_s) - 1), min_size=20, max_size=20))
-    bits = np.array([[(word >> i) & 1 for i in range(sm.n_s)] for word in words], dtype=np.uint8)
-    msgs, ok = sm._decode_rows(bits)
+    msgs, ok = sm._decode_masks(np.array(words, dtype=np.int64))
     want = [code._decode_mask(word) for word in words]
     assert ok.tolist() == [out is not None for out in want]
     assert [msg for msg, good in zip(msgs.tolist(), ok) if good] == [
@@ -224,7 +222,7 @@ def test_clean_measurement_is_the_encoded_syndrome():
         zero = (0,) * sm.n_s
         for w in (0, 1):
             for e in iter_weight_paulis(7, w):
-                assert qds_measure(q, e, zero) == sm.encode(base.syndrome(e))
+                assert q.measure(e, zero) == sm.encode(base.syndrome(e))
 
 
 def test_measurement_is_linear_in_flips():
@@ -233,10 +231,10 @@ def test_measurement_is_linear_in_flips():
     rng = random.Random(83)
     letters = "IXYZ"
     for _ in range(50):
-        e = pauli_parse("".join(rng.choice(letters) for _ in range(7)))
+        e = PauliOperator.from_string("".join(rng.choice(letters) for _ in range(7)))
         flips = tuple(rng.randrange(2) for _ in range(21))
-        clean = qds_measure(q, e, (0,) * 21)
-        noisy = qds_measure(q, e, flips)
+        clean = q.measure(e, (0,) * 21)
+        noisy = q.measure(e, flips)
         assert noisy == tuple(c ^ f for c, f in zip(clean, flips))
 
 
@@ -249,8 +247,8 @@ def test_two_step_decode_recovers_small_errors():
         flips = [0] * 21
         for pos in rng.sample(range(21), 3):
             flips[pos] = 1
-        measured = qds_measure(q, e, tuple(flips))
-        out = qds_decode_two_step(q, measured, dec)
+        measured = q.measure(e, tuple(flips))
+        out = q.decode_two_step(measured, dec)
         assert out is not None
         correction, syn = out
         assert syn == base.syndrome(e)
@@ -271,7 +269,7 @@ def test_two_step_decode_propagates_sm_failure():
             found = tuple(word)
             break
     assert found is not None, "no undecodable word in 200 random draws"
-    assert qds_decode_two_step(q, found, dec) is None
+    assert q.decode_two_step(found, dec) is None
 
 
 # --- batched trial kernel -----------------------------------------------------
@@ -279,7 +277,7 @@ def test_two_step_decode_propagates_sm_failure():
 
 def _oracle_fails(q, dec, e, flips):
     """One trial through the public chain: measure, decode twice, classify."""
-    out = qds_decode_two_step(q, qds_measure(q, e, flips), dec)
+    out = q.decode_two_step(q.measure(e, flips), dec)
     return out is None or q.base.classify(out[0] * e) != "trivial"
 
 
@@ -297,7 +295,9 @@ class _CountingDecoder:
         return self.inner._decode_mask(mask)
 
 
-FIVE_QUBIT = StabilizerCode([pauli_parse(s) for s in ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]])
+FIVE_QUBIT = StabilizerCode(
+    [PauliOperator.from_string(s) for s in ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]]
+)
 # Hamming checks repeated over five blocks: 35 qubits, so 2n = 70 bits is too
 # wide for int64 masks
 WIDE = css_from_parity(
@@ -313,8 +313,16 @@ WIDE = css_from_parity(
         (steane_code(), bch_sm(6, 10)),
         (FIVE_QUBIT, bch_sm(4, 2)),
         (WIDE, bch_sm(6, 3)),
+        (steane_code(), repetition_sm(6, 11)),
     ],
-    ids=["bch-t3", "rep3", "bch-t10-69bits", "five-qubit-bch-t2", "wide-70bit-masks"],
+    ids=[
+        "bch-t3",
+        "rep3",
+        "bch-t10-69bits",
+        "five-qubit-bch-t2",
+        "wide-70bit-masks",
+        "rep11-66bit-readout",
+    ],
 )
 def test_trial_kernel_matches_the_public_chain(base, sm):
     n = base.n
@@ -334,16 +342,17 @@ def test_trial_kernel_matches_the_public_chain(base, sm):
     for i in range(trials):
         e = PauliOperator(n, int(x[i] @ (1 << np.arange(n))), int(z[i] @ (1 << np.arange(n))))
         want.append(_oracle_fails(q, dec, e, tuple(flips[i].tolist())))
-        sm_decoded += sm.decode(qds_measure(q, e, tuple(flips[i].tolist()))) is not None
+        sm_decoded += sm.decode(q.measure(e, tuple(flips[i].tolist()))) is not None
     # both verdicts occur, so a wrong readout bit cannot hide
     assert 0 < sum(want) < trials
+    errors, flip_masks = _pack_rows(np.concatenate((x, z), axis=1)), _pack_rows(flips)
     # the gathered lookup of a real decoder, then per-trial calls to a proxy
     proxy = _CountingDecoder(dec)
     for decoder in (dec, proxy):
-        assert q._count_failures(decoder, x, z, flips) == sum(want)
+        assert q._count_failures(decoder, errors, flip_masks) == sum(want)
         for i in range(trials):
             one = slice(i, i + 1)
-            assert q._count_failures(decoder, x[one], z[one], flips[one]) == want[i]
+            assert q._count_failures(decoder, errors[one], flip_masks[one]) == want[i]
     assert proxy.calls == 2 * sm_decoded
 
 

@@ -16,17 +16,14 @@ from qdsbch.stabilizer import (
     LookupDecoder,
     PauliOperator,
     StabilizerCode,
-    classify_residual,
     css_from_parity,
     format_stabilizer_code,
     hamming_parity_check,
     iter_weight_paulis,
     lookup_decoder_build,
     parse_stabilizer_code,
-    pauli_parse,
     steane_code,
     symplectic_product,
-    syndrome_of,
 )
 
 STEANE_GENERATORS = ["XIXIXIX", "IXXIIXX", "IIIXXXX", "ZIZIZIZ", "IZZIIZZ", "IIIZZZZ"]
@@ -42,37 +39,37 @@ SHOR_GENERATORS = [
 
 def test_pauli_string_roundtrip():
     for s in ("IIII", "XYZI", "Y", "ZZZZZZZ"):
-        assert pauli_parse(s).to_string() == s
+        assert PauliOperator.from_string(s).to_string() == s
 
 
 def test_pauli_parse_rejects_garbage():
     with pytest.raises(ValueError):
-        pauli_parse("XA")
+        PauliOperator.from_string("XA")
     with pytest.raises(ValueError):
-        pauli_parse("")
+        PauliOperator.from_string("")
 
 
 def test_pauli_weight_and_bits():
-    p = pauli_parse("IXZY")
+    p = PauliOperator.from_string("IXZY")
     assert p.weight == 3
     assert p.x_bits == (0, 1, 0, 1)
     assert p.z_bits == (0, 0, 1, 1)
 
 
 def test_pauli_product_is_phase_free_composition():
-    x = pauli_parse("X")
-    z = pauli_parse("Z")
-    y = pauli_parse("Y")
+    x = PauliOperator.from_string("X")
+    z = PauliOperator.from_string("Z")
+    y = PauliOperator.from_string("Y")
     assert x * z == y
-    assert x * x == pauli_parse("I")
+    assert x * x == PauliOperator.from_string("I")
     assert (x * y) == z
-    a = pauli_parse("XYZI")
-    assert a * a == pauli_parse("IIII")
+    a = PauliOperator.from_string("XYZI")
+    assert a * a == PauliOperator.from_string("IIII")
 
 
 def test_pauli_product_length_mismatch():
     with pytest.raises(ValueError):
-        pauli_parse("XX") * pauli_parse("X")
+        PauliOperator.from_string("XX") * PauliOperator.from_string("X")
 
 
 _MATS = {
@@ -93,11 +90,11 @@ def _as_matrix(p: PauliOperator) -> np.ndarray:
 def test_commutation_matches_matrix_oracle():
     """commutes_with agrees with AB = BA on explicit tensor products."""
     paulis = ["".join(p) for p in product("IXYZ", repeat=3)]
-    mats = {s: _as_matrix(pauli_parse(s)) for s in paulis}
+    mats = {s: _as_matrix(PauliOperator.from_string(s)) for s in paulis}
     for a in paulis:
-        pa = pauli_parse(a)
+        pa = PauliOperator.from_string(a)
         for b in paulis:
-            pb = pauli_parse(b)
+            pb = PauliOperator.from_string(b)
             commutes = np.allclose(mats[a] @ mats[b], mats[b] @ mats[a])
             assert pa.commutes_with(pb) == commutes
             assert symplectic_product(pa, pb) == (0 if commutes else 1)
@@ -107,9 +104,9 @@ def test_symplectic_product_is_bilinear():
     rng = random.Random(61)
     letters = "IXYZ"
     for _ in range(200):
-        a = pauli_parse("".join(rng.choice(letters) for _ in range(6)))
-        b = pauli_parse("".join(rng.choice(letters) for _ in range(6)))
-        c = pauli_parse("".join(rng.choice(letters) for _ in range(6)))
+        a = PauliOperator.from_string("".join(rng.choice(letters) for _ in range(6)))
+        b = PauliOperator.from_string("".join(rng.choice(letters) for _ in range(6)))
+        c = PauliOperator.from_string("".join(rng.choice(letters) for _ in range(6)))
         lhs = symplectic_product(a * b, c)
         rhs = symplectic_product(a, c) ^ symplectic_product(b, c)
         assert lhs == rhs
@@ -148,12 +145,12 @@ def test_css_from_parity_rejects_bad_input():
 
 def test_noncommuting_generators_rejected():
     with pytest.raises(ValueError) as err:
-        StabilizerCode([pauli_parse("XI"), pauli_parse("ZI")])
+        StabilizerCode([PauliOperator.from_string("XI"), PauliOperator.from_string("ZI")])
     assert "commute" in str(err.value)
 
 
 def test_dependent_generators_rejected():
-    g = [pauli_parse("XX"), pauli_parse("XX")]
+    g = [PauliOperator.from_string("XX"), PauliOperator.from_string("XX")]
     with pytest.raises(ValueError):
         StabilizerCode(g)
 
@@ -161,12 +158,12 @@ def test_dependent_generators_rejected():
 def test_steane_known_syndromes():
     code = steane_code()
     # X on the first qubit: only the Z-type checks containing qubit 0 fire
-    assert code.syndrome(pauli_parse("XIIIIII")) == (0, 0, 0, 1, 0, 0)
+    assert code.syndrome(PauliOperator.from_string("XIIIIII")) == (0, 0, 0, 1, 0, 0)
     # X on the last qubit: it sits in all three Z-type checks
-    assert code.syndrome(pauli_parse("IIIIIIX")) == (0, 0, 0, 1, 1, 1)
+    assert code.syndrome(PauliOperator.from_string("IIIIIIX")) == (0, 0, 0, 1, 1, 1)
     # Z errors fire the X-type checks symmetrically
-    assert code.syndrome(pauli_parse("ZIIIIII")) == (1, 0, 0, 0, 0, 0)
-    assert code.syndrome(pauli_parse("IIIIIIZ")) == (1, 1, 1, 0, 0, 0)
+    assert code.syndrome(PauliOperator.from_string("ZIIIIII")) == (1, 0, 0, 0, 0, 0)
+    assert code.syndrome(PauliOperator.from_string("IIIIIIZ")) == (1, 1, 1, 0, 0, 0)
     assert code.syndrome(PauliOperator.identity(7)) == (0,) * 6
 
 
@@ -175,8 +172,8 @@ def test_syndrome_is_multiplicative():
     rng = random.Random(67)
     letters = "IXYZ"
     for _ in range(100):
-        a = pauli_parse("".join(rng.choice(letters) for _ in range(7)))
-        b = pauli_parse("".join(rng.choice(letters) for _ in range(7)))
+        a = PauliOperator.from_string("".join(rng.choice(letters) for _ in range(7)))
+        b = PauliOperator.from_string("".join(rng.choice(letters) for _ in range(7)))
         sa = code.syndrome(a)
         sb = code.syndrome(b)
         sab = code.syndrome(a * b)
@@ -214,9 +211,9 @@ def test_classify_generator_products_trivial():
 
 def test_classify_logical_and_detectable():
     code = steane_code()
-    logical_x = pauli_parse("XXXIIII")  # zero syndrome, outside the group
+    logical_x = PauliOperator.from_string("XXXIIII")  # zero syndrome, outside the group
     assert code.classify(logical_x) == "logical"
-    assert classify_residual(code, pauli_parse("IXIIIII")) == "detectable"
+    assert code.classify(PauliOperator.from_string("IXIIIII")) == "detectable"
     assert code.classify(PauliOperator.identity(7)) == "trivial"
 
 
@@ -231,7 +228,7 @@ def test_classify_logical_and_detectable():
 def test_classify_matches_group_enumeration(generators, max_weight, counts):
     """Oracle: trivial means one of the 2^ell generator products, detectable
     a nonzero syndrome, and anything else logical."""
-    code = StabilizerCode([pauli_parse(s) for s in generators])
+    code = StabilizerCode([PauliOperator.from_string(s) for s in generators])
     group = _stabilizer_group(code)
     assert len(group) == 1 << code.ell
     seen = Counter()
@@ -254,7 +251,7 @@ def test_classify_matches_group_enumeration(generators, max_weight, counts):
     ids=["steane-all", "five-qubit-all", "shor-weight-3"],
 )
 def test_batched_membership_matches_the_mask_loop(generators, max_weight):
-    code = StabilizerCode([pauli_parse(s) for s in generators])
+    code = StabilizerCode([PauliOperator.from_string(s) for s in generators])
     paulis = [p for w in range(max_weight + 1) for p in iter_weight_paulis(code.n, w)]
     paulis += _stabilizer_group(code)
     masks = np.array([p.symplectic_mask() for p in paulis], dtype=np.int64)
@@ -355,7 +352,7 @@ def test_parse_rejects_invalid_codes():
 
 _TWIN_CODES = [
     steane_code(),
-    StabilizerCode([pauli_parse(s) for s in FIVE_QUBIT_GENERATORS]),
+    StabilizerCode([PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]),
 ]
 _TWIN_CASES = [(code, lookup_decoder_build(code, 1)) for code in _TWIN_CODES]
 
