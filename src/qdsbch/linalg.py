@@ -4,13 +4,18 @@ Each row is one Python integer; bit j of row i is the entry (i, j).
 Elimination and products are XOR word operations, which keeps the sizes
 used here (hundreds of columns) far from needing anything fancier.
 A whole array of masks times a matrix is `BinaryMatrix._mul_masks`, the
-one batched GF(2) product: one table gather per 8 rows.
+one batched GF(2) product: one table gather per 8 rows.  Row-space
+membership of a batch (`_contains_masks`) is one such product, by the
+`_annihilator` whose columns span the vectors orthogonal to every row;
+the pivot walk of `_contains_mask` is its one-vector oracle.
 
 This module also owns the bit-vector convention of the whole package:
 entry i of a 0/1 tuple is bit i of an integer mask, and any entry other
 than 0 or 1 is a ValueError.  Every public call that takes or returns
 such a tuple converts through `_bits_to_mask` and `_mask_to_bits`, and
-the rows of a 0/1 array pack into an array of masks through `_pack_rows`.
+the rows of a 0/1 array pack into an array of masks through `_pack_rows`
+(for `sim.direct_monte_carlo`, which draws bits, and for tests; the grid
+sampler builds its masks directly).
 Tables indexed by a mask (a syndrome) are built only up to
 2^_MAX_TABLE_BITS entries.
 
@@ -229,15 +234,28 @@ class BinaryMatrix:
                 mask ^= rref.data[i]
         return mask == 0
 
+    @cached_property
+    def _annihilator(self) -> "BinaryMatrix":
+        """The cols x (cols - rank) matrix whose columns span the vectors
+        orthogonal to every row, so a vector is in the row space exactly
+        when its product with it is 0.  Column c is the null vector of the
+        c-th free column f of the RREF: a 1 at f and at each pivot whose
+        RREF row has a 1 at f."""
+        rref, _, pivots = self._rref()
+        free = sorted(set(range(self.cols)) - set(pivots))
+        out = [0] * self.cols
+        for c, f in enumerate(free):
+            out[f] |= 1 << c
+            for row, col in zip(rref.data, pivots):
+                if (row >> f) & 1:
+                    out[col] |= 1 << c
+        return BinaryMatrix(self.cols, len(free), out)
+
     def _contains_masks(self, masks: np.ndarray) -> np.ndarray:
         """`_contains_mask` over an array of masks (int64, or object for
-        rows wider than 62 bits), as a bool array: one masked XOR pass over
-        the whole batch per pivot."""
-        rref, _, pivots = self._rref()
-        masks = masks.copy()
-        for row, col in zip(rref.data, pivots):
-            masks ^= ((masks >> col) & 1) * row
-        return masks == 0
+        rows wider than 62 bits), as a bool array: one product by
+        `_annihilator`."""
+        return self._annihilator._mul_masks(masks) == 0
 
     # --- serialization ---
 

@@ -22,19 +22,24 @@ QdsCode._count_failures, as whole-batch numpy operations on tables that
 are built on the first batch (never by QdsCode() or decode).  A batch is
 an array of error masks x | z << n and one of n_s-bit flip masks, the
 masks the one-trial path uses; every GF(2) product on it is
-BinaryMatrix._mul_masks:
+BinaryMatrix._mul_masks.  The kernel never forms the readout: the SM code
+is linear and its decoders commute with adding a codeword (the contract
+in SyndromeMeasurementCode), so decoding encode(s) ^ f gives s ^ D(f),
+and gives up exactly when decoding f alone does.
 
-- Readout: the error masks times H_Q transposed with its x and z halves
-  swapped, XOR the flips.
-- SM decode: a BCH readout looks its syndrome (one more product) up in a
-  table of the coset leaders of weight <= t; a repetition readout takes
-  the bit-sliced majority of _decode_mask over the whole array.  A BCH
-  code whose table would pass 2^20 entries is decoded word by word with
-  Berlekamp-Massey instead.
-- Lookup: a LookupDecoder's corrections as an array over all 2^ell
-  syndromes.  Any other decoder is called once per trial whose SM decode
-  succeeded.
-- Residual: row-space membership of the whole batch in H.
+- SM decode of the flips alone, giving each trial's offset D(f): a BCH
+  code looks the flips' syndrome (one product) up in a table of the coset
+  leaders of weight <= t; a repetition code takes the bit-sliced majority
+  of _decode_mask over the whole array.  A BCH code whose table would
+  pass 2^20 entries is decoded word by word with Berlekamp-Massey.
+- One product of the errors gives each error's syndrome s (the decoded
+  syndrome is s ^ D(f)) and its class, the error times the annihilator
+  of H: an error times a correction is in the stabilizer group exactly
+  when the two have the same class.
+- Lookup: a LookupDecoder's correction classes as an array over all
+  2^ell syndromes.  Any other decoder is called once per trial whose SM
+  decode succeeded, and its corrections' classes come from the same
+  product.
 
 measure, decode_two_step and StabilizerCode.classify are the one-trial
 path the tests check the kernel against.
@@ -80,6 +85,13 @@ class SyndromeMeasurementCode(ABC):
     encode maps an ell-bit syndrome to the n_s-bit clean readout; decode
     maps a noisy readout back to an ell-bit syndrome estimate (None if the
     decoder gives up).  t_s is the guaranteed correction radius.
+
+    The trial kernel (QdsCode._count_failures) decodes the flips alone, so
+    every subclass must keep this contract for all s and f:
+    _decode_mask(encode(s) ^ f) == s ^ _decode_mask(f), where either both
+    calls give up or neither does, and the same for _decode_masks.  A
+    syndrome decoder of a linear code keeps it (a codeword has a zero
+    syndrome), and so does a bitwise majority over copies.
     """
 
     ell: int
@@ -268,11 +280,21 @@ class QdsCode:
             for i in range(self.h_q.rows)
         )
         self.row_weights = tuple((rx | rz).bit_count() for rx, rz in self._rows)
-        # H_Q transposed with its halves swapped, so that an error mask
-        # x | z << n times it is the readout: an X on qubit j flips the rows
-        # with a Z at j, and a Z the rows with an X
-        columns = self.h_q.transpose().data
-        self._readout = BinaryMatrix(2 * n, self.h_q.rows, columns[n:] + columns[:n])
+
+    @cached_property
+    def _syndrome_and_class(self) -> BinaryMatrix:
+        """The 2n x (ell + 2n - rank H) matrix whose product with an error
+        mask x | z << n holds the error's syndrome in the low ell bits and
+        its class (its product with H's `_annihilator`) above them.  The
+        syndrome part is H transposed with its halves swapped: an X on
+        qubit j flips the generators with a Z at j, and a Z those with an
+        X.  Built on first use."""
+        check = self.base.check_matrix
+        n, ell = self.base.n, self.base.ell
+        columns = check.transpose().data
+        annihilator = check._annihilator
+        rows = [s | (a << ell) for s, a in zip(columns[n:] + columns[:n], annihilator.data)]
+        return BinaryMatrix(2 * n, ell + annihilator.cols, rows)
 
     def measurement_pauli(self, i: int) -> PauliOperator:
         """Row i of H_Q as the product of generators it measures."""
@@ -316,24 +338,35 @@ class QdsCode:
         its n_s readout flips, each array of the `_mask_dtype` of its width.
         A trial fails when the SM decoder gives up, the syndrome is missing
         from the lookup table, or the residual is not in the stabilizer
-        group (the row space of H).  The module docstring lists the tables
-        each step uses and their fallbacks."""
-        msgs, ok = self.sm._decode_masks(self._readout._mul_masks(errors) ^ flips)
-        table = decoder._correction_masks if type(decoder) is LookupDecoder else None
+        group (the row space of H).
+
+        The flips are SM-decoded alone, to offsets D(f); one product gives
+        each error's syndrome s and class, the decoded syndrome is s ^ D(f),
+        and the residual is trivial exactly when the correction's class
+        equals the error's.  The module docstring lists the tables each
+        step uses and their fallbacks."""
+        ell = self.sm.ell
+        offsets, ok = self.sm._decode_masks(flips)
+        product = self._syndrome_and_class._mul_masks(errors)
+        msgs = (product & ((1 << ell) - 1)).astype(_mask_dtype(ell)) ^ offsets
+        classes = product >> ell
+        table = decoder._correction_classes if type(decoder) is LookupDecoder else None
         if table is not None:
-            corrections = np.where(ok, table[np.where(ok, msgs, 0)], -1)
+            # a miss is -1, which no class equals
+            fixed = table[np.where(ok, msgs, 0)]
         else:
             # one call per trial the SM decoder did not give up on
             found = [
                 decoder._decode_mask(m) if good else None
                 for m, good in zip(msgs.tolist(), ok.tolist())
             ]
+            ok = np.array([c is not None for c in found], dtype=bool)
+            # a miss as 0: the bytes of -1 would index past a short last table
             corrections = np.array(
-                [-1 if c is None else c.symplectic_mask() for c in found], dtype=errors.dtype
+                [0 if c is None else c.symplectic_mask() for c in found], dtype=errors.dtype
             )
-        hit = corrections >= 0
-        trivial = self.base.check_matrix._contains_masks(errors[hit] ^ corrections[hit])
-        return len(errors) - int(np.count_nonzero(trivial))
+            fixed = self._syndrome_and_class._mul_masks(corrections) >> ell
+        return len(errors) - int(np.count_nonzero(ok & (fixed == classes)))
 
     def __repr__(self) -> str:
         return f"QdsCode(base={self.base!r}, sm={self.sm!r})"

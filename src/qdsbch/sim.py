@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import __version__
-from .linalg import _pack_rows
+from .linalg import _mask_dtype, _pack_rows
 from .qds import QdsCode
 
 Cell = Tuple[int, int]
@@ -133,14 +133,23 @@ class SimGrid:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimGrid":
-        """Parse a grid file, rejecting cells no sampler could have written:
+        """Parse a grid file, rejecting what no sampler could have written:
+        a missing key, a seed, weight or count that is not a JSON integer,
         duplicates, cells outside the weight domain of code_meta's n and
-        n_s, and counts that are not 0 <= failures <= trials, trials >= 1."""
-        grid = cls(obj["code_meta"], obj["seed"])
+        n_s, and counts that are not 0 <= failures <= trials, trials >= 1.
+        Every rejection is a ValueError."""
+        seed = _json_int(obj, "seed", "grid file")
+        for key, kind, name in (("code_meta", dict, "object"), ("cells", list, "array")):
+            if key not in obj:
+                raise ValueError(f"grid file is missing {key!r}")
+            if not isinstance(obj[key], kind):
+                raise ValueError(f"grid file {key!r} must be a JSON {name}")
+        grid = cls(obj["code_meta"], seed)
         n, n_s = _domain_from_meta(grid)
         for cell in obj["cells"]:
-            key = (cell["wq"], cell["ws"])
-            trials, failures = cell["trials"], cell["failures"]
+            key = (_json_int(cell, "wq", "grid cell"), _json_int(cell, "ws", "grid cell"))
+            trials = _json_int(cell, "trials", "grid cell")
+            failures = _json_int(cell, "failures", "grid cell")
             if not (0 <= key[0] <= n and 0 <= key[1] <= n_s):
                 raise ValueError(f"grid cell {key} is outside [0, {n}] x [0, {n_s}]")
             if trials < 1 or not 0 <= failures <= trials:
@@ -174,18 +183,18 @@ def _run_cell(qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng) -> in
     """Failure count over `trials` samples at exact weights (w_q, w_s)."""
     n = qds.base.n
     n_s = qds.sm.n_s
-    rows = np.arange(trials)[:, None]
-    # each error as the 0/1 row of its symplectic mask x | z << n
-    errors = np.zeros((trials, 2 * n), dtype=np.uint8)
-    flips = np.zeros((trials, n_s), dtype=np.uint8)
+    errors = np.zeros(trials, dtype=_mask_dtype(2 * n))
+    flips = np.zeros(trials, dtype=_mask_dtype(n_s))
     if w_q:
         supports = np.argsort(rng.random((trials, n)), axis=1)[:, :w_q]
         letters = rng.integers(0, 3, size=(trials, w_q))  # 0 = X, 1 = Y, 2 = Z
-        errors[rows, supports] = letters <= 1
-        errors[rows, supports + n] = letters >= 1
+        # each letter's symplectic mask on qubit 0, shifted to its qubit
+        letter_masks = np.array([1, 1 | 1 << n, 1 << n], dtype=errors.dtype)
+        errors = np.bitwise_or.reduce(letter_masks[letters] << supports, axis=1)
     if w_s:
-        flips[rows, np.argsort(rng.random((trials, n_s)), axis=1)[:, :w_s]] = 1
-    return qds._count_failures(decoder, _pack_rows(errors), _pack_rows(flips))
+        sites = np.argsort(rng.random((trials, n_s)), axis=1)[:, :w_s]
+        flips = np.bitwise_or.reduce(np.array(1, dtype=flips.dtype) << sites, axis=1)
+    return qds._count_failures(decoder, errors, flips)
 
 
 def estimate_cell(
@@ -336,11 +345,26 @@ def combine_grid_bounds(
     return lo, hi + truncation * dropped
 
 
+def _json_int(obj, key: str, where: str) -> int:
+    """obj[key] where it is a JSON integer.  A missing key, or a value of
+    any other type (a bool too, though Python counts it an int), is a
+    ValueError naming the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} is missing {key!r}")
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{where} {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _domain_from_meta(grid: SimGrid) -> Tuple[int, int]:
-    try:
-        return int(grid.code_meta["n"]), int(grid.code_meta["n_s"])
-    except KeyError as exc:
-        raise ValueError("grid code_meta must carry n and n_s") from exc
+    """code_meta's n and n_s, which must be nonnegative integers."""
+    n, n_s = (_json_int(grid.code_meta, key, "grid code_meta") for key in ("n", "n_s"))
+    if n < 0 or n_s < 0:
+        raise ValueError(f"grid code_meta n and n_s must be nonnegative, got {n} and {n_s}")
+    return n, n_s
 
 
 def required_cells(

@@ -274,17 +274,22 @@ class LookupDecoder:
         return self._table.get(mask)
 
     @cached_property
-    def _correction_masks(self) -> Optional[np.ndarray]:
-        """The table as an array over all 2^ell syndromes: each
-        correction's symplectic mask, -1 where the table has none.  None
-        when it would pass 2^_MAX_TABLE_BITS entries; built on first use,
-        for the batched trial kernel."""
+    def _correction_classes(self) -> Optional[np.ndarray]:
+        """The table as an array over all 2^ell syndromes: the class of
+        each correction (its symplectic mask times the check matrix's
+        `_annihilator`, so an error times the correction is in the
+        stabilizer group exactly when their classes are equal), -1 where
+        the table has none.  None when it would pass 2^_MAX_TABLE_BITS
+        entries; built on first use, for the batched trial kernel."""
         if self.code.ell > _MAX_TABLE_BITS:
             return None
-        masks = np.full(1 << self.code.ell, -1, dtype=_mask_dtype(2 * self.code.n))
-        for s, p in self._table.items():
-            masks[s] = p.symplectic_mask()
-        return masks
+        annihilator = self.code.check_matrix._annihilator
+        corrections = [p.symplectic_mask() for p in self._table.values()]
+        classes = np.full(1 << self.code.ell, -1, dtype=_mask_dtype(annihilator.cols))
+        classes[list(self._table)] = annihilator._mul_masks(
+            np.array(corrections, dtype=_mask_dtype(2 * self.code.n))
+        )
+        return classes
 
     @property
     def covered(self) -> bool:

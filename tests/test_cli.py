@@ -408,6 +408,24 @@ def test_sim_sweep_rejects_malformed_grid_file(tmp_path, capsys):
     assert not curve_path.exists()
 
 
+@pytest.mark.parametrize(
+    "cell, key",
+    [
+        ({"wq": "1", "ws": 0, "trials": 10, "failures": 0}, "wq"),
+        ({"wq": 0, "ws": 0, "trials": 10}, "failures"),
+    ],
+    ids=["string-weight", "missing-failures"],
+)
+def test_sim_sweep_names_the_bad_grid_key(tmp_path, capsys, cell, key):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"code_meta": {"n": 7, "n_s": 6}, "seed": 1, "cells": [cell]}))
+    code, _, err = run(
+        capsys, "sim", "sweep", "--grid", str(grid_path), "--ps", "1e-3", "--ratio", "0.1",
+    )
+    assert code == 1
+    assert err.startswith("error: grid cell") and f"'{key}'" in err
+
+
 def test_sim_sweep_bad_points_spec(tmp_path, capsys):
     grid_path = tmp_path / "grid.json"
     run(capsys, "sim", "grid", "--sm", "identity", "--trials", "50",

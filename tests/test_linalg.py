@@ -1,5 +1,7 @@
 """Packed GF(2) matrices checked against numpy mod-2 arithmetic."""
 
+import functools
+import operator
 import random
 
 import numpy as np
@@ -135,6 +137,60 @@ def test_batched_membership_past_62_columns():
     want = [a._contains_mask(m) for m in masks.tolist()]
     assert a._contains_masks(masks).tolist() == want
     assert want[:40] == [True] * 40 and not all(want[40:])
+
+
+def _full_rank_square(rng, n):
+    # unit upper triangular, so invertible
+    rows = [(1 << i) | (rng.getrandbits(n) >> (i + 1) << (i + 1)) for i in range(n)]
+    return BinaryMatrix(n, n, rows)
+
+
+_WIDE_ROWS = [random.Random(61).getrandbits(70) for _ in range(10)]
+
+
+@pytest.mark.parametrize(
+    "a, contained",
+    [
+        (BinaryMatrix(0, 9, []), "zero only"),
+        (BinaryMatrix(0, 70, []), "zero only"),
+        (_full_rank_square(random.Random(67), 13), "all"),
+        (BinaryMatrix(10, 70, _WIDE_ROWS), "some"),
+        (BinaryMatrix(2, 70, _WIDE_ROWS[:2]), "some"),
+    ],
+    ids=[
+        "no-rows",
+        "no-rows-object-annihilator",
+        "full-rank-square",
+        "rows-past-62-bits",
+        "annihilator-past-62-columns",
+    ],
+)
+def test_batched_membership_edge_cases(a, contained):
+    """The annihilator product against the pivot walk: a 0-row matrix holds
+    only 0, a full-rank square one every vector (its annihilator has no
+    columns), and rows or annihilator columns past 62 bits take object
+    masks."""
+    ann = a._annihilator
+    assert (ann.rows, ann.cols) == (a.cols, a.cols - a.rank)
+    assert not any(a.mat_mul(ann).data)  # its columns are orthogonal to every row
+    rng = random.Random(71)
+    members = [0]
+    for _ in range(20):
+        picked = [row for row in a.data if rng.getrandbits(1)]
+        members.append(functools.reduce(operator.xor, picked, 0))
+    others = [rng.getrandbits(a.cols) for _ in range(20)]
+    masks = np.array(members + others, dtype=_mask_dtype(a.cols))
+    assert ann._mul_masks(masks).dtype == _mask_dtype(ann.cols)
+    got = a._contains_masks(masks)
+    assert got.dtype == bool
+    want = [a._contains_mask(m) for m in masks.tolist()]
+    assert got.tolist() == want
+    expected = {
+        "zero only": [m == 0 for m in masks.tolist()],
+        "all": [True] * len(masks),
+        "some": [True] * len(members) + [False] * len(others),
+    }[contained]
+    assert want == expected
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdsbch.bch import bch_construct, bch_select_m, bch_select_parameters, parity_bit_count
-from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix, _pack_rows
+from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix, _mask_dtype, _pack_rows
 from qdsbch.qds import (
     BchSyndromeMeasurement,
     QdsCode,
@@ -122,6 +122,58 @@ def test_bch_table_decode_matches_berlekamp_massey(sm, data):
     assert [msg for msg, good in zip(msgs.tolist(), ok) if good] == [
         out[0] for out in want if out is not None
     ]
+
+
+# the SM decode paths the trial kernel's split runs on: BCH by table, BCH by
+# Berlekamp-Massey on int64 words (bch_sm(6, 6), n_s = 39) and on 69-bit
+# object words (bch_sm(6, 10)), and majority up to the 66-bit readout
+_SPLIT_SMS = [
+    bch_sm(6, 3),
+    bch_sm(4, 2),
+    bch_sm(6, 6),
+    bch_sm(6, 10),
+    identity_sm(6),
+    repetition_sm(6, 3),
+    repetition_sm(6, 11),
+]
+
+
+@pytest.mark.parametrize(
+    "sm",
+    _SPLIT_SMS,
+    ids=["bch-t3", "bch-t2", "bch-t6-bm", "bch-t10-69bits", "identity", "rep3", "rep11"],
+)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sm_decode_commutes_with_adding_a_codeword(sm, data):
+    """The contract the trial kernel's split relies on: decoding a codeword
+    plus flips f gives the codeword's message XOR the decode of f alone,
+    and gives up exactly when decoding f alone does; word by word and as
+    a batch."""
+    flip_sets = [
+        data.draw(st.sets(st.integers(0, sm.n_s - 1), min_size=w, max_size=w))
+        for w in range(min(sm.n_s, sm.t_s + 4))  # inside the radius, at it and past it
+        for _ in range(3)
+    ]
+    flips = [sum(1 << p for p in positions) for positions in flip_sets]
+    flips += data.draw(st.lists(st.integers(0, (1 << sm.n_s) - 1), min_size=5, max_size=5))
+    msgs = data.draw(
+        st.lists(st.integers(0, (1 << sm.ell) - 1), min_size=len(flips), max_size=len(flips))
+    )
+    words = [sm._encode_mask(m) ^ f for m, f in zip(msgs, flips)]
+    for m, f, word in zip(msgs, flips, words):
+        alone = sm._decode_mask(f)
+        got = sm._decode_mask(word)
+        assert (got is None) == (alone is None)
+        if alone is not None:
+            assert got == m ^ alone
+    dtype = _mask_dtype(sm.n_s)
+    offsets, ok_alone = sm._decode_masks(np.array(flips, dtype=dtype))
+    got, ok = sm._decode_masks(np.array(words, dtype=dtype))
+    assert ok.tolist() == ok_alone.tolist()
+    assert ok[: 3 * (sm.t_s + 1)].all()  # up to t_s flips always decode
+    assert ok.all() == (sm.name != "bch")  # and BCH gives up past them
+    assert (got ^ offsets)[ok].tolist() == np.array(msgs, dtype=got.dtype)[ok].tolist()
 
 
 def test_repetition_sm_encode_layout():
@@ -354,6 +406,46 @@ def test_trial_kernel_matches_the_public_chain(base, sm):
             one = slice(i, i + 1)
             assert q._count_failures(decoder, errors[one], flip_masks[one]) == want[i]
     assert proxy.calls == 2 * sm_decoded
+
+
+def test_trial_kernel_counts_lookup_misses():
+    """A table that stops at weight 1 misses 42 of Steane's 64 syndromes: a
+    miss fails the trial on the gathered path (class -1) and on the
+    per-trial path (no correction) alike, even for an error in the
+    stabilizer group, whose class is that of no correction at all."""
+    base = steane_code()
+    q = qds_assemble(base, bch_sm(6, 3))
+    dec = lookup_decoder_build(base, max_weight=1, budget=22)
+    assert len(dec) == 22
+    rng = np.random.default_rng(131)
+    trials = 400
+    errors, flips, want, found = [], [], [], []
+    for i in range(trials):
+        if i % 2:
+            hits = rng.random(base.n) < 0.4 * rng.random()
+            letters = rng.integers(0, 3, size=base.n)  # 0 = X, 1 = Y, 2 = Z
+            x = sum(1 << j for j in range(base.n) if hits[j] and letters[j] <= 1)
+            z = sum(1 << j for j in range(base.n) if hits[j] and letters[j] >= 1)
+            e = PauliOperator(base.n, x, z)
+        else:  # a stabilizer: only a miscorrected readout makes it fail
+            e = PauliOperator.identity(base.n)
+            for g in base.generators:
+                e = e * g if rng.random() < 0.5 else e
+        f = tuple(int(b) for b in rng.random(q.sm.n_s) < 0.3 * rng.random())
+        errors.append(e.symplectic_mask())
+        flips.append(sum(b << k for k, b in enumerate(f)))
+        want.append(_oracle_fails(q, dec, e, f))
+        msg = q.sm.decode(q.measure(e, f))
+        if msg is not None:
+            found.append((dec.decode(msg) is not None, i % 2))
+    # hits and misses for both kinds of error, and both verdicts, all occur
+    assert {(True, 0), (False, 0), (True, 1), (False, 1)} <= set(found)
+    assert 0 < sum(want) < trials
+    errors, flips = np.array(errors, dtype=np.int64), np.array(flips, dtype=np.int64)
+    for decoder in (dec, _CountingDecoder(dec)):
+        assert q._count_failures(decoder, errors, flips) == sum(want)
+        for i in range(trials):
+            assert q._count_failures(decoder, errors[i : i + 1], flips[i : i + 1]) == want[i]
 
 
 # --- overhead counting --------------------------------------------------------

@@ -6,15 +6,18 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from qdsbch.bch import BchCode
-from qdsbch.linalg import BinaryMatrix
+from qdsbch.linalg import BinaryMatrix, _pack_rows
 from qdsbch.qds import bch_sm, identity_sm, qds_assemble, repetition_sm
 from qdsbch.sim import (
     CellStats,
     ErrorModel,
     SimGrid,
+    _cell_generator,
+    _run_cell,
     binomial_weight_probability,
     build_grid,
     combine_grid,
@@ -27,7 +30,7 @@ from qdsbch.sim import (
     sweep,
     wilson_interval,
 )
-from qdsbch.stabilizer import LookupDecoder, lookup_decoder_build, steane_code
+from qdsbch.stabilizer import LookupDecoder, css_from_parity, lookup_decoder_build, steane_code
 
 
 def _steane_qds(sm=None):
@@ -182,6 +185,62 @@ def test_grid_from_json_rejects_malformed_files(meta, cells):
     assert good.cells[(0, 0)] == CellStats(10, 1)
     with pytest.raises(ValueError):
         SimGrid.from_json_dict({"code_meta": meta, "seed": 1, "cells": cells})
+
+
+_DROP = object()
+
+
+def _edited(obj, edits):
+    """obj with each edited key set to its new value, or removed for _DROP."""
+    return {k: v for k, v in {**obj, **edits}.items() if v is not _DROP}
+
+
+@pytest.mark.parametrize(
+    "top, cell, match",
+    [
+        pytest.param({}, {"wq": "1"}, "grid cell 'wq' must be an integer", id="wq-string"),
+        pytest.param({}, {"wq": 1.0}, "grid cell 'wq' must be an integer", id="wq-float"),
+        pytest.param({}, {"wq": True}, "grid cell 'wq' must be an integer", id="wq-bool"),
+        pytest.param({}, {"ws": None}, "grid cell 'ws' must be an integer", id="ws-null"),
+        pytest.param({}, {"trials": 2.5}, "'trials' must be an integer", id="trials-float"),
+        pytest.param({}, {"failures": 0.5}, "'failures' must be an integer", id="failures-float"),
+        pytest.param({}, {"failures": False}, "'failures' must be an integer", id="failures-bool"),
+        pytest.param({}, {"wq": _DROP}, "grid cell is missing 'wq'", id="no-wq"),
+        pytest.param({}, {"ws": _DROP}, "grid cell is missing 'ws'", id="no-ws"),
+        pytest.param({}, {"trials": _DROP}, "grid cell is missing 'trials'", id="no-trials"),
+        pytest.param({}, {"failures": _DROP}, "grid cell is missing 'failures'", id="no-failures"),
+        pytest.param({"seed": _DROP}, {}, "grid file is missing 'seed'", id="no-seed"),
+        pytest.param({"code_meta": _DROP}, {}, "grid file is missing 'code_meta'", id="no-meta"),
+        pytest.param({"cells": _DROP}, {}, "grid file is missing 'cells'", id="no-cells"),
+        pytest.param({"seed": "1"}, {}, "grid file 'seed' must be an integer", id="seed-string"),
+        pytest.param({"seed": 1.0}, {}, "grid file 'seed' must be an integer", id="seed-float"),
+        pytest.param(
+            {"code_meta": {"n": "7", "n_s": 6}}, {}, "'n' must be an integer", id="n-string"
+        ),
+        pytest.param(
+            {"code_meta": {"n": 7.5, "n_s": 6}}, {}, "'n' must be an integer", id="n-float"
+        ),
+        pytest.param(
+            {"code_meta": {"n": 7, "n_s": True}}, {}, "'n_s' must be an integer", id="n_s-bool"
+        ),
+        pytest.param({"code_meta": {"n": -1, "n_s": 6}}, {}, "nonnegative", id="n-negative"),
+        pytest.param({"code_meta": {"n": 7, "n_s": -1}}, {}, "nonnegative", id="n_s-negative"),
+        pytest.param(
+            {"code_meta": [["n", 7], ["n_s", 6]]}, {}, "'code_meta' must be a JSON object",
+            id="meta-not-object",
+        ),
+        pytest.param({"cells": {"wq": 0}}, {}, "'cells' must be a JSON array", id="no-array"),
+        pytest.param(
+            {"cells": [[0, 0, 10, 1]]}, {}, "grid cell must be a JSON object", id="cell-not-object"
+        ),
+    ],
+)
+def test_grid_from_json_names_what_is_wrong(top, cell, match):
+    """Every value a grid file gives must be a JSON integer (not a float,
+    string or bool), and a missing key is named, never a KeyError."""
+    good = {"code_meta": {"n": 7, "n_s": 6}, "seed": 1, "cells": [_edited(_cell(), cell)]}
+    with pytest.raises(ValueError, match=match):
+        SimGrid.from_json_dict(_edited(good, top))
 
 
 def test_build_grid_repeats_byte_identical():
@@ -428,6 +487,54 @@ def test_bch_grid_runs_on_the_tables(monkeypatch):
     monkeypatch.setattr(BinaryMatrix, "_contains_mask", refuse)
     grid = build_grid(q, dec, seed=7, boundary_trials=20, bulk_trials=5)
     assert sum(cell.failures for cell in grid.cells.values()) > 0
+
+
+# Hamming checks repeated over five blocks: 35 qubits, so 2n = 70 bits and
+# the error masks are object arrays
+_WIDE = css_from_parity(
+    BinaryMatrix.from_strings([row * 5 for row in ["1010101", "0110011", "0001111"]])
+)
+
+
+def _bit_array_masks(n, n_s, w_q, w_s, trials, rng):
+    """The sampler as it was before it built masks directly: the same draws
+    written into 0/1 arrays by fancy indexing, then packed."""
+    rows = np.arange(trials)[:, None]
+    errors = np.zeros((trials, 2 * n), dtype=np.uint8)
+    flips = np.zeros((trials, n_s), dtype=np.uint8)
+    if w_q:
+        supports = np.argsort(rng.random((trials, n)), axis=1)[:, :w_q]
+        letters = rng.integers(0, 3, size=(trials, w_q))  # 0 = X, 1 = Y, 2 = Z
+        errors[rows, supports] = letters <= 1
+        errors[rows, supports + n] = letters >= 1
+    if w_s:
+        flips[rows, np.argsort(rng.random((trials, n_s)), axis=1)[:, :w_s]] = 1
+    return _pack_rows(errors), _pack_rows(flips)
+
+
+@pytest.mark.parametrize(
+    "base, sm",
+    [(steane_code(), bch_sm(6, 3)), (_WIDE, bch_sm(6, 3)), (steane_code(), repetition_sm(6, 11))],
+    ids=["steane", "wide-70bit-errors", "rep11-66bit-flips"],
+)
+def test_cell_sampler_matches_the_bit_array_reference(base, sm):
+    q = qds_assemble(base, sm)
+    batches = []
+    q._count_failures = lambda decoder, errors, flips: batches.append((errors, flips)) or 0
+    n, n_s, trials = base.n, sm.n_s, 40
+    low = (1 << n) - 1
+    for w_q in (0, 1, n):
+        for w_s in (0, 2, n_s):
+            _run_cell(q, None, w_q, w_s, trials, _cell_generator(3, w_q, w_s))
+            errors, flips = batches.pop()
+            want_errors, want_flips = _bit_array_masks(
+                n, n_s, w_q, w_s, trials, _cell_generator(3, w_q, w_s)
+            )
+            assert (errors.dtype, flips.dtype) == (want_errors.dtype, want_flips.dtype)
+            assert errors.tolist() == want_errors.tolist()
+            assert flips.tolist() == want_flips.tolist()
+            assert [((e | e >> n) & low).bit_count() for e in errors.tolist()] == [w_q] * trials
+            assert [f.bit_count() for f in flips.tolist()] == [w_s] * trials
 
 
 @pytest.mark.parametrize("weight_aware, want", [(False, 0.0415), (True, 0.343)])
