@@ -72,18 +72,19 @@ def _parse_prob_points(text: str, flag: str) -> List[float]:
             return [float(parts[0])]
         if len(parts) == 3:
             start, stop, spec = float(parts[0]), float(parts[1]), parts[2]
+            count = int(spec[3:])
+            if count < 1:
+                raise ValueError
             if spec.startswith("log"):
-                count = int(spec[3:])
                 if start <= 0 or stop <= 0:
                     raise ValueError
                 return [float(v) for v in np.logspace(np.log10(start), np.log10(stop), count)]
             if spec.startswith("lin"):
-                count = int(spec[3:])
                 return [float(v) for v in np.linspace(start, stop, count)]
         raise ValueError
     except ValueError:
         raise UsageError(
-            f"{flag} must be VALUE or START:STOP:logN / START:STOP:linN, got {text!r}"
+            f"{flag} must be VALUE or START:STOP:logN / START:STOP:linN with N >= 1, got {text!r}"
         ) from None
 
 
@@ -229,6 +230,10 @@ def _cmd_qds_count(args) -> int:
 
 
 def _cmd_sim_grid(args) -> int:
+    limits = (("--seed", args.seed), ("--max-wq", args.max_wq), ("--max-ws", args.max_ws))
+    for flag, value in limits:
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be nonnegative, got {value}")
     # sampling can take minutes: refuse an output with no directory first,
     # with the message a failed write would give
     if not Path(args.out).parent.is_dir():
@@ -266,10 +271,10 @@ def _cmd_sim_grid(args) -> int:
 
 
 def _cmd_sim_sweep(args) -> int:
-    grid = SimGrid.from_json_text(Path(args.grid).read_text())
     ps_values = _parse_prob_points(args.ps, "--ps")
     if args.ratio < 0:
         raise UsageError("--ratio must be nonnegative")
+    grid = SimGrid.from_json_text(Path(args.grid).read_text())
     lines = [
         _meta_comment(
             "sim sweep",

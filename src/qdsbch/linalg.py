@@ -4,18 +4,15 @@ Each row is one Python integer; bit j of row i is the entry (i, j).
 Elimination and products are XOR word operations, which keeps the sizes
 used here (hundreds of columns) far from needing anything fancier.
 A whole array of masks times a matrix is `BinaryMatrix._mul_masks`, the
-one batched GF(2) product: one table gather per 8 rows.  Row-space
-membership of a batch (`_contains_masks`) is one such product, by the
-`_annihilator` whose columns span the vectors orthogonal to every row;
-the pivot walk of `_contains_mask` is its one-vector oracle.
+one batched GF(2) product: one table gather per 8 rows.  The columns of
+the `_annihilator` span the vectors orthogonal to every row, so a vector
+is in the row space exactly when its product with it is 0; the pivot
+walk of `_contains_mask` is the one-vector oracle of that test.
 
 This module also owns the bit-vector convention of the whole package:
 entry i of a 0/1 tuple is bit i of an integer mask, and any entry other
 than 0 or 1 is a ValueError.  Every public call that takes or returns
-such a tuple converts through `_bits_to_mask` and `_mask_to_bits`, and
-the rows of a 0/1 array pack into an array of masks through `_pack_rows`
-(for `sim.direct_monte_carlo`, which draws bits, and for tests; the grid
-sampler builds its masks directly).
+such a tuple converts through `_bits_to_mask` and `_mask_to_bits`.
 Tables indexed by a mask (a syndrome) are built only up to
 2^_MAX_TABLE_BITS entries.
 
@@ -59,20 +56,6 @@ def _mask_dtype(width: int):
     return np.int64 if width <= 62 else object
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Each row of a 0/1 array as a mask, column j at bit j, in an array of
-    `_mask_dtype` of the column count.
-
-    Packs 62 columns at a time so every chunk fits an int64.
-    """
-    packed = np.zeros(bits.shape[0], dtype=_mask_dtype(bits.shape[1]))
-    for lo in range(0, bits.shape[1], 62):
-        chunk = bits[:, lo : lo + 62].astype(np.int64)
-        values = chunk @ (np.int64(1) << np.arange(chunk.shape[1], dtype=np.int64))
-        packed |= values.astype(packed.dtype) << lo
-    return packed
-
-
 class BinaryMatrix:
     """An immutable rows x cols matrix over GF(2)."""
 
@@ -88,7 +71,6 @@ class BinaryMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data
-        self._rref_cache = None
 
     # --- constructors ---
 
@@ -216,19 +198,18 @@ class BinaryMatrix:
 
     @property
     def rank(self) -> int:
-        return self._rref()[1]
+        return self._rref[1]
 
-    def _rref(self):
-        if self._rref_cache is None:
-            self._rref_cache = self.row_reduce()
-        return self._rref_cache
+    @cached_property
+    def _rref(self) -> Tuple["BinaryMatrix", int, Tuple[int, ...]]:
+        return self.row_reduce()
 
     def in_row_space(self, vector: Sequence[int]) -> bool:
         """Is the given bit vector a GF(2) combination of the rows?"""
         return self._contains_mask(_bits_to_mask(vector, "vector", self.cols))
 
     def _contains_mask(self, mask: int) -> bool:
-        rref, rank, pivots = self._rref()
+        rref, rank, pivots = self._rref
         for i, col in enumerate(pivots):
             if (mask >> col) & 1:
                 mask ^= rref.data[i]
@@ -241,7 +222,7 @@ class BinaryMatrix:
         when its product with it is 0.  Column c is the null vector of the
         c-th free column f of the RREF: a 1 at f and at each pivot whose
         RREF row has a 1 at f."""
-        rref, _, pivots = self._rref()
+        rref, _, pivots = self._rref
         free = sorted(set(range(self.cols)) - set(pivots))
         out = [0] * self.cols
         for c, f in enumerate(free):
@@ -250,12 +231,6 @@ class BinaryMatrix:
                 if (row >> f) & 1:
                     out[col] |= 1 << c
         return BinaryMatrix(self.cols, len(free), out)
-
-    def _contains_masks(self, masks: np.ndarray) -> np.ndarray:
-        """`_contains_mask` over an array of masks (int64, or object for
-        rows wider than 62 bits), as a bool array: one product by
-        `_annihilator`."""
-        return self._annihilator._mul_masks(masks) == 0
 
     # --- serialization ---
 

@@ -32,10 +32,10 @@ and gives up exactly when decoding f alone does.
   leaders of weight <= t; a repetition code takes the bit-sliced majority
   of _decode_mask over the whole array.  A BCH code whose table would
   pass 2^20 entries is decoded word by word with Berlekamp-Massey.
-- One product of the errors gives each error's syndrome s (the decoded
-  syndrome is s ^ D(f)) and its class, the error times the annihilator
-  of H: an error times a correction is in the stabilizer group exactly
-  when the two have the same class.
+- One product of the errors by StabilizerCode._syndrome_and_class gives
+  each error's syndrome s (the decoded syndrome is s ^ D(f)) and class,
+  the error times the annihilator of H: an error times a correction is
+  in the stabilizer group exactly when the two have the same class.
 - Lookup: a LookupDecoder's correction classes as an array over all
   2^ell syndromes.  Any other decoder is called once per trial whose SM
   decode succeeded, and its corrections' classes come from the same
@@ -73,7 +73,7 @@ from .stabilizer import (
     LookupDecoder,
     PauliOperator,
     StabilizerCode,
-    iter_weight_paulis,
+    _weight_pauli_masks,
 )
 
 Bits = Tuple[int, ...]
@@ -99,9 +99,10 @@ class SyndromeMeasurementCode(ABC):
     t_s: int
     name: str
 
-    @property
+    @cached_property
     def encode_matrix(self) -> BinaryMatrix:
-        """ell x n_s matrix G with encode(s) = s G: row i encodes bit i."""
+        """ell x n_s matrix G with encode(s) = s G: row i encodes bit i.
+        Built on first use."""
         rows = [self._encode_mask(1 << i) for i in range(self.ell)]
         return BinaryMatrix(self.ell, self.n_s, rows)
 
@@ -184,8 +185,7 @@ class BchSyndromeMeasurement(SyndromeMeasurementCode):
         r = self.n_s - self.ell
         if r > _MAX_TABLE_BITS or self.n_s > 62:
             return None
-        gen = self.code.generator_matrix()
-        parities = [gen.row_mask(j) >> self.ell for j in range(self.ell)]
+        parities = [row >> self.ell for row in self.encode_matrix.data]
         syndrome = BinaryMatrix(self.n_s, r, parities + [1 << i for i in range(r)])
         fix = np.full(1 << r, -1, dtype=np.int64)
         for w in range(self.t_s + 1):
@@ -281,21 +281,6 @@ class QdsCode:
         )
         self.row_weights = tuple((rx | rz).bit_count() for rx, rz in self._rows)
 
-    @cached_property
-    def _syndrome_and_class(self) -> BinaryMatrix:
-        """The 2n x (ell + 2n - rank H) matrix whose product with an error
-        mask x | z << n holds the error's syndrome in the low ell bits and
-        its class (its product with H's `_annihilator`) above them.  The
-        syndrome part is H transposed with its halves swapped: an X on
-        qubit j flips the generators with a Z at j, and a Z those with an
-        X.  Built on first use."""
-        check = self.base.check_matrix
-        n, ell = self.base.n, self.base.ell
-        columns = check.transpose().data
-        annihilator = check._annihilator
-        rows = [s | (a << ell) for s, a in zip(columns[n:] + columns[:n], annihilator.data)]
-        return BinaryMatrix(2 * n, ell + annihilator.cols, rows)
-
     def measurement_pauli(self, i: int) -> PauliOperator:
         """Row i of H_Q as the product of generators it measures."""
         rx, rz = self._rows[i]
@@ -347,7 +332,7 @@ class QdsCode:
         step uses and their fallbacks."""
         ell = self.sm.ell
         offsets, ok = self.sm._decode_masks(flips)
-        product = self._syndrome_and_class._mul_masks(errors)
+        product = self.base._syndrome_and_class._mul_masks(errors)
         msgs = (product & ((1 << ell) - 1)).astype(_mask_dtype(ell)) ^ offsets
         classes = product >> ell
         table = decoder._correction_classes if type(decoder) is LookupDecoder else None
@@ -365,7 +350,7 @@ class QdsCode:
             corrections = np.array(
                 [0 if c is None else c.symplectic_mask() for c in found], dtype=errors.dtype
             )
-            fixed = self._syndrome_and_class._mul_masks(corrections) >> ell
+            fixed = self.base._syndrome_and_class._mul_masks(corrections) >> ell
         return len(errors) - int(np.count_nonzero(ok & (fixed == classes)))
 
     def __repr__(self) -> str:
@@ -492,10 +477,9 @@ def verify_correction_guarantee(
     # the data-error radius the decoder is on the hook for
     t_data = quantum_decoder.max_weight
     t_s = qds.sm.t_s
-    total = 0
-    for w_q in range(t_data + 1):
-        for w_s in range(t_s + 1):
-            total += comb(n, w_q) * 3**w_q * comb(n_s, w_s)
+    total = sum(comb(n, w) * 3**w for w in range(t_data + 1)) * sum(
+        comb(n_s, w) for w in range(t_s + 1)
+    )
     if total > budget:
         raise BudgetExceededError(
             f"exhaustive verification needs {total} cases, budget is {budget}",
@@ -506,15 +490,14 @@ def verify_correction_guarantee(
     flip_sets = [_support_masks(n_s, w_s) for w_s in range(t_s + 1)]
     cells = []
     for w_q in range(t_data + 1):
-        data_errors = list(iter_weight_paulis(n, w_q))
+        errors = _weight_pauli_masks(n, w_q)
         for w_s, flips in enumerate(flip_sets):
+            # case k is error k // F with flips k % F; bounded batches keep
+            # the kernel's temporaries small
+            cases = len(errors) * len(flips)
             failures = 0
-            for e in data_errors:
-                # bounded batches keep the kernel's temporaries small
-                for lo in range(0, len(flips), _VERIFY_BATCH):
-                    block = flips[lo : lo + _VERIFY_BATCH]
-                    errors = np.full(len(block), e.symplectic_mask(), dtype=_mask_dtype(2 * n))
-                    failures += qds._count_failures(quantum_decoder, errors, block)
-            cases = len(data_errors) * len(flips)
+            for lo in range(0, cases, _VERIFY_BATCH):
+                e, f = np.divmod(np.arange(lo, min(lo + _VERIFY_BATCH, cases)), len(flips))
+                failures += qds._count_failures(quantum_decoder, errors[e], flips[f])
             cells.append(VerifyCell(w_q=w_q, w_s=w_s, cases=cases, failures=failures))
     return cells

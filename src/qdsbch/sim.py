@@ -15,8 +15,8 @@ readouts, then recombine
     p_err(p_q, p_s) = sum_cells A(w_q; p_q, n) A(w_s; p_s, n_s) p_L
 
 with binomial weight probabilities A.  One grid of cells serves every
-probability point, cells with negligible prefactor are dropped (their
-total is bounded by truncation * dropped_count), and each cell draws from
+probability point, cells with negligible prefactor are dropped (the sum
+of their prefactors bounds what they would add), and each cell draws from
 its own seeded stream so grids are reproducible cell by cell.
 """
 
@@ -30,8 +30,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import __version__
-from .linalg import _mask_dtype, _pack_rows
+from .linalg import _mask_dtype
 from .qds import QdsCode
+from .stabilizer import _pauli_masks
 
 Cell = Tuple[int, int]
 
@@ -134,11 +135,13 @@ class SimGrid:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimGrid":
         """Parse a grid file, rejecting what no sampler could have written:
-        a missing key, a seed, weight or count that is not a JSON integer,
-        duplicates, cells outside the weight domain of code_meta's n and
-        n_s, and counts that are not 0 <= failures <= trials, trials >= 1.
-        Every rejection is a ValueError."""
+        a missing key, a seed, weight or count that is not a JSON integer, a
+        negative seed, duplicates, cells outside the weight domain of n and
+        n_s in code_meta, and counts that are not 0 <= failures <= trials,
+        trials >= 1.  Every rejection is a ValueError."""
         seed = _json_int(obj, "seed", "grid file")
+        if seed < 0:
+            raise ValueError(f"grid file 'seed' must be nonnegative, got {seed}")
         for key, kind, name in (("code_meta", dict, "object"), ("cells", list, "array")):
             if key not in obj:
                 raise ValueError(f"grid file is missing {key!r}")
@@ -188,9 +191,7 @@ def _run_cell(qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng) -> in
     if w_q:
         supports = np.argsort(rng.random((trials, n)), axis=1)[:, :w_q]
         letters = rng.integers(0, 3, size=(trials, w_q))  # 0 = X, 1 = Y, 2 = Z
-        # each letter's symplectic mask on qubit 0, shifted to its qubit
-        letter_masks = np.array([1, 1 | 1 << n, 1 << n], dtype=errors.dtype)
-        errors = np.bitwise_or.reduce(letter_masks[letters] << supports, axis=1)
+        errors = _pauli_masks(supports, letters, n)
     if w_s:
         sites = np.argsort(rng.random((trials, n_s)), axis=1)[:, :w_s]
         flips = np.bitwise_or.reduce(np.array(1, dtype=flips.dtype) << sites, axis=1)
@@ -265,9 +266,10 @@ def build_grid(
 
 def _kept_cells(
     n: int, n_s: int, p_q: float, p_s: float, truncation: float
-) -> Tuple[List[Tuple[int, int, float]], int]:
+) -> Tuple[List[Tuple[int, int, float]], int, float]:
     """The (w_q, w_s, prefactor) cells whose binomial prefactor reaches
-    truncation, in row-major order, and the count of cells dropped."""
+    truncation, in row-major order, the count of cells dropped and the sum
+    of their prefactors."""
     for name, v in (("p_q", p_q), ("p_s", p_s)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must be a probability, got {v}")
@@ -276,18 +278,21 @@ def _kept_cells(
     col = [binomial_weight_probability(ws, p_s, n_s) for ws in range(n_s + 1)]
     kept = []
     dropped = 0
+    mass = 0.0
     for wq in range(n + 1):
         aq = binomial_weight_probability(wq, p_q, n)
         if aq < truncation:  # every cell in this row is below threshold
             dropped += n_s + 1
+            mass += aq * sum(col)
             continue
         for ws in range(n_s + 1):
             pref = aq * col[ws]
             if pref < truncation:
                 dropped += 1
+                mass += pref
             else:
                 kept.append((wq, ws, pref))
-    return kept, dropped
+    return kept, dropped, mass
 
 
 @dataclass(frozen=True)
@@ -302,11 +307,11 @@ def combine_grid(
 ) -> CombineResult:
     """Recombine a grid into p_err(p_q, p_s).
 
-    Cells with binomial prefactor below truncation contribute zero; their
-    worst-case total is reported as truncation_mass.  A cell that is
-    needed (prefactor >= truncation) but absent from the grid is an error.
+    Cells with binomial prefactor below truncation contribute zero, and
+    the sum of their prefactors is truncation_mass.  A needed cell
+    (prefactor >= truncation) absent from the grid is an error.
     """
-    kept, dropped = _kept_cells(*_domain_from_meta(grid), p_q, p_s, truncation)
+    kept, dropped, mass = _kept_cells(*_domain_from_meta(grid), p_q, p_s, truncation)
     p_err = 0.0
     for wq, ws, pref in kept:
         st = grid.cells.get((wq, ws))
@@ -316,7 +321,7 @@ def combine_grid(
                 f">= truncation {truncation:.3g}"
             )
         p_err += pref * (st.failures / st.trials)
-    return CombineResult(p_err=p_err, truncation_mass=truncation * dropped, dropped_cells=dropped)
+    return CombineResult(p_err=p_err, truncation_mass=mass, dropped_cells=dropped)
 
 
 def combine_grid_bounds(
@@ -330,7 +335,7 @@ def combine_grid_bounds(
     """
     t_data = grid.code_meta.get("t_data")
     t_s = grid.code_meta.get("t_s")
-    kept, dropped = _kept_cells(*_domain_from_meta(grid), p_q, p_s, truncation)
+    kept, _, mass = _kept_cells(*_domain_from_meta(grid), p_q, p_s, truncation)
     lo = hi = 0.0
     for wq, ws, pref in kept:
         st = grid.cells.get((wq, ws))
@@ -342,7 +347,7 @@ def combine_grid_bounds(
         cell_lo, cell_hi = wilson_interval(st.failures, st.trials, z)
         lo += pref * cell_lo
         hi += pref * cell_hi
-    return lo, hi + truncation * dropped
+    return lo, hi + mass
 
 
 def _json_int(obj, key: str, where: str) -> int:
@@ -373,7 +378,7 @@ def required_cells(
     """Cells whose prefactor reaches truncation at any (p_q, p_s) point."""
     needed: Set[Cell] = set()
     for p_q, p_s in points:
-        kept, _ = _kept_cells(n, n_s, p_q, p_s, truncation)
+        kept, _, _ = _kept_cells(n, n_s, p_q, p_s, truncation)
         needed.update((wq, ws) for wq, ws, _ in kept)
     return needed
 
@@ -452,6 +457,8 @@ def direct_monte_carlo(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     hits = rng.random((trials, n)) < model.p_q
     letters = rng.integers(0, 3, size=(trials, n))  # 0 = X, 1 = Y, 2 = Z
-    flips = rng.random((trials, n_s)) < row_p
-    errors = np.concatenate((hits & (letters <= 1), hits & (letters >= 1)), axis=1)
-    return qds._count_failures(decoder, _pack_rows(errors), _pack_rows(flips)) / trials
+    flipped = rng.random((trials, n_s)) < row_p
+    errors = _pauli_masks(np.arange(n), np.where(hits, letters, 3), n)
+    bits = np.array(1, dtype=_mask_dtype(n_s)) << np.arange(n_s)
+    flips = np.bitwise_or.reduce(np.where(flipped, bits, 0), axis=1)
+    return qds._count_failures(decoder, errors, flips) / trials

@@ -14,6 +14,9 @@ Classification of a residual error: "trivial" if it is in the row space
 of the check matrix (an element of the stabilizer group), otherwise
 "detectable" if any generator anticommutes with it (a nonzero syndrome)
 and "logical" if none does.
+
+Batches of Paulis are arrays of symplectic masks x | z << n, built by
+`_pauli_masks` and multiplied by `StabilizerCode._syndrome_and_class`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .linalg import _MAX_TABLE_BITS, BinaryMatrix, _bits_to_mask, _mask_dtype, _mask_to_bits
 
 _LETTERS = "IXZY"  # index = x_bit + 2*z_bit
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+_PAULI_LETTERS = "XYZI"  # the letter codes of `_pauli_masks`
 
 RESIDUAL_TRIVIAL = "trivial"
 RESIDUAL_LOGICAL = "logical"
@@ -70,15 +73,13 @@ class PauliOperator:
     def from_string(cls, s: str) -> "PauliOperator":
         if not s:
             raise ValueError("empty Pauli string")
-        x = z = 0
         for i, ch in enumerate(s):
-            try:
-                xb, zb = _LETTER_BITS[ch]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {ch!r} at position {i}") from None
-            x |= xb << i
-            z |= zb << i
-        return cls(len(s), x, z)
+            if ch not in _PAULI_LETTERS:
+                raise ValueError(f"invalid Pauli letter {ch!r} at position {i}")
+        n = len(s)
+        letters = np.array([_PAULI_LETTERS.index(ch) for ch in s], dtype=np.intp)
+        mask = int(_pauli_masks(np.arange(n), letters, n))
+        return cls(n, mask & ((1 << n) - 1), mask >> n)
 
     def to_string(self) -> str:
         return "".join(
@@ -128,23 +129,31 @@ def symplectic_product(a: PauliOperator, b: PauliOperator) -> int:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1
 
 
-def iter_weight_paulis(n: int, w: int) -> Iterator[PauliOperator]:
-    """All weight-w Paulis on n qubits, in a fixed deterministic order.
+def _pauli_masks(qubits: np.ndarray, letters: np.ndarray, n: int) -> np.ndarray:
+    """Symplectic masks x | z << n, of the `_mask_dtype` of 2n, of Paulis
+    with letter codes (0 = X, 1 = Y, 2 = Z, 3 = I) on qubits given along
+    the last axis of the broadcast arrays, which may be empty."""
+    letter_masks = np.array([1, 1 | 1 << n, 1 << n, 0], dtype=_mask_dtype(2 * n))
+    return np.bitwise_or.reduce(letter_masks[letters] << qubits, axis=-1)
 
-    Supports are enumerated in lexicographic order, letters per position
-    in X, Y, Z order.
-    """
-    if w == 0:
-        yield PauliOperator.identity(n)
-        return
-    letter_bits = ((1, 0), (1, 1), (0, 1))  # X, Y, Z
-    for support in combinations(range(n), w):
-        for letters in product(letter_bits, repeat=w):
-            x = z = 0
-            for pos, (xb, zb) in zip(support, letters):
-                x |= xb << pos
-                z |= zb << pos
-            yield PauliOperator(n, x, z)
+
+def _weight_pauli_masks(n: int, w: int) -> np.ndarray:
+    """Every weight-w Pauli on n qubits as a symplectic mask, supports in
+    lexicographic order and, within a support, letters per position in
+    X, Y, Z order (the last position fastest)."""
+    supports = np.array(list(combinations(range(n), w)), dtype=np.intp).reshape(comb(n, w), w)
+    letters = np.array(list(product(range(3), repeat=w)), dtype=np.intp).reshape(3**w, w)
+    return _pauli_masks(supports[:, None, :], letters[None, :, :], n).reshape(-1)
+
+
+def iter_weight_paulis(n: int, w: int) -> Iterator[PauliOperator]:
+    """All weight-w Paulis on n qubits, in the fixed order of
+    `_weight_pauli_masks`, turned into Python ints a block at a time."""
+    low = (1 << n) - 1
+    masks = _weight_pauli_masks(n, w)
+    for lo in range(0, len(masks), 1 << 16):
+        for mask in masks[lo : lo + (1 << 16)].tolist():
+            yield PauliOperator(n, mask & low, mask >> n)
 
 
 class StabilizerCode:
@@ -175,7 +184,6 @@ class StabilizerCode:
         self.k = n - self.ell
         self.generators = generators
         self.check_matrix = check
-        # fast-path cache for the simulation loop
         self._gen_masks = tuple((g.x, g.z) for g in generators)
 
     def syndrome(self, error: PauliOperator) -> Tuple[int, ...]:
@@ -203,23 +211,39 @@ class StabilizerCode:
             return RESIDUAL_DETECTABLE
         return RESIDUAL_LOGICAL
 
+    @cached_property
+    def _syndrome_and_class(self) -> BinaryMatrix:
+        """The 2n x 2n matrix whose product with a symplectic mask holds the
+        Pauli's syndrome in the low ell bits and its class (its product
+        with the check matrix's `_annihilator`, 0 exactly on the stabilizer
+        group) above them.  The syndrome part is the check matrix
+        transposed with its halves swapped: an X on qubit j flips the
+        generators with a Z at j, and a Z those with an X."""
+        n, ell = self.n, self.ell
+        columns = self.check_matrix.transpose().data
+        annihilator = self.check_matrix._annihilator
+        rows = [s | (a << ell) for s, a in zip(columns[n:] + columns[:n], annihilator.data)]
+        return BinaryMatrix(2 * n, ell + annihilator.cols, rows)
+
     def __repr__(self) -> str:
         return f"StabilizerCode(n={self.n}, k={self.k}, ell={self.ell})"
 
 
 def _min_logical_weight(code: StabilizerCode, budget: int = 10**6) -> Optional[int]:
-    """Minimum weight of a logical operator, by ascending enumeration.
+    """Minimum weight of a logical operator (zero syndrome, nonzero class),
+    by ascending enumeration, one batch per weight.
 
     Returns None when enumeration would blow the budget first.
     """
+    low = (1 << code.ell) - 1
     spent = 0
     for w in range(1, code.n + 1):
         spent += comb(code.n, w) * 3**w
         if spent > budget:
             return None
-        for p in iter_weight_paulis(code.n, w):
-            if code._classify_mask(p.x, p.z) == RESIDUAL_LOGICAL:
-                return w
+        product = code._syndrome_and_class._mul_masks(_weight_pauli_masks(code.n, w))
+        if np.any(((product & low) == 0) & ((product >> code.ell) != 0)):
+            return w
     return None
 
 
@@ -276,19 +300,18 @@ class LookupDecoder:
     @cached_property
     def _correction_classes(self) -> Optional[np.ndarray]:
         """The table as an array over all 2^ell syndromes: the class of
-        each correction (its symplectic mask times the check matrix's
-        `_annihilator`, so an error times the correction is in the
-        stabilizer group exactly when their classes are equal), -1 where
-        the table has none.  None when it would pass 2^_MAX_TABLE_BITS
-        entries; built on first use, for the batched trial kernel."""
-        if self.code.ell > _MAX_TABLE_BITS:
+        each correction (from `StabilizerCode._syndrome_and_class`, so an
+        error times the correction is in the stabilizer group exactly when
+        their classes are equal), -1 where the table has none.  None when
+        it would pass 2^_MAX_TABLE_BITS entries; built on first use, for
+        the batched trial kernel."""
+        code = self.code
+        if code.ell > _MAX_TABLE_BITS:
             return None
-        annihilator = self.code.check_matrix._annihilator
-        corrections = [p.symplectic_mask() for p in self._table.values()]
-        classes = np.full(1 << self.code.ell, -1, dtype=_mask_dtype(annihilator.cols))
-        classes[list(self._table)] = annihilator._mul_masks(
-            np.array(corrections, dtype=_mask_dtype(2 * self.code.n))
-        )
+        dtype = _mask_dtype(2 * code.n)
+        corrections = np.array([p.symplectic_mask() for p in self._table.values()], dtype=dtype)
+        classes = np.full(1 << code.ell, -1, dtype=dtype)
+        classes[list(self._table)] = code._syndrome_and_class._mul_masks(corrections) >> code.ell
         return classes
 
     @property

@@ -332,6 +332,29 @@ def test_sim_sweep_rows_match_library_sweep(tmp_path, capsys):
     assert out.strip().split("\n")[2:] == want
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-wq", "-1"), ("--max-ws", "-3"), ("--seed", "-5")],
+    ids=["max-wq", "max-ws", "seed"],
+)
+def test_sim_grid_refuses_a_negative_flag(tmp_path, capsys, monkeypatch, flag, value):
+    """A negative weight limit would write a grid of no cells, and a
+    negative seed reach numpy: each is a usage error naming its flag,
+    raised before any sampling."""
+
+    def refuse_to_sample(*args, **kwargs):
+        raise AssertionError("sampled a grid for an invalid flag")
+
+    monkeypatch.setattr(cli, "build_grid", refuse_to_sample)
+    out = tmp_path / "g.json"
+    flags = {"--seed": "1", "--out": str(out), flag: value}
+    argv = [item for pair in flags.items() for item in pair]
+    code, _, err = run(capsys, "sim", "grid", "--sm", "identity", *argv)
+    assert code == 1
+    assert err.startswith(f"error: {flag} must be nonnegative")
+    assert not out.exists()
+
+
 def test_sim_grid_requires_seed(tmp_path, capsys):
     code, _, err = run(
         capsys, "sim", "grid", "--sm", "identity", "--out", str(tmp_path / "g.json")
@@ -424,6 +447,22 @@ def test_sim_sweep_names_the_bad_grid_key(tmp_path, capsys, cell, key):
     )
     assert code == 1
     assert err.startswith("error: grid cell") and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("spec", ["1e-3:1e-2:log0", "1e-3:1e-2:lin0"], ids=["log0", "lin0"])
+def test_sim_sweep_refuses_an_empty_point_count(tmp_path, capsys, spec):
+    """A sweep of zero points would write a CSV with a header only."""
+    grid_path = tmp_path / "grid.json"
+    cell = {"wq": 0, "ws": 0, "trials": 10, "failures": 0}
+    grid_path.write_text(json.dumps({"code_meta": {"n": 7, "n_s": 6}, "seed": 1, "cells": [cell]}))
+    curve_path = tmp_path / "curve.csv"
+    code, _, err = run(
+        capsys, "sim", "sweep", "--grid", str(grid_path),
+        "--ps", spec, "--ratio", "0.1", "--out", str(curve_path),
+    )
+    assert code == 1
+    assert err.startswith("error: --ps must be") and spec in err
+    assert not curve_path.exists()
 
 
 def test_sim_sweep_bad_points_spec(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdsbch.bch import bch_construct, bch_select_m, bch_select_parameters, parity_bit_count
-from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix, _mask_dtype, _pack_rows
+from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix, _bits_to_mask, _mask_dtype
 from qdsbch.qds import (
     BchSyndromeMeasurement,
     QdsCode,
@@ -397,7 +397,13 @@ def test_trial_kernel_matches_the_public_chain(base, sm):
         sm_decoded += sm.decode(q.measure(e, tuple(flips[i].tolist()))) is not None
     # both verdicts occur, so a wrong readout bit cannot hide
     assert 0 < sum(want) < trials
-    errors, flip_masks = _pack_rows(np.concatenate((x, z), axis=1)), _pack_rows(flips)
+    errors = np.array(
+        [_bits_to_mask(row, "error") for row in np.concatenate((x, z), axis=1).tolist()],
+        dtype=_mask_dtype(2 * n),
+    )
+    flip_masks = np.array(
+        [_bits_to_mask(row, "flips") for row in flips.tolist()], dtype=_mask_dtype(sm.n_s)
+    )
     # the gathered lookup of a real decoder, then per-trial calls to a proxy
     proxy = _CountingDecoder(dec)
     for decoder in (dec, proxy):
@@ -577,6 +583,28 @@ def test_verify_looks_up_every_case_once():
     assert [c.cases for c in cells] == [comb(21, w) for w in range(4)]  # 1330 > one batch
     assert all(c.failures == 0 for c in cells)
     assert dec.calls == sum(c.cases for c in cells)
+
+
+def test_verify_sends_every_case_to_the_kernel_once():
+    """Inside the guarantee a failure never depends on which flips meet
+    which error, so the pairing is checked on the batches themselves:
+    every (error, flips) case of a cell, each exactly once."""
+    base = steane_code()
+    q = qds_assemble(base, bch_sm(6, 3))
+    dec = lookup_decoder_build(base, max_weight=1)
+    seen = []
+    q._count_failures = lambda decoder, errors, flips: seen.extend(
+        zip(errors.tolist(), flips.tolist())
+    ) or 0
+    cells = verify_correction_guarantee(q, dec)
+    want = [
+        (e.symplectic_mask(), sum(1 << i for i in sites))
+        for cell in cells
+        for e in iter_weight_paulis(base.n, cell.w_q)
+        for sites in itertools.combinations(range(q.sm.n_s), cell.w_s)
+    ]
+    assert len(want) == 34364
+    assert sorted(seen) == sorted(want)
 
 
 def test_verify_counts_the_failures_of_an_overreaching_decoder():

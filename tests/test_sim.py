@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qdsbch.bch import BchCode
-from qdsbch.linalg import BinaryMatrix, _pack_rows
+from qdsbch.linalg import BinaryMatrix, _bits_to_mask, _mask_dtype
 from qdsbch.qds import bch_sm, identity_sm, qds_assemble, repetition_sm
 from qdsbch.sim import (
     CellStats,
@@ -214,6 +214,7 @@ def _edited(obj, edits):
         pytest.param({"cells": _DROP}, {}, "grid file is missing 'cells'", id="no-cells"),
         pytest.param({"seed": "1"}, {}, "grid file 'seed' must be an integer", id="seed-string"),
         pytest.param({"seed": 1.0}, {}, "grid file 'seed' must be an integer", id="seed-float"),
+        pytest.param({"seed": -5}, {}, "grid file 'seed' must be nonnegative", id="seed-negative"),
         pytest.param(
             {"code_meta": {"n": "7", "n_s": 6}}, {}, "'n' must be an integer", id="n-string"
         ),
@@ -296,10 +297,25 @@ def test_combine_truncation_accounting():
     p_q, p_s = 0.03, 0.02
     full = combine_grid(grid, p_q, p_s, truncation=0.0)
     cut = combine_grid(grid, p_q, p_s, truncation=1e-6)
-    assert cut.dropped_cells > 0
-    assert cut.truncation_mass == pytest.approx(1e-6 * cut.dropped_cells)
+    # brute force: every cell's prefactor, the dropped ones summed
+    prefs = [
+        binomial_weight_probability(wq, p_q, 7) * binomial_weight_probability(ws, p_s, 6)
+        for wq in range(8)
+        for ws in range(7)
+    ]
+    dropped = [pref for pref in prefs if pref < 1e-6]
+    # a whole row is dropped when A(w_q) alone is below the truncation
+    assert binomial_weight_probability(7, p_q, 7) < 1e-6
+    assert cut.dropped_cells == len(dropped) > 0
+    assert cut.truncation_mass == pytest.approx(sum(dropped), rel=1e-12)
+    assert cut.truncation_mass <= 1e-6 * cut.dropped_cells
     assert cut.p_err <= full.p_err
     assert full.p_err - cut.p_err <= cut.truncation_mass + 1e-15
+    # the upper bound adds the dropped mass where the full sum adds each
+    # dropped cell's Wilson upper end, at most 1
+    hi_cut = combine_grid_bounds(grid, p_q, p_s, truncation=1e-6)[1]
+    hi_full = combine_grid_bounds(grid, p_q, p_s, truncation=0.0)[1]
+    assert 0.0 <= hi_cut - hi_full <= cut.truncation_mass
 
 
 def test_combine_missing_cell_raises():
@@ -455,13 +471,13 @@ def test_slope_is_two_for_bare_syndrome_readout_in_data_noise():
             bch_sm(6, 3),
             "ee01376d11bd2a18359f6c789eff287fbea8f4466bb76995fe3ce897fdeb3266",
             0.006187133239758391,
-            (0.004965297418482696, 0.006985443603570706),
+            (0.004965297418482696, 0.006985302236367717),
         ),
         (
             repetition_sm(6, 3),
             "8b9a6254c16abc68a7392f8478bfef74deeb5542aaba8077e89943871143a9c2",
             0.007187743800787022,
-            (0.005293648013964337, 0.009674986686381315),
+            (0.005293648013964337, 0.009674867770993854),
         ),
     ],
 )
@@ -509,7 +525,10 @@ def _bit_array_masks(n, n_s, w_q, w_s, trials, rng):
         errors[rows, supports + n] = letters >= 1
     if w_s:
         flips[rows, np.argsort(rng.random((trials, n_s)), axis=1)[:, :w_s]] = 1
-    return _pack_rows(errors), _pack_rows(flips)
+    return tuple(
+        np.array([_bits_to_mask(row, "row") for row in bits.tolist()], dtype=_mask_dtype(width))
+        for bits, width in ((errors, 2 * n), (flips, n_s))
+    )
 
 
 @pytest.mark.parametrize(
@@ -537,8 +556,53 @@ def test_cell_sampler_matches_the_bit_array_reference(base, sm):
             assert [f.bit_count() for f in flips.tolist()] == [w_s] * trials
 
 
+@pytest.mark.parametrize(
+    "base, sm",
+    [(steane_code(), bch_sm(6, 3)), (_WIDE, bch_sm(6, 3)), (steane_code(), bch_sm(6, 10))],
+    ids=["steane", "wide-70bit-errors", "bch10-69bit-flips"],
+)
+def test_direct_sampler_matches_the_bit_array_reference(base, sm):
+    """direct_monte_carlo's masks against its draws written into 0/1 rows
+    and packed bit by bit; weight-aware rates, so a flip on the wrong row
+    would also come from the wrong rate."""
+    q = qds_assemble(base, sm)
+    batches = []
+    q._count_failures = lambda decoder, errors, flips: batches.append((errors, flips)) or 0
+    model = ErrorModel(p_q=0.3, p_s=0.1, weight_aware=True)
+    n, n_s, trials = base.n, sm.n_s, 50
+    direct_monte_carlo(q, None, model, trials=trials, seed=17)
+    errors, flips = batches.pop()
+    rng = np.random.default_rng(np.random.SeedSequence(17))
+    hits = rng.random((trials, n)) < model.p_q
+    letters = rng.integers(0, 3, size=(trials, n))  # 0 = X, 1 = Y, 2 = Z
+    row_p = [stabilizer_meas_error_prob(w, model.p_s) if w else 0.0 for w in q.row_weights]
+    flipped = rng.random((trials, n_s)) < np.array(row_p)
+    bits = np.concatenate((hits & (letters <= 1), hits & (letters >= 1)), axis=1)
+    assert errors.tolist() == [_bits_to_mask(row, "error") for row in bits.astype(int).tolist()]
+    assert flips.tolist() == [_bits_to_mask(row, "flips") for row in flipped.astype(int).tolist()]
+    assert (errors.dtype, flips.dtype) == (_mask_dtype(2 * n), _mask_dtype(n_s))
+
+
 @pytest.mark.parametrize("weight_aware, want", [(False, 0.0415), (True, 0.343)])
 def test_pinned_direct_monte_carlo(weight_aware, want):
     q, dec = _steane_qds(bch_sm(6, 3))
     model = ErrorModel(p_q=0.05, p_s=0.03, weight_aware=weight_aware)
     assert direct_monte_carlo(q, dec, model, trials=2_000, seed=5) == want
+
+
+@pytest.mark.parametrize(
+    "base, sm, model, want",
+    [
+        (steane_code(), bch_sm(6, 10), ErrorModel(0.05, 0.1), 0.112),
+        (steane_code(), bch_sm(6, 10), ErrorModel(0.05, 0.02, weight_aware=True), 0.077),
+        (_WIDE, bch_sm(6, 3), ErrorModel(0.02, 0.03), 0.467),
+        (_WIDE, bch_sm(6, 3), ErrorModel(0.01, 0.002, weight_aware=True), 0.271),
+    ],
+    ids=["69bit-flips", "69bit-flips-weight-aware", "70bit-paulis", "70bit-paulis-weight-aware"],
+)
+def test_pinned_direct_monte_carlo_past_62_bits(base, sm, model, want):
+    """Flip or error masks too wide for int64 are object arrays; the pins
+    were taken when the draws were packed from 0/1 arrays."""
+    q = qds_assemble(base, sm)
+    dec = lookup_decoder_build(base, max_weight=1)
+    assert direct_monte_carlo(q, dec, model, trials=1_000, seed=5) == want

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdsbch.linalg import BinaryMatrix
+from qdsbch.linalg import BinaryMatrix, _mask_dtype
 from qdsbch.stabilizer import (
     BudgetExceededError,
     LookupDecoder,
     PauliOperator,
     StabilizerCode,
+    _min_logical_weight,
+    _pauli_masks,
     css_from_parity,
     format_stabilizer_code,
     hamming_parity_check,
@@ -110,6 +112,54 @@ def test_symplectic_product_is_bilinear():
         lhs = symplectic_product(a * b, c)
         rhs = symplectic_product(a, c) ^ symplectic_product(b, c)
         assert lhs == rhs
+
+
+# the (x, z) bits of the letter codes of _pauli_masks: X, Y, Z, I
+_LETTER_CODE_BITS = [(1, 0), (1, 1), (0, 1), (0, 0)]
+
+
+def _pauli_from_codes(n, qubits, letters):
+    x = z = 0
+    for q, letter in zip(qubits, letters):
+        xb, zb = _LETTER_CODE_BITS[letter]
+        x |= xb << q
+        z |= zb << q
+    return PauliOperator(n, x, z)
+
+
+@pytest.mark.parametrize("n", [1, 7, 31, 32, 35])
+def test_pauli_masks_match_symplectic_mask(n):
+    """Rows of distinct qubits with all four letters, on both sides of the
+    62-bit line of int64 masks; an empty last axis is the identity."""
+    rng = random.Random(n)
+    qubits = np.array([rng.sample(range(n), min(n, 4)) for _ in range(60)])
+    letters = np.array([[rng.randrange(4) for _ in row] for row in qubits])
+    got = _pauli_masks(qubits, letters, n)
+    assert got.dtype == _mask_dtype(2 * n)
+    rows = zip(qubits.tolist(), letters.tolist())
+    want = [_pauli_from_codes(n, q, ltr).symplectic_mask() for q, ltr in rows]
+    assert got.tolist() == want
+    # the qubit axis broadcast over every row, as the direct sampler draws it
+    full = np.array([[rng.randrange(4) for _ in range(n)] for _ in range(10)])
+    want = [_pauli_from_codes(n, range(n), row).symplectic_mask() for row in full.tolist()]
+    assert _pauli_masks(np.arange(n), full, n).tolist() == want
+    empty = np.zeros((3, 0), dtype=np.intp)
+    assert _pauli_masks(empty, empty, n).tolist() == [0, 0, 0]
+
+
+def _reference_weight_paulis(n, w):
+    """The documented order spelled out: supports lexicographic, then the
+    letters per position in X, Y, Z order."""
+    for support in combinations(range(n), w):
+        for letters in product(range(3), repeat=w):
+            yield _pauli_from_codes(n, support, letters)
+
+
+@pytest.mark.parametrize(
+    "n, w", [(1, 0), (1, 1), (7, 0), (7, 1), (7, 3), (5, 5), (31, 2), (32, 1), (35, 2)]
+)
+def test_iter_weight_paulis_order(n, w):
+    assert list(iter_weight_paulis(n, w)) == list(_reference_weight_paulis(n, w))
 
 
 def test_iter_weight_paulis_counts():
@@ -251,13 +301,19 @@ def test_classify_matches_group_enumeration(generators, max_weight, counts):
     ids=["steane-all", "five-qubit-all", "shor-weight-3"],
 )
 def test_batched_membership_matches_the_mask_loop(generators, max_weight):
+    """The syndrome-and-class product against the one-Pauli loops: its low
+    ell bits are the syndrome, and the class above them is 0 exactly for
+    the elements of the stabilizer group."""
     code = StabilizerCode([PauliOperator.from_string(s) for s in generators])
     paulis = [p for w in range(max_weight + 1) for p in iter_weight_paulis(code.n, w)]
     paulis += _stabilizer_group(code)
     masks = np.array([p.symplectic_mask() for p in paulis], dtype=np.int64)
+    product = code._syndrome_and_class._mul_masks(masks)
     want = [code.check_matrix._contains_mask(m) for m in masks.tolist()]
-    assert code.check_matrix._contains_masks(masks).tolist() == want
+    assert ((product >> code.ell) == 0).tolist() == want
     assert sum(want) >= 1 << code.ell
+    syndromes = [code._syndrome_mask(p.x, p.z) for p in paulis]
+    assert (product & ((1 << code.ell) - 1)).tolist() == syndromes
 
 
 # --- lookup decoder ----------------------------------------------------------
@@ -371,3 +427,34 @@ def test_syndrome_and_lookup_match_mask_twins(case, data):
     bad[data.draw(st.integers(0, code.ell - 1))] = 2
     with pytest.raises(ValueError):
         decoder.decode(bad)
+
+
+# Hamming checks repeated over five blocks: 35 qubits (2n = 70 bits), and
+# X or Z on qubits j and j + 7 is a weight-2 logical
+WIDE = css_from_parity(
+    BinaryMatrix.from_strings([row * 5 for row in ["1010101", "0110011", "0001111"]])
+)
+
+
+@pytest.mark.parametrize(
+    "code, distance",
+    [
+        (steane_code(), 3),
+        (StabilizerCode([PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]), 3),
+        (StabilizerCode([PauliOperator.from_string(s) for s in SHOR_GENERATORS]), 3),
+        (WIDE, 2),
+    ],
+    ids=["steane", "five-qubit", "shor", "wide-70bit"],
+)
+def test_min_logical_weight_matches_the_classify_oracle(code, distance):
+    oracle = next(
+        w
+        for w in range(1, code.n + 1)
+        if any(code._classify_mask(p.x, p.z) == "logical" for p in iter_weight_paulis(code.n, w))
+    )
+    assert oracle == distance
+    assert _min_logical_weight(code) == distance
+    # the budget counts every Pauli of weight 1..d
+    cost = sum(comb(code.n, w) * 3**w for w in range(1, distance + 1))
+    assert _min_logical_weight(code, budget=cost) == distance
+    assert _min_logical_weight(code, budget=cost - 1) is None
