@@ -241,8 +241,8 @@ def _min_logical_weight(code: StabilizerCode, budget: int = 10**6) -> Optional[i
         spent += comb(code.n, w) * 3**w
         if spent > budget:
             return None
-        product = code._syndrome_and_class._mul_masks(_weight_pauli_masks(code.n, w))
-        if np.any(((product & low) == 0) & ((product >> code.ell) != 0)):
+        products = code._syndrome_and_class._mul_masks(_weight_pauli_masks(code.n, w))
+        if np.any(((products & low) == 0) & ((products >> code.ell) != 0)):
             return w
     return None
 
