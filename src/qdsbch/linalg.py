@@ -4,7 +4,11 @@ Each row is one Python integer; bit j of row i is the entry (i, j).
 Elimination and products are XOR word operations, which keeps the sizes
 used here (hundreds of columns) far from needing anything fancier.
 A whole array of masks times a matrix is `BinaryMatrix._mul_masks`, the
-one batched GF(2) product: one table gather per 8 rows.  The columns of
+one batched GF(2) product.  It splits the rows into ceil(rows / 16) chunks
+of equal width (the last may be narrower) and tabulates, per chunk, the
+XOR of the rows picked by every value of its bits, at most 2^16 entries;
+a product is then one gather per chunk, and a matrix of at most 16 rows
+is a single gather indexed by the masks themselves.  The columns of
 the `_annihilator` span the vectors orthogonal to every row, so a vector
 is in the row space exactly when its product with it is 0; the pivot
 walk of `_contains_mask` is the one-vector oracle of that test.
@@ -29,6 +33,8 @@ import numpy as np
 
 # the widest index of a lookup table built as an array: 2^20 int64 entries is 8 MB
 _MAX_TABLE_BITS = 20
+# the most matrix rows one `_mul_masks` table covers: 2^16 int64 entries is 512 KB
+_CHUNK_BITS = 16
 
 
 def _bits_to_mask(bits: Iterable[int], what: str, width: int | None = None) -> int:
@@ -144,23 +150,38 @@ class BinaryMatrix:
         return BinaryMatrix(self.rows, other.cols, out)
 
     @cached_property
-    def _byte_tables(self) -> List[np.ndarray]:
-        """For rows 8k..8k+7, the XOR of the rows picked by each byte value,
-        as an array of `_mask_dtype` of the column count."""
+    def _chunk_tables(self) -> List[Tuple[int, np.ndarray]]:
+        """(first row, table) per chunk of ceil(rows / chunks) <= 16 rows,
+        chunks = ceil(rows / 16), the last chunk taking what is left.  A
+        table is the XOR of the chunk's rows picked by each value of its
+        bits, as an array of `_mask_dtype` of the column count; it doubles
+        by one row at a time, to at most 2^16 entries."""
+        if not self.rows:
+            return []
+        chunks = -(-self.rows // _CHUNK_BITS)
+        width = -(-self.rows // chunks)
         tables = []
-        for lo in range(0, self.rows, 8):
-            table = [0]
-            for row in self.data[lo : lo + 8]:
-                table += [v ^ row for v in table]
-            tables.append(np.array(table, dtype=_mask_dtype(self.cols)))
+        for lo in range(0, self.rows, width):
+            table = np.zeros(1, dtype=_mask_dtype(self.cols))
+            for row in self.data[lo : lo + width]:
+                table = np.concatenate((table, table ^ row))
+            tables.append((lo, table))
         return tables
 
     def _mul_masks(self, masks: np.ndarray) -> np.ndarray:
         """Each mask (rows bits, int64 or object) as a row vector times the
-        matrix, as an array of `_mask_dtype` of the column count."""
-        out = np.zeros(len(masks), dtype=_mask_dtype(self.cols))
-        for k, table in enumerate(self._byte_tables):
-            out ^= table[((masks >> (8 * k)) & 0xFF).astype(np.intp)]
+        matrix, as an array of `_mask_dtype` of the column count: one gather
+        per chunk table of `_chunk_tables`, so a matrix of at most 16 rows
+        takes a single gather with the masks as the index."""
+        tables = self._chunk_tables
+        if not tables:
+            return np.zeros(len(masks), dtype=_mask_dtype(self.cols))
+        # the top chunk's bits need no AND and the bottom chunk's no shift
+        top, table = tables[-1]
+        out = table[(masks >> top if top else masks).astype(np.intp, copy=False)]
+        for lo, table in tables[:-1]:
+            index = (masks >> lo if lo else masks) & (len(table) - 1)
+            out ^= table[index.astype(np.intp, copy=False)]
         return out
 
     def __xor__(self, other: "BinaryMatrix") -> "BinaryMatrix":

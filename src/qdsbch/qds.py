@@ -21,11 +21,15 @@ Every trial, sampled or enumerated, goes through one batched kernel,
 QdsCode._count_failures, as whole-batch numpy operations on tables that
 are built on the first batch (never by QdsCode() or decode).  A batch is
 an array of error masks x | z << n and one of n_s-bit flip masks, the
-masks the one-trial path uses; every GF(2) product on it is
-BinaryMatrix._mul_masks.  The kernel never forms the readout: the SM code
-is linear and its decoders commute with adding a codeword (the contract
-in SyndromeMeasurementCode), so decoding encode(s) ^ f gives s ^ D(f),
-and gives up exactly when decoding f alone does.
+masks the one-trial path uses (sim._run_cell draws a flip mask as the
+set of a row's w_s smallest random keys, in no order).  Every GF(2)
+product on a batch is BinaryMatrix._mul_masks, one gather per chunk of at
+most 16 matrix rows: a single gather for Steane's 14-row
+syndrome-and-class product, two for the 21-row syndrome of the [21,6,7]
+BCH code.  The kernel never forms the readout: the SM code is linear and
+its decoders commute with adding a codeword (the contract in
+SyndromeMeasurementCode), so decoding encode(s) ^ f gives s ^ D(f), and
+gives up exactly when decoding f alone does.
 
 - SM decode of the flips alone, giving each trial's offset D(f): a BCH
   code looks the flips' syndrome (one product) up in a table of the coset
@@ -333,7 +337,7 @@ class QdsCode:
         ell = self.sm.ell
         offsets, ok = self.sm._decode_masks(flips)
         product = self.base._syndrome_and_class._mul_masks(errors)
-        msgs = (product & ((1 << ell) - 1)).astype(_mask_dtype(ell)) ^ offsets
+        msgs = (product & ((1 << ell) - 1)).astype(_mask_dtype(ell), copy=False) ^ offsets
         classes = product >> ell
         table = decoder._correction_classes if type(decoder) is LookupDecoder else None
         if table is not None:
@@ -346,7 +350,7 @@ class QdsCode:
                 for m, good in zip(msgs.tolist(), ok.tolist())
             ]
             ok = np.array([c is not None for c in found], dtype=bool)
-            # a miss as 0: the bytes of -1 would index past a short last table
+            # a miss as 0, a valid index; ok is False there, so its class is unused
             corrections = np.array(
                 [0 if c is None else c.symplectic_mask() for c in found], dtype=errors.dtype
             )
@@ -459,7 +463,10 @@ class VerifyCell:
     failures: int
 
 
-_VERIFY_BATCH = 1024
+# cases per kernel call: the kernel's temporaries, with the case-index
+# arrays, peak at about 80 bytes a case on int64 masks, so a batch keeps
+# them within 512 KB, inside a core's L2 cache
+_VERIFY_BATCH = (1 << 19) // 80
 
 
 def verify_correction_guarantee(
@@ -492,8 +499,7 @@ def verify_correction_guarantee(
     for w_q in range(t_data + 1):
         errors = _weight_pauli_masks(n, w_q)
         for w_s, flips in enumerate(flip_sets):
-            # case k is error k // F with flips k % F; bounded batches keep
-            # the kernel's temporaries small
+            # case k is error k // F with flips k % F, in `_VERIFY_BATCH`es
             cases = len(errors) * len(flips)
             failures = 0
             for lo in range(0, cases, _VERIFY_BATCH):

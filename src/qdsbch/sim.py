@@ -189,12 +189,22 @@ def _run_cell(qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng) -> in
     errors = np.zeros(trials, dtype=_mask_dtype(2 * n))
     flips = np.zeros(trials, dtype=_mask_dtype(n_s))
     if w_q:
+        # the w_q smallest keys in order: letter i goes on the qubit of rank i
         supports = np.argsort(rng.random((trials, n)), axis=1)[:, :w_q]
-        letters = rng.integers(0, 3, size=(trials, w_q))  # 0 = X, 1 = Y, 2 = Z
+        letters = rng.integers(3, size=(trials, w_q))  # 0 = X, 1 = Y, 2 = Z
         errors = _pauli_masks(supports, letters, n)
     if w_s:
-        sites = np.argsort(rng.random((trials, n_s)), axis=1)[:, :w_s]
-        flips = np.bitwise_or.reduce(np.array(1, dtype=flips.dtype) << sites, axis=1)
+        # a flip mask is an OR, so only the set of the w_s smallest keys
+        # counts, not their order: the keys at or below the w_s-th smallest
+        # (sorting the values beats np.partition on short rows).  A key tied
+        # with that one would join the set, so then the set is the first w_s
+        # of the argsort order and every mask still weighs w_s
+        keys = rng.random((trials, n_s))
+        hit = keys <= np.sort(keys, axis=1)[:, w_s - 1 : w_s]
+        if np.count_nonzero(hit) != trials * w_s:
+            hit = np.zeros_like(hit)
+            np.put_along_axis(hit, np.argsort(keys, axis=1)[:, :w_s], True, axis=1)
+        flips = hit @ (np.array(1, dtype=flips.dtype) << np.arange(n_s))
     return qds._count_failures(decoder, errors, flips)
 
 

@@ -137,22 +137,37 @@ def _pauli_masks(qubits: np.ndarray, letters: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_or.reduce(letter_masks[letters] << qubits, axis=-1)
 
 
-def _weight_pauli_masks(n: int, w: int) -> np.ndarray:
+# the most masks `_weight_pauli_blocks` builds at once: with the temporaries
+# of `_pauli_masks`, a few MB
+_PAULI_BLOCK = 1 << 16
+
+
+def _weight_pauli_blocks(n: int, w: int) -> Iterator[np.ndarray]:
     """Every weight-w Pauli on n qubits as a symplectic mask, supports in
     lexicographic order and, within a support, letters per position in
-    X, Y, Z order (the last position fastest)."""
-    supports = np.array(list(combinations(range(n), w)), dtype=np.intp).reshape(comb(n, w), w)
+    X, Y, Z order (the last position fastest), in consecutive arrays of at
+    most `_PAULI_BLOCK` masks: all letters on a block of supports, or, past
+    3^w > `_PAULI_BLOCK`, a slice of the letters on one support."""
+    supports = np.array(list(combinations(range(n), w)), dtype=np.intp).reshape(comb(n, w), 1, w)
     letters = np.array(list(product(range(3), repeat=w)), dtype=np.intp).reshape(3**w, w)
-    return _pauli_masks(supports[:, None, :], letters[None, :, :], n).reshape(-1)
+    step = max(1, _PAULI_BLOCK // 3**w)
+    for lo in range(0, len(supports), step):
+        for a in range(0, 3**w, _PAULI_BLOCK):
+            block = _pauli_masks(supports[lo : lo + step], letters[a : a + _PAULI_BLOCK], n)
+            yield block.reshape(-1)
+
+
+def _weight_pauli_masks(n: int, w: int) -> np.ndarray:
+    """The masks of `_weight_pauli_blocks` in one array."""
+    return np.concatenate([np.zeros(0, dtype=_mask_dtype(2 * n)), *_weight_pauli_blocks(n, w)])
 
 
 def iter_weight_paulis(n: int, w: int) -> Iterator[PauliOperator]:
     """All weight-w Paulis on n qubits, in the fixed order of
-    `_weight_pauli_masks`, turned into Python ints a block at a time."""
+    `_weight_pauli_blocks`, turned into Python ints a block at a time."""
     low = (1 << n) - 1
-    masks = _weight_pauli_masks(n, w)
-    for lo in range(0, len(masks), 1 << 16):
-        for mask in masks[lo : lo + (1 << 16)].tolist():
+    for block in _weight_pauli_blocks(n, w):
+        for mask in block.tolist():
             yield PauliOperator(n, mask & low, mask >> n)
 
 
@@ -231,7 +246,7 @@ class StabilizerCode:
 
 def _min_logical_weight(code: StabilizerCode, budget: int = 10**6) -> Optional[int]:
     """Minimum weight of a logical operator (zero syndrome, nonzero class),
-    by ascending enumeration, one batch per weight.
+    by ascending enumeration, one block of masks at a time.
 
     Returns None when enumeration would blow the budget first.
     """
@@ -241,9 +256,10 @@ def _min_logical_weight(code: StabilizerCode, budget: int = 10**6) -> Optional[i
         spent += comb(code.n, w) * 3**w
         if spent > budget:
             return None
-        products = code._syndrome_and_class._mul_masks(_weight_pauli_masks(code.n, w))
-        if np.any(((products & low) == 0) & ((products >> code.ell) != 0)):
-            return w
+        for block in _weight_pauli_blocks(code.n, w):
+            products = code._syndrome_and_class._mul_masks(block)
+            if np.any(((products & low) == 0) & ((products >> code.ell) != 0)):
+                return w
     return None
 
 

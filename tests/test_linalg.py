@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdsbch.linalg import BinaryMatrix, _bits_to_mask, _mask_dtype
+from qdsbch.stabilizer import steane_code
 
 
 def _random_matrix(rng, rows, cols):
@@ -194,19 +195,44 @@ def test_batched_membership_edge_cases(a, contained):
 
 @pytest.mark.parametrize(
     "rows, cols",
-    [(0, 5), (0, 70), (5, 3), (13, 21), (16, 21), (21, 15), (66, 6), (70, 21), (21, 70), (8, 0)],
+    [
+        (0, 5), (0, 70), (5, 3), (13, 21), (16, 21), (17, 21), (21, 15), (32, 21), (33, 21),
+        (48, 8), (62, 8), (63, 8), (66, 6), (70, 21), (21, 70), (8, 0),
+    ],
 )
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_mul_masks_is_the_row_vector_product(rows, cols, data):
-    """Each mask times the matrix, against a one-row mat_mul: row counts off
-    a multiple of 8, no rows, and rows or columns past 62 (object masks)."""
+    """Each mask times the matrix, against a one-row mat_mul: one table and
+    the first row counts that split (17, 33), chunks of equal and of
+    unequal width, no rows, and rows or columns past 62 (object masks)."""
     data_rows = st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)
     a = BinaryMatrix(rows, cols, data.draw(data_rows))
     masks = data.draw(st.lists(st.integers(0, (1 << rows) - 1), max_size=20))
     got = a._mul_masks(np.array(masks, dtype=_mask_dtype(rows)))
     assert got.dtype == _mask_dtype(cols)
     assert got.tolist() == [BinaryMatrix(1, rows, [m]).mat_mul(a).data[0] for m in masks]
+
+
+@pytest.mark.parametrize("rows", [1, 15, 16, 17, 21, 32, 33, 62, 63, 70])
+def test_chunk_tables_cover_the_rows_within_2_16(rows):
+    """ceil(rows / 16) chunk tables covering every row in order, none past
+    2^16 entries: each ceil(rows / chunks) rows wide but the last, which
+    takes what is left."""
+    a = BinaryMatrix(rows, 4, [i % 16 for i in range(rows)])
+    tables = a._chunk_tables
+    widths = [len(table).bit_length() - 1 for _, table in tables]
+    assert len(tables) == -(-rows // 16)
+    assert [lo for lo, _ in tables] == [sum(widths[:k]) for k in range(len(tables))]
+    assert sum(widths) == rows
+    assert widths[:-1] == [-(-rows // len(tables))] * (len(tables) - 1) and widths[-1] <= 16
+    assert all(len(table) == 1 << w <= 1 << 16 for (_, table), w in zip(tables, widths))
+
+
+def test_steane_syndrome_and_class_is_one_gather():
+    """Steane's 14-row syndrome-and-class product is a single table."""
+    tables = steane_code()._syndrome_and_class._chunk_tables
+    assert [(lo, len(table)) for lo, table in tables] == [(0, 1 << 14)]
 
 
 def test_in_row_space_length_check():

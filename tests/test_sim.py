@@ -540,10 +540,10 @@ def test_cell_sampler_matches_the_bit_array_reference(base, sm):
     q = qds_assemble(base, sm)
     batches = []
     q._count_failures = lambda decoder, errors, flips: batches.append((errors, flips)) or 0
-    n, n_s, trials = base.n, sm.n_s, 40
+    n, n_s, trials = base.n, sm.n_s, 300
     low = (1 << n) - 1
     for w_q in (0, 1, n):
-        for w_s in (0, 2, n_s):
+        for w_s in sorted({0, 1, 2, sm.t_s, n_s - 1, n_s}):
             _run_cell(q, None, w_q, w_s, trials, _cell_generator(3, w_q, w_s))
             errors, flips = batches.pop()
             want_errors, want_flips = _bit_array_masks(
@@ -554,6 +554,37 @@ def test_cell_sampler_matches_the_bit_array_reference(base, sm):
             assert flips.tolist() == want_flips.tolist()
             assert [((e | e >> n) & low).bit_count() for e in errors.tolist()] == [w_q] * trials
             assert [f.bit_count() for f in flips.tolist()] == [w_s] * trials
+
+
+class _TiedKeys:
+    """A generator whose keys take one of four values, so a row's w-th
+    smallest key ties with others; integers come from a seeded stream."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        return np.floor(self._rng.random(size) * 4) / 4
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("w_s", [1, 3, 10, 20])
+def test_cell_sampler_breaks_key_ties_by_the_argsort_order(w_s):
+    """Keys tied at the w_s-th smallest would put more than w_s keys at or
+    below it; the flips must still weigh exactly w_s and be the argsort's."""
+    q = qds_assemble(steane_code(), bch_sm(6, 3))
+    batches = []
+    q._count_failures = lambda decoder, errors, flips: batches.append((errors, flips)) or 0
+    trials, n_s = 300, q.sm.n_s
+    keys = _TiedKeys(5).random((trials, n_s))
+    assert np.count_nonzero(keys <= np.sort(keys, axis=1)[:, w_s - 1 : w_s]) > trials * w_s
+    _run_cell(q, None, 0, w_s, trials, _TiedKeys(5))
+    _, flips = batches.pop()
+    _, want_flips = _bit_array_masks(7, n_s, 0, w_s, trials, _TiedKeys(5))
+    assert [f.bit_count() for f in flips.tolist()] == [w_s] * trials
+    assert flips.tolist() == want_flips.tolist()
 
 
 @pytest.mark.parametrize(

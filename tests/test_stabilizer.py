@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdsbch import stabilizer as stabilizer_module
 from qdsbch.linalg import BinaryMatrix, _mask_dtype
 from qdsbch.stabilizer import (
     BudgetExceededError,
@@ -18,6 +19,7 @@ from qdsbch.stabilizer import (
     StabilizerCode,
     _min_logical_weight,
     _pauli_masks,
+    _weight_pauli_blocks,
     css_from_parity,
     format_stabilizer_code,
     hamming_parity_check,
@@ -160,6 +162,36 @@ def _reference_weight_paulis(n, w):
 )
 def test_iter_weight_paulis_order(n, w):
     assert list(iter_weight_paulis(n, w)) == list(_reference_weight_paulis(n, w))
+
+
+def _reference_weight_masks(n, w):
+    """The documented order as masks, by nested combinations x product."""
+    for support in combinations(range(n), w):
+        for letters in product(range(3), repeat=w):
+            mask = 0
+            for q, letter in zip(support, letters):
+                xb, zb = _LETTER_CODE_BITS[letter]
+                mask |= xb << q | zb << (q + n)
+            yield mask
+
+
+def test_weight_pauli_blocks_keep_the_order_across_blocks():
+    """(23, 4) spans eleven blocks of whole supports; each block is within
+    the bound and their concatenation is the nested reference."""
+    blocks = list(_weight_pauli_blocks(23, 4))
+    assert len(blocks) == 11
+    assert max(len(b) for b in blocks) <= stabilizer_module._PAULI_BLOCK
+    assert np.concatenate(blocks).tolist() == list(_reference_weight_masks(23, 4))
+
+
+@pytest.mark.parametrize("n, w", [(7, 3), (6, 5), (5, 5), (4, 0)])
+def test_weight_pauli_blocks_split_letters_past_the_bound(monkeypatch, n, w):
+    """With a 100-mask bound, 3^5 letters no longer fit one block, so one
+    support's letters are sliced; 3^3 fit three supports a block."""
+    monkeypatch.setattr(stabilizer_module, "_PAULI_BLOCK", 100)
+    blocks = list(_weight_pauli_blocks(n, w))
+    assert max(len(b) for b in blocks) <= 100
+    assert np.concatenate(blocks).tolist() == list(_reference_weight_masks(n, w))
 
 
 def test_iter_weight_paulis_counts():
