@@ -165,14 +165,7 @@ def test_iter_weight_paulis_order(n, w):
 
 
 def _reference_weight_masks(n, w):
-    """The documented order as masks, by nested combinations x product."""
-    for support in combinations(range(n), w):
-        for letters in product(range(3), repeat=w):
-            mask = 0
-            for q, letter in zip(support, letters):
-                xb, zb = _LETTER_CODE_BITS[letter]
-                mask |= xb << q | zb << (q + n)
-            yield mask
+    return [p.symplectic_mask() for p in _reference_weight_paulis(n, w)]
 
 
 def test_weight_pauli_blocks_keep_the_order_across_blocks():
@@ -181,7 +174,7 @@ def test_weight_pauli_blocks_keep_the_order_across_blocks():
     blocks = list(_weight_pauli_blocks(23, 4))
     assert len(blocks) == 11
     assert max(len(b) for b in blocks) <= stabilizer_module._PAULI_BLOCK
-    assert np.concatenate(blocks).tolist() == list(_reference_weight_masks(23, 4))
+    assert np.concatenate(blocks).tolist() == _reference_weight_masks(23, 4)
 
 
 @pytest.mark.parametrize("n, w", [(7, 3), (6, 5), (5, 5), (4, 0)])
@@ -191,7 +184,7 @@ def test_weight_pauli_blocks_split_letters_past_the_bound(monkeypatch, n, w):
     monkeypatch.setattr(stabilizer_module, "_PAULI_BLOCK", 100)
     blocks = list(_weight_pauli_blocks(n, w))
     assert max(len(b) for b in blocks) <= 100
-    assert np.concatenate(blocks).tolist() == list(_reference_weight_masks(n, w))
+    assert np.concatenate(blocks).tolist() == _reference_weight_masks(n, w)
 
 
 def test_iter_weight_paulis_counts():
