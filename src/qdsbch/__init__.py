@@ -67,7 +67,6 @@ from .sim import (
     combine_grid,
     combine_grid_bounds,
     direct_monte_carlo,
-    estimate_cell,
     required_cells,
     stabilizer_meas_error_prob,
     sweep,
@@ -131,7 +130,6 @@ __all__ = [
     "combine_grid",
     "combine_grid_bounds",
     "direct_monte_carlo",
-    "estimate_cell",
     "required_cells",
     "stabilizer_meas_error_prob",
     "sweep",

@@ -7,7 +7,9 @@ integers in [0, 2^m) whose bits are coordinates in the polynomial basis
 polynomial; multiplication goes through log/antilog tables.
 
 `_coset` is the one walk over a 2-cyclotomic coset; the coset list, the
-minimal polynomials and the BCH parity count are all built on it.
+BCH generator's root cosets and the BCH parity count are built on it.
+Minimal polynomials need no coset: each is the first GF(2) dependency
+among the powers of its root.
 """
 
 from __future__ import annotations
@@ -303,28 +305,30 @@ def cyclotomic_cosets(m: int) -> List[List[int]]:
 
 
 def minimal_polynomial(field: GF2m, exponent: int) -> BinaryPolynomial:
-    """Minimal polynomial of alpha**exponent over GF(2).
+    """Minimal polynomial of beta = alpha**exponent over GF(2).
 
-    Computed as prod_{c in coset(exponent)} (x - alpha^c), multiplied out
-    in GF(2^m); the result must have all coefficients in GF(2), which is
-    asserted rather than assumed.
+    The powers beta^0, beta^1, ... are m-bit vectors over GF(2).  The
+    first one that is a GF(2) combination of the powers before it gives
+    the monic dependency of least degree, which is the minimal polynomial
+    by definition; m + 1 vectors in GF(2)^m are always dependent.  Each
+    power is reduced against pivots keyed by top bit, carrying the mask of
+    the powers it combines.
     """
     n = field.group_order
-    coset = _coset(exponent % n, n)
-    # coefficients of the product live in the extension field until the end
-    coeffs = [1]  # the constant polynomial 1, lowest degree first
-    for c in coset:
-        root = field.pow_alpha(c)
-        # multiply coeffs by (x + root)
-        nxt = [0] * (len(coeffs) + 1)
-        for i, ci in enumerate(coeffs):
-            if ci:
-                nxt[i + 1] ^= ci
-                nxt[i] ^= field.mul(ci, root)
-        coeffs = nxt
-    mask = 0
-    for i, ci in enumerate(coeffs):
-        if ci not in (0, 1):
-            raise AssertionError("minimal polynomial left the prime field")
-        mask |= ci << i
-    return BinaryPolynomial(mask)
+    step = exponent % n
+    pivots = {}  # top bit -> (reduced vector, mask of the powers in it)
+    power = 0
+    for k in range(field.m + 1):
+        vec, combo = field._antilog[power], 1 << k
+        while vec:
+            top = vec.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (vec, combo)
+                break
+            pivot_vec, pivot_combo = pivots[top]
+            vec ^= pivot_vec
+            combo ^= pivot_combo
+        else:
+            return BinaryPolynomial(combo)
+        power = (power + step) % n
+    raise AssertionError("m + 1 powers in GF(2^m) must be dependent")

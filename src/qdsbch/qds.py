@@ -57,9 +57,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from math import comb, factorial
+from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -368,20 +368,30 @@ def qds_assemble(base: StabilizerCode, sm: SyndromeMeasurementCode) -> QdsCode:
 # --- measurement overhead counting -----------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _e_bracket(terms: int) -> Tuple[int, int]:
+    """(p, q) with p/q = sum_{j<terms} 1/j! and q = (terms-1)!, by the
+    recurrence p_{K+1} = K*p_K + 1, q_{K+1} = K*q_K from p_1 = q_1 = 1.
+    It depends on terms alone, which takes the values 30, 50, 70, ..."""
+    p = q = 1
+    for k in range(1, terms):
+        p, q = k * p + 1, k * q
+    return p, q
+
+
 def _min_power_of_two_exponent_times_e(d: int) -> int:
     """Smallest z with 2^z >= d * e, computed exactly in integers.
 
     Brackets e between p/q = sum_{j<K} 1/j! with q = (K-1)! and
-    p/q + 2/(Kq) (the tail after j = K-1 is below 2/K!).  For a bound a/b,
-    z is the bit length of ceil(d*a/b) - 1; K widens until both bounds give
-    the same z.
+    p/q + 2/(Kq) (the tail after j = K-1 is below 2/K!), with (p, q) from
+    `_e_bracket`, built once per K.  For a bound a/b, z is the bit length
+    of ceil(d*a/b) - 1; K widens until both bounds give the same z.
     """
     if d <= 0:
         raise ValueError("d must be positive")
     terms = 30
     while True:
-        q = factorial(terms - 1)
-        p = sum(q // factorial(j) for j in range(terms))
+        p, q = _e_bracket(terms)
         z_low = (-(-d * p // q) - 1).bit_length()
         z_high = (-(-d * (terms * p + 2) // (terms * q)) - 1).bit_length()
         if z_low == z_high:

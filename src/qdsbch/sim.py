@@ -208,18 +208,6 @@ def _run_cell(qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng) -> in
     return qds._count_failures(decoder, errors, flips)
 
 
-def estimate_cell(
-    qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, seed: int
-) -> float:
-    """Failure fraction at exact weights (w_q, w_s), reproducible by seed:
-    the (w_q, w_s) cell of a grid with that seed and trial count."""
-    grid = build_grid(
-        qds, decoder, seed=seed, boundary_trials=trials, bulk_trials=trials, cells=[(w_q, w_s)]
-    )
-    st = grid.cells[(w_q, w_s)]
-    return st.failures / st.trials
-
-
 def default_code_meta(qds: QdsCode, decoder) -> dict:
     meta = {
         "version": __version__,

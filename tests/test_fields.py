@@ -216,6 +216,42 @@ def test_minimal_polynomial_properties(m):
         assert _trial_divide_irreducible(mp)
 
 
+def _coset_product(field: GF2m, exponent: int) -> BinaryPolynomial:
+    """Reference minimal polynomial: prod (x + alpha^c) over the coset of
+    exponent, multiplied out in GF(2^m), whose coefficients must all lie in
+    GF(2)."""
+    n = field.group_order
+    coset = [exponent % n]
+    while (2 * coset[-1]) % n != coset[0]:
+        coset.append((2 * coset[-1]) % n)
+    coeffs = [1]  # lowest degree first, entries in GF(2^m)
+    for c in coset:
+        root = field.pow_alpha(c)
+        nxt = [0] * (len(coeffs) + 1)
+        for i, ci in enumerate(coeffs):
+            nxt[i + 1] ^= ci
+            nxt[i] ^= field.mul(ci, root)
+        coeffs = nxt
+    assert set(coeffs) <= {0, 1}
+    return BinaryPolynomial.from_coefficients(coeffs)
+
+
+@pytest.mark.parametrize("m", [*range(2, 13), 16])
+def test_minimal_polynomial_matches_the_coset_product(m):
+    """The first GF(2) dependency among the powers of beta equals the product
+    over beta's conjugates: for every coset leader and, below m = 16, for
+    non-leaders, negative exponents and exponents past 2^m - 2."""
+    field = GF2m(m)
+    n = field.group_order
+    exponents = [c[0] for c in cyclotomic_cosets(m)]
+    if m < 16:
+        rng = random.Random(m)
+        exponents += [rng.randrange(n) for _ in range(20)]
+        exponents += [n, n + 1, 2 * n + 3, 5 * n - 1, -1, -3]
+    for e in exponents:
+        assert minimal_polynomial(field, e) == _coset_product(field, e), e
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.integers(0, 1), max_size=40), st.data())
 def test_polynomial_coefficients_roundtrip(coeffs, data):

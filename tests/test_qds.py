@@ -17,6 +17,7 @@ from qdsbch.qds import (
     BchSyndromeMeasurement,
     QdsCode,
     RepetitionSyndromeMeasurement,
+    _e_bracket,
     _min_power_of_two_exponent_times_e,
     bch_sm,
     fujiwara_extra_measurements,
@@ -504,6 +505,13 @@ def test_e_bound_matches_a_decimal_oracle():
                 assert _min_power_of_two_exponent_times_e(d) == want, (z, d)
 
 
+@pytest.mark.parametrize("terms", [30, 50, 70])
+def test_e_bracket_is_the_series_over_a_common_denominator(terms):
+    """(p, q) = (sum_{j<K} (K-1)!/j!, (K-1)!), term by term."""
+    q = math.factorial(terms - 1)
+    assert _e_bracket(terms) == (sum(q // math.factorial(j) for j in range(terms)), q)
+
+
 def test_overhead_scales_as_the_abstract_claims():
     """BCH needs about t*log2(ell) extra measurements and the distinct-pair
     construction about t^3*log2(ell), for ell past the GF(2^m) table.
@@ -573,14 +581,16 @@ def test_verify_identity_sm():
     assert all(c.failures == 0 for c in cells)
 
 
-def test_verify_looks_up_every_case_once():
+def test_verify_looks_up_every_case_once(monkeypatch):
     """Inside the guarantee every case reaches the lookup decoder, so the
     lookups must equal the cases, including cells split into batches."""
     base = steane_code()
     q = qds_assemble(base, bch_sm(6, 3))
     dec = _CountingDecoder(lookup_decoder_build(base, max_weight=0))
+    # batches of 500 split the 1,330-case cell at two edges
+    monkeypatch.setattr("qdsbch.qds._VERIFY_BATCH", 500)
     cells = verify_correction_guarantee(q, dec)
-    assert [c.cases for c in cells] == [comb(21, w) for w in range(4)]  # 1330 > one batch
+    assert [c.cases for c in cells] == [comb(21, w) for w in range(4)]
     assert all(c.failures == 0 for c in cells)
     assert dec.calls == sum(c.cases for c in cells)
 

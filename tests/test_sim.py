@@ -24,7 +24,6 @@ from qdsbch.sim import (
     combine_grid_bounds,
     default_code_meta,
     direct_monte_carlo,
-    estimate_cell,
     required_cells,
     stabilizer_meas_error_prob,
     sweep,
@@ -100,45 +99,55 @@ def test_error_model_validation():
 # --- cell estimation ------------------------------------------------------------
 
 
-def test_estimate_cell_is_deterministic():
+def _one_cell(q, dec, w_q, w_s, trials, seed):
+    """Failure fraction of the (w_q, w_s) cell of a one-cell grid."""
+    grid = build_grid(
+        q, dec, seed=seed, boundary_trials=trials, bulk_trials=trials, cells=[(w_q, w_s)]
+    )
+    st = grid.cells[(w_q, w_s)]
+    return st.failures / st.trials
+
+
+def test_one_cell_grid_is_deterministic():
     q, dec = _steane_qds(bch_sm(6, 3))
-    a = estimate_cell(q, dec, 2, 1, trials=500, seed=42)
-    b = estimate_cell(q, dec, 2, 1, trials=500, seed=42)
+    a = _one_cell(q, dec, 2, 1, trials=500, seed=42)
+    b = _one_cell(q, dec, 2, 1, trials=500, seed=42)
     assert a == b
-    c = estimate_cell(q, dec, 2, 1, trials=500, seed=43)
+    c = _one_cell(q, dec, 2, 1, trials=500, seed=43)
     # different seed gives an independent stream (values may coincide but
     # the draw sequence must not be forced to)
     assert 0.0 <= c <= 1.0
 
 
-def test_estimate_cell_certified_region_is_zero():
+def test_one_cell_grid_certified_region_is_zero():
     q, dec = _steane_qds(bch_sm(6, 3))
     for w_q in (0, 1):
         for w_s in (0, 1, 2, 3):
-            assert estimate_cell(q, dec, w_q, w_s, trials=300, seed=7) == 0.0
+            assert _one_cell(q, dec, w_q, w_s, trials=300, seed=7) == 0.0
 
 
 def test_estimate_cell_all_flips_is_deterministic_failure_fraction():
     q, dec = _steane_qds()
-    frac = estimate_cell(q, dec, 0, q.sm.n_s, trials=100, seed=3)
+    frac = _one_cell(q, dec, 0, q.sm.n_s, trials=100, seed=3)
     assert frac in (0.0, 1.0)
 
 
 @pytest.mark.parametrize("sm, want", [(bch_sm(6, 3), 0.75), (repetition_sm(6, 3), 0.78)])
 def test_pinned_estimate_cell(sm, want):
-    """Values taken before estimate_cell became a one-cell build_grid."""
+    """Values taken when a cell was estimated on its own, before that became
+    a one-cell build_grid."""
     q, dec = _steane_qds(sm)
-    assert estimate_cell(q, dec, 2, 2, 200, 3) == want
+    assert _one_cell(q, dec, 2, 2, 200, 3) == want
 
 
 def test_estimate_cell_validates_inputs():
     q, dec = _steane_qds()
     with pytest.raises(ValueError):
-        estimate_cell(q, dec, 8, 0, trials=10, seed=1)
+        _one_cell(q, dec, 8, 0, trials=10, seed=1)
     with pytest.raises(ValueError):
-        estimate_cell(q, dec, 0, 7, trials=10, seed=1)
+        _one_cell(q, dec, 0, 7, trials=10, seed=1)
     with pytest.raises(ValueError):
-        estimate_cell(q, dec, 0, 0, trials=0, seed=1)
+        _one_cell(q, dec, 0, 0, trials=0, seed=1)
 
 
 # --- grids ----------------------------------------------------------------------
