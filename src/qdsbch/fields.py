@@ -179,7 +179,8 @@ def poly_lcm(polys: Sequence[BinaryPolynomial]) -> BinaryPolynomial:
         if p.is_zero:
             raise ValueError("poly_lcm is undefined for the zero polynomial")
         g = acc.gcd(p)
-        acc = (acc // g) * p
+        # coprime factors (distinct minimal polynomials are) need no division
+        acc = acc * p if g.degree == 0 else (acc // g) * p
     return acc
 
 

@@ -17,6 +17,9 @@ and "logical" if none does.
 
 Batches of Paulis are arrays of symplectic masks x | z << n, built by
 `_pauli_masks` and multiplied by `StabilizerCode._syndrome_and_class`.
+Every weight-w Pauli comes from `_weight_pauli_blocks`, as blocks of
+qubit and letter indices; `StabilizerCode._pauli_products` evaluates
+their products sparsely, as the XOR of one table row per letter.
 """
 
 from __future__ import annotations
@@ -137,29 +140,31 @@ def _pauli_masks(qubits: np.ndarray, letters: np.ndarray, n: int) -> np.ndarray:
     return np.bitwise_or.reduce(letter_masks[letters] << qubits, axis=-1)
 
 
-# the most masks `_weight_pauli_blocks` builds at once: with the temporaries
-# of `_pauli_masks`, a few MB
+# the most Paulis `_weight_pauli_blocks` puts in one block: with the
+# temporaries of `_pauli_masks` or `StabilizerCode._pauli_products`, a few MB
 _PAULI_BLOCK = 1 << 16
 
 
-def _weight_pauli_blocks(n: int, w: int) -> Iterator[np.ndarray]:
-    """Every weight-w Pauli on n qubits as a symplectic mask, supports in
-    lexicographic order and, within a support, letters per position in
-    X, Y, Z order (the last position fastest), in consecutive arrays of at
-    most `_PAULI_BLOCK` masks: all letters on a block of supports, or, past
-    3^w > `_PAULI_BLOCK`, a slice of the letters on one support."""
+def _weight_pauli_blocks(n: int, w: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every weight-w Pauli on n qubits, supports in lexicographic order and,
+    within a support, letters per position in X, Y, Z order (the last
+    position fastest), in blocks of at most `_PAULI_BLOCK` Paulis: all
+    letters on a block of supports, or, past 3^w > `_PAULI_BLOCK`, a slice
+    of the letters on one support.  A block is the index arrays (qubits,
+    letters) of `_pauli_masks`, of shapes (S, 1, w) and (L, w): they
+    broadcast to S x L Paulis, support-major."""
     supports = np.array(list(combinations(range(n), w)), dtype=np.intp).reshape(comb(n, w), 1, w)
     letters = np.array(list(product(range(3), repeat=w)), dtype=np.intp).reshape(3**w, w)
     step = max(1, _PAULI_BLOCK // 3**w)
     for lo in range(0, len(supports), step):
         for a in range(0, 3**w, _PAULI_BLOCK):
-            block = _pauli_masks(supports[lo : lo + step], letters[a : a + _PAULI_BLOCK], n)
-            yield block.reshape(-1)
+            yield supports[lo : lo + step], letters[a : a + _PAULI_BLOCK]
 
 
 def _weight_pauli_masks(n: int, w: int) -> np.ndarray:
-    """The masks of `_weight_pauli_blocks` in one array."""
-    return np.concatenate([np.zeros(0, dtype=_mask_dtype(2 * n)), *_weight_pauli_blocks(n, w)])
+    """The masks of the Paulis of `_weight_pauli_blocks`, in order, in one array."""
+    blocks = [_pauli_masks(*block, n).reshape(-1) for block in _weight_pauli_blocks(n, w)]
+    return np.concatenate([np.zeros(0, dtype=_mask_dtype(2 * n)), *blocks])
 
 
 def iter_weight_paulis(n: int, w: int) -> Iterator[PauliOperator]:
@@ -167,7 +172,7 @@ def iter_weight_paulis(n: int, w: int) -> Iterator[PauliOperator]:
     `_weight_pauli_blocks`, turned into Python ints a block at a time."""
     low = (1 << n) - 1
     for block in _weight_pauli_blocks(n, w):
-        for mask in block.tolist():
+        for mask in _pauli_masks(*block, n).reshape(-1).tolist():
             yield PauliOperator(n, mask & low, mask >> n)
 
 
@@ -240,25 +245,48 @@ class StabilizerCode:
         rows = [s | (a << ell) for s, a in zip(columns[n:] + columns[:n], annihilator.data)]
         return BinaryMatrix(2 * n, ell + annihilator.cols, rows)
 
+    @cached_property
+    def _letter_products(self) -> np.ndarray:
+        """Four linear images of each one-qubit Pauli, as a (3, n, 4) array
+        of the `_mask_dtype` of 2n: entry [l, q] is letter code l of
+        `_pauli_masks` (X, Y, Z) on qubit q, and its four values are the
+        syndrome and the class (the two parts of the `_syndrome_and_class`
+        product), the tie key of `lookup_decoder_build` (the symplectic
+        mask with its 2n bits reversed) and the symplectic mask."""
+        n, ell = self.n, self.ell
+        top = 2 * n - 1
+        rows = [(r & ((1 << ell) - 1), r >> ell, 1 << (top - j), 1 << j)
+                for j, r in enumerate(self._syndrome_and_class.data)]
+        # X on qubit q is row q, Z row n + q, and Y their XOR
+        xs, zs = rows[:n], rows[n:]
+        ys = [tuple(a ^ b for a, b in zip(x, z)) for x, z in zip(xs, zs)]
+        return np.array((xs, ys, zs), dtype=_mask_dtype(2 * n))
+
+    def _pauli_products(self, qubits: np.ndarray, letters: np.ndarray) -> np.ndarray:
+        """The four `_letter_products` values of each Pauli that
+        `_pauli_masks` builds from these index arrays (letters X, Y or Z
+        only), along a new last axis.  All four are linear, so a Pauli's
+        values are the XOR of the entries its letters pick."""
+        return np.bitwise_xor.reduce(self._letter_products[letters, qubits], axis=-2)
+
     def __repr__(self) -> str:
         return f"StabilizerCode(n={self.n}, k={self.k}, ell={self.ell})"
 
 
 def _min_logical_weight(code: StabilizerCode, budget: int = 10**6) -> Optional[int]:
     """Minimum weight of a logical operator (zero syndrome, nonzero class),
-    by ascending enumeration, one block of masks at a time.
+    by ascending enumeration, one block of Paulis at a time.
 
     Returns None when enumeration would blow the budget first.
     """
-    low = (1 << code.ell) - 1
     spent = 0
     for w in range(1, code.n + 1):
         spent += comb(code.n, w) * 3**w
         if spent > budget:
             return None
-        for block in _weight_pauli_blocks(code.n, w):
-            products = code._syndrome_and_class._mul_masks(block)
-            if np.any(((products & low) == 0) & ((products >> code.ell) != 0)):
+        for qubits, letters in _weight_pauli_blocks(code.n, w):
+            products = code._pauli_products(qubits, letters)
+            if np.any((products[..., 0] == 0) & (products[..., 1] != 0)):
                 return w
     return None
 
@@ -344,11 +372,20 @@ def lookup_decoder_build(
     """Build a lookup decoder by enumerating Paulis in ascending weight.
 
     The first (lowest-weight) Pauli producing each syndrome wins; ties at
-    equal weight go to the lexicographically smaller (x_bits, z_bits).  If
-    some syndromes are still unreached at max_weight, enumeration keeps
-    extending to higher weights while the cumulative case count stays
-    within budget; syndromes never reached stay out of the table and
-    decode to None.
+    equal weight go to the smallest tie key, the 2n-bit symplectic mask
+    read from bit 0 (x_0 ... x_{n-1} z_0 ... z_{n-1}), which orders Paulis
+    as their (x_bits, z_bits).  If some syndromes are still unreached at
+    max_weight, enumeration keeps extending to higher weights while the
+    cumulative case count stays within budget; syndromes never reached
+    stay out of the table and decode to None.
+
+    Weight 0 is the identity alone.  Each higher weight is taken in the
+    blocks of `_weight_pauli_blocks`, at most `_PAULI_BLOCK` Paulis at a
+    time: one `StabilizerCode._pauli_products` call gives a block's
+    syndromes, tie keys and masks, and a dict built in descending key
+    order keeps each syndrome's smallest key.  A syndrome's winner at
+    that weight is the smallest of its blocks' winners, and only those
+    winners become PauliOperators.
     """
     if max_weight < 0 or max_weight > code.n:
         raise ValueError("max_weight must be in [0, n]")
@@ -361,25 +398,28 @@ def lookup_decoder_build(
             required=requested,
             budget=budget,
         )
-    table: Dict[int, PauliOperator] = {}
-    full = 1 << code.ell
-    spent = 0
-    w = 0
-    while w <= n:
+    table: Dict[int, PauliOperator] = {0: PauliOperator.identity(n)}
+    spent = 1
+    for w in range(1, n + 1):
         cost = comb(n, w) * 3**w
         if w > max_weight and spent + cost > budget:
             break
         spent += cost
-        for p in iter_weight_paulis(n, w):
-            s = code._syndrome_mask(p.x, p.z)
-            held = table.get(s)
-            if held is None:
-                table[s] = p
-            elif held.weight == w and (p.x_bits, p.z_bits) < (held.x_bits, held.z_bits):
-                table[s] = p
-        if len(table) == full:
+        best: Dict[int, int] = {}  # syndrome -> mask of its smallest key at weight w
+        for qubits, letters in _weight_pauli_blocks(n, w):
+            products = code._pauli_products(qubits, letters).reshape(-1, 4)
+            # in descending key order, the smallest key of a syndrome is its last write
+            products = products[np.argsort(products[:, 2])[::-1]]
+            for s, mask in dict(zip(products[:, 0].tolist(), products[:, 3].tolist())).items():
+                held = best.setdefault(s, mask)
+                # the smaller key has the 0 at the lowest bit where the masks differ
+                if held & (held ^ mask) & -(held ^ mask):
+                    best[s] = mask
+        for s, mask in best.items():
+            if s not in table:
+                table[s] = PauliOperator(n, mask & ((1 << n) - 1), mask >> n)
+        if len(table) == 1 << code.ell:
             break
-        w += 1
     return LookupDecoder(code, table, max_weight)
 
 

@@ -38,6 +38,18 @@ SHOR_GENERATORS = [
 ]
 
 
+def _hamming_check(r):
+    """The [2^r - 1, 2^r - 1 - r] Hamming parity check, columns 1.. in binary."""
+    return BinaryMatrix.from_strings(
+        ["".join(str((j >> i) & 1) for j in range(1, 1 << r)) for i in range(r)]
+    )
+
+
+def _quantum_hamming(r):
+    """The [[2^r - 1, 2^r - 1 - 2r, 3]] CSS code of the Hamming check."""
+    return css_from_parity(_hamming_check(r))
+
+
 # --- Pauli operators ---------------------------------------------------------
 
 
@@ -168,10 +180,15 @@ def _reference_weight_masks(n, w):
     return [p.symplectic_mask() for p in _reference_weight_paulis(n, w)]
 
 
+def _block_masks(n, w):
+    """The masks of each block of `_weight_pauli_blocks`, one array a block."""
+    return [_pauli_masks(q, ltr, n).reshape(-1) for q, ltr in _weight_pauli_blocks(n, w)]
+
+
 def test_weight_pauli_blocks_keep_the_order_across_blocks():
     """(23, 4) spans eleven blocks of whole supports; each block is within
     the bound and their concatenation is the nested reference."""
-    blocks = list(_weight_pauli_blocks(23, 4))
+    blocks = _block_masks(23, 4)
     assert len(blocks) == 11
     assert max(len(b) for b in blocks) <= stabilizer_module._PAULI_BLOCK
     assert np.concatenate(blocks).tolist() == _reference_weight_masks(23, 4)
@@ -182,7 +199,7 @@ def test_weight_pauli_blocks_split_letters_past_the_bound(monkeypatch, n, w):
     """With a 100-mask bound, 3^5 letters no longer fit one block, so one
     support's letters are sliced; 3^3 fit three supports a block."""
     monkeypatch.setattr(stabilizer_module, "_PAULI_BLOCK", 100)
-    blocks = list(_weight_pauli_blocks(n, w))
+    blocks = _block_masks(n, w)
     assert max(len(b) for b in blocks) <= 100
     assert np.concatenate(blocks).tolist() == _reference_weight_masks(n, w)
 
@@ -207,6 +224,7 @@ def test_steane_parameters():
 def test_css_from_parity_reproduces_steane():
     code = css_from_parity(hamming_parity_check())
     assert [g.to_string() for g in code.generators] == STEANE_GENERATORS
+    assert _hamming_check(3) == hamming_parity_check()
 
 
 def test_css_from_parity_rejects_bad_input():
@@ -468,8 +486,9 @@ WIDE = css_from_parity(
         (StabilizerCode([PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]), 3),
         (StabilizerCode([PauliOperator.from_string(s) for s in SHOR_GENERATORS]), 3),
         (WIDE, 2),
+        (_quantum_hamming(4), 3),
     ],
-    ids=["steane", "five-qubit", "shor", "wide-70bit"],
+    ids=["steane", "five-qubit", "shor", "wide-70bit", "hamming-15-7"],
 )
 def test_min_logical_weight_matches_the_classify_oracle(code, distance):
     oracle = next(
@@ -483,3 +502,119 @@ def test_min_logical_weight_matches_the_classify_oracle(code, distance):
     cost = sum(comb(code.n, w) * 3**w for w in range(1, distance + 1))
     assert _min_logical_weight(code, budget=cost) == distance
     assert _min_logical_weight(code, budget=cost - 1) is None
+
+
+def _per_pauli_lookup_table(code, max_weight, budget=10**7):
+    """The lookup table one Pauli at a time, the oracle of the per-weight
+    build: ascending weight, one syndrome per Pauli, and at equal weight
+    the smaller (x_bits, z_bits) wins; enumeration goes on past
+    max_weight, within budget, until every syndrome is reached."""
+    table = {}
+    spent = 0
+    for w in range(code.n + 1):
+        cost = comb(code.n, w) * 3**w
+        if w > max_weight and spent + cost > budget:
+            break
+        spent += cost
+        for p in iter_weight_paulis(code.n, w):
+            s = code._syndrome_mask(p.x, p.z)
+            held = table.get(s)
+            if held is None or (
+                held.weight == w and (p.x_bits, p.z_bits) < (held.x_bits, held.z_bits)
+            ):
+                table[s] = p
+        if len(table) == 1 << code.ell:
+            break
+    return table
+
+
+_ORACLE_CODES = {
+    "steane": steane_code(),
+    "five-qubit": StabilizerCode([PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]),
+    "shor": StabilizerCode([PauliOperator.from_string(s) for s in SHOR_GENERATORS]),
+    "hamming-15-7": _quantum_hamming(4),
+    "wide-70bit": WIDE,
+}
+
+
+@pytest.mark.parametrize("max_weight", [0, 1, 2])
+@pytest.mark.parametrize("name", list(_ORACLE_CODES))
+def test_lookup_table_matches_the_per_pauli_oracle(name, max_weight):
+    """Every syndrome maps to the same Pauli as the one-Pauli-at-a-time
+    build."""
+    code = _ORACLE_CODES[name]
+    decoder = lookup_decoder_build(code, max_weight)
+    assert decoder._table == _per_pauli_lookup_table(code, max_weight)
+    assert decoder.covered
+    assert all(code._syndrome_mask(p.x, p.z) == s for s, p in decoder._table.items())
+
+
+@pytest.mark.parametrize(
+    "name, syndromes, first_differs, largest_differs",
+    [("steane", 63, 63, 63), ("five-qubit", 15, 13, 15)],
+)
+def test_the_tie_rule_decides_weight_two(name, syndromes, first_differs, largest_differs):
+    """The oracle comparison sees the tie rule: among the weight-2 Paulis
+    of each syndrome, the smallest (x_bits, z_bits) is mostly neither the
+    first enumerated nor the largest, so a table keeping either differs."""
+    code = _ORACLE_CODES[name]
+    groups = {}
+    for p in iter_weight_paulis(code.n, 2):
+        groups.setdefault(code._syndrome_mask(p.x, p.z), []).append(p)
+    keyed = [sorted(ps, key=lambda p: (p.x_bits, p.z_bits)) for ps in groups.values()]
+    first = [ps[0] for ps in groups.values()]
+    assert len(groups) == syndromes
+    assert sum(f != k[0] for f, k in zip(first, keyed)) == first_differs
+    assert sum(k[-1] != k[0] for k in keyed) == largest_differs
+
+
+def test_lookup_table_stops_between_weights_as_the_oracle_does():
+    """A budget of 22 covers weights 0 and 1 of Steane and not weight 2."""
+    code = steane_code()
+    decoder = lookup_decoder_build(code, max_weight=1, budget=22)
+    assert len(decoder) == 22
+    assert decoder._table == _per_pauli_lookup_table(code, 1, budget=22)
+
+
+@pytest.mark.parametrize("name", ["steane", "shor", "hamming-15-7"])
+def test_lookup_table_keeps_the_smallest_key_across_blocks(monkeypatch, name):
+    """With a 4-Pauli bound, every weight spans many blocks (a support's 9
+    or 27 letters are sliced), so a syndrome's winner may come from any of
+    them; no product is taken over more than the bound."""
+    monkeypatch.setattr(stabilizer_module, "_PAULI_BLOCK", 4)
+    sizes = []
+    products = StabilizerCode._pauli_products
+
+    def spy(self, qubits, letters):
+        out = products(self, qubits, letters)
+        sizes.append(out[..., 0].size)
+        return out
+
+    monkeypatch.setattr(StabilizerCode, "_pauli_products", spy)
+    code = _ORACLE_CODES[name]
+    for max_weight in (1, 3):
+        assert lookup_decoder_build(code, max_weight)._table == _per_pauli_lookup_table(
+            code, max_weight
+        )
+    assert max(sizes) == 4
+    assert len(sizes) > 100
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CODES))
+def test_pauli_products_match_the_mask_product(name):
+    """The sparse values against the batched product of the Paulis' masks:
+    the syndrome and class (the low ell bits of the `_syndrome_and_class`
+    product and the rest), the key (the mask's 2n bits reversed) and the
+    mask itself."""
+    code = _ORACLE_CODES[name]
+    n, ell = code.n, code.ell
+    for w in (0, 1, 2):
+        for qubits, letters in _weight_pauli_blocks(n, w):
+            got = code._pauli_products(qubits, letters).reshape(-1, 4).tolist()
+            masks = _pauli_masks(qubits, letters, n).reshape(-1).tolist()
+            product = code._syndrome_and_class._mul_masks(np.array(masks, dtype=_mask_dtype(2 * n)))
+            want = [
+                (p & ((1 << ell) - 1), p >> ell, int(f"{m:0{2 * n}b}"[::-1], 2), m)
+                for p, m in zip(product.tolist(), masks)
+            ]
+            assert [tuple(row) for row in got] == want
