@@ -134,10 +134,13 @@ def test_field_mul_is_log_addition():
 
 
 def test_field_mul_matches_polynomial_reduction():
-    """Table lookups agree with direct polynomial multiplication mod p(x)."""
-    for m in (3, 5, 8):
-        field = GF2m(m)
-        p = BinaryPolynomial(PRIMITIVE_POLYNOMIALS[m])
+    """Table lookups agree with direct polynomial multiplication mod p(x).
+    Each non-default polynomial is built after the default field of its m,
+    so tables shared by m alone would fail here."""
+    for m, mask in ((3, None), (5, None), (8, None), (4, 0b11001), (5, 0b111101)):
+        GF2m(m)
+        field = GF2m(m, mask)
+        p = BinaryPolynomial(PRIMITIVE_POLYNOMIALS[m] if mask is None else mask)
         rng = random.Random(m)
         for _ in range(200):
             a = rng.randrange(0, 1 << m)
@@ -147,14 +150,26 @@ def test_field_mul_matches_polynomial_reduction():
 
 
 def test_non_primitive_polynomial_rejected():
-    # x^4 + x^3 + x^2 + x + 1 is irreducible but its root has order 5, not 15
-    with pytest.raises(ValueError):
-        GF2m(4, 0b11111)
-    # x^4 + 1 = (x + 1)^4 is reducible
-    with pytest.raises(ValueError):
-        GF2m(4, 0b10001)
-    with pytest.raises(ValueError):
-        GF2m(4, 0b1011)  # wrong degree
+    # a rejected polynomial leaves nothing cached, so it raises every time
+    for _ in range(2):
+        # x^4 + x^3 + x^2 + x + 1 is irreducible but its root has order 5, not 15
+        with pytest.raises(ValueError):
+            GF2m(4, 0b11111)
+        # x^4 + 1 = (x + 1)^4 is reducible
+        with pytest.raises(ValueError):
+            GF2m(4, 0b10001)
+        with pytest.raises(ValueError):
+            GF2m(4, 0b1011)  # wrong degree
+
+
+def test_fields_of_one_polynomial_share_immutable_tables():
+    for m in range(2, 11):
+        a, b = GF2m(m), GF2m(m)
+        assert a._log is b._log and a._antilog is b._antilog
+        assert type(a._log) is tuple and type(a._antilog) is tuple
+    other, default = GF2m(4, 0b11001), GF2m(4)
+    assert other._log is not default._log
+    assert other._antilog is not default._antilog
 
 
 def test_all_default_polynomials_are_primitive():
