@@ -153,13 +153,13 @@ def _write_atomic(*outputs: Tuple[str, str]) -> None:
                 tmp.unlink()
 
 
-def _decoder_for(base: StabilizerCode, budget: int = 10**7):
+def _decoder_for(base: StabilizerCode):
     if base.k == 0:
         raise UsageError("base code has k=0: no logical operator, so nothing to decode")
     d = _min_logical_weight(base)
     if d is None:
         raise UsageError("base code too large to build a lookup decoder for")
-    return lookup_decoder_build(base, (d - 1) // 2, budget=budget)
+    return lookup_decoder_build(base, (d - 1) // 2)
 
 
 def _meta_comment(command: str, params: dict) -> str:

@@ -178,19 +178,19 @@ class BchSyndromeMeasurement(SyndromeMeasurementCode):
         """Coset leaders of weight <= t as a table, built on first use.
 
         Returns (syndrome, fix).  syndrome is the n_s x R matrix (R =
-        n_s - ell) whose product with a word is its syndrome: row j < ell
-        is the parity bits of message bit j, row ell + i is bit i.  fix[s]
-        is the first ell bits of the pattern of weight <= t with syndrome
-        s, or -1 where there is none.  Distance 2t+1 gives those patterns
-        distinct syndromes, so there are at most 2^R of them.  None, and BM
-        decoding, when 2^R passes 2^_MAX_TABLE_BITS or a word does not fit
-        an int64.
+        n_s - ell) whose product with a word is its syndrome, the
+        `_annihilator` of the encode matrix: the code is systematic, so
+        row j < ell is the parity bits of message bit j and row ell + i is
+        bit i.  fix[s] is the first ell bits of the pattern of weight <= t
+        with syndrome s, or -1 where there is none.  Distance 2t+1 gives
+        those patterns distinct syndromes, so there are at most 2^R of
+        them.  None, and BM decoding, when 2^R passes 2^_MAX_TABLE_BITS or
+        a word does not fit an int64.
         """
         r = self.n_s - self.ell
         if r > _MAX_TABLE_BITS or self.n_s > 62:
             return None
-        parities = [row >> self.ell for row in self.encode_matrix.data]
-        syndrome = BinaryMatrix(self.n_s, r, parities + [1 << i for i in range(r)])
+        syndrome = self.encode_matrix._annihilator
         fix = np.full(1 << r, -1, dtype=np.int64)
         for w in range(self.t_s + 1):
             patterns = _support_masks(self.n_s, w)

@@ -102,10 +102,10 @@ class SimGrid:
     without the code objects in hand.
     """
 
-    def __init__(self, code_meta: dict, seed: int, cells: Optional[Dict[Cell, CellStats]] = None):
+    def __init__(self, code_meta: dict, seed: int):
         self.code_meta = dict(code_meta)
         self.seed = seed
-        self.cells: Dict[Cell, CellStats] = dict(cells) if cells else {}
+        self.cells: Dict[Cell, CellStats] = {}
 
     def add(self, w_q: int, w_s: int, trials: int, failures: int) -> None:
         """Record one cell; a cell is sampled once, so a repeat is an error."""
@@ -457,6 +457,5 @@ def direct_monte_carlo(
     letters = rng.integers(0, 3, size=(trials, n))  # 0 = X, 1 = Y, 2 = Z
     flipped = rng.random((trials, n_s)) < row_p
     errors = _pauli_masks(np.arange(n), np.where(hits, letters, 3), n)
-    bits = np.array(1, dtype=_mask_dtype(n_s)) << np.arange(n_s)
-    flips = np.bitwise_or.reduce(np.where(flipped, bits, 0), axis=1)
+    flips = flipped @ (np.array(1, dtype=_mask_dtype(n_s)) << np.arange(n_s))
     return qds._count_failures(decoder, errors, flips) / trials

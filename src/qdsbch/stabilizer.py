@@ -19,7 +19,10 @@ Batches of Paulis are arrays of symplectic masks x | z << n, built by
 `_pauli_masks` and multiplied by `StabilizerCode._syndrome_and_class`.
 Every weight-w Pauli comes from `_weight_pauli_blocks`, as blocks of
 qubit and letter indices; `StabilizerCode._pauli_products` evaluates
-their products sparsely, as the XOR of one table row per letter.
+their products sparsely, as the XOR of one table row per letter.  A
+`LookupDecoder`'s table is the rows of those products that
+`lookup_decoder_build` picks, one (syndrome, class, mask) row per
+syndrome; PauliOperators are made from it only for one-syndrome lookups.
 """
 
 from __future__ import annotations
@@ -327,12 +330,16 @@ def steane_code() -> StabilizerCode:
 
 
 class LookupDecoder:
-    """Minimum-weight table decoder: syndrome -> lowest-weight Pauli seen."""
+    """Minimum-weight table decoder: syndrome -> lowest-weight Pauli seen.
 
-    def __init__(self, code: StabilizerCode, table: Dict[int, PauliOperator], max_weight: int):
+    The table is the winning `StabilizerCode._pauli_products` row of each
+    syndrome reached, in syndrome order: an (entries, 3) array, of the
+    `_mask_dtype` of 2n, of (syndrome, class, symplectic mask)."""
+
+    def __init__(self, code: StabilizerCode, rows: np.ndarray, max_weight: int):
         self.code = code
         self.max_weight = max_weight
-        self._table = table
+        self._rows = rows
 
     def decode(self, syndrome: Sequence[int]) -> Optional[PauliOperator]:
         """The stored correction, or None if the syndrome was never reached."""
@@ -342,28 +349,41 @@ class LookupDecoder:
         return self._table.get(mask)
 
     @cached_property
+    def _table(self) -> Dict[int, PauliOperator]:
+        """The rows as syndrome -> PauliOperator, for the one-syndrome
+        lookups; built on first use."""
+        n = self.code.n
+        rows = zip(self._rows[:, 0].tolist(), self._rows[:, 2].tolist())
+        return {s: PauliOperator(n, m & ((1 << n) - 1), m >> n) for s, m in rows}
+
+    @cached_property
     def _correction_classes(self) -> Optional[np.ndarray]:
         """The table as an array over all 2^ell syndromes: the class of
-        each correction (from `StabilizerCode._syndrome_and_class`, so an
-        error times the correction is in the stabilizer group exactly when
-        their classes are equal), -1 where the table has none.  None when
-        it would pass 2^_MAX_TABLE_BITS entries; built on first use, for
-        the batched trial kernel."""
-        code = self.code
-        if code.ell > _MAX_TABLE_BITS:
+        each correction (the rows' class column, the class part of its
+        `StabilizerCode._syndrome_and_class` product, so an error times the
+        correction is in the stabilizer group exactly when their classes
+        are equal), -1 where the table has none.  None when it would pass
+        2^_MAX_TABLE_BITS entries; built on first use, for the batched
+        trial kernel."""
+        if self.code.ell > _MAX_TABLE_BITS:
             return None
-        dtype = _mask_dtype(2 * code.n)
-        corrections = np.array([p.symplectic_mask() for p in self._table.values()], dtype=dtype)
-        classes = np.full(1 << code.ell, -1, dtype=dtype)
-        classes[list(self._table)] = code._syndrome_and_class._mul_masks(corrections) >> code.ell
+        classes = np.full(1 << self.code.ell, -1, dtype=self._rows.dtype)
+        classes[self._rows[:, 0].astype(np.intp)] = self._rows[:, 1]
         return classes
 
     @property
     def covered(self) -> bool:
-        return len(self._table) == 1 << self.code.ell
+        return len(self._rows) == 1 << self.code.ell
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._rows)
+
+
+def _smallest_key_rows(rows: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The row of the smallest key of each syndrome (column 0), in
+    syndrome order."""
+    rows = rows[np.lexsort((key, rows[:, 0]))]
+    return rows[np.concatenate(([True], rows[1:, 0] != rows[:-1, 0]))]
 
 
 def lookup_decoder_build(
@@ -381,11 +401,11 @@ def lookup_decoder_build(
 
     Weight 0 is the identity alone.  Each higher weight is taken in the
     blocks of `_weight_pauli_blocks`, at most `_PAULI_BLOCK` Paulis at a
-    time: one `StabilizerCode._pauli_products` call gives a block's
-    syndromes, tie keys and masks, and a dict built in descending key
-    order keeps each syndrome's smallest key.  A syndrome's winner at
-    that weight is the smallest of its blocks' winners, and only those
-    winners become PauliOperators.
+    time, and one `StabilizerCode._pauli_products` call gives a block's
+    rows.  `_smallest_key_rows` picks every winner, twice a weight: by tie
+    key within each block, then over the older rows and every block's
+    winners together.  The older rows' tie keys are -1 by then, so a
+    syndrome reached at a lower weight keeps its row.
     """
     if max_weight < 0 or max_weight > code.n:
         raise ValueError("max_weight must be in [0, n]")
@@ -398,29 +418,21 @@ def lookup_decoder_build(
             required=requested,
             budget=budget,
         )
-    table: Dict[int, PauliOperator] = {0: PauliOperator.identity(n)}
+    # the identity's row: (syndrome, class, tie key, mask)
+    rows = np.zeros((1, 4), dtype=_mask_dtype(2 * n))
     spent = 1
     for w in range(1, n + 1):
         cost = comb(n, w) * 3**w
         if w > max_weight and spent + cost > budget:
             break
         spent += cost
-        best: Dict[int, int] = {}  # syndrome -> mask of its smallest key at weight w
-        for qubits, letters in _weight_pauli_blocks(n, w):
-            products = code._pauli_products(qubits, letters).reshape(-1, 4)
-            # in descending key order, the smallest key of a syndrome is its last write
-            products = products[np.argsort(products[:, 2])[::-1]]
-            for s, mask in dict(zip(products[:, 0].tolist(), products[:, 3].tolist())).items():
-                held = best.setdefault(s, mask)
-                # the smaller key has the 0 at the lowest bit where the masks differ
-                if held & (held ^ mask) & -(held ^ mask):
-                    best[s] = mask
-        for s, mask in best.items():
-            if s not in table:
-                table[s] = PauliOperator(n, mask & ((1 << n) - 1), mask >> n)
-        if len(table) == 1 << code.ell:
+        blocks = (code._pauli_products(*idx).reshape(-1, 4) for idx in _weight_pauli_blocks(n, w))
+        rows = np.concatenate([rows] + [_smallest_key_rows(b, b[:, 2]) for b in blocks])
+        rows = _smallest_key_rows(rows, rows[:, 2])
+        rows[:, 2] = -1  # below every tie key, so a later weight never replaces a row
+        if len(rows) == 1 << code.ell:
             break
-    return LookupDecoder(code, table, max_weight)
+    return LookupDecoder(code, rows[:, [0, 1, 3]], max_weight)
 
 
 # --- text format -----------------------------------------------------------

@@ -125,6 +125,31 @@ def test_bch_table_decode_matches_berlekamp_massey(sm, data):
     ]
 
 
+def _systematic_syndrome_matrix(sm):
+    """The parity-plus-identity syndrome matrix of a systematic code: row
+    j < ell is the parity bits of message bit j, row ell + i is bit i."""
+    r = sm.n_s - sm.ell
+    parities = [row >> sm.ell for row in sm.encode_matrix.data]
+    return BinaryMatrix(sm.n_s, r, parities + [1 << i for i in range(r)])
+
+
+def test_bch_syndrome_matrix_is_the_encode_annihilator():
+    """The table decode's syndrome matrix, the encode matrix's annihilator,
+    against the parity-plus-identity matrix on every bch_sm(ell, t) with
+    ell <= 39 and t <= 7; the tabulated ones through `_fix_table`."""
+    tabulated = 0
+    for ell in range(1, 40):
+        for t in range(1, 8):
+            sm = bch_sm(ell, t)
+            want = _systematic_syndrome_matrix(sm)
+            got = sm.encode_matrix._annihilator
+            assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data)
+            if sm.n_s - ell <= _MAX_TABLE_BITS and sm.n_s <= 62:
+                assert sm._fix_table[0].data == want.data
+                tabulated += 1
+    assert tabulated == 134
+
+
 # the SM decode paths the trial kernel's split runs on: BCH by table, BCH by
 # Berlekamp-Massey on int64 words (bch_sm(6, 6), n_s = 39) and on 69-bit
 # object words (bch_sm(6, 10)), and majority up to the 66-bit readout

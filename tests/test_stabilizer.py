@@ -576,6 +576,57 @@ def test_lookup_table_stops_between_weights_as_the_oracle_does():
     assert decoder._table == _per_pauli_lookup_table(code, 1, budget=22)
 
 
+def _product_correction_classes(decoder):
+    """The correction classes by product, the oracle of the class column:
+    each correction's mask times `_syndrome_and_class`, shifted past the
+    syndrome, at its syndrome, and -1 where the table has no entry."""
+    code = decoder.code
+    dtype = _mask_dtype(2 * code.n)
+    corrections = np.array([p.symplectic_mask() for p in decoder._table.values()], dtype=dtype)
+    classes = np.full(1 << code.ell, -1, dtype=dtype)
+    classes[list(decoder._table)] = code._syndrome_and_class._mul_masks(corrections) >> code.ell
+    return classes
+
+
+@pytest.mark.parametrize(
+    "name, max_weight, budget, misses",
+    [(name, w, 10**7, 0) for name in _ORACLE_CODES for w in (0, 1, 2)]
+    + [("steane", 1, 22, 42)],
+)
+def test_correction_classes_match_the_product(name, max_weight, budget, misses):
+    """The class column the build keeps, scattered over all syndromes,
+    equals the product over the table's corrections."""
+    code = _ORACLE_CODES[name]
+    decoder = lookup_decoder_build(code, max_weight, budget=budget)
+    got = decoder._correction_classes
+    want = _product_correction_classes(decoder)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert int(np.count_nonzero(got == -1)) == misses
+
+
+def test_the_build_makes_no_pauli_operator(monkeypatch):
+    """The table is held as rows: PauliOperators are made only when a
+    one-syndrome lookup first needs them, one per entry, and only once."""
+    code = _ORACLE_CODES["hamming-15-7"]
+    made = []
+    init = PauliOperator.__init__
+
+    def counting(self, n, x, z):
+        made.append((x, z))
+        init(self, n, x, z)
+
+    monkeypatch.setattr(PauliOperator, "__init__", counting)
+    decoder = lookup_decoder_build(code, 1)
+    assert decoder.covered
+    assert decoder._correction_classes is not None
+    assert made == []
+    assert decoder.decode((0,) * code.ell) == PauliOperator.identity(code.n)
+    assert len(made) == len(decoder) + 1  # one per entry, and the identity built to compare
+    assert decoder._decode_mask(1) is decoder.decode((1,) + (0,) * (code.ell - 1))
+    assert len(made) == len(decoder) + 1
+
+
 @pytest.mark.parametrize("name", ["steane", "shor", "hamming-15-7"])
 def test_lookup_table_keeps_the_smallest_key_across_blocks(monkeypatch, name):
     """With a 4-Pauli bound, every weight spans many blocks (a support's 9
