@@ -8,7 +8,11 @@ giving a cyclic [n, k, >= 2t+1] code with n = 2^m - 1, k = n - deg g.
 The minimal polynomial of alpha^j depends only on the 2-cyclotomic coset
 of j mod n, and those of distinct cosets are distinct irreducibles, so
 pairwise coprime: g is the product of one minimal polynomial per coset
-meeting {1, ..., 2t}, and deg g is the total size of those cosets.
+meeting {1, ..., 2t}, and deg g is the total size of those cosets.  The
+coset leaders of each m are found once, up to the largest 2t asked so
+far, with the running sum of their coset sizes, so R(m, t) is one read of
+it; each leader's minimal polynomial is computed once per field (see
+fields.py for what both hold).  Each call still forms its own product g.
 Codewords are bit masks, position j = coefficient of x^j.  Encoding is
 systematic with the message in the first k positions: because x^n = 1
 (mod g), the matrix row for message bit i is x^i + x^k * (x^(i+r) mod g),
@@ -28,10 +32,11 @@ gives the proof).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import BinaryPolynomial, GF2m, _coset, minimal_polynomial
+from .fields import BinaryPolynomial, GF2m, _leader_minimal_polynomial
 from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits
 
 
@@ -204,32 +209,50 @@ class BchCode:
         )
 
 
-def _designed_cosets(m: int, t: int) -> List[List[int]]:
-    """The distinct 2-cyclotomic cosets mod 2^m - 1 that meet {1, ..., 2t}:
-    the root exponents of the (m, t) generator, one coset per minimal
-    polynomial."""
+# m -> (the 2-cyclotomic coset leaders mod 2^m - 1 found so far, ascending;
+# the running sum of their coset sizes; the largest exponent examined).  A
+# leader is its coset's least element, so the cosets meeting {1, ..., b}
+# are those of the leaders <= b.
+_COSET_LEADERS: Dict[int, Tuple[List[int], List[int], int]] = {}
+
+
+def _designed_leaders(m: int, t: int) -> Tuple[List[int], int]:
+    """The leaders of the 2-cyclotomic cosets mod 2^m - 1 that meet
+    {1, ..., 2t}, ascending, and those cosets' total size: one leader per
+    minimal polynomial of the (m, t) generator, and its degree.  The walk
+    of each m goes on from where it stopped, up to 2t."""
     n = (1 << m) - 1 if m >= 1 else 0
     if t < 1:
         raise ValueError("t must be at least 1")
     if 2 * t >= n:
         raise ValueError(f"2t = {2 * t} must be below the code length {n}")
-    seen = set()
-    cosets = []
-    for e in range(1, 2 * t + 1):
-        if e not in seen:
-            coset = _coset(e, n)
-            seen.update(coset)
-            cosets.append(coset)
-    return cosets
+    top = 2 * t
+    leaders, totals, walked = _COSET_LEADERS.get(m) or ([], [], 0)
+    if top > walked:
+        total = totals[-1] if totals else 0
+        # an even e has e/2 in its coset, so only an odd e can lead; it
+        # does when doubling comes back to it before going below it, and
+        # the doublings taken are its coset's size
+        for e in range((walked + 1) | 1, top + 1, 2):
+            c, size = 2 * e % n, 1
+            while c > e:
+                c, size = 2 * c % n, size + 1
+            if c == e:
+                total += size
+                leaders.append(e)
+                totals.append(total)
+        _COSET_LEADERS[m] = (leaders, totals, top)
+    count = bisect_right(leaders, top)
+    return leaders[:count], totals[count - 1]
 
 
 def bch_construct(m: int, t: int) -> BchCode:
     """The primitive narrow-sense BCH code of length 2^m - 1 correcting t errors."""
-    cosets = _designed_cosets(m, t)
+    leaders, _ = _designed_leaders(m, t)
     field = GF2m(m)
     g = BinaryPolynomial.one()
-    for coset in cosets:
-        g = g * minimal_polynomial(field, coset[0])
+    for e in leaders:
+        g = g * _leader_minimal_polynomial(field, e)
     code = BchCode(field, t, g)
     if code.r > m * t:
         raise AssertionError("parity count exceeded the m*t bound")
@@ -240,7 +263,7 @@ def parity_bit_count(m: int, t: int) -> int:
     """R(m, t) = deg g for the (m, t) code: the number of distinct roots of
     g, i.e. the total size of the cosets meeting {1, ..., 2t}.  No field is
     built, so m has no cap here."""
-    return sum(len(coset) for coset in _designed_cosets(m, t))
+    return _designed_leaders(m, t)[1]
 
 
 def bch_select_parameters(ell: int, t: int) -> Tuple[int, int]:

@@ -22,7 +22,8 @@ qubit and letter indices; `StabilizerCode._pauli_products` evaluates
 their products sparsely, as the XOR of one table row per letter.  A
 `LookupDecoder`'s table is the rows of those products that
 `lookup_decoder_build` picks, one (syndrome, class, mask) row per
-syndrome; PauliOperators are made from it only for one-syndrome lookups.
+syndrome; a one-syndrome lookup binary-searches it and makes only the
+PauliOperator it returns.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -343,18 +344,17 @@ class LookupDecoder:
 
     def decode(self, syndrome: Sequence[int]) -> Optional[PauliOperator]:
         """The stored correction, or None if the syndrome was never reached."""
-        return self._table.get(_bits_to_mask(syndrome, "syndrome", self.code.ell))
+        return self._decode_mask(_bits_to_mask(syndrome, "syndrome", self.code.ell))
 
     def _decode_mask(self, mask: int) -> Optional[PauliOperator]:
-        return self._table.get(mask)
-
-    @cached_property
-    def _table(self) -> Dict[int, PauliOperator]:
-        """The rows as syndrome -> PauliOperator, for the one-syndrome
-        lookups; built on first use."""
+        """A binary search of the syndrome column; only the correction
+        returned is made a PauliOperator."""
+        i = int(np.searchsorted(self._rows[:, 0], mask))
+        if i == len(self._rows) or self._rows[i, 0] != mask:
+            return None
         n = self.code.n
-        rows = zip(self._rows[:, 0].tolist(), self._rows[:, 2].tolist())
-        return {s: PauliOperator(n, m & ((1 << n) - 1), m >> n) for s, m in rows}
+        m = int(self._rows[i, 2])
+        return PauliOperator(n, m & ((1 << n) - 1), m >> n)
 
     @cached_property
     def _correction_classes(self) -> Optional[np.ndarray]:

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdsbch import bch as bch_module
+from qdsbch import fields as fields_module
 from qdsbch.bch import (
     BchCode,
     bch_construct,
@@ -18,7 +20,15 @@ from qdsbch.bch import (
     bch_select_parameters,
     parity_bit_count,
 )
-from qdsbch.fields import BinaryPolynomial, GF2m, cyclotomic_cosets, minimal_polynomial, poly_lcm
+from qdsbch.fields import (
+    PRIMITIVE_POLYNOMIALS,
+    BinaryPolynomial,
+    GF2m,
+    _leader_minimal_polynomial,
+    cyclotomic_cosets,
+    minimal_polynomial,
+    poly_lcm,
+)
 
 # the systematic generator matrix of the [21,6,7] code built on x^5 + x^2 + 1
 SHORTENED_21_6_ROWS = [
@@ -62,6 +72,88 @@ def test_generator_has_the_designed_roots():
                 assert code.generator.eval_in(field, field.pow_alpha(j)) == 0
             want = poly_lcm([minimal_polynomial(field, j) for j in range(1, 2 * t + 1)])
             assert code.generator == want, (m, t)
+
+
+@pytest.fixture
+def empty_memos():
+    """Drop the coset leader and minimal polynomial memos, so a test sees
+    them filled in its own order."""
+    bch_module._COSET_LEADERS.clear()
+    fields_module._MINIMAL_POLYNOMIALS.clear()
+
+
+def _designed_cosets(m, t):
+    """The distinct 2-cyclotomic cosets mod 2^m - 1 that meet {1, ..., 2t},
+    each walked from its first exponent: the coset-walk oracle of the
+    leader memo."""
+    n = (1 << m) - 1
+    seen = set()
+    cosets = []
+    for e in range(1, 2 * t + 1):
+        if e not in seen:
+            coset = [e]
+            c = 2 * e % n
+            while c != e:
+                coset.append(c)
+                c = 2 * c % n
+            seen.update(coset)
+            cosets.append(coset)
+    return cosets
+
+
+_SMALL_CODES = [(m, t) for m in range(2, 9) for t in range(1, (1 << (m - 1)))]
+
+
+@lru_cache(maxsize=None)
+def _lcm_generator(m, t):
+    field = GF2m(m)
+    return poly_lcm([minimal_polynomial(field, j) for j in range(1, 2 * t + 1)])
+
+
+@pytest.mark.parametrize("order", ["shuffled", "descending-t"])
+def test_construction_ignores_call_order(empty_memos, order):
+    """Every admissible (m, t) with m <= 8, built from empty memos in a
+    shuffled order or with t descending (so each m's leaders are found in
+    one walk and later calls read a prefix), equals the lcm of the minimal
+    polynomials of alpha^1..alpha^2t."""
+    pairs = list(_SMALL_CODES)
+    if order == "shuffled":
+        random.Random(16).shuffle(pairs)
+    else:
+        pairs.sort(key=lambda mt: (mt[0], -mt[1]))
+    assert len(pairs) == 247
+    for m, t in pairs:
+        code = bch_construct(m, t)
+        assert code.generator == _lcm_generator(m, t), (m, t)
+        assert code.r == parity_bit_count(m, t) == sum(map(len, _designed_cosets(m, t)))
+
+
+def test_parity_bit_count_ignores_call_order(empty_memos):
+    """m = 17..40, past every field, t <= 64, asked in a shuffled order,
+    against the coset walk."""
+    pairs = [(m, t) for m in range(17, 41) for t in range(1, 65)]
+    random.Random(17).shuffle(pairs)
+    for m, t in pairs:
+        assert parity_bit_count(m, t) == sum(map(len, _designed_cosets(m, t))), (m, t)
+
+
+def test_memos_walk_only_as_far_as_asked(empty_memos):
+    """t = 1 walks exponents 1 and 2 of GF(2^16), not its 4,115 cosets."""
+    bch_construct(16, 1)
+    assert bch_module._COSET_LEADERS == {16: ([1], [16], 2)}
+    assert list(fields_module._MINIMAL_POLYNOMIALS) == [(PRIMITIVE_POLYNOMIALS[16], 1)]
+
+
+def test_another_fields_minimal_polynomials_do_not_leak(empty_memos):
+    """Minimal polynomials memoized over x^4 + x^3 + 1 first leave
+    bch_construct(4, t), over the default x^4 + x + 1, unchanged."""
+    other = GF2m(4, 0b11001)
+    for e in range(1, 15):
+        _leader_minimal_polynomial(other, e)
+    assert _leader_minimal_polynomial(other, 1).mask == 0b11001
+    for t in range(1, 8):
+        assert bch_construct(4, t).generator == _lcm_generator(4, t), t
+    assert bch_construct(4, 1).generator.mask == 0b10011
 
 
 def test_construct_rejects_infeasible_t():

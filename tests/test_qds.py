@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,6 +559,20 @@ def test_overhead_scales_as_the_abstract_claims():
     # counting has no degree cap; building the field still has one
     with pytest.raises(ValueError, match="no primitive polynomial is tabulated"):
         bch_select_m(2**16, 1)
+
+
+def test_overhead_scaling_table_is_pinned():
+    """The abstract's scaling as numbers, for ell = 2^4..2^30 and t = 1..16:
+    m runs to 35, past every field, so this pinned CSV (written by the
+    coset-walk count that preceded the per-m leader memo) is the oracle of
+    the counting there."""
+    rows = overhead_table([2**k for k in range(4, 31)], range(1, 17))
+    lines = ["ell,t,bch,fujiwara,repetition"] + [
+        f"{r.ell},{r.t},{r.bch},{'' if r.fujiwara is None else r.fujiwara},{r.repetition}"
+        for r in rows
+    ]
+    pinned = Path(__file__).parent / "data" / "overhead_scaling.csv"
+    assert "\n".join(lines) + "\n" == pinned.read_text(encoding="utf-8")
 
 
 def test_fujiwara_monotone_in_t():

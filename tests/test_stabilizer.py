@@ -374,7 +374,7 @@ def test_lookup_decoder_steane_total():
     for e in iter_weight_paulis(7, 1):
         assert dec.decode(code.syndrome(e)) == e
     # the remaining syndromes got weight-2 representatives
-    weights = sorted(op.weight for op in dec._table.values())
+    weights = sorted(op.weight for op in _rows_table(dec).values())
     assert weights.count(0) == 1
     assert weights.count(1) == 21
     assert all(w == 2 for w in weights[22:])
@@ -465,7 +465,7 @@ def test_syndrome_and_lookup_match_mask_twins(case, data):
     syndrome = code.syndrome(PauliOperator(code.n, x, z))
     mask = code._syndrome_mask(x, z)
     assert syndrome == tuple((mask >> i) & 1 for i in range(code.ell))
-    assert decoder.decode(syndrome) is decoder._decode_mask(mask)
+    assert decoder.decode(syndrome) == decoder._decode_mask(mask)
     bad = list(syndrome)
     bad[data.draw(st.integers(0, code.ell - 1))] = 2
     with pytest.raises(ValueError):
@@ -502,6 +502,13 @@ def test_min_logical_weight_matches_the_classify_oracle(code, distance):
     cost = sum(comb(code.n, w) * 3**w for w in range(1, distance + 1))
     assert _min_logical_weight(code, budget=cost) == distance
     assert _min_logical_weight(code, budget=cost - 1) is None
+
+
+def _rows_table(decoder):
+    """The decoder's rows as a syndrome -> PauliOperator dict."""
+    n = decoder.code.n
+    rows = zip(decoder._rows[:, 0].tolist(), decoder._rows[:, 2].tolist())
+    return {s: PauliOperator(n, m & ((1 << n) - 1), m >> n) for s, m in rows}
 
 
 def _per_pauli_lookup_table(code, max_weight, budget=10**7):
@@ -544,9 +551,10 @@ def test_lookup_table_matches_the_per_pauli_oracle(name, max_weight):
     build."""
     code = _ORACLE_CODES[name]
     decoder = lookup_decoder_build(code, max_weight)
-    assert decoder._table == _per_pauli_lookup_table(code, max_weight)
+    table = _rows_table(decoder)
+    assert table == _per_pauli_lookup_table(code, max_weight)
     assert decoder.covered
-    assert all(code._syndrome_mask(p.x, p.z) == s for s, p in decoder._table.items())
+    assert all(code._syndrome_mask(p.x, p.z) == s for s, p in table.items())
 
 
 @pytest.mark.parametrize(
@@ -573,7 +581,7 @@ def test_lookup_table_stops_between_weights_as_the_oracle_does():
     code = steane_code()
     decoder = lookup_decoder_build(code, max_weight=1, budget=22)
     assert len(decoder) == 22
-    assert decoder._table == _per_pauli_lookup_table(code, 1, budget=22)
+    assert _rows_table(decoder) == _per_pauli_lookup_table(code, 1, budget=22)
 
 
 def _product_correction_classes(decoder):
@@ -581,10 +589,11 @@ def _product_correction_classes(decoder):
     each correction's mask times `_syndrome_and_class`, shifted past the
     syndrome, at its syndrome, and -1 where the table has no entry."""
     code = decoder.code
+    table = _rows_table(decoder)
     dtype = _mask_dtype(2 * code.n)
-    corrections = np.array([p.symplectic_mask() for p in decoder._table.values()], dtype=dtype)
+    corrections = np.array([p.symplectic_mask() for p in table.values()], dtype=dtype)
     classes = np.full(1 << code.ell, -1, dtype=dtype)
-    classes[list(decoder._table)] = code._syndrome_and_class._mul_masks(corrections) >> code.ell
+    classes[list(table)] = code._syndrome_and_class._mul_masks(corrections) >> code.ell
     return classes
 
 
@@ -606,8 +615,8 @@ def test_correction_classes_match_the_product(name, max_weight, budget, misses):
 
 
 def test_the_build_makes_no_pauli_operator(monkeypatch):
-    """The table is held as rows: PauliOperators are made only when a
-    one-syndrome lookup first needs them, one per entry, and only once."""
+    """The table is held as rows: the build makes no PauliOperator, and a
+    one-syndrome lookup makes only the one it returns."""
     code = _ORACLE_CODES["hamming-15-7"]
     made = []
     init = PauliOperator.__init__
@@ -622,9 +631,33 @@ def test_the_build_makes_no_pauli_operator(monkeypatch):
     assert decoder._correction_classes is not None
     assert made == []
     assert decoder.decode((0,) * code.ell) == PauliOperator.identity(code.n)
-    assert len(made) == len(decoder) + 1  # one per entry, and the identity built to compare
-    assert decoder._decode_mask(1) is decoder.decode((1,) + (0,) * (code.ell - 1))
-    assert len(made) == len(decoder) + 1
+    assert len(made) == 2  # the correction, and the identity built to compare
+    assert decoder._decode_mask(1) == decoder.decode((1,) + (0,) * (code.ell - 1))
+    assert len(made) == 4
+
+
+@pytest.mark.parametrize("max_weight, exact", [(0, True), (1, True), (0, False), (1, False), (2, False)])
+@pytest.mark.parametrize("name", ["steane", "five-qubit", "shor", "wide-70bit"])
+def test_lookup_equals_the_rows_dict_on_every_syndrome(name, max_weight, exact):
+    """The binary search of the rows answers every syndrome, reached or
+    missed, as the dict of the rows does.  An exact budget stops the build
+    at max_weight, which leaves syndromes unreached; the 35-qubit code's
+    rows are Python ints."""
+    code = _ORACLE_CODES[name]
+    budget = sum(comb(code.n, w) * 3**w for w in range(max_weight + 1)) if exact else 10**7
+    decoder = lookup_decoder_build(code, max_weight, budget=budget)
+    table = _rows_table(decoder)
+    misses = 0
+    for s in range(1 << code.ell):
+        want = table.get(s)
+        misses += want is None
+        assert decoder._decode_mask(s) == want
+        assert decoder.decode(tuple((s >> i) & 1 for i in range(code.ell))) == want
+    assert misses == (1 << code.ell) - len(decoder)
+    if not exact:
+        assert misses == 0
+    elif max_weight == 0:
+        assert misses == (1 << code.ell) - 1  # the identity's syndrome alone
 
 
 @pytest.mark.parametrize("name", ["steane", "shor", "hamming-15-7"])
@@ -644,7 +677,7 @@ def test_lookup_table_keeps_the_smallest_key_across_blocks(monkeypatch, name):
     monkeypatch.setattr(StabilizerCode, "_pauli_products", spy)
     code = _ORACLE_CODES[name]
     for max_weight in (1, 3):
-        assert lookup_decoder_build(code, max_weight)._table == _per_pauli_lookup_table(
+        assert _rows_table(lookup_decoder_build(code, max_weight)) == _per_pauli_lookup_table(
             code, max_weight
         )
     assert max(sizes) == 4
