@@ -54,9 +54,13 @@ for b, r in zip(pts_bch, pts_rep):
         f"{ratio:>8.1f}"
     )
 
-# Slopes on the log-log plot tell the story: a readout correcting t_s
-# flips fails at order p_s^(t_s+1), so bch (t_s=3) falls off with slope
-# ~4 and 3-fold repetition (t_s=1) with slope ~2.
+# Slopes on the log-log plot: a readout correcting t_s flips fails at
+# order p_s^(t_s+1), so 3-fold repetition (t_s=1) falls off with slope
+# ~2 and bch (t_s=3) with slope ~4, but only above a crossover.  Steane's
+# radius-1 lookup fails on 147 of the 189 weight-2 errors (7/9) even with
+# a clean readout, so at p_q = 0.01 p_s the data term 21 * (7/9) * p_q^2
+# passes bch's readout term C(21,4) * p_s^4 near p_s ~ 5e-4; below that
+# the bch slope falls toward 2.  The fit here (1e-3 .. 1e-2) lies above it.
 lo, hi = pts_bch[0], pts_bch[-1]
 slope_bch = math.log10(hi.p_err / lo.p_err) / math.log10(hi.p_s / lo.p_s)
 lo, hi = pts_rep[0], pts_rep[-1]

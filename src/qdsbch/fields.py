@@ -9,11 +9,10 @@ are built once per primitive polynomial and shared by every GF2m over it.
 Minimal polynomials need no coset: each is the first GF(2) dependency
 among the powers of its root.  `minimal_polynomial` computes one per call;
 `_leader_minimal_polynomial`, which BCH construction uses, computes each
-(primitive polynomial, exponent) once and keeps it.  With the coset
-leaders of bch.py, that memo holds 33 KB after every BCH code of
-m = 3..10 is built, and 0.96 MB, 4,114 minimal polynomials, after
-`bch_construct(16, 32767)` alone (tracemalloc); each code's generator is
-still its own product.
+(primitive polynomial, exponent) once and keeps it: 4,114 minimal
+polynomials, 1.0 MB, after `bch_construct(16, 32767)` alone
+(tracemalloc).  bch.py multiplies them into each m's running generator
+product once, and gives the size of all its memos together.
 """
 
 from __future__ import annotations

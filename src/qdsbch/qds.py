@@ -50,7 +50,10 @@ path the tests check the kernel against.
 
 For overhead comparisons, fujiwara_extra_measurements counts the extra
 rows of the earlier distinct-pair-measurement construction, and
-overhead_table tabulates all three against each other.
+overhead_table tabulates all three against each other.  The stage widths
+m_i of that count depend on (ell, i) alone, so overhead_table computes
+each ell's widths once, for the largest applicable t it is asked, and
+sums every row's count from them; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -399,15 +402,26 @@ def _min_power_of_two_exponent_times_e(d: int) -> int:
         terms += 20
 
 
+def _distinct_pair_widths(ell: int, t_c: int) -> List[int]:
+    """[m_1, ..., m_tc]: m_i is the smallest z with
+
+        2^z >= (C(ell, 2i) - C(ell - 2i, 2i)) * e.
+
+    Each depends on (ell, i) alone, so the widths for t_c are a prefix of
+    those for any larger t_c."""
+    return [
+        _min_power_of_two_exponent_times_e(comb(ell, 2 * i) - comb(ell - 2 * i, 2 * i))
+        for i in range(1, t_c + 1)
+    ]
+
+
 def fujiwara_extra_measurements(ell: int, t_c: int) -> Tuple[int, List[int]]:
     """Extra measurement count of the distinct-pair construction.
 
     For correcting up to t_c syndrome bit flips on ell syndrome bits, the
     construction takes 2*t_c full-weight reference measurements plus, for
-    each i = 1..t_c, (2*t_c - 2*i + 1) repetitions of an m_i-bit block
-    where m_i is the smallest z with
-
-        2^z >= (C(ell, 2i) - C(ell - 2i, 2i)) * e.
+    each i = 1..t_c, (2*t_c - 2*i + 1) repetitions of an m_i-bit block,
+    m_i from `_distinct_pair_widths`.
 
     Returns (total_extra, [m_1, ..., m_tc]).  Requires 2*t_c <= ell;
     t_c = 0 costs nothing.
@@ -418,13 +432,8 @@ def fujiwara_extra_measurements(ell: int, t_c: int) -> Tuple[int, List[int]]:
         raise ValueError("t_c must be nonnegative")
     if 2 * t_c > ell:
         raise ValueError(f"need 2*t_c <= ell, got t_c={t_c}, ell={ell}")
-    m_list: List[int] = []
-    total = 2 * t_c
-    for i in range(1, t_c + 1):
-        d = comb(ell, 2 * i) - comb(ell - 2 * i, 2 * i)
-        m_i = _min_power_of_two_exponent_times_e(d)
-        m_list.append(m_i)
-        total += (2 * t_c - 2 * i + 1) * m_i
+    m_list = _distinct_pair_widths(ell, t_c)
+    total = 2 * t_c + sum((2 * t_c - 2 * i + 1) * m_i for i, m_i in enumerate(m_list, 1))
     return total, m_list
 
 
@@ -448,12 +457,16 @@ def overhead_table(ells: Sequence[int], ts: Sequence[int]) -> List[OverheadEntry
     """
     out = []
     for ell in ells:
+        # the widths of one ell for its largest applicable t serve every
+        # row: total(t) = total(t-1) + 2 + 2*(m_1 + ... + m_(t-1)) + m_t
+        totals = [0]
+        widths_sum = 0
+        for m_t in _distinct_pair_widths(ell, max((t for t in ts if 2 * t <= ell), default=0)):
+            totals.append(totals[-1] + 2 + 2 * widths_sum + m_t)
+            widths_sum += m_t
         for t in ts:
             _, r = bch_select_parameters(ell, t)
-            if 2 * t <= ell:
-                fuji, _ = fujiwara_extra_measurements(ell, t)
-            else:
-                fuji = None
+            fuji = totals[t] if 2 * t <= ell else None
             out.append(
                 OverheadEntry(ell=ell, t=t, bch=r, fujiwara=fuji, repetition=2 * t * ell)
             )

@@ -76,9 +76,10 @@ def test_generator_has_the_designed_roots():
 
 @pytest.fixture
 def empty_memos():
-    """Drop the coset leader and minimal polynomial memos, so a test sees
-    them filled in its own order."""
+    """Drop the coset leader, generator product and minimal polynomial
+    memos, so a test sees them filled in its own order."""
     bch_module._COSET_LEADERS.clear()
+    bch_module._GENERATORS.clear()
     fields_module._MINIMAL_POLYNOMIALS.clear()
 
 
@@ -138,10 +139,36 @@ def test_parity_bit_count_ignores_call_order(empty_memos):
 
 
 def test_memos_walk_only_as_far_as_asked(empty_memos):
-    """t = 1 walks exponents 1 and 2 of GF(2^16), not its 4,115 cosets."""
+    """t = 1 walks exponents 1 and 2 of GF(2^16), not its 4,115 cosets,
+    and keeps one generator product: the minimal polynomial of alpha."""
     bch_construct(16, 1)
     assert bch_module._COSET_LEADERS == {16: ([1], [16], 2)}
     assert list(fields_module._MINIMAL_POLYNOMIALS) == [(PRIMITIVE_POLYNOMIALS[16], 1)]
+    assert bch_module._GENERATORS == {16: [BinaryPolynomial(PRIMITIVE_POLYNOMIALS[16])]}
+
+
+def test_generators_multiply_each_leader_in_once(empty_memos, monkeypatch):
+    """Every admissible code of m = 10, in ascending t from empty memos,
+    costs one polynomial product per coset leader <= 2 t_max; building
+    them all again costs none."""
+    calls = []
+    mul = BinaryPolynomial.__mul__
+
+    def counting_mul(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(BinaryPolynomial, "__mul__", counting_mul)
+    ts = range(1, 512)
+    for t in ts:
+        bch_construct(10, t)
+    leaders = len(_designed_cosets(10, ts[-1]))
+    assert leaders == len(bch_module._GENERATORS[10])
+    assert len(calls) == leaders
+    calls.clear()
+    for t in ts:
+        bch_construct(10, t)
+    assert calls == []
 
 
 def test_another_fields_minimal_polynomials_do_not_leak(empty_memos):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdsbch import qds as qds_module
 from qdsbch.bch import bch_construct, bch_select_m, bch_select_parameters, parity_bit_count
 from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix, _bits_to_mask, _mask_dtype
 from qdsbch.qds import (
@@ -592,10 +593,36 @@ def test_overhead_table_values():
     assert rows[(6, 1)].repetition == 12
 
 
+def test_overhead_table_computes_each_width_once(monkeypatch):
+    """ell = 64 with t = 1..16 needs the 16 widths m_1..m_16 once each,
+    not m_1..m_t again for every row (136)."""
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return _min_power_of_two_exponent_times_e(d)
+
+    monkeypatch.setattr(qds_module, "_min_power_of_two_exponent_times_e", counting)
+    rows = overhead_table([64], range(1, 17))
+    assert len(calls) == 16
+    monkeypatch.undo()
+    assert [r.fujiwara for r in rows] == [fujiwara_extra_measurements(64, t)[0] for t in range(1, 17)]
+
+
 def test_overhead_table_marks_inapplicable_fujiwara():
-    rows = {(r.ell, r.t): r for r in overhead_table([6], [3, 4])}
-    assert rows[(6, 3)].fujiwara is not None
-    assert rows[(6, 4)].fujiwara is None
+    """Unordered t, a repeated t and one t past the distinct-pair domain:
+    the rows keep the asked order, and each equals its counts asked alone."""
+    ts = [3, 1, 4, 1, 2]
+    rows = overhead_table([6], ts)
+    assert [(r.ell, r.t) for r in rows] == [(6, t) for t in ts]
+    for r in rows:
+        assert r.bch == bch_select_parameters(6, r.t)[1]
+        assert r.repetition == 12 * r.t
+        if 2 * r.t > 6:
+            assert r.fujiwara is None
+        else:
+            assert r.fujiwara == fujiwara_extra_measurements(6, r.t)[0]
+    assert [r.fujiwara for r in rows] == [51, 7, None, 7, 25]
 
 
 def test_overhead_table_monotone_in_t():
@@ -609,6 +636,19 @@ def test_overhead_table_monotone_in_t():
 
 
 # --- exhaustive guarantee verification ----------------------------------------
+
+
+def test_steane_fails_seven_ninths_of_weight_two_errors_with_a_clean_readout():
+    """The data-side cell behind demo 03's low-p_s slope: with no readout
+    flips, the radius-1 lookup fails on 147 of the 189 weight-2 Paulis of
+    Steane, so the data term 21 * (7/9) * p_q^2 outlasts the readout's
+    C(21, 4) * p_s^4 once p_s is small enough."""
+    base = steane_code()
+    q = qds_assemble(base, bch_sm(6, 3))
+    dec = lookup_decoder_build(base, max_weight=1)
+    errors = list(iter_weight_paulis(7, 2))
+    assert len(errors) == 189
+    assert sum(_oracle_fails(q, dec, e, None) for e in errors) == 147
 
 
 def test_verify_identity_sm():
