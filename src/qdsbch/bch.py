@@ -8,16 +8,16 @@ giving a cyclic [n, k, >= 2t+1] code with n = 2^m - 1, k = n - deg g.
 The minimal polynomial of alpha^j depends only on the 2-cyclotomic coset
 of j mod n, and those of distinct cosets are distinct irreducibles, so
 pairwise coprime: g is the product of one minimal polynomial per coset
-meeting {1, ..., 2t}, and deg g is the total size of those cosets.  The
-coset leaders of each m are found once, up to the largest 2t asked so
-far, with the running sum of their coset sizes, so R(m, t) is one read of
-it; each leader's minimal polynomial is computed once per field.  Beside
-the leaders, each m keeps the running product of their minimal
-polynomials, so g for (m, t) is one entry of it, and a call multiplies in
-only the leaders not yet in it.  The three memos hold (tracemalloc, from
-empty memos) 77 KB after every code of m = 3..10, and 19.3 MB after
-`bch_construct(16, 32767)` alone: 18.3 MB for its 4,114 products, of
-degree up to 65,534, and 1.0 MB for the minimal polynomials.
+meeting {1, ..., 2t}, and deg g is the total size of those cosets.  One
+memo, _PER_M, holds a record per m: its coset leaders, found once up to
+the largest 2t asked so far, the running sum of their coset sizes, so
+R(m, t) is one read of it, and the running product of their minimal
+polynomials, so g for (m, t) is one entry of it and a call multiplies in
+only the leaders not yet there, each once per m.  The memo holds 39 KB
+after every code of m = 3..10, and 18.6 MB after
+`bch_construct(16, 32767)` alone, nearly all of it the 4,114 products, of
+degree up to 65,534 (tracemalloc, field tables built and the memo
+emptied first, codes dropped before reading).
 Codewords are bit masks, position j = coefficient of x^j.  Encoding is
 systematic with the message in the first k positions: because x^n = 1
 (mod g), the matrix row for message bit i is x^i + x^k * (x^(i+r) mod g),
@@ -41,7 +41,7 @@ from bisect import bisect_right
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import BinaryPolynomial, GF2m, _leader_minimal_polynomial
+from .fields import BinaryPolynomial, GF2m, minimal_polynomial
 from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits
 
 
@@ -214,25 +214,30 @@ class BchCode:
         )
 
 
-# m -> (the 2-cyclotomic coset leaders mod 2^m - 1 found so far, ascending;
-# the running sum of their coset sizes; the largest exponent examined).  A
-# leader is its coset's least element, so the cosets meeting {1, ..., b}
-# are those of the leaders <= b.
-_COSET_LEADERS: Dict[int, Tuple[List[int], List[int], int]] = {}
+# m -> [the 2-cyclotomic coset leaders mod 2^m - 1 found so far, ascending;
+# the running sums of their coset sizes; the running products of their
+# minimal polynomials, as far as bch_construct has asked; the largest
+# exponent examined].  A leader is its coset's least element, so the cosets
+# meeting {1, ..., b} are those of the leaders <= b, and product i is the
+# generator of every (m, t) whose 2t reaches leader i but not leader i + 1.
+_PER_M: Dict[int, list] = {}
 
 
-def _designed_leaders(m: int, t: int) -> Tuple[List[int], int]:
-    """The leaders of the 2-cyclotomic cosets mod 2^m - 1 that meet
-    {1, ..., 2t}, ascending, and those cosets' total size: one leader per
-    minimal polynomial of the (m, t) generator, and its degree.  The walk
-    of each m goes on from where it stopped, up to 2t."""
+def _designed_leaders(m: int, t: int) -> Tuple[list, int]:
+    """m's record in _PER_M, walked at least to 2t, and the count of its
+    leaders <= 2t: the leaders of the 2-cyclotomic cosets mod 2^m - 1 that
+    meet {1, ..., 2t}, one per minimal polynomial of the (m, t) generator.
+    The walk of each m goes on from where it stopped."""
     n = (1 << m) - 1 if m >= 1 else 0
     if t < 1:
         raise ValueError("t must be at least 1")
     if 2 * t >= n:
         raise ValueError(f"2t = {2 * t} must be below the code length {n}")
     top = 2 * t
-    leaders, totals, walked = _COSET_LEADERS.get(m) or ([], [], 0)
+    record = _PER_M.get(m)
+    if record is None:
+        record = _PER_M[m] = [[], [], [], 0]
+    leaders, totals, _, walked = record
     if top > walked:
         total = totals[-1] if totals else 0
         # an even e has e/2 in its coset, so only an odd e can lead; it
@@ -246,27 +251,19 @@ def _designed_leaders(m: int, t: int) -> Tuple[List[int], int]:
                 total += size
                 leaders.append(e)
                 totals.append(total)
-        _COSET_LEADERS[m] = (leaders, totals, top)
-    count = bisect_right(leaders, top)
-    return leaders[:count], totals[count - 1]
-
-
-# m -> the running products of the minimal polynomials of its leaders in
-# _COSET_LEADERS, as far as bch_construct has asked: entry i is the
-# generator of every (m, t) whose 2t reaches leader i but not leader i + 1.
-_GENERATORS: Dict[int, List[BinaryPolynomial]] = {}
+        record[3] = top
+    return record, bisect_right(leaders, top)
 
 
 def bch_construct(m: int, t: int) -> BchCode:
     """The primitive narrow-sense BCH code of length 2^m - 1 correcting t errors."""
-    leaders, _ = _designed_leaders(m, t)
+    (leaders, _, products, _), count = _designed_leaders(m, t)
     field = GF2m(m)
-    products = _GENERATORS.setdefault(m, [])
     g = products[-1] if products else BinaryPolynomial.one()
-    for e in leaders[len(products):]:
-        g = g * _leader_minimal_polynomial(field, e)
+    for e in leaders[len(products) : count]:
+        g = g * minimal_polynomial(field, e)
         products.append(g)
-    code = BchCode(field, t, products[len(leaders) - 1])
+    code = BchCode(field, t, products[count - 1])
     if code.r > m * t:
         raise AssertionError("parity count exceeded the m*t bound")
     return code
@@ -276,7 +273,8 @@ def parity_bit_count(m: int, t: int) -> int:
     """R(m, t) = deg g for the (m, t) code: the number of distinct roots of
     g, i.e. the total size of the cosets meeting {1, ..., 2t}.  No field is
     built, so m has no cap here."""
-    return _designed_leaders(m, t)[1]
+    (_, totals, _, _), count = _designed_leaders(m, t)
+    return totals[count - 1]
 
 
 def bch_select_parameters(ell: int, t: int) -> Tuple[int, int]:
@@ -291,7 +289,8 @@ def bch_select_parameters(ell: int, t: int) -> Tuple[int, int]:
         raise ValueError("ell must be positive")
     if t < 1:
         raise ValueError("t must be at least 1")
-    m = 2
+    # ell <= 2^m - m*t - 1 < 2^m, so no m below ell's bit length qualifies
+    m = max(2, ell.bit_length())
     while 2 * t >= (1 << m) - 1 or ell > (1 << m) - m * t - 1:
         m += 1
     return m, parity_bit_count(m, t)

@@ -7,18 +7,14 @@ integers in [0, 2^m) whose bits are coordinates in the polynomial basis
 polynomial; multiplication goes through log/antilog tables.  The tables
 are built once per primitive polynomial and shared by every GF2m over it.
 Minimal polynomials need no coset: each is the first GF(2) dependency
-among the powers of its root.  `minimal_polynomial` computes one per call;
-`_leader_minimal_polynomial`, which BCH construction uses, computes each
-(primitive polynomial, exponent) once and keeps it: 4,114 minimal
-polynomials, 1.0 MB, after `bch_construct(16, 32767)` alone
-(tracemalloc).  bch.py multiplies them into each m's running generator
-product once, and gives the size of all its memos together.
+among the powers of its root.  `minimal_polynomial` computes one per call
+and keeps nothing.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .linalg import _bits_to_mask, _mask_to_bits
 
@@ -348,18 +344,3 @@ def minimal_polynomial(field: GF2m, exponent: int) -> BinaryPolynomial:
         power = (power + step) % n
     raise AssertionError("m + 1 powers in GF(2^m) must be dependent")
 
-
-# (primitive polynomial mask, exponent) -> minimal polynomial, filled by
-# `_leader_minimal_polynomial`; bch_construct asks it only for the coset
-# leaders of the default fields, at most 8,891 of them over m = 2..16
-_MINIMAL_POLYNOMIALS: Dict[Tuple[int, int], BinaryPolynomial] = {}
-
-
-def _leader_minimal_polynomial(field: GF2m, leader: int) -> BinaryPolynomial:
-    """`minimal_polynomial(field, leader)`, computed once per primitive
-    polynomial and exponent."""
-    key = (field.primitive_polynomial.mask, leader)
-    poly = _MINIMAL_POLYNOMIALS.get(key)
-    if poly is None:
-        poly = _MINIMAL_POLYNOMIALS[key] = minimal_polynomial(field, leader)
-    return poly

@@ -50,10 +50,12 @@ path the tests check the kernel against.
 
 For overhead comparisons, fujiwara_extra_measurements counts the extra
 rows of the earlier distinct-pair-measurement construction, and
-overhead_table tabulates all three against each other.  The stage widths
-m_i of that count depend on (ell, i) alone, so overhead_table computes
-each ell's widths once, for the largest applicable t it is asked, and
-sums every row's count from them; nothing is kept between calls.
+overhead_table tabulates all three against each other.  Both read one
+formula, _distinct_pair_counts: the stage widths m_i depend on (ell, i)
+alone, and the count for t is a running total over them, so
+overhead_table computes each ell's widths and totals once, for the
+largest applicable t it is asked, and reads every row from them; nothing
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -402,17 +404,23 @@ def _min_power_of_two_exponent_times_e(d: int) -> int:
         terms += 20
 
 
-def _distinct_pair_widths(ell: int, t_c: int) -> List[int]:
-    """[m_1, ..., m_tc]: m_i is the smallest z with
+def _distinct_pair_counts(ell: int, t_c: int) -> Tuple[List[int], List[int]]:
+    """([m_1, ..., m_tc], [total(0), ..., total(tc)]) of the distinct-pair
+    construction.  The stage width m_t is the smallest z with
 
-        2^z >= (C(ell, 2i) - C(ell - 2i, 2i)) * e.
+        2^z >= (C(ell, 2t) - C(ell - 2t, 2t)) * e,
 
-    Each depends on (ell, i) alone, so the widths for t_c are a prefix of
-    those for any larger t_c."""
-    return [
-        _min_power_of_two_exponent_times_e(comb(ell, 2 * i) - comb(ell - 2 * i, 2 * i))
-        for i in range(1, t_c + 1)
-    ]
+    and total(t) = total(t-1) + 2 + 2*(m_1 + ... + m_(t-1)) + m_t, from
+    total(0) = 0, is the extra measurement count for t.  Both depend on
+    (ell, t) alone, so the lists for t_c are prefixes of those for any
+    larger t_c."""
+    widths, totals, widths_sum = [], [0], 0
+    for t in range(1, t_c + 1):
+        m_t = _min_power_of_two_exponent_times_e(comb(ell, 2 * t) - comb(ell - 2 * t, 2 * t))
+        totals.append(totals[-1] + 2 + 2 * widths_sum + m_t)
+        widths.append(m_t)
+        widths_sum += m_t
+    return widths, totals
 
 
 def fujiwara_extra_measurements(ell: int, t_c: int) -> Tuple[int, List[int]]:
@@ -421,7 +429,7 @@ def fujiwara_extra_measurements(ell: int, t_c: int) -> Tuple[int, List[int]]:
     For correcting up to t_c syndrome bit flips on ell syndrome bits, the
     construction takes 2*t_c full-weight reference measurements plus, for
     each i = 1..t_c, (2*t_c - 2*i + 1) repetitions of an m_i-bit block,
-    m_i from `_distinct_pair_widths`.
+    m_i and the total from `_distinct_pair_counts`.
 
     Returns (total_extra, [m_1, ..., m_tc]).  Requires 2*t_c <= ell;
     t_c = 0 costs nothing.
@@ -432,9 +440,8 @@ def fujiwara_extra_measurements(ell: int, t_c: int) -> Tuple[int, List[int]]:
         raise ValueError("t_c must be nonnegative")
     if 2 * t_c > ell:
         raise ValueError(f"need 2*t_c <= ell, got t_c={t_c}, ell={ell}")
-    m_list = _distinct_pair_widths(ell, t_c)
-    total = 2 * t_c + sum((2 * t_c - 2 * i + 1) * m_i for i, m_i in enumerate(m_list, 1))
-    return total, m_list
+    widths, totals = _distinct_pair_counts(ell, t_c)
+    return totals[t_c], widths
 
 
 @dataclass(frozen=True)
@@ -457,13 +464,8 @@ def overhead_table(ells: Sequence[int], ts: Sequence[int]) -> List[OverheadEntry
     """
     out = []
     for ell in ells:
-        # the widths of one ell for its largest applicable t serve every
-        # row: total(t) = total(t-1) + 2 + 2*(m_1 + ... + m_(t-1)) + m_t
-        totals = [0]
-        widths_sum = 0
-        for m_t in _distinct_pair_widths(ell, max((t for t in ts if 2 * t <= ell), default=0)):
-            totals.append(totals[-1] + 2 + 2 * widths_sum + m_t)
-            widths_sum += m_t
+        # the totals of one ell for its largest applicable t serve every row
+        _, totals = _distinct_pair_counts(ell, max((t for t in ts if 2 * t <= ell), default=0))
         for t in ts:
             _, r = bch_select_parameters(ell, t)
             fuji = totals[t] if 2 * t <= ell else None

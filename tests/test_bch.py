@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdsbch import bch as bch_module
-from qdsbch import fields as fields_module
 from qdsbch.bch import (
     BchCode,
     bch_construct,
@@ -24,7 +23,6 @@ from qdsbch.fields import (
     PRIMITIVE_POLYNOMIALS,
     BinaryPolynomial,
     GF2m,
-    _leader_minimal_polynomial,
     cyclotomic_cosets,
     minimal_polynomial,
     poly_lcm,
@@ -76,11 +74,9 @@ def test_generator_has_the_designed_roots():
 
 @pytest.fixture
 def empty_memos():
-    """Drop the coset leader, generator product and minimal polynomial
-    memos, so a test sees them filled in its own order."""
-    bch_module._COSET_LEADERS.clear()
-    bch_module._GENERATORS.clear()
-    fields_module._MINIMAL_POLYNOMIALS.clear()
+    """Drop the per-m construction memo (coset leaders, coset-size totals
+    and generator products), so a test sees it filled in its own order."""
+    bch_module._PER_M.clear()
 
 
 def _designed_cosets(m, t):
@@ -140,11 +136,11 @@ def test_parity_bit_count_ignores_call_order(empty_memos):
 
 def test_memos_walk_only_as_far_as_asked(empty_memos):
     """t = 1 walks exponents 1 and 2 of GF(2^16), not its 4,115 cosets,
-    and keeps one generator product: the minimal polynomial of alpha."""
+    and keeps one record: leader 1, its coset's 16 exponents, and one
+    generator product, the minimal polynomial of alpha."""
     bch_construct(16, 1)
-    assert bch_module._COSET_LEADERS == {16: ([1], [16], 2)}
-    assert list(fields_module._MINIMAL_POLYNOMIALS) == [(PRIMITIVE_POLYNOMIALS[16], 1)]
-    assert bch_module._GENERATORS == {16: [BinaryPolynomial(PRIMITIVE_POLYNOMIALS[16])]}
+    primitive = BinaryPolynomial(PRIMITIVE_POLYNOMIALS[16])
+    assert bch_module._PER_M == {16: [[1], [16], [primitive], 2]}
 
 
 def test_generators_multiply_each_leader_in_once(empty_memos, monkeypatch):
@@ -163,7 +159,7 @@ def test_generators_multiply_each_leader_in_once(empty_memos, monkeypatch):
     for t in ts:
         bch_construct(10, t)
     leaders = len(_designed_cosets(10, ts[-1]))
-    assert leaders == len(bch_module._GENERATORS[10])
+    assert leaders == len(bch_module._PER_M[10][2])
     assert len(calls) == leaders
     calls.clear()
     for t in ts:
@@ -172,12 +168,12 @@ def test_generators_multiply_each_leader_in_once(empty_memos, monkeypatch):
 
 
 def test_another_fields_minimal_polynomials_do_not_leak(empty_memos):
-    """Minimal polynomials memoized over x^4 + x^3 + 1 first leave
+    """Minimal polynomials computed over x^4 + x^3 + 1 first leave
     bch_construct(4, t), over the default x^4 + x + 1, unchanged."""
     other = GF2m(4, 0b11001)
     for e in range(1, 15):
-        _leader_minimal_polynomial(other, e)
-    assert _leader_minimal_polynomial(other, 1).mask == 0b11001
+        minimal_polynomial(other, e)
+    assert minimal_polynomial(other, 1).mask == 0b11001
     for t in range(1, 8):
         assert bch_construct(4, t).generator == _lcm_generator(4, t), t
     assert bch_construct(4, 1).generator.mask == 0b10011
@@ -417,6 +413,24 @@ def test_select_parameters_monotone_in_ell():
         assert m >= last
         assert ell <= (1 << m) - 3 * m - 1
         last = m
+
+
+def _select_m_from_two(ell, t):
+    """The smallest admissible m, searched upward from 2."""
+    m = 2
+    while 2 * t >= (1 << m) - 1 or ell > (1 << m) - m * t - 1:
+        m += 1
+    return m
+
+
+def test_select_parameters_equals_the_search_from_two():
+    """Starting the search at ell's bit length skips only m that cannot
+    qualify: ell = 1..4096 and 2^k +- 1 up to k = 40, for t = 1..16."""
+    ells = set(range(1, 4097)) | {(1 << k) + d for k in range(1, 41) for d in (-1, 1)}
+    for ell in sorted(ells):
+        for t in range(1, 17):
+            m = _select_m_from_two(ell, t)
+            assert bch_select_parameters(ell, t) == (m, parity_bit_count(m, t)), (ell, t)
 
 
 def test_select_parameters_infeasible():

@@ -517,6 +517,33 @@ def test_fujiwara_block_sizes_match_float_logs():
             assert running == total
 
 
+def _closed_form_fujiwara(ell, t_c):
+    """(2t + sum_i (2t - 2i + 1) m_i, [m_1, ..., m_t]) with each m_i taken
+    alone: the closed form the running total replaced, kept as its oracle."""
+    widths = [
+        _min_power_of_two_exponent_times_e(comb(ell, 2 * i) - comb(ell - 2 * i, 2 * i))
+        for i in range(1, t_c + 1)
+    ]
+    return 2 * t_c + sum((2 * t_c - 2 * i + 1) * m_i for i, m_i in enumerate(widths, 1)), widths
+
+
+def test_fujiwara_running_total_equals_the_closed_form():
+    for ell in range(1, 65):
+        for t_c in range(min(16, ell // 2) + 1):
+            want = _closed_form_fujiwara(ell, t_c)
+            assert fujiwara_extra_measurements(ell, t_c) == want, (ell, t_c)
+
+
+def test_overhead_table_fujiwara_column_equals_the_count_alone():
+    """Every row of ell = 1..64 x t = 1..16, within the distinct-pair domain
+    and past it."""
+    rows = overhead_table(range(1, 65), range(1, 17))
+    assert len(rows) == 1024
+    for r in rows:
+        want = fujiwara_extra_measurements(r.ell, r.t)[0] if 2 * r.t <= r.ell else None
+        assert r.fujiwara == want, (r.ell, r.t)
+
+
 def test_e_bound_matches_a_decimal_oracle():
     """The least z with 2^z >= d*e, against e to 200 digits, for the d that
     straddle each power of two up to 2^400: there the first bracket of e
