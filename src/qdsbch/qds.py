@@ -46,7 +46,10 @@ gives up exactly when decoding f alone does.
   product.
 
 measure, decode_two_step and StabilizerCode.classify are the one-trial
-path the tests check the kernel against.
+path the tests check the kernel against.  measure reads H_Q's rows, kept
+as symplectic masks in h_q, through stabilizer._anticommuting, the same
+helper the base code's syndrome uses; measurement_pauli and row_weights
+read the same rows, so QdsCode keeps no second copy of them.
 
 For overhead comparisons, fujiwara_extra_measurements counts the extra
 rows of the earlier distinct-pair-measurement construction, and
@@ -65,7 +68,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +85,7 @@ from .stabilizer import (
     LookupDecoder,
     PauliOperator,
     StabilizerCode,
+    _anticommuting,
     _weight_pauli_masks,
 )
 
@@ -282,18 +286,11 @@ class QdsCode:
         self.sm = sm
         self.h_q = sm.encode_matrix.transpose().mat_mul(base.check_matrix)
         self.extra_measurements = sm.extra_measurements
-        n = base.n
-        low = (1 << n) - 1
-        self._rows = tuple(
-            (self.h_q.row_mask(i) & low, self.h_q.row_mask(i) >> n)
-            for i in range(self.h_q.rows)
-        )
-        self.row_weights = tuple((rx | rz).bit_count() for rx, rz in self._rows)
+        self.row_weights = tuple(PauliOperator._from_mask(base.n, r).weight for r in self.h_q.data)
 
     def measurement_pauli(self, i: int) -> PauliOperator:
         """Row i of H_Q as the product of generators it measures."""
-        rx, rz = self._rows[i]
-        return PauliOperator(self.base.n, rx, rz)
+        return PauliOperator._from_mask(self.base.n, self.h_q.data[i])
 
     def measure(
         self, data_error: PauliOperator, syndrome_error: Optional[Sequence[int]] = None
@@ -308,11 +305,8 @@ class QdsCode:
         return _mask_to_bits(word, self.sm.n_s)
 
     def _measure_mask(self, ex: int, ez: int, flips: int) -> int:
-        word = flips
-        for i, (rx, rz) in enumerate(self._rows):
-            if ((rx & ez).bit_count() + (rz & ex).bit_count()) & 1:
-                word ^= 1 << i
-        return word
+        n = self.base.n
+        return flips ^ _anticommuting(self.h_q.data, n, ex | (ez << n))
 
     def decode_two_step(self, measured: Sequence[int], quantum_decoder):
         """SM-decode the readout, then look up a correction for the
@@ -444,8 +438,7 @@ def fujiwara_extra_measurements(ell: int, t_c: int) -> Tuple[int, List[int]]:
     return totals[t_c], widths
 
 
-@dataclass(frozen=True)
-class OverheadEntry:
+class OverheadEntry(NamedTuple):
     """Extra measurements needed by each construction at one (ell, t)."""
 
     ell: int
@@ -469,9 +462,7 @@ def overhead_table(ells: Sequence[int], ts: Sequence[int]) -> List[OverheadEntry
         for t in ts:
             _, r = bch_select_parameters(ell, t)
             fuji = totals[t] if 2 * t <= ell else None
-            out.append(
-                OverheadEntry(ell=ell, t=t, bch=r, fujiwara=fuji, repetition=2 * t * ell)
-            )
+            out.append(OverheadEntry(ell, t, r, fuji, 2 * t * ell))
     return out
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import comb, inf, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -62,6 +62,8 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96) -> Tuple[float,
         raise ValueError("trials must be positive")
     if not 0 <= failures <= trials:
         raise ValueError("failures must be in [0, trials]")
+    if not 0.0 <= z < inf:  # also false for NaN
+        raise ValueError(f"z must be finite and nonnegative, got {z}")
     phat = failures / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -271,8 +273,8 @@ def _kept_cells(
     for name, v in (("p_q", p_q), ("p_s", p_s)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must be a probability, got {v}")
-    if truncation < 0.0:
-        raise ValueError("truncation must be nonnegative")
+    if not 0.0 <= truncation < inf:  # also true for NaN
+        raise ValueError(f"truncation must be finite and nonnegative, got {truncation}")
     col = [binomial_weight_probability(ws, p_s, n_s) for ws in range(n_s + 1)]
     kept = []
     dropped = 0

@@ -5,10 +5,15 @@ of x set means the letter on qubit i has an X component, bit i of z a Z
 component, so per qubit (0,0)=I, (1,0)=X, (0,1)=Z, (1,1)=Y.  String order
 is qubit 0 first.
 
-The symplectic product x_a.z_b + z_a.x_b (mod 2) is 0 exactly when two
-Paulis commute; a stabilizer code's check matrix has one [x_bits | z_bits]
-row of length 2n per generator and a syndrome is the vector of symplectic
-products of an error with each generator.
+The symplectic mask x | z << n of a Pauli, a Python int, is read here
+only.  `PauliOperator._from_mask` is the one split of a mask into its
+halves, and `_anticommuting` the one symplectic product: x_a.z_b + z_a.x_b
+(mod 2), 0 exactly when two Paulis commute, taken for a whole list of
+rows at once.  A stabilizer code's check matrix has one [x_bits | z_bits]
+row of length 2n per generator, and a syndrome is `_anticommuting` of an
+error over those rows; `symplectic_product`, the commutation check of
+`StabilizerCode()` and `QdsCode.measure` (over the rows of H_Q) call it
+too.
 
 Classification of a residual error: "trivial" if it is in the row space
 of the check matrix (an element of the stabilizer group), otherwise
@@ -85,7 +90,12 @@ class PauliOperator:
                 raise ValueError(f"invalid Pauli letter {ch!r} at position {i}")
         n = len(s)
         letters = np.array([_PAULI_LETTERS.index(ch) for ch in s], dtype=np.intp)
-        mask = int(_pauli_masks(np.arange(n), letters, n))
+        return cls._from_mask(n, int(_pauli_masks(np.arange(n), letters, n)))
+
+    @classmethod
+    def _from_mask(cls, n: int, mask: int) -> "PauliOperator":
+        """The Pauli of the symplectic mask x | z << n, the one place a mask
+        is split into its halves."""
         return cls(n, mask & ((1 << n) - 1), mask >> n)
 
     def to_string(self) -> str:
@@ -130,10 +140,23 @@ class PauliOperator:
         return f"PauliOperator({self.to_string()!r})"
 
 
+def _anticommuting(rows: Sequence[int], n: int, mask: int) -> int:
+    """Bit i set where the symplectic row i (x | z << n) anticommutes with
+    the Pauli of symplectic mask `mask`: the row ANDed with the mask's two
+    halves swapped has odd weight.  The one symplectic-product formula of
+    the package; the batched path multiplies by
+    `StabilizerCode._syndrome_and_class` instead."""
+    swapped = (mask >> n) | ((mask & ((1 << n) - 1)) << n)
+    out = 0
+    for i, row in enumerate(rows):
+        out |= ((row & swapped).bit_count() & 1) << i
+    return out
+
+
 def symplectic_product(a: PauliOperator, b: PauliOperator) -> int:
     if a.n != b.n:
         raise ValueError("qubit count mismatch")
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1
+    return _anticommuting((a.symplectic_mask(),), a.n, b.symplectic_mask())
 
 
 def _pauli_masks(qubits: np.ndarray, letters: np.ndarray, n: int) -> np.ndarray:
@@ -174,10 +197,9 @@ def _weight_pauli_masks(n: int, w: int) -> np.ndarray:
 def iter_weight_paulis(n: int, w: int) -> Iterator[PauliOperator]:
     """All weight-w Paulis on n qubits, in the fixed order of
     `_weight_pauli_blocks`, turned into Python ints a block at a time."""
-    low = (1 << n) - 1
     for block in _weight_pauli_blocks(n, w):
         for mask in _pauli_masks(*block, n).reshape(-1).tolist():
-            yield PauliOperator(n, mask & low, mask >> n)
+            yield PauliOperator._from_mask(n, mask)
 
 
 class StabilizerCode:
@@ -191,16 +213,17 @@ class StabilizerCode:
         for g in generators:
             if g.n != n:
                 raise ValueError("generators act on different qubit counts")
-        for i in range(len(generators)):
-            for j in range(i + 1, len(generators)):
-                if symplectic_product(generators[i], generators[j]):
-                    raise ValueError(
-                        f"generators {i} and {j} anticommute: "
-                        f"{generators[i].to_string()} vs {generators[j].to_string()}"
-                    )
-        check = BinaryMatrix(
-            len(generators), 2 * n, [g.symplectic_mask() for g in generators]
-        )
+        masks = [g.symplectic_mask() for g in generators]
+        for i, mask in enumerate(masks):
+            later = _anticommuting(masks[i + 1 :], n, mask)
+            if later:
+                # the first generator after i that anticommutes with it
+                j = i + (later & -later).bit_length()
+                raise ValueError(
+                    f"generators {i} and {j} anticommute: "
+                    f"{generators[i].to_string()} vs {generators[j].to_string()}"
+                )
+        check = BinaryMatrix(len(generators), 2 * n, masks)
         if check.rank != len(generators):
             raise ValueError("generators are not independent")
         self.n = n
@@ -208,7 +231,6 @@ class StabilizerCode:
         self.k = n - self.ell
         self.generators = generators
         self.check_matrix = check
-        self._gen_masks = tuple((g.x, g.z) for g in generators)
 
     def syndrome(self, error: PauliOperator) -> Tuple[int, ...]:
         if error.n != self.n:
@@ -216,11 +238,7 @@ class StabilizerCode:
         return _mask_to_bits(self._syndrome_mask(error.x, error.z), self.ell)
 
     def _syndrome_mask(self, ex: int, ez: int) -> int:
-        s = 0
-        for i, (gx, gz) in enumerate(self._gen_masks):
-            if ((gx & ez).bit_count() + (gz & ex).bit_count()) & 1:
-                s |= 1 << i
-        return s
+        return _anticommuting(self.check_matrix.data, self.n, ex | (ez << self.n))
 
     def classify(self, residual: PauliOperator) -> str:
         """One of "trivial", "logical", "detectable" for a residual error."""
@@ -352,9 +370,7 @@ class LookupDecoder:
         i = int(np.searchsorted(self._rows[:, 0], mask))
         if i == len(self._rows) or self._rows[i, 0] != mask:
             return None
-        n = self.code.n
-        m = int(self._rows[i, 2])
-        return PauliOperator(n, m & ((1 << n) - 1), m >> n)
+        return PauliOperator._from_mask(self.code.n, int(self._rows[i, 2]))
 
     @cached_property
     def _correction_classes(self) -> Optional[np.ndarray]:

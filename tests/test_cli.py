@@ -404,6 +404,23 @@ def test_sim_sweep_single_point(tmp_path, capsys):
     assert "p_s,p_q,p_err,truncation_mass" in out
 
 
+@pytest.mark.parametrize("truncation", ["nan", "inf"])
+def test_sim_sweep_rejects_a_non_finite_truncation(tmp_path, capsys, truncation):
+    """Both used to exit 0 and write "truncation": NaN or Infinity, which is
+    not JSON, into the meta line; NaN also kept every cell."""
+    grid_path = tmp_path / "grid.json"
+    cell = {"wq": 0, "ws": 0, "trials": 10, "failures": 0}
+    grid_path.write_text(json.dumps({"code_meta": {"n": 7, "n_s": 6}, "seed": 1, "cells": [cell]}))
+    curve_path = tmp_path / "curve.csv"
+    code, _, err = run(
+        capsys, "sim", "sweep", "--grid", str(grid_path), "--ps", "1e-3",
+        "--ratio", "0.1", "--truncation", truncation, "--out", str(curve_path),
+    )
+    assert code == 1
+    assert err.startswith("error: truncation must be finite and nonnegative")
+    assert not curve_path.exists()
+
+
 def test_sim_sweep_missing_grid_file(tmp_path, capsys):
     curve_path = tmp_path / "curve.csv"
     code, _, err = run(

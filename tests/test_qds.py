@@ -17,6 +17,7 @@ from qdsbch.bch import bch_construct, bch_select_m, bch_select_parameters, parit
 from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix, _bits_to_mask, _mask_dtype
 from qdsbch.qds import (
     BchSyndromeMeasurement,
+    OverheadEntry,
     QdsCode,
     RepetitionSyndromeMeasurement,
     _e_bracket,
@@ -385,6 +386,34 @@ WIDE = css_from_parity(
 )
 
 
+@pytest.mark.parametrize("base", [steane_code(), WIDE], ids=["steane", "wide-70bit-masks"])
+@pytest.mark.parametrize(
+    "make_sm",
+    [lambda ell: bch_sm(ell, 3), lambda ell: repetition_sm(ell, 3), identity_sm],
+    ids=["bch-t3", "rep3", "identity"],
+)
+def test_measurement_rows_and_clean_readout_read_h_q(base, make_sm):
+    """row_weights and measurement_pauli read H_Q's rows, and a clean
+    readout is the SM encoding of the syndrome for every error of weight
+    <= 2; the syndrome is checked against the symplectic product of the
+    error with each generator, split into halves here."""
+    n = base.n
+    q = qds_assemble(base, make_sm(base.ell))
+    ops = [q.measurement_pauli(i) for i in range(q.sm.n_s)]
+    assert q.row_weights == tuple(op.weight for op in ops)
+    for op, row in zip(ops, q.h_q.data):
+        assert op.symplectic_mask() == row
+        assert op.weight == sum(((row >> j) | (row >> (n + j))) & 1 for j in range(n))
+    zero = (0,) * q.sm.n_s
+    for w in (0, 1, 2):
+        for e in iter_weight_paulis(n, w):
+            syndrome = base.syndrome(e)
+            assert syndrome == tuple(
+                ((g.x & e.z).bit_count() + (g.z & e.x).bit_count()) & 1 for g in base.generators
+            )
+            assert q.measure(e, zero) == q.sm.encode(syndrome)
+
+
 @pytest.mark.parametrize(
     "base, sm",
     [
@@ -634,6 +663,14 @@ def test_overhead_table_computes_each_width_once(monkeypatch):
     assert len(calls) == 16
     monkeypatch.undo()
     assert [r.fujiwara for r in rows] == [fujiwara_extra_measurements(64, t)[0] for t in range(1, 17)]
+
+
+def test_overhead_entry_fields_keep_their_order():
+    """Rows are built positionally, so the field order is the column order."""
+    (row,) = overhead_table([10], [3])
+    assert row == OverheadEntry(ell=10, t=3, bch=bch_select_parameters(10, 3)[1],
+                                fujiwara=76, repetition=60)
+    assert tuple(row) == (row.ell, row.t, row.bch, row.fujiwara, row.repetition)
 
 
 def test_overhead_table_marks_inapplicable_fujiwara():

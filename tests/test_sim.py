@@ -88,6 +88,13 @@ def test_wilson_interval():
         wilson_interval(7, 5)
 
 
+@pytest.mark.parametrize("z", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+def test_wilson_interval_rejects_a_bad_z(z):
+    """NaN used to give (0, 1) and a negative z an interval with lo > hi."""
+    with pytest.raises(ValueError, match="z must be"):
+        wilson_interval(1, 10, z)
+
+
 def test_error_model_validation():
     ErrorModel(0.01, 0.02)
     with pytest.raises(ValueError):
@@ -350,6 +357,19 @@ def test_combine_validates_probabilities():
         combine_grid_bounds(grid, 0.1, 1.1, truncation=1e-2)
     with pytest.raises(ValueError):
         required_cells(7, 6, [(1e-3, 1e-3), (-0.1, 0.1)], truncation=1e-2)
+
+
+@pytest.mark.parametrize("truncation", [math.nan, math.inf], ids=["nan", "inf"])
+def test_combine_rejects_a_non_finite_truncation(truncation):
+    """A NaN truncation compares false with every prefactor, so it used to
+    keep every cell and report a truncation mass of 0."""
+    q, dec = _steane_qds()
+    grid = build_grid(q, dec, seed=2, boundary_trials=20, bulk_trials=10)
+    for call in (combine_grid, combine_grid_bounds):
+        with pytest.raises(ValueError, match="truncation must be finite and nonnegative"):
+            call(grid, 0.01, 0.01, truncation=truncation)
+    with pytest.raises(ValueError, match="truncation must be finite and nonnegative"):
+        required_cells(7, 6, [(1e-3, 1e-3)], truncation=truncation)
     with pytest.raises(ValueError):
         required_cells(7, 6, [(1e-3, 1e-3)], truncation=-1.0)
 

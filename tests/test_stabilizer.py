@@ -17,6 +17,7 @@ from qdsbch.stabilizer import (
     LookupDecoder,
     PauliOperator,
     StabilizerCode,
+    _anticommuting,
     _min_logical_weight,
     _pauli_masks,
     _weight_pauli_blocks,
@@ -126,6 +127,53 @@ def test_symplectic_product_is_bilinear():
         lhs = symplectic_product(a * b, c)
         rhs = symplectic_product(a, c) ^ symplectic_product(b, c)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", [1, 7, 31, 32, 35, 40])
+def test_anticommuting_matches_the_split_formula(n):
+    """Bit i of `_anticommuting` is x_i.z + z_i.x (mod 2), with the halves
+    split here, past 64-bit masks too."""
+    rng = random.Random(n)
+    paulis = [PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(40)]
+    rows = [p.symplectic_mask() for p in paulis]
+    for e in paulis:
+        got = _anticommuting(rows, n, e.symplectic_mask())
+        want = sum(
+            (((r.x & e.z).bit_count() + (r.z & e.x).bit_count()) & 1) << i
+            for i, r in enumerate(paulis)
+        )
+        assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 7, 32, 33, 35, 64])
+def test_from_mask_inverts_symplectic_mask(n):
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    paulis = [PauliOperator(n, full, full), PauliOperator(n, full, 0), PauliOperator(n, 0, full)]
+    paulis += [PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(50)]
+    for p in paulis:
+        back = PauliOperator._from_mask(n, p.symplectic_mask())
+        assert (back.n, back.x, back.z) == (p.n, p.x, p.z)
+    with pytest.raises(ValueError):
+        PauliOperator._from_mask(n, 1 << (2 * n))
+
+
+@pytest.mark.parametrize(
+    "generators, pair",
+    [
+        (["XXII", "ZZII", "IIXX", "IIZX"], (2, 3)),
+        (["ZIII", "IIZI", "XIII", "YIII"], (0, 2)),
+        (["IIIX", "ZIII", "IZII", "XIII", "IXII"], (1, 3)),
+    ],
+)
+def test_anticommuting_generators_are_named(generators, pair):
+    """The error names the first anticommuting pair, i then j ascending."""
+    i, j = pair
+    with pytest.raises(ValueError) as info:
+        StabilizerCode([PauliOperator.from_string(s) for s in generators])
+    assert str(info.value) == (
+        f"generators {i} and {j} anticommute: {generators[i]} vs {generators[j]}"
+    )
 
 
 # the (x, z) bits of the letter codes of _pauli_masks: X, Y, Z, I
