@@ -527,3 +527,92 @@ def test_verify_budget_refusal(capsys):
     assert code == 3
     assert "34364" in err
     assert "PASS" not in out
+
+
+# --- every output, pinned ---------------------------------------------------------
+
+_GRID_BCH3 = ["sim", "grid", "--sm", "bch", "--t", "3", "--trials", "50", "--seed", "3",
+              "--out", "grid.json"]
+_SWEEP_BCH3 = ["sim", "sweep", "--grid", "grid.json", "--ps", "1e-4:1e-1:log7", "--ratio", "1"]
+_COUNT = ["qds", "count", "--ell-range", "1:64", "--t-range", "1:16"]
+_DIGEST_GRID_BCH3 = "32e004d31f16bab72eddd31dbd5f4fae4c4ee022027b4befe2046c6a2b40869b"
+_DIGEST_COUNT = "c2b0e67a27d64eb4b7586194d0395e12ed4efc672d3da57f8b862a2f6c7c204b"
+_DIGEST_SWEEP = "c8f795bbc6254777be5b44807a4ac0cb244bb491fdc9b6a13535e346c44a73fd"
+
+
+@pytest.mark.parametrize(
+    "steps, digests",
+    [
+        pytest.param(
+            [["qds", "assemble", "--sm", "bch", "--t", "3"]],
+            {"stdout": "aeb60092a68749790e6bd019b4e094f20a9b2c8ad25621001b8d6c11d22e503c"},
+            id="qds-assemble-bch3",
+        ),
+        pytest.param(
+            [["qds", "assemble", "--sm", "repetition", "--reps", "3", "--out", "q"]],
+            {
+                "stdout": "bf52720ea5d352513fbd7baf40131cd77386e409200f524b0f88ead32ffdce54",
+                "q.txt": "6bcaa51f2a217694b95174ad9d3effa934b52ac6ae253cb4863cef2afbc02b3d",
+                "q.json": "78bb0f55b6fe52727e53c4041c347c2bb7989ec10970f8762cf0cdd52da93b66",
+            },
+            id="qds-assemble-rep3-out",
+        ),
+        pytest.param([_COUNT], {"stdout": _DIGEST_COUNT}, id="qds-count"),
+        pytest.param(
+            [_COUNT + ["--out", "count.csv"]],
+            {
+                "stdout": "7acc65b2523c0e759d1c94ab54a42cdc445727b1056c449910ea96f3883869d6",
+                "count.csv": _DIGEST_COUNT,
+            },
+            id="qds-count-out",
+        ),
+        pytest.param(
+            [_GRID_BCH3],
+            {
+                "stdout": "027ff04f70dd9e29ebb027f034a9e5262edcf5aa8c68df00065e55cf386d4552",
+                "grid.json": _DIGEST_GRID_BCH3,
+            },
+            id="sim-grid-bch3",
+        ),
+        pytest.param(
+            [["sim", "grid", "--sm", "repetition", "--reps", "3", "--trials", "50", "--seed", "3",
+              "--max-wq", "2", "--out", "grid.json"]],
+            {
+                "stdout": "ee32a5bd93146a7f57f871aefa073cc0770c474f9160737222e7303e2dffeb5e",
+                "grid.json": "51fd8f089ee8563faab298b9c4c8a3339babddaae204c668be61bef77a3ffe95",
+            },
+            id="sim-grid-rep3",
+        ),
+        pytest.param(
+            [_GRID_BCH3, _SWEEP_BCH3],
+            {"stdout": _DIGEST_SWEEP, "grid.json": _DIGEST_GRID_BCH3},
+            id="sim-sweep",
+        ),
+        pytest.param(
+            [_GRID_BCH3, _SWEEP_BCH3 + ["--out", "curve.csv"]],
+            {
+                "stdout": "af288474ca4b3ae1e4b44513d162ebda6382d4ceece6c85e5775989b685f9952",
+                "grid.json": _DIGEST_GRID_BCH3,
+                "curve.csv": _DIGEST_SWEEP,
+            },
+            id="sim-sweep-out",
+        ),
+        pytest.param(
+            [["verify", "--sm", "bch", "--t", "3"]],
+            {"stdout": "76a7a0ea3792998639bc45e14571053959f97eb13a7fe13e0d956c2923f7648c"},
+            id="verify",
+        ),
+    ],
+)
+def test_every_output_is_pinned(tmp_path, capsys, monkeypatch, steps, digests):
+    """SHA-256 of the last command's stdout and of every file the commands
+    write, run from tmp_path with relative paths so that neither the
+    "wrote ..." lines nor the sweep's "grid" meta depend on where the test
+    runs.  An output format may change only with its digest here."""
+    monkeypatch.chdir(tmp_path)
+    for argv in steps:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+    got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    got.update({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()})
+    assert got == digests
