@@ -76,7 +76,6 @@ class BchCode:
         self.length = n - shorten_by
         self.dimension = k - shorten_by
         self.distance = 2 * t + 1
-        self._gen_matrix: Optional[BinaryMatrix] = None
 
     # --- derived structure ---
 
@@ -89,10 +88,8 @@ class BchCode:
     def generator_matrix(self) -> BinaryMatrix:
         """Systematic dimension x length generator matrix [I | P]: row i is
         the encoding of message bit i."""
-        if self._gen_matrix is None:
-            rows = [self._encode_mask(1 << i) for i in range(self.dimension)]
-            self._gen_matrix = BinaryMatrix(self.dimension, self.length, rows)
-        return self._gen_matrix
+        rows = [self._encode_mask(1 << i) for i in range(self.dimension)]
+        return BinaryMatrix(self.dimension, self.length, rows)
 
     # --- encode ---
 

@@ -1,9 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 budget
-refusal.  File outputs are built fully in memory and written last, each
-through a temp file renamed over its target, so a bad flag, a failed
-computation or a failed write never leaves a partial file behind.
+refusal.  Flags are checked before any work.  File outputs are built
+fully in memory and written last, each through a temp file renamed over
+its target, so a bad flag, a failed computation or a failed write never
+leaves a partial file behind.
+
+Each handler takes one route: `_load_qds` turns the code and SM flags
+into the base code, its QDS code and the SM meta fields; `_meta` is the
+one provenance stamp (version, command, parameters) behind the CSV meta
+lines, the `qds assemble` meta block and the fields `sim grid` adds to
+the grid's `code_meta`; `_emit` writes an output atomically to `--out`
+or to stdout.  Only `qds assemble`, with its two files, calls
+`_write_atomic` itself.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from math import inf
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .bch import bch_construct
@@ -27,7 +37,7 @@ from .qds import (
     repetition_sm,
     verify_correction_guarantee,
 )
-from .sim import SimGrid, _recombine, build_grid, default_code_meta
+from .sim import SimGrid, _recombine, build_grid
 from .stabilizer import (
     BudgetExceededError,
     StabilizerCode,
@@ -97,26 +107,21 @@ def _load_base_code(args) -> StabilizerCode:
     raise UsageError(f"unknown code {args.code!r} (use --code steane or --code-file)")
 
 
-def _build_sm(args, ell: int):
+def _load_qds(args):
+    """The base code, its QDS code under the SM flags, and those flags as
+    the meta fields that name the SM family."""
+    base = _load_base_code(args)
     if args.sm == "bch":
         if args.t is None:
             raise UsageError("--sm bch requires --t")
-        return bch_sm(ell, args.t)
-    if args.sm == "repetition":
+        sm, sm_meta = bch_sm(base.ell, args.t), {"sm": "bch", "t": args.t}
+    elif args.sm == "repetition":
         if args.reps is None:
             raise UsageError("--sm repetition requires --reps")
-        return repetition_sm(ell, args.reps)
-    if args.sm == "identity":
-        return identity_sm(ell)
-    raise UsageError(f"unknown SM family {args.sm!r}")
-
-
-def _sm_meta(args) -> dict:
-    if args.sm == "bch":
-        return {"sm": "bch", "t": args.t}
-    if args.sm == "repetition":
-        return {"sm": "repetition", "reps": args.reps}
-    return {"sm": "identity"}
+        sm, sm_meta = repetition_sm(base.ell, args.reps), {"sm": "repetition", "reps": args.reps}
+    else:
+        sm, sm_meta = identity_sm(base.ell), {"sm": "identity"}
+    return base, qds_assemble(base, sm), sm_meta
 
 
 def _write_atomic(*outputs: Tuple[str, str]) -> None:
@@ -153,6 +158,15 @@ def _write_atomic(*outputs: Tuple[str, str]) -> None:
                 tmp.unlink()
 
 
+def _emit(out: Optional[str], text: str, summary: str) -> None:
+    """Write text atomically to out and say so, or to stdout without out."""
+    if out:
+        _write_atomic((out, text))
+        print(f"wrote {out} ({summary})")
+    else:
+        sys.stdout.write(text)
+
+
 def _decoder_for(base: StabilizerCode):
     if base.k == 0:
         raise UsageError("base code has k=0: no logical operator, so nothing to decode")
@@ -162,10 +176,13 @@ def _decoder_for(base: StabilizerCode):
     return lookup_decoder_build(base, (d - 1) // 2)
 
 
-def _meta_comment(command: str, params: dict) -> str:
-    meta = {"version": __version__, "command": command}
-    meta.update(params)
-    return "# meta: " + json.dumps(meta, sort_keys=True)
+def _meta(command: str, **params) -> dict:
+    """The provenance every output carries: version, command, parameters."""
+    return {"version": __version__, "command": command, **params}
+
+
+def _meta_comment(command: str, **params) -> str:
+    return "# meta: " + json.dumps(_meta(command, **params), sort_keys=True)
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -181,18 +198,16 @@ def _cmd_bch_info(args) -> int:
 
 
 def _cmd_qds_assemble(args) -> int:
-    base = _load_base_code(args)
-    sm = _build_sm(args, base.ell)
-    q = qds_assemble(base, sm)
+    base, q, sm_meta = _load_qds(args)
     d = _min_logical_weight(base)
     params = {
         "n": base.n,
         "k": base.k,
         "d": d,
         "r": q.extra_measurements,
-        "n_s": sm.n_s,
-        "t_s": sm.t_s,
-        "meta": {"version": __version__, "command": "qds assemble", **_sm_meta(args)},
+        "n_s": q.sm.n_s,
+        "t_s": q.sm.t_s,
+        "meta": _meta("qds assemble", **sm_meta),
     }
     matrix_text = q.h_q.to_text()
     params_text = json.dumps(params, sort_keys=True, indent=2) + "\n"
@@ -214,48 +229,40 @@ def _cmd_qds_count(args) -> int:
         raise UsageError("--t-range must start at 1 or above")
     rows = overhead_table(ells, ts)
     lines = [
-        _meta_comment("qds count", {"ell_range": args.ell_range, "t_range": args.t_range}),
+        _meta_comment("qds count", ell_range=args.ell_range, t_range=args.t_range),
         "ell,t,bch,fujiwara,repetition",
     ]
     for row in rows:
         fuji = "" if row.fujiwara is None else str(row.fujiwara)
         lines.append(f"{row.ell},{row.t},{row.bch},{fuji},{row.repetition}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_atomic((args.out, text))
-        print(f"wrote {args.out} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "\n".join(lines) + "\n", f"{len(rows)} rows")
     return 0
 
 
 def _cmd_sim_grid(args) -> int:
-    limits = (("--seed", args.seed), ("--max-wq", args.max_wq), ("--max-ws", args.max_ws))
-    for flag, value in limits:
-        if value is not None and value < 0:
-            raise UsageError(f"{flag} must be nonnegative, got {value}")
+    limits = (
+        ("--seed", args.seed, 0),
+        ("--max-wq", args.max_wq, 0),
+        ("--max-ws", args.max_ws, 0),
+        ("--trials", args.trials, 1),
+        ("--bulk-trials", args.bulk_trials, 1),
+    )
+    for flag, value, lowest in limits:
+        if value is not None and value < lowest:
+            word = "positive" if lowest else "nonnegative"
+            raise UsageError(f"{flag} must be {word}, got {value}")
     # sampling can take minutes: refuse an output with no directory first,
     # with the message a failed write would give
     if not Path(args.out).parent.is_dir():
         raise OSError(f"cannot write {args.out}: {os.strerror(errno.ENOENT)}")
-    base = _load_base_code(args)
-    sm = _build_sm(args, base.ell)
-    q = qds_assemble(base, sm)
+    base, q, sm_meta = _load_qds(args)
     decoder = _decoder_for(base)
     bulk = args.bulk_trials if args.bulk_trials is not None else max(1, args.trials // 10)
     cells = None
     if args.max_wq is not None or args.max_ws is not None:
         max_wq = args.max_wq if args.max_wq is not None else base.n
-        max_ws = args.max_ws if args.max_ws is not None else sm.n_s
+        max_ws = args.max_ws if args.max_ws is not None else q.sm.n_s
         cells = [(wq, ws) for wq in range(max_wq + 1) for ws in range(max_ws + 1)]
-    meta = {
-        **default_code_meta(q, decoder),
-        "command": "sim grid",
-        "code": "file" if args.code_file else args.code,
-        **_sm_meta(args),
-        "boundary_trials": args.trials,
-        "bulk_trials": bulk,
-    }
     grid = build_grid(
         q,
         decoder,
@@ -263,47 +270,50 @@ def _cmd_sim_grid(args) -> int:
         boundary_trials=args.trials,
         bulk_trials=bulk,
         cells=cells,
-        code_meta=meta,
     )
-    _write_atomic((args.out, grid.to_json_text()))
-    print(f"wrote {args.out} ({len(grid.cells)} cells)")
+    grid.code_meta.update(
+        _meta(
+            "sim grid",
+            code="file" if args.code_file else args.code,
+            **sm_meta,
+            boundary_trials=args.trials,
+            bulk_trials=bulk,
+        )
+    )
+    _emit(args.out, grid.to_json_text(), f"{len(grid.cells)} cells")
     return 0
 
 
 def _cmd_sim_sweep(args) -> int:
     ps_values = _parse_prob_points(args.ps, "--ps")
-    if args.ratio < 0:
-        raise UsageError("--ratio must be nonnegative")
+    if not 0.0 <= args.ratio < inf:  # also true for NaN
+        raise UsageError(f"--ratio must be finite and nonnegative, got {args.ratio}")
+    points = [(args.ratio * p_s, p_s) for p_s in ps_values]
+    for p_q, p_s in points:
+        if not 0.0 <= p_s <= 1.0:  # also true for NaN
+            raise UsageError(f"--ps point {p_s} is not a probability in [0, 1]")
+        if p_q > 1.0:
+            raise UsageError(f"--ratio {args.ratio} times --ps point {p_s} gives p_q = {p_q} > 1")
     grid = SimGrid.from_json_text(Path(args.grid).read_text())
     lines = [
         _meta_comment(
             "sim sweep",
-            {
-                "grid": args.grid,
-                "ps": args.ps,
-                "ratio": args.ratio,
-                "truncation": args.truncation,
-                "seed": grid.seed,
-            },
+            grid=args.grid,
+            ps=args.ps,
+            ratio=args.ratio,
+            truncation=args.truncation,
+            seed=grid.seed,
         ),
         "p_s,p_q,p_err,truncation_mass",
     ]
-    points = [(args.ratio * p_s, p_s) for p_s in ps_values]
     for pt in _recombine(grid, points, args.truncation):
         lines.append(f"{pt.p_s:.12g},{pt.p_q:.12g},{pt.p_err:.12g},{pt.truncation_mass:.12g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_atomic((args.out, text))
-        print(f"wrote {args.out} ({len(ps_values)} points)")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "\n".join(lines) + "\n", f"{len(ps_values)} points")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    base = _load_base_code(args)
-    sm = _build_sm(args, base.ell)
-    q = qds_assemble(base, sm)
+    base, q, _ = _load_qds(args)
     decoder = _decoder_for(base)
     cells = verify_correction_guarantee(q, decoder, budget=args.budget)
     bad = 0
@@ -390,10 +400,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"refused: {exc} (required budget: {exc.required})", file=sys.stderr)
         return 3
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -301,12 +301,8 @@ class QdsCode:
         flips = 0
         if syndrome_error is not None:
             flips = _bits_to_mask(syndrome_error, "syndrome error", self.sm.n_s)
-        word = self._measure_mask(data_error.x, data_error.z, flips)
+        word = flips ^ _anticommuting(self.h_q.data, self.base.n, data_error.symplectic_mask())
         return _mask_to_bits(word, self.sm.n_s)
-
-    def _measure_mask(self, ex: int, ez: int, flips: int) -> int:
-        n = self.base.n
-        return flips ^ _anticommuting(self.h_q.data, n, ex | (ez << n))
 
     def decode_two_step(self, measured: Sequence[int], quantum_decoder):
         """SM-decode the readout, then look up a correction for the

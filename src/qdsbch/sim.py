@@ -233,13 +233,14 @@ def build_grid(
     boundary_trials: int = 10_000,
     bulk_trials: int = 1_000,
     cells: Optional[Iterable[Cell]] = None,
-    code_meta: Optional[dict] = None,
 ) -> SimGrid:
     """Sample a grid of (w_q, w_s) cells.
 
     Cells at the failure boundary (w_q <= t_data + 1 and w_s <= t_s + 1)
     get boundary_trials samples, the rest bulk_trials.  cells defaults to
-    the full (n+1) x (n_s+1) domain.
+    the full (n+1) x (n_s+1) domain.  The grid's code_meta is
+    default_code_meta(qds, decoder); a caller that records more (the CLI
+    adds its provenance) updates grid.code_meta.
     """
     if boundary_trials < 1 or bulk_trials < 1:
         raise ValueError("trial counts must be positive")
@@ -254,8 +255,7 @@ def build_grid(
                 raise ValueError(f"cell ({wq}, {ws}) outside the weight domain")
     t_data = decoder.max_weight
     t_s = qds.sm.t_s
-    meta = default_code_meta(qds, decoder) if code_meta is None else dict(code_meta)
-    grid = SimGrid(meta, seed)
+    grid = SimGrid(default_code_meta(qds, decoder), seed)
     for wq, ws in cells:
         trials = boundary_trials if (wq <= t_data + 1 and ws <= t_s + 1) else bulk_trials
         rng = _cell_generator(seed, wq, ws)

@@ -235,21 +235,21 @@ class StabilizerCode:
     def syndrome(self, error: PauliOperator) -> Tuple[int, ...]:
         if error.n != self.n:
             raise ValueError("error acts on wrong qubit count")
-        return _mask_to_bits(self._syndrome_mask(error.x, error.z), self.ell)
+        return _mask_to_bits(self._syndrome_mask(error.symplectic_mask()), self.ell)
 
-    def _syndrome_mask(self, ex: int, ez: int) -> int:
-        return _anticommuting(self.check_matrix.data, self.n, ex | (ez << self.n))
+    def _syndrome_mask(self, mask: int) -> int:
+        return _anticommuting(self.check_matrix.data, self.n, mask)
 
     def classify(self, residual: PauliOperator) -> str:
         """One of "trivial", "logical", "detectable" for a residual error."""
         if residual.n != self.n:
             raise ValueError("error acts on wrong qubit count")
-        return self._classify_mask(residual.x, residual.z)
+        return self._classify_mask(residual.symplectic_mask())
 
-    def _classify_mask(self, x: int, z: int) -> str:
-        if self.check_matrix._contains_mask(x | (z << self.n)):
+    def _classify_mask(self, mask: int) -> str:
+        if self.check_matrix._contains_mask(mask):
             return RESIDUAL_TRIVIAL
-        if self._syndrome_mask(x, z):
+        if self._syndrome_mask(mask):
             return RESIDUAL_DETECTABLE
         return RESIDUAL_LOGICAL
 

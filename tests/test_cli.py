@@ -333,25 +333,33 @@ def test_sim_sweep_rows_match_library_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--max-wq", "-1"), ("--max-ws", "-3"), ("--seed", "-5")],
-    ids=["max-wq", "max-ws", "seed"],
+    "flag, value, bound",
+    [
+        ("--max-wq", "-1", "nonnegative"),
+        ("--max-ws", "-3", "nonnegative"),
+        ("--seed", "-5", "nonnegative"),
+        ("--trials", "0", "positive"),
+        ("--bulk-trials", "0", "positive"),
+    ],
+    ids=["max-wq", "max-ws", "seed", "trials", "bulk-trials"],
 )
-def test_sim_grid_refuses_a_negative_flag(tmp_path, capsys, monkeypatch, flag, value):
-    """A negative weight limit would write a grid of no cells, and a
-    negative seed reach numpy: each is a usage error naming its flag,
-    raised before any sampling."""
+def test_sim_grid_refuses_a_negative_flag(tmp_path, capsys, monkeypatch, flag, value, bound):
+    """A negative weight limit would write a grid of no cells, a negative
+    seed reach numpy, and a trial count below 1 sample nothing: each is a
+    usage error naming its flag, raised before the base code's lookup
+    decoder is built or any sampling."""
 
-    def refuse_to_sample(*args, **kwargs):
-        raise AssertionError("sampled a grid for an invalid flag")
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a decoder or sampled a grid for an invalid flag")
 
-    monkeypatch.setattr(cli, "build_grid", refuse_to_sample)
+    monkeypatch.setattr(cli, "_decoder_for", refuse)
+    monkeypatch.setattr(cli, "build_grid", refuse)
     out = tmp_path / "g.json"
     flags = {"--seed": "1", "--out": str(out), flag: value}
     argv = [item for pair in flags.items() for item in pair]
     code, _, err = run(capsys, "sim", "grid", "--sm", "identity", *argv)
     assert code == 1
-    assert err.startswith(f"error: {flag} must be nonnegative")
+    assert err.startswith(f"error: {flag} must be {bound}, got {value}")
     assert not out.exists()
 
 
@@ -419,6 +427,34 @@ def test_sim_sweep_rejects_a_non_finite_truncation(tmp_path, capsys, truncation)
     assert code == 1
     assert err.startswith("error: truncation must be finite and nonnegative")
     assert not curve_path.exists()
+
+
+@pytest.mark.parametrize(
+    "ps, ratio, message",
+    [
+        ("nan", "1", "--ps point nan is not a probability in [0, 1]"),
+        ("1.5", "0", "--ps point 1.5 is not a probability in [0, 1]"),
+        ("0:2:lin3", "0.1", "--ps point 2.0 is not a probability in [0, 1]"),
+        ("0.5", "nan", "--ratio must be finite and nonnegative, got nan"),
+        ("0.5", "inf", "--ratio must be finite and nonnegative, got inf"),
+        ("0.5", "-1", "--ratio must be finite and nonnegative, got -1.0"),
+        ("0.9", "2", "--ratio 2.0 times --ps point 0.9 gives p_q = 1.8 > 1"),
+    ],
+    ids=["ps-nan", "ps-above-1", "ps-range-above-1", "ratio-nan", "ratio-inf",
+         "ratio-negative", "p_q-above-1"],
+)
+def test_sim_sweep_checks_its_flags_before_reading_the_grid(tmp_path, capsys, ps, ratio, message):
+    """Each bad flag is named, and refused before the grid is read: the
+    grid file does not exist, so reading it would fail another way."""
+    curve_path = tmp_path / "curve.csv"
+    code, out, err = run(
+        capsys, "sim", "sweep", "--grid", str(tmp_path / "missing.json"),
+        "--ps", ps, "--ratio", ratio, "--out", str(curve_path),
+    )
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sim_sweep_missing_grid_file(tmp_path, capsys):

@@ -403,7 +403,7 @@ def test_batched_membership_matches_the_mask_loop(generators, max_weight):
     want = [code.check_matrix._contains_mask(m) for m in masks.tolist()]
     assert ((product >> code.ell) == 0).tolist() == want
     assert sum(want) >= 1 << code.ell
-    syndromes = [code._syndrome_mask(p.x, p.z) for p in paulis]
+    syndromes = [code._syndrome_mask(p.symplectic_mask()) for p in paulis]
     assert (product & ((1 << code.ell) - 1)).tolist() == syndromes
 
 
@@ -511,7 +511,7 @@ def test_syndrome_and_lookup_match_mask_twins(case, data):
     x = data.draw(st.integers(0, (1 << code.n) - 1))
     z = data.draw(st.integers(0, (1 << code.n) - 1))
     syndrome = code.syndrome(PauliOperator(code.n, x, z))
-    mask = code._syndrome_mask(x, z)
+    mask = code._syndrome_mask(x | z << code.n)
     assert syndrome == tuple((mask >> i) & 1 for i in range(code.ell))
     assert decoder.decode(syndrome) == decoder._decode_mask(mask)
     bad = list(syndrome)
@@ -542,7 +542,10 @@ def test_min_logical_weight_matches_the_classify_oracle(code, distance):
     oracle = next(
         w
         for w in range(1, code.n + 1)
-        if any(code._classify_mask(p.x, p.z) == "logical" for p in iter_weight_paulis(code.n, w))
+        if any(
+            code._classify_mask(p.symplectic_mask()) == "logical"
+            for p in iter_weight_paulis(code.n, w)
+        )
     )
     assert oracle == distance
     assert _min_logical_weight(code) == distance
@@ -572,7 +575,7 @@ def _per_pauli_lookup_table(code, max_weight, budget=10**7):
             break
         spent += cost
         for p in iter_weight_paulis(code.n, w):
-            s = code._syndrome_mask(p.x, p.z)
+            s = code._syndrome_mask(p.symplectic_mask())
             held = table.get(s)
             if held is None or (
                 held.weight == w and (p.x_bits, p.z_bits) < (held.x_bits, held.z_bits)
@@ -602,7 +605,7 @@ def test_lookup_table_matches_the_per_pauli_oracle(name, max_weight):
     table = _rows_table(decoder)
     assert table == _per_pauli_lookup_table(code, max_weight)
     assert decoder.covered
-    assert all(code._syndrome_mask(p.x, p.z) == s for s, p in table.items())
+    assert all(code._syndrome_mask(p.symplectic_mask()) == s for s, p in table.items())
 
 
 @pytest.mark.parametrize(
@@ -616,7 +619,7 @@ def test_the_tie_rule_decides_weight_two(name, syndromes, first_differs, largest
     code = _ORACLE_CODES[name]
     groups = {}
     for p in iter_weight_paulis(code.n, 2):
-        groups.setdefault(code._syndrome_mask(p.x, p.z), []).append(p)
+        groups.setdefault(code._syndrome_mask(p.symplectic_mask()), []).append(p)
     keyed = [sorted(ps, key=lambda p: (p.x_bits, p.z_bits)) for ps in groups.values()]
     first = [ps[0] for ps in groups.values()]
     assert len(groups) == syndromes
