@@ -240,22 +240,25 @@ def _cmd_qds_count(args) -> int:
 
 
 def _cmd_sim_grid(args) -> int:
+    base, q, sm_meta = _load_qds(args)
+    # (flag, value, lowest, highest): the weight limits stop at the domain
     limits = (
-        ("--seed", args.seed, 0),
-        ("--max-wq", args.max_wq, 0),
-        ("--max-ws", args.max_ws, 0),
-        ("--trials", args.trials, 1),
-        ("--bulk-trials", args.bulk_trials, 1),
+        ("--seed", args.seed, 0, None),
+        ("--max-wq", args.max_wq, 0, base.n),
+        ("--max-ws", args.max_ws, 0, q.sm.n_s),
+        ("--trials", args.trials, 1, None),
+        ("--bulk-trials", args.bulk_trials, 1, None),
     )
-    for flag, value, lowest in limits:
+    for flag, value, lowest, highest in limits:
         if value is not None and value < lowest:
             word = "positive" if lowest else "nonnegative"
             raise UsageError(f"{flag} must be {word}, got {value}")
+        if value is not None and highest is not None and value > highest:
+            raise UsageError(f"{flag} must be at most {highest}, got {value}")
     # sampling can take minutes: refuse an output with no directory first,
     # with the message a failed write would give
     if not Path(args.out).parent.is_dir():
         raise OSError(f"cannot write {args.out}: {os.strerror(errno.ENOENT)}")
-    base, q, sm_meta = _load_qds(args)
     decoder = _decoder_for(base)
     bulk = args.bulk_trials if args.bulk_trials is not None else max(1, args.trials // 10)
     cells = None
@@ -313,6 +316,9 @@ def _cmd_sim_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # no code meets a budget below 0, so it is a bad flag, not a refusal
+    if args.budget < 0:
+        raise UsageError(f"--budget must be nonnegative, got {args.budget}")
     base, q, _ = _load_qds(args)
     decoder = _decoder_for(base)
     cells = verify_correction_guarantee(q, decoder, budget=args.budget)

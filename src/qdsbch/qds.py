@@ -66,9 +66,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,6 +146,34 @@ class SyndromeMeasurementCode(ABC):
         msgs = np.array([msg or 0 for msg in out], dtype=_mask_dtype(self.ell))
         return msgs, ok
 
+    def _offset_counts(self, max_weight: int) -> np.ndarray:
+        """N[w, D] for w <= max_weight: how many weight-w flip patterns
+        decode, alone, to the offset D, as a (max_weight + 1) x 2^ell array
+        of the `_mask_dtype` of n_s (no count reaches 2^n_s).
+
+        This enumeration of every pattern through `_decode_masks` is the
+        reference that the subclasses' closed forms are tested against."""
+        counts = np.zeros((max_weight + 1, 1 << self.ell), dtype=_mask_dtype(self.n_s))
+        for w in range(max_weight + 1):
+            for flips in _support_mask_blocks(self.n_s, w):
+                offsets, ok = self._decode_masks(flips)
+                counts[w] += np.bincount(offsets[ok].astype(np.intp), minlength=1 << self.ell)
+        return counts
+
+    @cached_property
+    def _flip_offsets(self) -> Optional[Tuple[np.ndarray, Tuple[int, ...]]]:
+        """(N, G) over every flip weight w = 0..n_s, built on first use: N
+        is `_offset_counts(n_s)` and G[w] = C(n_s, w) - sum_D N[w, D] counts
+        the weight-w patterns the decoder gives up on.  None where 2^ell
+        passes 2^_MAX_TABLE_BITS, or where a subclass without a closed form
+        would have to decode more than 2^_MAX_TABLE_BITS patterns."""
+        enumerated = type(self)._offset_counts is SyndromeMeasurementCode._offset_counts
+        if self.ell > _MAX_TABLE_BITS or (enumerated and self.n_s > _MAX_TABLE_BITS):
+            return None
+        counts = self._offset_counts(self.n_s)
+        gave_up = tuple(comb(self.n_s, w) - int(row.sum()) for w, row in enumerate(counts))
+        return counts, gave_up
+
     @property
     def extra_measurements(self) -> int:
         return self.n_s - self.ell
@@ -181,6 +209,24 @@ class BchSyndromeMeasurement(SyndromeMeasurementCode):
         syndrome, fix = table
         fixes = fix[syndrome._mul_masks(words)]
         return (words & ((1 << self.ell) - 1)) ^ fixes, fixes >= 0
+
+    def _offset_counts(self, max_weight: int) -> np.ndarray:
+        """Ball counts.  The decoder is bounded-distance: it gives up past
+        t_s flips, and distance 2t_s+1 makes the codeword within t_s of a
+        word unique, so the patterns decoded to D are those within t_s of
+        encode(D).  With W = wt(encode(D)), such a pattern clears a of its
+        W ones and sets b of its n_s - W zeros, a + b <= t_s, and weighs
+        W - a + b: N[w, D] = sum C(W, a) C(n_s - W, b) over those (a, b)."""
+        n_s, t = self.n_s, self.t_s
+        words = self.encode_matrix._mul_masks(np.arange(1 << self.ell))
+        weights = np.array([int(c).bit_count() for c in words.tolist()], dtype=np.intp)
+        balls = np.zeros((n_s + 1, max_weight + 1), dtype=_mask_dtype(n_s))
+        for big in range(n_s + 1):
+            for a in range(min(big, t) + 1):
+                for b in range(min(n_s - big, t - a) + 1):
+                    if big - a + b <= max_weight:
+                        balls[big, big - a + b] += comb(big, a) * comb(n_s - big, b)
+        return balls[weights].T
 
     @cached_property
     def _fix_table(self) -> Optional[Tuple[BinaryMatrix, np.ndarray]]:
@@ -250,14 +296,45 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
             at_least[0] |= copy
         return at_least[-1]
 
+    def _offset_counts(self, max_weight: int) -> np.ndarray:
+        """Bit b of the offset is set exactly when more than reps // 2 of
+        its copies flip, j of them in C(reps, j) ways.  With maj(x) the
+        binomial row of reps cut to j > reps // 2 and min(x) the rest,
+        N[w, D] is the x^w coefficient of maj(x)^wt(D) min(x)^(ell - wt(D))."""
+        row = np.array([comb(self.reps, j) for j in range(self.reps + 1)], dtype=object)
+        half = self.reps // 2 + 1
+        maj, low = np.where(np.arange(self.reps + 1) >= half, row, 0), row[:half]
+        polys = np.zeros((self.ell + 1, max_weight + 1), dtype=_mask_dtype(self.n_s))
+        for k in range(self.ell + 1):
+            poly = np.ones(1, dtype=object)
+            for factor in [maj] * k + [low] * (self.ell - k):
+                poly = np.convolve(poly, factor)
+            head = poly[: max_weight + 1]
+            polys[k, : len(head)] = head
+        weights = np.array([d.bit_count() for d in range(1 << self.ell)], dtype=np.intp)
+        return polys[weights].T
+
+
+# the most masks `_support_mask_blocks` puts in one block: with the site
+# indices, a few MB
+_SUPPORT_BLOCK = 1 << 16
+
+
+def _support_mask_blocks(n: int, w: int) -> Iterator[np.ndarray]:
+    """Every w-subset of range(n) as a mask, lexicographic, in arrays of the
+    `_mask_dtype` of n of at most `_SUPPORT_BLOCK` masks."""
+    subsets = combinations(range(n), w)
+    one = np.array(1, dtype=_mask_dtype(n))
+    for lo in range(0, comb(n, w), _SUPPORT_BLOCK):
+        count = min(_SUPPORT_BLOCK, comb(n, w) - lo)
+        flat = chain.from_iterable(islice(subsets, count))
+        sites = np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
+        yield np.bitwise_or.reduce(one << sites, axis=1)
+
 
 def _support_masks(n: int, w: int) -> np.ndarray:
-    """Every w-subset of range(n) as a mask, lexicographic, in an array of
-    the `_mask_dtype` of n."""
-    count = comb(n, w)
-    flat = chain.from_iterable(combinations(range(n), w))
-    sites = np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
-    return np.bitwise_or.reduce(np.array(1, dtype=_mask_dtype(n)) << sites, axis=1)
+    """The masks of `_support_mask_blocks`, in order, in one array."""
+    return np.concatenate([np.zeros(0, dtype=_mask_dtype(n)), *_support_mask_blocks(n, w)])
 
 
 def bch_sm(ell: int, t: int) -> BchSyndromeMeasurement:

@@ -387,6 +387,33 @@ class LookupDecoder:
         classes[self._rows[:, 0].astype(np.intp)] = self._rows[:, 1]
         return classes
 
+    @cached_property
+    def _offset_failures(self) -> Optional[np.ndarray]:
+        """F[w, D]: how many weight-w Paulis fail when their syndrome s
+        reaches the table as s ^ D, D the offset of an SM decode (no
+        correction there, or one of another class), as an (n + 1) x 2^ell
+        int64 array.  Built on first use: one `_syndrome_and_class` product
+        per weight, counted by (class, syndrome) and gathered against
+        `_correction_classes` at every s ^ D.  None when `_correction_classes`
+        is, or when the 4^n counts would pass 2^_MAX_TABLE_BITS entries."""
+        code = self.code
+        classes = self._correction_classes
+        if classes is None or 2 * code.n > _MAX_TABLE_BITS:
+            return None
+        size = 1 << code.ell
+        syndromes = np.arange(size)
+        # [s, D]: the class of the correction for s ^ D, -1 where there is none
+        fixed = classes[syndromes[:, None] ^ syndromes]
+        found = fixed >= 0
+        out = np.empty((code.n + 1, size), dtype=np.int64)
+        for w in range(code.n + 1):
+            products = code._syndrome_and_class._mul_masks(_weight_pauli_masks(code.n, w))
+            # [class, s]: the weight-w Paulis of each class and syndrome
+            counts = np.bincount(products, minlength=1 << 2 * code.n).reshape(-1, size)
+            passed = np.where(found, counts[np.where(found, fixed, 0), syndromes[:, None]], 0)
+            out[w] = len(products) - passed.sum(axis=0)
+        return out
+
     @property
     def covered(self) -> bool:
         return len(self._rows) == 1 << self.code.ell

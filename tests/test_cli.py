@@ -363,6 +363,32 @@ def test_sim_grid_refuses_a_negative_flag(tmp_path, capsys, monkeypatch, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, highest",
+    [("--max-wq", "8", 7), ("--max-wq", "99", 7), ("--max-ws", "22", 21)],
+    ids=["max-wq-n-plus-one", "max-wq-99", "max-ws-n_s-plus-one"],
+)
+def test_sim_grid_refuses_a_weight_limit_past_the_domain(
+    tmp_path, capsys, monkeypatch, flag, value, highest
+):
+    """A limit above n (or n_s) is a usage error naming its flag, raised
+    before the lookup decoder is built; the limit itself is accepted."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a decoder or sampled a grid for an invalid flag")
+
+    monkeypatch.setattr(cli, "_decoder_for", refuse)
+    out = tmp_path / "g.json"
+    argv = ["sim", "grid", "--sm", "bch", "--t", "3", "--seed", "1", "--out", str(out)]
+    code, _, err = run(capsys, *argv, flag, value)
+    assert code == 1
+    assert err.startswith(f"error: {flag} must be at most {highest}, got {value}")
+    assert not out.exists()
+    monkeypatch.undo()
+    code, _, _ = run(capsys, *argv, "--trials", "2", flag, str(highest))
+    assert code == 0
+
+
 def test_sim_grid_requires_seed(tmp_path, capsys):
     code, _, err = run(
         capsys, "sim", "grid", "--sm", "identity", "--out", str(tmp_path / "g.json")
@@ -555,6 +581,15 @@ def test_verify_refuses_base_code_without_logical_qubit(tmp_path, capsys):
     assert code == 1
     assert "k=0" in err
     assert "too large" not in err
+    assert "PASS" not in out
+
+
+def test_verify_refuses_a_negative_budget_as_a_usage_error(capsys):
+    """No code meets a budget below 0, so it is a bad flag (exit 1), not a
+    budget refusal (exit 3)."""
+    code, out, err = run(capsys, "verify", "--sm", "bch", "--t", "3", "--budget", "-1")
+    assert code == 1
+    assert err.startswith("error: --budget must be nonnegative, got -1")
     assert "PASS" not in out
 
 

@@ -20,6 +20,8 @@ from qdsbch.qds import (
     OverheadEntry,
     QdsCode,
     RepetitionSyndromeMeasurement,
+    SyndromeMeasurementCode,
+    _support_masks,
     _e_bracket,
     _min_power_of_two_exponent_times_e,
     bch_sm,
@@ -36,6 +38,7 @@ from qdsbch.stabilizer import (
     StabilizerCode,
     css_from_parity,
     iter_weight_paulis,
+    _weight_pauli_masks,
     lookup_decoder_build,
     steane_code,
 )
@@ -787,3 +790,130 @@ def test_verify_budget_refusal():
         verify_correction_guarantee(q, dec, budget=100)
     assert err.value.required == 34364
     assert err.value.budget == 100
+
+
+# --- exact failure tables -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sm, max_weight",
+    [
+        (bch_sm(6, 3), 21),
+        (bch_sm(6, 4), 8),
+        (repetition_sm(6, 3), 8),
+        (repetition_sm(6, 1), 6),
+        (repetition_sm(6, 5), 8),
+        (repetition_sm(8, 3), 10),
+    ],
+    ids=["bch3", "bch4", "rep3", "identity", "rep5", "rep3-ell8"],
+)
+def test_closed_form_offset_counts_equal_the_enumeration(sm, max_weight):
+    """The ball counts and the majority polynomial against every flip
+    pattern of each weight decoded through `_decode_masks`."""
+    want = SyndromeMeasurementCode._offset_counts(sm, max_weight)
+    got = sm._offset_counts(max_weight)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "sm", [bch_sm(6, 3), bch_sm(6, 4), repetition_sm(6, 3), identity_sm(6), bch_sm(6, 10)],
+    ids=["bch3", "bch4", "rep3", "identity", "bch10-object-counts"],
+)
+def test_flip_offsets_count_every_pattern_once(sm):
+    counts, gave_up = sm._flip_offsets
+    assert counts.shape == (sm.n_s + 1, 1 << sm.ell)
+    assert [int(row.sum()) + g for row, g in zip(counts, gave_up)] == [
+        comb(sm.n_s, w) for w in range(sm.n_s + 1)
+    ]
+    # inside the radius nothing gives up and the offset is 0
+    assert gave_up[: sm.t_s + 1] == (0,) * (sm.t_s + 1)
+    assert counts[: sm.t_s + 1, 1:].tolist() == [[0] * ((1 << sm.ell) - 1)] * (sm.t_s + 1)
+
+
+def _exact_cell(q, dec, w_q, w_s):
+    """(cases, failures) of cell (w_q, w_s) from the exact tables:
+    G(w_s)|E_wq| + sum_D N(w_s, D) F(w_q, D), in Python ints."""
+    counts, gave_up = q.sm._flip_offsets
+    errors = comb(q.base.n, w_q) * 3**w_q
+    failing = dec._offset_failures[w_q].tolist()
+    failures = gave_up[w_s] * errors + sum(
+        int(c) * f for c, f in zip(counts[w_s].tolist(), failing)
+    )
+    return errors * comb(q.sm.n_s, w_s), failures
+
+
+@pytest.mark.parametrize(
+    "sm, max_weight",
+    [
+        (bch_sm(6, 3), 1),
+        (bch_sm(6, 4), 1),
+        (repetition_sm(6, 3), 1),
+        (identity_sm(6), 1),
+        (repetition_sm(6, 3), 2),
+    ],
+    ids=["bch3", "bch4", "rep3", "identity", "rep3-overreaching-decoder"],
+)
+def test_exact_counts_equal_the_verify_cells(sm, max_weight):
+    base = steane_code()
+    q = qds_assemble(base, sm)
+    dec = lookup_decoder_build(base, max_weight=max_weight)
+    cells = verify_correction_guarantee(q, dec)
+    assert [(c.cases, c.failures) for c in cells] == [
+        _exact_cell(q, dec, c.w_q, c.w_s) for c in cells
+    ]
+
+
+def test_exact_counts_equal_an_exhaustive_kernel_run():
+    """Steane + identity readout: all 4^7 x 2^6 cases through the kernel."""
+    base = steane_code()
+    q = qds_assemble(base, identity_sm(6))
+    dec = lookup_decoder_build(base, max_weight=1)
+    for w_q in range(base.n + 1):
+        errors = _weight_pauli_masks(base.n, w_q)
+        for w_s in range(q.sm.n_s + 1):
+            flips = _support_masks(q.sm.n_s, w_s)
+            got = q._count_failures(
+                dec, np.repeat(errors, len(flips)), np.tile(flips, len(errors))
+            )
+            assert (len(errors) * len(flips), got) == _exact_cell(q, dec, w_q, w_s)
+
+
+def test_assembly_and_decoder_build_make_no_exact_table():
+    """The tables are built by the first grid that reads them, not by
+    set-up."""
+    base = steane_code()
+    q = qds_assemble(base, bch_sm(6, 3))
+    dec = lookup_decoder_build(base, max_weight=1)
+    assert "_flip_offsets" not in vars(q.sm)
+    assert "_offset_failures" not in vars(dec)
+
+
+class _Enumerated(SyndromeMeasurementCode):
+    """A repetition code's codec with no closed form for its offsets."""
+
+    name = "enumerated"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ell, self.n_s, self.t_s = inner.ell, inner.n_s, inner.t_s
+
+    def _encode_mask(self, mask):
+        return self.inner._encode_mask(mask)
+
+    def _decode_mask(self, mask):
+        return self.inner._decode_mask(mask)
+
+
+def test_exact_tables_stop_at_their_caps():
+    """4^15 Paulis for the [[15,7,3]] code pass 2^20 counts, and a readout
+    has no table past 2^20 offsets, or past 2^20 flip patterns when only
+    the enumeration can count them."""
+    simplex = [sum(((c >> i) & 1) << (c - 1) for c in range(1, 16)) for i in range(4)]
+    wide = css_from_parity(BinaryMatrix(4, 15, simplex))
+    assert (wide.n, wide.k) == (15, 7)
+    assert lookup_decoder_build(wide, max_weight=1)._offset_failures is None
+    assert repetition_sm(_MAX_TABLE_BITS + 1, 1)._flip_offsets is None
+    small = _Enumerated(repetition_sm(6, 3))
+    assert small._flip_offsets[0].tolist() == repetition_sm(6, 3)._flip_offsets[0].tolist()
+    assert _Enumerated(repetition_sm(7, 3))._flip_offsets is None

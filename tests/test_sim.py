@@ -12,11 +12,13 @@ import pytest
 from qdsbch.bch import BchCode
 from qdsbch.linalg import BinaryMatrix, _bits_to_mask, _mask_dtype
 from qdsbch.qds import bch_sm, identity_sm, qds_assemble, repetition_sm
+from qdsbch import sim
 from qdsbch.sim import (
     CellStats,
     ErrorModel,
     SimGrid,
     _cell_generator,
+    _certain_rate,
     _run_cell,
     binomial_weight_probability,
     build_grid,
@@ -86,6 +88,16 @@ def test_wilson_interval():
         wilson_interval(5, 0)
     with pytest.raises(ValueError):
         wilson_interval(7, 5)
+
+
+def test_wilson_interval_reaches_its_endpoints_exactly():
+    """At 0 failures the lower bound is 0 and at all failures the upper
+    bound 1, for every trial count: rounding used to miss them by an ulp
+    (the upper bound at 6,291 of these counts at z = 1.96)."""
+    for z in (1.96, 3.29):
+        for trials in range(1, 20_001):
+            assert wilson_interval(0, trials, z)[0] == 0.0
+            assert wilson_interval(trials, trials, z)[1] == 1.0
 
 
 @pytest.mark.parametrize("z", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
@@ -534,11 +546,87 @@ def test_bch_grid_runs_on_the_tables(monkeypatch):
     assert sum(cell.failures for cell in grid.cells.values()) > 0
 
 
+class _ProxyDecoder:
+    """A lookup decoder behind another type, so no cell is certified."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _counting_generators(monkeypatch):
+    """Patch `_cell_generator` to record the cells it builds a stream for."""
+    built = []
+
+    def counted(seed, w_q, w_s):
+        built.append((w_q, w_s))
+        return _cell_generator(seed, w_q, w_s)
+
+    monkeypatch.setattr(sim, "_cell_generator", counted)
+    return built
+
+
+def test_certified_cells_build_no_generator(monkeypatch):
+    """Steane + BCH(t=3): 8 cells always pass and 144 always fail, so only
+    the other 24 of the 176 are sampled."""
+    q, dec = _steane_qds(bch_sm(6, 3))
+    built = _counting_generators(monkeypatch)
+    grid = build_grid(q, dec, seed=7, boundary_trials=40, bulk_trials=10)
+    rates = {cell: _certain_rate(q, dec, *cell) for cell in grid.cells}
+    assert sorted(built) == sorted(cell for cell, rate in rates.items() if rate is None)
+    assert len(built) == 24
+    assert list(rates.values()).count(0) == 8
+    for cell, rate in rates.items():
+        if rate is not None:
+            assert grid.cells[cell].failures == rate * grid.cells[cell].trials
+
+
+@pytest.mark.parametrize(
+    "sm", [bch_sm(6, 3), bch_sm(6, 4), repetition_sm(6, 3), identity_sm(6)],
+    ids=["bch3", "bch4", "rep3", "identity"],
+)
+def test_certified_grid_is_byte_identical_to_the_sampled_one(monkeypatch, sm):
+    """A proxy decoder samples every cell; the lookup decoder itself
+    certifies most of them, and the two grids must not differ by a byte."""
+    q, dec = _steane_qds(sm)
+    built = _counting_generators(monkeypatch)
+    sampled = build_grid(q, _ProxyDecoder(dec), seed=11, boundary_trials=30, bulk_trials=6)
+    assert len(built) == len(sampled.cells)
+    certified = build_grid(q, dec, seed=11, boundary_trials=30, bulk_trials=6)
+    assert len(built) < 2 * len(sampled.cells)
+    assert certified.to_json_text() == sampled.to_json_text()
+
+
+def test_a_decoder_of_another_code_object_certifies_nothing(monkeypatch):
+    q, _ = _steane_qds(bch_sm(6, 3))
+    dec = lookup_decoder_build(steane_code(), max_weight=1)
+    built = _counting_generators(monkeypatch)
+    grid = build_grid(q, dec, seed=7, boundary_trials=4, bulk_trials=2, cells=[(0, 0), (7, 21)])
+    assert built == [(0, 0), (7, 21)]
+    assert [st.failures for st in grid.cells.values()] == [0, 2]
+
+
 # Hamming checks repeated over five blocks: 35 qubits, so 2n = 70 bits and
 # the error masks are object arrays
 _WIDE = css_from_parity(
     BinaryMatrix.from_strings([row * 5 for row in ["1010101", "0110011", "0001111"]])
 )
+
+
+def test_grid_past_the_table_cap_samples_every_cell(monkeypatch):
+    """4^35 Paulis pass the data side's cap, so every cell is sampled; the
+    digest was taken when no cell could be certified."""
+    q = qds_assemble(_WIDE, bch_sm(6, 3))
+    dec = lookup_decoder_build(_WIDE, max_weight=1)
+    cells = [(wq, ws) for wq in (0, 1, 2, 3, 35) for ws in (0, 3, 4, 21)]
+    built = _counting_generators(monkeypatch)
+    grid = build_grid(q, dec, seed=5, boundary_trials=40, bulk_trials=10, cells=cells)
+    assert sorted(built) == sorted(cells)
+    assert hashlib.sha256(grid.to_json_text().encode()).hexdigest() == (
+        "8d74c2249db34a88c45c811e3798c85857f7e2cb480a72837cbe27cd21b05623"
+    )
 
 
 def _bit_array_masks(n, n_s, w_q, w_s, trials, rng):
