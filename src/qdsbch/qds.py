@@ -40,10 +40,11 @@ gives up exactly when decoding f alone does.
   each error's syndrome s (the decoded syndrome is s ^ D(f)) and class,
   the error times the annihilator of H: an error times a correction is
   in the stabilizer group exactly when the two have the same class.
-- Lookup: a LookupDecoder's correction classes as an array over all
-  2^ell syndromes.  Any other decoder is called once per trial whose SM
-  decode succeeded, and its corrections' classes come from the same
-  product.
+- Lookup: LookupDecoder._classes_of, a gather on the decoder's correction
+  classes as an array over all 2^ell syndromes, or past ell = 20 one
+  binary search of its rows for the whole batch.  Any other decoder is
+  called once per trial whose SM decode succeeded, and its corrections'
+  classes come from the same product.
 
 measure, decode_two_step and StabilizerCode.classify are the one-trial
 path the tests check the kernel against.  measure reads H_Q's rows, kept
@@ -79,6 +80,7 @@ from .linalg import (
     _bits_to_mask,
     _mask_dtype,
     _mask_to_bits,
+    _row_masks,
 )
 from .stabilizer import (
     BudgetExceededError,
@@ -173,6 +175,15 @@ class SyndromeMeasurementCode(ABC):
         counts = self._offset_counts(self.n_s)
         gave_up = tuple(comb(self.n_s, w) - int(row.sum()) for w, row in enumerate(counts))
         return counts, gave_up
+
+    @cached_property
+    def _reached_offsets(self) -> Optional[Tuple[int, ...]]:
+        """The support of N in `_flip_offsets` as masks over the 2^ell
+        offsets: bit D of entry w is set where some weight-w flip pattern
+        decodes alone to D.  None when `_flip_offsets` is; built on first
+        use."""
+        tables = self._flip_offsets
+        return None if tables is None else _row_masks(tables[0] > 0)
 
     @property
     def extra_measurements(self) -> int:
@@ -411,10 +422,9 @@ class QdsCode:
         product = self.base._syndrome_and_class._mul_masks(errors)
         msgs = (product & ((1 << ell) - 1)).astype(_mask_dtype(ell), copy=False) ^ offsets
         classes = product >> ell
-        table = decoder._correction_classes if type(decoder) is LookupDecoder else None
-        if table is not None:
+        if type(decoder) is LookupDecoder:
             # a miss is -1, which no class equals
-            fixed = table[np.where(ok, msgs, 0)]
+            fixed = decoder._classes_of(np.where(ok, msgs, 0))
         else:
             # one call per trial the SM decoder did not give up on
             found = [

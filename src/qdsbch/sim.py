@@ -28,17 +28,29 @@ Steane + BCH(t=3), 100 of the 152 of Steane + repetition(3).  The bytes
 cannot change, because the sampler gives every case of the cell positive
 probability, so its count is 0 or `trials` whatever the seed, and because
 each cell has its own stream, so skipping one cell's draws moves no other
-cell's.  Every other cell is sampled as before.  Certification is skipped,
-and every cell sampled, unless the decoder is a LookupDecoder of the QDS
-code's own base code with a class array (ell <= 20) and 4^n <= 2^20 (n <=
-10: Steane, [[5,1,3]] and Shor, not [[15,7,3]]).
+cell's.  The certificate reads only the supports of the tables, as masks
+over the 2^ell offsets (two integer ANDs a cell).
+
+A sampled cell whose every weight-w_s flip pattern decodes alone to offset
+0, with no give-up (every w_s <= t_s), draws its errors and no flips: all
+24 sampled cells of BCH(t=3), 30 of 30 for BCH(t=4), 12 of 52 for
+repetition(3) and 6 of 6 for the identity.  Its bytes cannot change
+either: the kernel's decoded syndrome there is the error's own whatever
+the flips are, and the flips are the last draws of the cell's stream, so
+the errors and the count are those of the full draw.  Certification and
+this skip are both off, and every cell drawn in full, unless the decoder
+is a LookupDecoder of the QDS code's own base code with a class array
+(ell <= 20) and 4^n <= 2^20 (n <= 10: Steane, [[5,1,3]] and Shor, not
+[[15,7,3]]).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, inf, sqrt
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -277,12 +289,32 @@ def build_grid(
     for wq, ws in cells:
         trials = boundary_trials if (wq <= t_data + 1 and ws <= t_s + 1) else bulk_trials
         rate = _certain_rate(qds, decoder, wq, ws)
-        if rate is None:
-            failures = _run_cell(qds, decoder, wq, ws, trials, _cell_generator(seed, wq, ws))
-        else:
+        if rate is not None:
             failures = rate * trials
+        else:
+            # where every weight-ws flip pattern decodes alone to offset 0,
+            # the decoded syndrome is the error's whatever the flips are,
+            # and the flips are the last draws of the cell's stream
+            drawn = 0 if _readout_certain(qds, decoder, ws) else ws
+            failures = _run_cell(qds, decoder, wq, drawn, trials, _cell_generator(seed, wq, ws))
         grid.add(wq, ws, trials, failures)
     return grid
+
+
+def _offset_supports(qds: QdsCode, decoder) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """(fail_any, fail_all, reached, gave_up): the decoder's
+    `_failing_offsets`, the SM code's `_reached_offsets` and the G of its
+    `_flip_offsets`, so the masks over the 2^ell offsets D where F(w_q, D)
+    > 0, where F(w_q, D) = |E_wq| and where N(w_s, D) > 0, and the count of
+    weight-w_s patterns the SM decoder gives up on.  None when the decoder
+    is not a `LookupDecoder` of qds.base itself or a table does not exist
+    (see those properties for when)."""
+    if type(decoder) is not LookupDecoder or decoder.code is not qds.base:
+        return None
+    failing, reached = decoder._failing_offsets, qds.sm._reached_offsets
+    if failing is None or reached is None:
+        return None
+    return (*failing, reached, qds.sm._flip_offsets[1])
 
 
 def _certain_rate(qds: QdsCode, decoder, w_q: int, w_s: int) -> Optional[int]:
@@ -293,21 +325,26 @@ def _certain_rate(qds: QdsCode, decoder, w_q: int, w_s: int) -> Optional[int]:
     F(w_q, D), with N and G from the SM code's `_flip_offsets` and F from
     the decoder's `_offset_failures`.  The rate is 0 when nothing gives up
     and F is 0 at every D that N reaches, and 1 when F is all of E_wq
-    there; only those supports are read, so no count is multiplied.  Also
-    None when the decoder is not a `LookupDecoder` of qds.base itself or
-    a table does not exist (see those two properties for when)."""
-    if type(decoder) is not LookupDecoder or decoder.code is not qds.base:
+    there: two ANDs of the `_offset_supports` masks, which read only the
+    supports, so no count is multiplied.  None also where
+    `_offset_supports` is."""
+    supports = _offset_supports(qds, decoder)
+    if supports is None:
         return None
-    failing = decoder._offset_failures
-    if failing is None or qds.sm._flip_offsets is None:
-        return None
-    counts, gave_up = qds.sm._flip_offsets
-    reached = failing[w_q][counts[w_s] > 0]
-    if not gave_up[w_s] and not reached.any():
+    fail_any, fail_all, reached, gave_up = supports
+    if not gave_up[w_s] and not fail_any[w_q] & reached[w_s]:
         return 0
-    if (reached == comb(qds.base.n, w_q) * 3**w_q).all():
+    if not reached[w_s] & ~fail_all[w_q]:
         return 1
     return None
+
+
+def _readout_certain(qds: QdsCode, decoder, w_s: int) -> bool:
+    """Whether every weight-w_s flip pattern decodes alone to offset 0, with
+    no give-up, by the `_offset_supports` masks: true for every w_s <= t_s
+    where they exist, false where `_offset_supports` is None."""
+    supports = _offset_supports(qds, decoder)
+    return supports is not None and supports[2][w_s] == 1 and not supports[3][w_s]
 
 
 def _kept_cells(
@@ -322,6 +359,9 @@ def _kept_cells(
     if not 0.0 <= truncation < inf:  # also true for NaN
         raise ValueError(f"truncation must be finite and nonnegative, got {truncation}")
     col = [binomial_weight_probability(ws, p_s, n_s) for ws in range(n_s + 1)]
+    # the terms added in order: Python 3.12's sum() compensates its
+    # rounding, so a sum() here would move the mass's last bit by version
+    col_total = reduce(add, col)
     kept = []
     dropped = 0
     mass = 0.0
@@ -329,7 +369,7 @@ def _kept_cells(
         aq = binomial_weight_probability(wq, p_q, n)
         if aq < truncation:  # every cell in this row is below threshold
             dropped += n_s + 1
-            mass += aq * sum(col)
+            mass += aq * col_total
             continue
         for ws in range(n_s + 1):
             pref = aq * col[ws]

@@ -28,7 +28,8 @@ their products sparsely, as the XOR of one table row per letter.  A
 `LookupDecoder`'s table is the rows of those products that
 `lookup_decoder_build` picks, one (syndrome, class, mask) row per
 syndrome; a one-syndrome lookup binary-searches it and makes only the
-PauliOperator it returns.
+PauliOperator it returns, and a batch of syndromes (`_classes_of`) reads
+only the class column, by one gather or one binary search.
 """
 
 from __future__ import annotations
@@ -40,7 +41,14 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import _MAX_TABLE_BITS, BinaryMatrix, _bits_to_mask, _mask_dtype, _mask_to_bits
+from .linalg import (
+    _MAX_TABLE_BITS,
+    BinaryMatrix,
+    _bits_to_mask,
+    _mask_dtype,
+    _mask_to_bits,
+    _row_masks,
+)
 
 _LETTERS = "IXZY"  # index = x_bit + 2*z_bit
 _PAULI_LETTERS = "XYZI"  # the letter codes of `_pauli_masks`
@@ -387,6 +395,18 @@ class LookupDecoder:
         classes[self._rows[:, 0].astype(np.intp)] = self._rows[:, 1]
         return classes
 
+    def _classes_of(self, syndromes: np.ndarray) -> np.ndarray:
+        """The class of the correction for each syndrome of an array, -1
+        where the table has none: a gather on `_correction_classes`, or,
+        where that is None, one binary search of the syndrome column for
+        the whole array."""
+        table = self._correction_classes
+        if table is not None:
+            return table[syndromes]
+        keys = self._rows[:, 0]
+        at = np.minimum(np.searchsorted(keys, syndromes), len(keys) - 1)
+        return np.where(keys[at] == syndromes, self._rows[at, 1], -1)
+
     @cached_property
     def _offset_failures(self) -> Optional[np.ndarray]:
         """F[w, D]: how many weight-w Paulis fail when their syndrome s
@@ -413,6 +433,19 @@ class LookupDecoder:
             passed = np.where(found, counts[np.where(found, fixed, 0), syndromes[:, None]], 0)
             out[w] = len(products) - passed.sum(axis=0)
         return out
+
+    @cached_property
+    def _failing_offsets(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """The supports of `_offset_failures` as masks over the 2^ell
+        offsets, (fail_any, fail_all): bit D of fail_any[w] is set where
+        some weight-w Pauli fails at offset D, and of fail_all[w] where
+        every one does.  None when `_offset_failures` is; built on first
+        use."""
+        failing = self._offset_failures
+        if failing is None:
+            return None
+        everyone = [comb(self.code.n, w) * 3**w for w in range(self.code.n + 1)]
+        return _row_masks(failing > 0), _row_masks(failing == np.array(everyone)[:, None])
 
     @property
     def covered(self) -> bool:

@@ -831,6 +831,28 @@ def test_flip_offsets_count_every_pattern_once(sm):
     assert counts[: sm.t_s + 1, 1:].tolist() == [[0] * ((1 << sm.ell) - 1)] * (sm.t_s + 1)
 
 
+@pytest.mark.parametrize(
+    "sm",
+    [bch_sm(6, 3), repetition_sm(6, 3), bch_sm(6, 10)],
+    ids=["bch3", "rep3", "bch10-object-counts"],
+)
+def test_offset_masks_are_the_supports_of_the_tables(sm):
+    """Bit D of each mask against the count at D, one offset at a time."""
+    base = steane_code()
+    dec = lookup_decoder_build(base, max_weight=1)
+    counts, _ = sm._flip_offsets
+    failing = dec._offset_failures
+    everyone = [comb(base.n, w) * 3**w for w in range(base.n + 1)]
+    fail_any, fail_all = dec._failing_offsets
+    for d in range(1 << sm.ell):
+        assert [m >> d & 1 for m in sm._reached_offsets] == [int(c > 0) for c in counts[:, d]]
+        assert [m >> d & 1 for m in fail_any] == [int(f > 0) for f in failing[:, d]]
+        assert [m >> d & 1 for m in fail_all] == [
+            int(f == e) for f, e in zip(failing[:, d], everyone)
+        ]
+    assert max(sm._reached_offsets + fail_any + fail_all) < 1 << (1 << sm.ell)
+
+
 def _exact_cell(q, dec, w_q, w_s):
     """(cases, failures) of cell (w_q, w_s) from the exact tables:
     G(w_s)|E_wq| + sum_D N(w_s, D) F(w_q, D), in Python ints."""
@@ -887,6 +909,8 @@ def test_assembly_and_decoder_build_make_no_exact_table():
     dec = lookup_decoder_build(base, max_weight=1)
     assert "_flip_offsets" not in vars(q.sm)
     assert "_offset_failures" not in vars(dec)
+    assert "_reached_offsets" not in vars(q.sm)
+    assert "_failing_offsets" not in vars(dec)
 
 
 class _Enumerated(SyndromeMeasurementCode):
@@ -912,8 +936,11 @@ def test_exact_tables_stop_at_their_caps():
     simplex = [sum(((c >> i) & 1) << (c - 1) for c in range(1, 16)) for i in range(4)]
     wide = css_from_parity(BinaryMatrix(4, 15, simplex))
     assert (wide.n, wide.k) == (15, 7)
-    assert lookup_decoder_build(wide, max_weight=1)._offset_failures is None
+    wide_decoder = lookup_decoder_build(wide, max_weight=1)
+    assert wide_decoder._offset_failures is None
+    assert wide_decoder._failing_offsets is None
     assert repetition_sm(_MAX_TABLE_BITS + 1, 1)._flip_offsets is None
+    assert repetition_sm(_MAX_TABLE_BITS + 1, 1)._reached_offsets is None
     small = _Enumerated(repetition_sm(6, 3))
     assert small._flip_offsets[0].tolist() == repetition_sm(6, 3)._flip_offsets[0].tolist()
     assert _Enumerated(repetition_sm(7, 3))._flip_offsets is None

@@ -346,6 +346,23 @@ def test_combine_truncation_accounting():
     assert 0.0 <= hi_cut - hi_full <= cut.truncation_mass
 
 
+@pytest.mark.parametrize(
+    "p_q, p_s, truncation, mass",
+    [(0.002, 0.002, 1e-6, "5.815891743084214e-07"), (0.0003, 0.03, 1e-9, "1.9184166503243522e-09")],
+)
+def test_truncation_mass_does_not_depend_on_the_python_version(p_q, p_s, truncation, mass):
+    """A dropped row adds its prefactors in order.  At these points Python
+    3.12's compensated sum() of the row would move the mass's last digit,
+    and the upper bound's with it; the pins are the in-order values.  Every
+    cell is certified and failure-free, so the bounds are (0, mass)."""
+    grid = SimGrid({"n": 7, "n_s": 21, "t_data": 7, "t_s": 21}, seed=0)
+    for wq in range(8):
+        for ws in range(22):
+            grid.add(wq, ws, 1, 0)
+    assert repr(combine_grid(grid, p_q, p_s, truncation).truncation_mass) == mass
+    assert combine_grid_bounds(grid, p_q, p_s, truncation) == (0.0, float(mass))
+
+
 def test_combine_missing_cell_raises():
     q, dec = _steane_qds()
     grid = build_grid(q, dec, seed=2, boundary_trials=50, bulk_trials=20,
@@ -608,6 +625,65 @@ def test_a_decoder_of_another_code_object_certifies_nothing(monkeypatch):
     assert [st.failures for st in grid.cells.values()] == [0, 2]
 
 
+_EXACT_SMS = [bch_sm(6, 3), bch_sm(6, 4), repetition_sm(6, 3), identity_sm(6)]
+_EXACT_IDS = ["bch3", "bch4", "rep3", "identity"]
+
+
+def _array_certificate(q, dec, w_q, w_s):
+    """The certificate as first written, on the count arrays themselves:
+    the oracle of the masks `_certain_rate` ANDs."""
+    counts, gave_up = q.sm._flip_offsets
+    reached = dec._offset_failures[w_q][counts[w_s] > 0]
+    if not gave_up[w_s] and not reached.any():
+        return 0
+    if (reached == comb(q.base.n, w_q) * 3**w_q).all():
+        return 1
+    return None
+
+
+@pytest.mark.parametrize("sm", _EXACT_SMS, ids=_EXACT_IDS)
+def test_mask_certificate_equals_the_array_one(sm):
+    q, dec = _steane_qds(sm)
+    for w_q in range(q.base.n + 1):
+        for w_s in range(q.sm.n_s + 1):
+            assert _certain_rate(q, dec, w_q, w_s) == _array_certificate(q, dec, w_q, w_s)
+
+
+@pytest.mark.parametrize("sm", _EXACT_SMS, ids=_EXACT_IDS)
+def test_a_readout_certain_cell_counts_the_same_without_its_flips(sm):
+    """Where every weight-w_s pattern decodes alone to offset 0, the flips
+    cannot change a verdict, and they are drawn after the errors: drawing
+    none of them leaves the count as it is."""
+    q, dec = _steane_qds(sm)
+    certain = [ws for ws in range(q.sm.n_s + 1) if sim._readout_certain(q, dec, ws)]
+    assert certain == list(range(q.sm.t_s + 1))
+    for w_q in range(q.base.n + 1):
+        for w_s in certain:
+            counts = [
+                _run_cell(q, dec, w_q, drawn, 200, _cell_generator(4, w_q, w_s))
+                for drawn in (w_s, 0)
+            ]
+            assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("sm, skipped", [(bch_sm(6, 3), 24), (repetition_sm(6, 3), 12)])
+def test_readout_certain_cells_draw_no_flips(monkeypatch, sm, skipped):
+    """Every sampled cell of BCH(t=3) and 12 of repetition(3)'s 52 run
+    with no flips: exactly those at w_s <= t_s."""
+    q, dec = _steane_qds(sm)
+    runs = []
+
+    def recorded(qds, decoder, w_q, w_s, trials, rng):
+        runs.append(w_s)
+        return _run_cell(qds, decoder, w_q, w_s, trials, rng)
+
+    built = _counting_generators(monkeypatch)
+    monkeypatch.setattr(sim, "_run_cell", recorded)
+    build_grid(q, dec, seed=7, boundary_trials=40, bulk_trials=10)
+    assert runs.count(0) == skipped
+    assert [ws == 0 for ws in runs] == [ws <= q.sm.t_s for _, ws in built]
+
+
 # Hamming checks repeated over five blocks: 35 qubits, so 2n = 70 bits and
 # the error masks are object arrays
 _WIDE = css_from_parity(
@@ -627,6 +703,56 @@ def test_grid_past_the_table_cap_samples_every_cell(monkeypatch):
     assert hashlib.sha256(grid.to_json_text().encode()).hexdigest() == (
         "8d74c2249db34a88c45c811e3798c85857f7e2cb480a72837cbe27cd21b05623"
     )
+
+
+def test_a_lookup_past_the_class_array_keeps_the_wide_grid(monkeypatch):
+    """Without its class array the decoder is searched once per batch; the
+    wide grid's digest, pinned above, must not move, and every cell must
+    equal the per-trial path's."""
+    q = qds_assemble(_WIDE, bch_sm(6, 3))
+    dec = lookup_decoder_build(_WIDE, max_weight=1)
+    monkeypatch.setitem(vars(dec), "_correction_classes", None)
+    cells = [(wq, ws) for wq in (0, 1, 2, 3, 35) for ws in (0, 3, 4, 21)]
+    grid = build_grid(q, dec, seed=5, boundary_trials=40, bulk_trials=10, cells=cells)
+    assert hashlib.sha256(grid.to_json_text().encode()).hexdigest() == (
+        "8d74c2249db34a88c45c811e3798c85857f7e2cb480a72837cbe27cd21b05623"
+    )
+    proxy = build_grid(
+        q, _ProxyDecoder(dec), seed=5, boundary_trials=40, bulk_trials=10, cells=cells
+    )
+    assert grid.cells == proxy.cells
+
+
+def test_a_base_code_past_the_table_cap_is_looked_up_per_batch(monkeypatch):
+    """Five Hamming blocks: ell = 30, so the decoder has no class array,
+    and 2n = 70, so its rows are an object array.  A table stopped at
+    weight 2 misses most syndromes; the batched search must find the same
+    hits and misses as one `_decode_mask` per trial."""
+    rows = ["1010101", "0110011", "0001111"]
+    blocks = css_from_parity(
+        BinaryMatrix.from_strings(
+            ["0" * 7 * b + r + "0" * 7 * (4 - b) for b in range(5) for r in rows]
+        )
+    )
+    q = qds_assemble(blocks, repetition_sm(30, 3))
+    dec = lookup_decoder_build(blocks, max_weight=1, budget=6_000)
+    assert dec._correction_classes is None and dec._rows.dtype == object
+    by_syndrome = {s: c for s, c, _ in dec._rows.tolist()}
+    probes = [0, (1 << 30) - 1, *by_syndrome, *random.Random(8).sample(range(1 << 30), 500)]
+    classes = dec._classes_of(np.array(probes, dtype=np.int64))
+    assert classes.tolist() == [by_syndrome.get(s, -1) for s in probes]
+    calls = []
+    monkeypatch.setattr(LookupDecoder, "_decode_mask", lambda self, m: calls.append(m))
+    cells = [(wq, ws) for wq in (0, 1, 2, 3) for ws in (0, 1, 2, 5)]
+    grid = build_grid(q, dec, seed=3, boundary_trials=60, bulk_trials=20, cells=cells)
+    assert calls == []
+    monkeypatch.undo()
+    proxy = build_grid(
+        q, _ProxyDecoder(dec), seed=3, boundary_trials=60, bulk_trials=20, cells=cells
+    )
+    assert grid.cells == proxy.cells
+    failures = [st.failures for st in grid.cells.values()]
+    assert 0 in failures and max(failures) > 0 and min(f for f in failures if f) < 60
 
 
 def _bit_array_masks(n, n_s, w_q, w_s, trials, rng):
