@@ -21,8 +21,13 @@ Every trial, sampled or enumerated, goes through one batched kernel,
 QdsCode._count_failures, as whole-batch numpy operations on tables that
 are built on the first batch (never by QdsCode() or decode).  A batch is
 an array of error masks x | z << n and one of n_s-bit flip masks, the
-masks the one-trial path uses (sim._run_cell draws a flip mask as the
-set of a row's w_s smallest random keys, in no order).  Every GF(2)
+masks the one-trial path uses (sim._draw_flips draws a flip mask as the
+set of a row's w_s smallest random keys, in no order).  The one
+exception is a grid cell whose readout decode is certain (every flip
+pattern of its weight decodes alone to offset 0): sim._run_cell draws
+no flips there and gathers each error's verdict from
+LookupDecoder._corrected, this kernel's verdict at zero flips for each
+of the 4^n Paulis.  Every GF(2)
 product on a batch is BinaryMatrix._mul_masks, one gather per chunk of at
 most 16 matrix rows: a single gather for Steane's 14-row
 syndrome-and-class product, two for the 21-row syndrome of the [21,6,7]

@@ -18,6 +18,12 @@ with binomial weight probabilities A.  One grid of cells serves every
 probability point, cells with negligible prefactor are dropped (the sum
 of their prefactors bounds what they would add), and each cell draws from
 its own seeded stream so grids are reproducible cell by cell.
+combine_grid, combine_grid_bounds, required_cells and a sweep's
+recombination share one pass, _prefactors, over all of their points at
+once: a (points, n + 1, n_s + 1) array of prefactors, its kept mask and
+each point's dropped mass.  Its weights are Python's `**` and its sums
+sequential (np.add.accumulate), so every value has the bits of a loop
+over one point's cells in row-major order.
 
 Most cells need no draw at all.  The readout decoders are bounded-distance
 and the base decoder a table, so a cell's failure count over all of its
@@ -34,23 +40,24 @@ over the 2^ell offsets (two integer ANDs a cell).
 A sampled cell whose every weight-w_s flip pattern decodes alone to offset
 0, with no give-up (every w_s <= t_s), draws its errors and no flips: all
 24 sampled cells of BCH(t=3), 30 of 30 for BCH(t=4), 12 of 52 for
-repetition(3) and 6 of 6 for the identity.  Its bytes cannot change
-either: the kernel's decoded syndrome there is the error's own whatever
+repetition(3) and 6 of 6 for the identity.  It runs no kernel either: its
+count is `trials` less the errors that the decoder's `_corrected` table, a
+bool over all 4^n Paulis, marks as corrected, one gather.  Its bytes cannot
+change: the kernel's decoded syndrome there is the error's own whatever
 the flips are, and the flips are the last draws of the cell's stream, so
-the errors and the count are those of the full draw.  Certification and
-this skip are both off, and every cell drawn in full, unless the decoder
-is a LookupDecoder of the QDS code's own base code with a class array
-(ell <= 20) and 4^n <= 2^20 (n <= 10: Steane, [[5,1,3]] and Shor, not
-[[15,7,3]]).
+the errors and the count are those of the full draw.  Both certificates
+read the tables through one gate, _offset_supports, called once per
+build_grid.  Certification and this skip are both off, and every cell
+drawn in full, unless the decoder is a LookupDecoder of the QDS code's own
+base code with a class array (ell <= 20) and 4^n <= 2^20 (n <= 10:
+Steane, [[5,1,3]] and Shor, not [[15,7,3]]).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
-from math import comb, inf, sqrt
-from operator import add
+from math import comb, inf, prod, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -214,30 +221,50 @@ def _cell_generator(seed: int, w_q: int, w_s: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w_q, w_s)))
 
 
-def _run_cell(qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng) -> int:
-    """Failure count over `trials` samples at exact weights (w_q, w_s)."""
-    n = qds.base.n
-    n_s = qds.sm.n_s
-    errors = np.zeros(trials, dtype=_mask_dtype(2 * n))
-    flips = np.zeros(trials, dtype=_mask_dtype(n_s))
-    if w_q:
-        # the w_q smallest keys in order: letter i goes on the qubit of rank i
-        supports = np.argsort(rng.random((trials, n)), axis=1)[:, :w_q]
-        letters = rng.integers(3, size=(trials, w_q))  # 0 = X, 1 = Y, 2 = Z
-        errors = _pauli_masks(supports, letters, n)
-    if w_s:
-        # a flip mask is an OR, so only the set of the w_s smallest keys
-        # counts, not their order: the keys at or below the w_s-th smallest
-        # (sorting the values beats np.partition on short rows).  A key tied
-        # with that one would join the set, so then the set is the first w_s
-        # of the argsort order and every mask still weighs w_s
-        keys = rng.random((trials, n_s))
-        hit = keys <= np.sort(keys, axis=1)[:, w_s - 1 : w_s]
-        if np.count_nonzero(hit) != trials * w_s:
-            hit = np.zeros_like(hit)
-            np.put_along_axis(hit, np.argsort(keys, axis=1)[:, :w_s], True, axis=1)
-        flips = hit @ (np.array(1, dtype=flips.dtype) << np.arange(n_s))
-    return qds._count_failures(decoder, errors, flips)
+def _draw_errors(n: int, w_q: int, trials: int, rng) -> np.ndarray:
+    """`trials` data errors of weight w_q as symplectic masks: the first
+    draws of a cell's stream."""
+    if not w_q:
+        return np.zeros(trials, dtype=_mask_dtype(2 * n))
+    # the w_q smallest keys in order: letter i goes on the qubit of rank i
+    supports = np.argsort(rng.random((trials, n)), axis=1)[:, :w_q]
+    letters = rng.integers(3, size=(trials, w_q))  # 0 = X, 1 = Y, 2 = Z
+    return _pauli_masks(supports, letters, n)
+
+
+def _draw_flips(n_s: int, w_s: int, trials: int, rng) -> np.ndarray:
+    """`trials` readout flip masks of weight w_s, drawn after the errors."""
+    if not w_s:
+        return np.zeros(trials, dtype=_mask_dtype(n_s))
+    # a flip mask is an OR, so only the set of the w_s smallest keys
+    # counts, not their order: the keys at or below the w_s-th smallest
+    # (sorting the values beats np.partition on short rows).  A key tied
+    # with that one would join the set, so then the set is the first w_s
+    # of the argsort order and every mask still weighs w_s
+    keys = rng.random((trials, n_s))
+    hit = keys <= np.sort(keys, axis=1)[:, w_s - 1 : w_s]
+    if np.count_nonzero(hit) != trials * w_s:
+        hit = np.zeros_like(hit)
+        np.put_along_axis(hit, np.argsort(keys, axis=1)[:, :w_s], True, axis=1)
+    return hit @ (np.array(1, dtype=_mask_dtype(n_s)) << np.arange(n_s))
+
+
+def _run_cell(
+    qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng, corrected=None
+) -> int:
+    """Failure count over `trials` samples at exact weights (w_q, w_s).
+
+    `corrected` is the decoder's `LookupDecoder._corrected`, passed where
+    every weight-w_s flip pattern decodes alone to offset 0 with no
+    give-up.  The decoded syndrome is then each error's own whatever the
+    flips are, so the cell draws its errors only and a trial fails where
+    the table does not correct its error: one gather, no flips, no SM
+    decode.  The flips are the last draws of the stream, so the errors
+    and the count are those of the full draw."""
+    errors = _draw_errors(qds.base.n, w_q, trials, rng)
+    if corrected is not None:
+        return trials - int(np.count_nonzero(corrected[errors]))
+    return qds._count_failures(decoder, errors, _draw_flips(qds.sm.n_s, w_s, trials, rng))
 
 
 def default_code_meta(qds: QdsCode, decoder) -> dict:
@@ -286,38 +313,38 @@ def build_grid(
     t_data = decoder.max_weight
     t_s = qds.sm.t_s
     grid = SimGrid(default_code_meta(qds, decoder), seed)
+    supports = _offset_supports(qds, decoder)
     for wq, ws in cells:
         trials = boundary_trials if (wq <= t_data + 1 and ws <= t_s + 1) else bulk_trials
-        rate = _certain_rate(qds, decoder, wq, ws)
+        rate = _certain_rate(supports, wq, ws)
         if rate is not None:
-            failures = rate * trials
-        else:
-            # where every weight-ws flip pattern decodes alone to offset 0,
-            # the decoded syndrome is the error's whatever the flips are,
-            # and the flips are the last draws of the cell's stream
-            drawn = 0 if _readout_certain(qds, decoder, ws) else ws
-            failures = _run_cell(qds, decoder, wq, drawn, trials, _cell_generator(seed, wq, ws))
-        grid.add(wq, ws, trials, failures)
+            grid.add(wq, ws, trials, rate * trials)
+            continue
+        corrected = supports[4] if _readout_certain(supports, ws) else None
+        rng = _cell_generator(seed, wq, ws)
+        grid.add(wq, ws, trials, _run_cell(qds, decoder, wq, ws, trials, rng, corrected))
     return grid
 
 
-def _offset_supports(qds: QdsCode, decoder) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """(fail_any, fail_all, reached, gave_up): the decoder's
-    `_failing_offsets`, the SM code's `_reached_offsets` and the G of its
-    `_flip_offsets`, so the masks over the 2^ell offsets D where F(w_q, D)
-    > 0, where F(w_q, D) = |E_wq| and where N(w_s, D) > 0, and the count of
-    weight-w_s patterns the SM decoder gives up on.  None when the decoder
+def _offset_supports(qds: QdsCode, decoder) -> Optional[tuple]:
+    """(fail_any, fail_all, reached, gave_up, corrected): the decoder's
+    `_failing_offsets`, the SM code's `_reached_offsets`, the G of its
+    `_flip_offsets` and the decoder's `_corrected`, so the masks over the
+    2^ell offsets D where F(w_q, D) > 0, where F(w_q, D) = |E_wq| and where
+    N(w_s, D) > 0, the count of weight-w_s patterns the SM decoder gives up
+    on, and whether the table corrects each Pauli.  None when the decoder
     is not a `LookupDecoder` of qds.base itself or a table does not exist
-    (see those properties for when)."""
+    (see those properties for when): the one gate of both certificates,
+    read once per build_grid (a plain tuple, as it is made per call)."""
     if type(decoder) is not LookupDecoder or decoder.code is not qds.base:
         return None
     failing, reached = decoder._failing_offsets, qds.sm._reached_offsets
     if failing is None or reached is None:
         return None
-    return (*failing, reached, qds.sm._flip_offsets[1])
+    return (*failing, reached, qds.sm._flip_offsets[1], decoder._corrected)
 
 
-def _certain_rate(qds: QdsCode, decoder, w_q: int, w_s: int) -> Optional[int]:
+def _certain_rate(supports: Optional[tuple], w_q: int, w_s: int) -> Optional[int]:
     """Cell (w_q, w_s)'s failure rate where it is certain, 0 or 1, else None.
 
     The decode of a flip pattern f alone gives an offset D or gives up,
@@ -326,12 +353,10 @@ def _certain_rate(qds: QdsCode, decoder, w_q: int, w_s: int) -> Optional[int]:
     the decoder's `_offset_failures`.  The rate is 0 when nothing gives up
     and F is 0 at every D that N reaches, and 1 when F is all of E_wq
     there: two ANDs of the `_offset_supports` masks, which read only the
-    supports, so no count is multiplied.  None also where
-    `_offset_supports` is."""
-    supports = _offset_supports(qds, decoder)
+    supports, so no count is multiplied.  None also where `supports` is."""
     if supports is None:
         return None
-    fail_any, fail_all, reached, gave_up = supports
+    fail_any, fail_all, reached, gave_up, _ = supports
     if not gave_up[w_s] and not fail_any[w_q] & reached[w_s]:
         return 0
     if not reached[w_s] & ~fail_all[w_q]:
@@ -339,46 +364,103 @@ def _certain_rate(qds: QdsCode, decoder, w_q: int, w_s: int) -> Optional[int]:
     return None
 
 
-def _readout_certain(qds: QdsCode, decoder, w_s: int) -> bool:
-    """Whether every weight-w_s flip pattern decodes alone to offset 0, with
-    no give-up, by the `_offset_supports` masks: true for every w_s <= t_s
-    where they exist, false where `_offset_supports` is None."""
-    supports = _offset_supports(qds, decoder)
+def _readout_certain(supports: Optional[tuple], w_s: int) -> bool:
+    """Whether every weight-w_s flip pattern decodes alone to offset 0
+    (bit 0 alone is reached) with no give-up, by the `_offset_supports`
+    masks: true for every w_s <= t_s where they exist, false where
+    `supports` is None."""
     return supports is not None and supports[2][w_s] == 1 and not supports[3][w_s]
 
 
-def _kept_cells(
-    n: int, n_s: int, p_q: float, p_s: float, truncation: float
-) -> Tuple[List[Tuple[int, int, float]], int, float]:
-    """The (w_q, w_s, prefactor) cells whose binomial prefactor reaches
-    truncation, in row-major order, the count of cells dropped and the sum
-    of their prefactors."""
-    for name, v in (("p_q", p_q), ("p_s", p_s)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be a probability, got {v}")
+def _prefactors(
+    n: int, n_s: int, points: Sequence[Tuple[float, float]], truncation: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over every (p_q, p_s) point: the cells' binomial
+    prefactors A(w_q; p_q, n) A(w_s; p_s, n_s) as a (points, n + 1,
+    n_s + 1) array, the mask of the cells kept (prefactor and the row's
+    A(w_q) both reach truncation) and each point's truncation mass, the sum
+    of the prefactors dropped.  A row whose A(w_q) alone is below
+    truncation adds one term to the mass, A(w_q) times its column's total.
+
+    Every weight is Python's `**` (np.power can differ from it in the last
+    bit, by the host's SIMD) and every sum is `_row_major_sum`, so each
+    value has the bits of a loop over the cells of one point at a time."""
+    for p_q, p_s in points:
+        for name, v in (("p_q", p_q), ("p_s", p_s)):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be a probability, got {v}")
     if not 0.0 <= truncation < inf:  # also true for NaN
         raise ValueError(f"truncation must be finite and nonnegative, got {truncation}")
-    col = [binomial_weight_probability(ws, p_s, n_s) for ws in range(n_s + 1)]
-    # the terms added in order: Python 3.12's sum() compensates its
-    # rounding, so a sum() here would move the mass's last bit by version
-    col_total = reduce(add, col)
-    kept = []
-    dropped = 0
-    mass = 0.0
-    for wq in range(n + 1):
-        aq = binomial_weight_probability(wq, p_q, n)
-        if aq < truncation:  # every cell in this row is below threshold
-            dropped += n_s + 1
-            mass += aq * col_total
-            continue
-        for ws in range(n_s + 1):
-            pref = aq * col[ws]
-            if pref < truncation:
-                dropped += 1
-                mass += pref
-            else:
-                kept.append((wq, ws, pref))
-    return kept, dropped, mass
+    rows = _binomial_weights(n, [p_q for p_q, _ in points])
+    cols = _binomial_weights(n_s, [p_s for _, p_s in points])
+    prefs = rows[:, :, None] * cols[:, None, :]
+    dropped_rows = (rows < truncation)[:, :, None]
+    kept = ~dropped_rows & (prefs >= truncation)
+    # each row's terms in order: its own, nonzero where it is dropped
+    # whole, then its cells', nonzero where one is dropped alone
+    row_terms = np.where(dropped_rows, rows[:, :, None] * _row_major_sum(cols)[:, None, None], 0.0)
+    cell_terms = np.where(kept | dropped_rows, 0.0, prefs)
+    return prefs, kept, _row_major_sum(np.concatenate((row_terms, cell_terms), axis=2))
+
+
+def _binomial_weights(n: int, probabilities: Sequence[float]) -> np.ndarray:
+    """A(w; p, n) for w = 0..n at each p, as a (len(probabilities), n + 1)
+    array: binomial_weight_probability's expression, with each C(n, w)
+    computed once."""
+    # float exponents: `**` converts an int one to the same float per call
+    terms = [(comb(n, w), float(w), float(n - w)) for w in range(n + 1)]
+    weights = []
+    for p in probabilities:
+        q = 1.0 - p
+        weights += [c * p**w * q**v for c, w, v in terms]
+    return np.array(weights, dtype=float).reshape(len(probabilities), n + 1)
+
+
+def _row_major_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum of each entry of the first axis, its terms added one at a
+    time in row-major order: np.add.accumulate is sequential, where np.sum
+    adds pairwise, and Python 3.12's sum() compensates its rounding."""
+    flat = terms.reshape(len(terms), prod(terms.shape[1:]))
+    return np.add.accumulate(flat, axis=1)[:, -1]
+
+
+def _grid_cells(
+    grid: SimGrid, n: int, n_s: int, prefs: np.ndarray, kept: np.ndarray, truncation: float
+) -> Tuple[Tuple[np.ndarray, np.ndarray], List[CellStats]]:
+    """The grid's cells inside the domain: their w_q and w_s as index
+    arrays, and their stats.  A kept cell the grid lacks is an error
+    naming the first, the points in order and each point's cells in
+    row-major order."""
+    inside = [(k, st) for k, st in grid.cells.items() if 0 <= k[0] <= n and 0 <= k[1] <= n_s]
+    at = tuple(np.array([key for key, _ in inside], dtype=np.intp).reshape(len(inside), 2).T)
+    missing = kept.copy()
+    missing[:, at[0], at[1]] = False
+    if missing.any():
+        point, wq, ws = np.argwhere(missing)[0].tolist()
+        raise ValueError(
+            f"grid is missing cell ({wq}, {ws}) with prefactor {prefs[point, wq, ws]:.3g} "
+            f">= truncation {truncation:.3g}"
+        )
+    return at, [st for _, st in inside]
+
+
+def _combine(
+    grid: SimGrid, points: Sequence[Tuple[float, float]], truncation: float
+) -> Tuple[List[float], List[float], List[int]]:
+    """p_err, truncation mass and dropped-cell count at each point."""
+    n, n_s = _domain_from_meta(grid)
+    prefs, kept, mass = _prefactors(n, n_s, points, truncation)
+    at, stats = _grid_cells(grid, n, n_s, prefs, kept, truncation)
+    rates = np.zeros((n + 1, n_s + 1))
+    rates[at] = [st.failures / st.trials for st in stats]
+    dropped = (n + 1) * (n_s + 1) - np.count_nonzero(kept, axis=(1, 2))
+    return _kept_sum(prefs, kept, rates).tolist(), mass.tolist(), dropped.tolist()
+
+
+def _kept_sum(prefs: np.ndarray, kept: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each point's sum of prefactor times value over its kept cells, in
+    row-major order."""
+    return _row_major_sum(np.where(kept, prefs * values, 0.0))
 
 
 @dataclass(frozen=True)
@@ -397,16 +479,7 @@ def combine_grid(
     the sum of their prefactors is truncation_mass.  A needed cell
     (prefactor >= truncation) absent from the grid is an error.
     """
-    kept, dropped, mass = _kept_cells(*_domain_from_meta(grid), p_q, p_s, truncation)
-    p_err = 0.0
-    for wq, ws, pref in kept:
-        st = grid.cells.get((wq, ws))
-        if st is None:
-            raise ValueError(
-                f"grid is missing cell ({wq}, {ws}) with prefactor {pref:.3g} "
-                f">= truncation {truncation:.3g}"
-            )
-        p_err += pref * (st.failures / st.trials)
+    (p_err,), (mass,), (dropped,) = _combine(grid, [(p_q, p_s)], truncation)
     return CombineResult(p_err=p_err, truncation_mass=mass, dropped_cells=dropped)
 
 
@@ -421,19 +494,16 @@ def combine_grid_bounds(
     """
     t_data = grid.code_meta.get("t_data")
     t_s = grid.code_meta.get("t_s")
-    kept, _, mass = _kept_cells(*_domain_from_meta(grid), p_q, p_s, truncation)
-    lo = hi = 0.0
-    for wq, ws, pref in kept:
-        st = grid.cells.get((wq, ws))
-        if st is None:
-            raise ValueError(f"grid is missing cell ({wq}, {ws})")
+    n, n_s = _domain_from_meta(grid)
+    prefs, kept, (mass,) = _prefactors(n, n_s, [(p_q, p_s)], truncation)
+    at, stats = _grid_cells(grid, n, n_s, prefs, kept, truncation)
+    ends = np.zeros((2, n + 1, n_s + 1))
+    for wq, ws, st in zip(*(w.tolist() for w in at), stats):
         certified = t_data is not None and t_s is not None and wq <= t_data and ws <= t_s
-        if certified and st.failures == 0:
-            continue
-        cell_lo, cell_hi = wilson_interval(st.failures, st.trials, z)
-        lo += pref * cell_lo
-        hi += pref * cell_hi
-    return lo, hi + mass
+        if kept[0, wq, ws] and not (certified and st.failures == 0):
+            ends[:, wq, ws] = wilson_interval(st.failures, st.trials, z)
+    lo, hi = (float(_kept_sum(prefs, kept, end)[0]) for end in ends)
+    return lo, hi + float(mass)
 
 
 def _json_int(obj, key: str, where: str) -> int:
@@ -462,11 +532,8 @@ def required_cells(
     n: int, n_s: int, points: Sequence[Tuple[float, float]], truncation: float
 ) -> Set[Cell]:
     """Cells whose prefactor reaches truncation at any (p_q, p_s) point."""
-    needed: Set[Cell] = set()
-    for p_q, p_s in points:
-        kept, _, _ = _kept_cells(n, n_s, p_q, p_s, truncation)
-        needed.update((wq, ws) for wq, ws, _ in kept)
-    return needed
+    _, kept, _ = _prefactors(n, n_s, points, truncation)
+    return set(map(tuple, np.argwhere(kept.any(axis=0)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -511,14 +578,13 @@ def sweep(
 def _recombine(
     grid: SimGrid, points: Sequence[Tuple[float, float]], truncation: float
 ) -> List[SweepPoint]:
-    """combine_grid at each (p_q, p_s) point, as sweep points."""
-    out = []
-    for p_q, p_s in points:
-        res = combine_grid(grid, p_q, p_s, truncation)
-        out.append(
-            SweepPoint(p_s=p_s, p_q=p_q, p_err=res.p_err, truncation_mass=res.truncation_mass)
-        )
-    return out
+    """combine_grid at each (p_q, p_s) point, as sweep points, from one
+    `_prefactors` pass over them all."""
+    p_errs, masses, _ = _combine(grid, points, truncation)
+    return [
+        SweepPoint(p_s=p_s, p_q=p_q, p_err=p_err, truncation_mass=mass)
+        for (p_q, p_s), p_err, mass in zip(points, p_errs, masses)
+    ]
 
 
 def direct_monte_carlo(

@@ -435,6 +435,21 @@ class LookupDecoder:
         return out
 
     @cached_property
+    def _corrected(self) -> Optional[np.ndarray]:
+        """Whether the table corrects each Pauli, as a bool array over all
+        4^n symplectic masks: True where the correction for the Pauli's
+        syndrome has the Pauli's class, so their product is in the
+        stabilizer group.  One `_syndrome_and_class` product of every mask.
+        None where `_offset_failures` is; built on first use, for the grid
+        cells whose readout decode is certain."""
+        code = self.code
+        classes = self._correction_classes
+        if classes is None or 2 * code.n > _MAX_TABLE_BITS:
+            return None
+        products = code._syndrome_and_class._mul_masks(np.arange(1 << 2 * code.n))
+        return classes[products & ((1 << code.ell) - 1)] == products >> code.ell
+
+    @cached_property
     def _failing_offsets(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """The supports of `_offset_failures` as masks over the 2^ell
         offsets, (fail_any, fail_all): bit D of fail_any[w] is set where

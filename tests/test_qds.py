@@ -901,6 +901,47 @@ def test_exact_counts_equal_an_exhaustive_kernel_run():
             assert (len(errors) * len(flips), got) == _exact_cell(q, dec, w_q, w_s)
 
 
+_FIVE_QUBIT = StabilizerCode(
+    [PauliOperator.from_string(g) for g in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
+)
+_SHOR = StabilizerCode(
+    [
+        PauliOperator.from_string(g)
+        for g in (
+            "ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
+            "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX",
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "base", [steane_code(), _FIVE_QUBIT, _SHOR], ids=["steane", "five-qubit", "shor-4^9"]
+)
+def test_corrected_is_the_kernel_with_no_flips(base):
+    """Every Pauli the table corrects passes the kernel with zero flips,
+    and every other one fails it."""
+    q = qds_assemble(base, identity_sm(base.ell))
+    dec = lookup_decoder_build(base, max_weight=1)
+    paulis = np.arange(1 << 2 * base.n)
+    corrected = dec._corrected
+    assert corrected.dtype == bool and corrected.shape == paulis.shape
+    passed, failed = paulis[corrected], paulis[~corrected]
+    no_flips = np.zeros(len(paulis), dtype=_mask_dtype(q.sm.n_s))
+    assert q._count_failures(dec, passed, no_flips[: len(passed)]) == 0
+    assert q._count_failures(dec, failed, no_flips[: len(failed)]) == len(failed)
+    assert corrected[_weight_pauli_masks(base.n, 1)].all() and len(failed) > 0
+
+
+def test_corrected_is_the_one_trial_chain_on_the_five_qubit_code():
+    q = qds_assemble(_FIVE_QUBIT, identity_sm(4))
+    dec = lookup_decoder_build(_FIVE_QUBIT, max_weight=1)
+    for mask, corrected in enumerate(dec._corrected.tolist()):
+        error = PauliOperator._from_mask(5, mask)
+        correction, _ = q.decode_two_step(q.measure(error), dec)
+        assert corrected == (_FIVE_QUBIT.classify(error * correction) == "trivial")
+
+
 def test_assembly_and_decoder_build_make_no_exact_table():
     """The tables are built by the first grid that reads them, not by
     set-up."""
@@ -911,6 +952,7 @@ def test_assembly_and_decoder_build_make_no_exact_table():
     assert "_offset_failures" not in vars(dec)
     assert "_reached_offsets" not in vars(q.sm)
     assert "_failing_offsets" not in vars(dec)
+    assert "_corrected" not in vars(dec)
 
 
 class _Enumerated(SyndromeMeasurementCode):
@@ -939,6 +981,7 @@ def test_exact_tables_stop_at_their_caps():
     wide_decoder = lookup_decoder_build(wide, max_weight=1)
     assert wide_decoder._offset_failures is None
     assert wide_decoder._failing_offsets is None
+    assert wide_decoder._corrected is None
     assert repetition_sm(_MAX_TABLE_BITS + 1, 1)._flip_offsets is None
     assert repetition_sm(_MAX_TABLE_BITS + 1, 1)._reached_offsets is None
     small = _Enumerated(repetition_sm(6, 3))

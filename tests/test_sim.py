@@ -1,7 +1,9 @@
 """Weight-stratified Monte Carlo: determinism, recombination, cross-checks."""
 
+import functools
 import hashlib
 import math
+import operator
 import random
 from fractions import Fraction
 from math import comb
@@ -19,6 +21,7 @@ from qdsbch.sim import (
     SimGrid,
     _cell_generator,
     _certain_rate,
+    _offset_supports,
     _run_cell,
     binomial_weight_probability,
     build_grid,
@@ -443,6 +446,136 @@ def test_required_cells_union_over_points():
     assert one <= two
 
 
+# The per-point loop over the cells that `_prefactors` replaced, kept as
+# the oracle of its bits: Python floats, added one term at a time.
+
+
+def _loop_kept_cells(n, n_s, p_q, p_s, truncation):
+    col = [binomial_weight_probability(ws, p_s, n_s) for ws in range(n_s + 1)]
+    col_total = functools.reduce(operator.add, col)
+    kept, dropped, mass = [], 0, 0.0
+    for wq in range(n + 1):
+        aq = binomial_weight_probability(wq, p_q, n)
+        if aq < truncation:
+            dropped += n_s + 1
+            mass += aq * col_total
+            continue
+        for ws in range(n_s + 1):
+            pref = aq * col[ws]
+            if pref < truncation:
+                dropped += 1
+                mass += pref
+            else:
+                kept.append((wq, ws, pref))
+    return kept, dropped, mass
+
+
+def _loop_combine(grid, p_q, p_s, truncation):
+    n, n_s = grid.code_meta["n"], grid.code_meta["n_s"]
+    kept, dropped, mass = _loop_kept_cells(n, n_s, p_q, p_s, truncation)
+    p_err = 0.0
+    for wq, ws, pref in kept:
+        st = grid.cells.get((wq, ws))
+        if st is None:
+            raise ValueError(
+                f"grid is missing cell ({wq}, {ws}) with prefactor {pref:.3g} "
+                f">= truncation {truncation:.3g}"
+            )
+        p_err += pref * (st.failures / st.trials)
+    return p_err, mass, dropped
+
+
+def _loop_bounds(grid, p_q, p_s, truncation, z=1.96):
+    t_data, t_s = grid.code_meta["t_data"], grid.code_meta["t_s"]
+    n, n_s = grid.code_meta["n"], grid.code_meta["n_s"]
+    kept, _, mass = _loop_kept_cells(n, n_s, p_q, p_s, truncation)
+    lo = hi = 0.0
+    for wq, ws, pref in kept:
+        st = grid.cells[(wq, ws)]
+        if wq <= t_data and ws <= t_s and st.failures == 0:
+            continue
+        cell_lo, cell_hi = wilson_interval(st.failures, st.trials, z)
+        lo += pref * cell_lo
+        hi += pref * cell_hi
+    return lo, hi + mass
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+def _random_grid(seed, cells=None):
+    """Steane + BCH(t=3)'s domain with random counts: 0 failures inside the
+    certified region, and 0, all or some failures elsewhere."""
+    rng = random.Random(seed)
+    grid = SimGrid({"n": 7, "n_s": 21, "t_data": 1, "t_s": 3}, seed=seed)
+    for wq, ws in cells if cells is not None else [(a, b) for a in range(8) for b in range(22)]:
+        trials = rng.choice([1, 7, 40, 1_000, 10_000])
+        failures = 0 if wq <= 1 and ws <= 3 else rng.choice([0, trials, rng.randint(0, trials)])
+        grid.add(wq, ws, trials, failures)
+    return grid
+
+
+_SWEEP = [(0.01 * ps, ps) for ps in np.logspace(-4, -2, 25).tolist()]
+_AXIS = [0.0, 1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0]
+_LATTICE = [(p_q, p_s) for p_q in _AXIS for p_s in _AXIS]
+
+
+@pytest.mark.parametrize("truncation", [0.0, 1e-12, 1e-6, 1e-3])
+@pytest.mark.parametrize("points", [_SWEEP, _LATTICE], ids=["sweep25", "lattice13x13"])
+def test_one_prefactor_pass_has_the_bits_of_the_per_point_loop(points, truncation):
+    grid = _random_grid(5)
+    swept = sim._recombine(grid, points, truncation)
+    assert [(pt.p_q, pt.p_s) for pt in swept] == points
+    needed = set()
+    for (p_q, p_s), pt in zip(points, swept):
+        p_err, mass, dropped = _loop_combine(grid, p_q, p_s, truncation)
+        res = combine_grid(grid, p_q, p_s, truncation)
+        assert _bits(pt.p_err, pt.truncation_mass) == _bits(p_err, mass)
+        assert _bits(res.p_err, res.truncation_mass) == _bits(p_err, mass)
+        assert res.dropped_cells == dropped
+        assert _bits(*combine_grid_bounds(grid, p_q, p_s, truncation)) == _bits(
+            *_loop_bounds(grid, p_q, p_s, truncation)
+        )
+        kept, _, _ = _loop_kept_cells(7, 21, p_q, p_s, truncation)
+        needed.update((wq, ws) for wq, ws, _ in kept)
+    assert required_cells(7, 21, points, truncation) == needed
+
+
+def test_one_prefactor_pass_over_no_points():
+    grid = _random_grid(6)
+    assert sim._recombine(grid, [], 1e-12) == []
+    assert required_cells(7, 21, [], 1e-12) == set()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [_SWEEP, _LATTICE, [(1e-5, 1e-5), (0.1, 0.1)]],
+    ids=["sweep25", "lattice13x13", "two-points"],
+)
+def test_one_prefactor_pass_names_the_loops_missing_cell(points):
+    """The first point that needs a missing cell, and its first such cell in
+    row-major order, with its prefactor: the loop's message, which
+    combine_grid_bounds now gives too.  At (0.1, 0.1) every missing cell
+    is needed, so row-major (0, 4) is told from column-major (1, 2)."""
+    missing = {(0, 4), (0, 5), (1, 2), (2, 9), (3, 3)}
+    grid = _random_grid(7, [(a, b) for a in range(8) for b in range(22) if (a, b) not in missing])
+    for first, (p_q, p_s) in enumerate(points):
+        try:
+            _loop_combine(grid, p_q, p_s, 1e-6)
+        except ValueError as exc:
+            message = str(exc)
+            break
+    assert first > 0 and message.startswith("grid is missing cell (")
+    with pytest.raises(ValueError) as raised:
+        sim._recombine(grid, points, 1e-6)
+    assert str(raised.value) == message
+    for combine in (combine_grid, combine_grid_bounds):
+        with pytest.raises(ValueError) as raised:
+            combine(grid, p_q, p_s, 1e-6)
+        assert str(raised.value) == message
+
+
 # --- end-to-end consistency ------------------------------------------------------
 
 
@@ -591,7 +724,8 @@ def test_certified_cells_build_no_generator(monkeypatch):
     q, dec = _steane_qds(bch_sm(6, 3))
     built = _counting_generators(monkeypatch)
     grid = build_grid(q, dec, seed=7, boundary_trials=40, bulk_trials=10)
-    rates = {cell: _certain_rate(q, dec, *cell) for cell in grid.cells}
+    supports = _offset_supports(q, dec)
+    rates = {cell: _certain_rate(supports, *cell) for cell in grid.cells}
     assert sorted(built) == sorted(cell for cell, rate in rates.items() if rate is None)
     assert len(built) == 24
     assert list(rates.values()).count(0) == 8
@@ -619,6 +753,7 @@ def test_certified_grid_is_byte_identical_to_the_sampled_one(monkeypatch, sm):
 def test_a_decoder_of_another_code_object_certifies_nothing(monkeypatch):
     q, _ = _steane_qds(bch_sm(6, 3))
     dec = lookup_decoder_build(steane_code(), max_weight=1)
+    assert _offset_supports(q, dec) is None  # so no `_corrected` table either
     built = _counting_generators(monkeypatch)
     grid = build_grid(q, dec, seed=7, boundary_trials=4, bulk_trials=2, cells=[(0, 0), (7, 21)])
     assert built == [(0, 0), (7, 21)]
@@ -644,44 +779,56 @@ def _array_certificate(q, dec, w_q, w_s):
 @pytest.mark.parametrize("sm", _EXACT_SMS, ids=_EXACT_IDS)
 def test_mask_certificate_equals_the_array_one(sm):
     q, dec = _steane_qds(sm)
+    supports = _offset_supports(q, dec)
     for w_q in range(q.base.n + 1):
         for w_s in range(q.sm.n_s + 1):
-            assert _certain_rate(q, dec, w_q, w_s) == _array_certificate(q, dec, w_q, w_s)
+            assert _certain_rate(supports, w_q, w_s) == _array_certificate(q, dec, w_q, w_s)
 
 
 @pytest.mark.parametrize("sm", _EXACT_SMS, ids=_EXACT_IDS)
 def test_a_readout_certain_cell_counts_the_same_without_its_flips(sm):
     """Where every weight-w_s pattern decodes alone to offset 0, the flips
-    cannot change a verdict, and they are drawn after the errors: drawing
-    none of them leaves the count as it is."""
+    cannot change a verdict, and they are drawn after the errors: counting
+    the errors on the `_corrected` table, with no flips drawn, gives the
+    count of the full draw through the kernel."""
     q, dec = _steane_qds(sm)
-    certain = [ws for ws in range(q.sm.n_s + 1) if sim._readout_certain(q, dec, ws)]
+    supports = _offset_supports(q, dec)
+    certain = [ws for ws in range(q.sm.n_s + 1) if sim._readout_certain(supports, ws)]
     assert certain == list(range(q.sm.t_s + 1))
     for w_q in range(q.base.n + 1):
         for w_s in certain:
             counts = [
-                _run_cell(q, dec, w_q, drawn, 200, _cell_generator(4, w_q, w_s))
-                for drawn in (w_s, 0)
+                _run_cell(q, dec, w_q, w_s, 200, _cell_generator(4, w_q, w_s), corrected)
+                for corrected in (None, dec._corrected)
             ]
             assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("sm, skipped", [(bch_sm(6, 3), 24), (repetition_sm(6, 3), 12)])
 def test_readout_certain_cells_draw_no_flips(monkeypatch, sm, skipped):
-    """Every sampled cell of BCH(t=3) and 12 of repetition(3)'s 52 run
-    with no flips: exactly those at w_s <= t_s."""
+    """Every sampled cell of BCH(t=3) and 12 of repetition(3)'s 52 draw no
+    flips and make no SM decode: exactly those at w_s <= t_s."""
     q, dec = _steane_qds(sm)
-    runs = []
-
-    def recorded(qds, decoder, w_q, w_s, trials, rng):
-        runs.append(w_s)
-        return _run_cell(qds, decoder, w_q, w_s, trials, rng)
-
+    _offset_supports(q, dec)  # the tables decode flips while they are built
     built = _counting_generators(monkeypatch)
-    monkeypatch.setattr(sim, "_run_cell", recorded)
+    flipped, decoded = set(), set()
+
+    def draw_flips(*args):
+        flipped.add(built[-1])
+        return draw_flips.inner(*args)
+
+    def decode_masks(self, words):
+        decoded.add(built[-1])
+        return decode_masks.inner(self, words)
+
+    draw_flips.inner, decode_masks.inner = sim._draw_flips, type(q.sm)._decode_masks
+    monkeypatch.setattr(sim, "_draw_flips", draw_flips)
+    monkeypatch.setattr(type(q.sm), "_decode_masks", decode_masks)
     build_grid(q, dec, seed=7, boundary_trials=40, bulk_trials=10)
-    assert runs.count(0) == skipped
-    assert [ws == 0 for ws in runs] == [ws <= q.sm.t_s for _, ws in built]
+    undrawn = [cell for cell in built if cell not in flipped]
+    assert len(undrawn) == skipped
+    assert [cell in undrawn for cell in built] == [ws <= q.sm.t_s for _, ws in built]
+    assert decoded == flipped
 
 
 # Hamming checks repeated over five blocks: 35 qubits, so 2n = 70 bits and
