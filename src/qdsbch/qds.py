@@ -17,17 +17,22 @@ Three SM families are provided: a shortened BCH code of dimension ell
 (the interesting one), the (2t+1)-fold repetition of all ell measurements,
 and the identity (plain single measurement, no protection).
 
-Every trial, sampled or enumerated, goes through one batched kernel,
-QdsCode._count_failures, as whole-batch numpy operations on tables that
-are built on the first batch (never by QdsCode() or decode).  A batch is
-an array of error masks x | z << n and one of n_s-bit flip masks, the
-masks the one-trial path uses (sim._draw_flips draws a flip mask as the
-set of a row's w_s smallest random keys, in no order).  The one
-exception is a grid cell whose readout decode is certain (every flip
-pattern of its weight decodes alone to offset 0): sim._run_cell draws
-no flips there and gathers each error's verdict from
-LookupDecoder._corrected, this kernel's verdict at zero flips for each
-of the 4^n Paulis.  Every GF(2)
+Every trial that verify enumerates, that direct_monte_carlo draws, or
+that a grid draws outside the tables' gate (sim._offset_supports) goes
+through one batched kernel, QdsCode._count_failures, as whole-batch numpy
+operations on tables that are built on the first batch (never by QdsCode()
+or decode).  A batch is an array of error masks x | z << n and one of
+n_s-bit flip masks, the masks the one-trial path uses (sim._draw_flips
+draws a flip mask as the set of a row's w_s smallest random keys, in no
+order).  Inside the gate, sim._run_cell reads the kernel's verdict off
+two tables instead, SyndromeMeasurementCode._zero_words and
+LookupDecoder._corrected: the residual's syndrome is the flips' offset
+D(f), so a trial passes exactly when D(f) = 0 with no give-up and the
+table corrects its error.  That is 40 of the 52 sampled cells of
+repetition(3) and none of BCH's, which gather their errors alone, and no
+byte moves: each verdict is the kernel's, and the flips stay the last
+draws of a cell's stream.
+The kernel stays their oracle: verify reads neither table.  Every GF(2)
 product on a batch is BinaryMatrix._mul_masks, one gather per chunk of at
 most 16 matrix rows: a single gather for Steane's 14-row
 syndrome-and-class product, two for the 21-row syndrome of the [21,6,7]
@@ -190,6 +195,32 @@ class SyndromeMeasurementCode(ABC):
         tables = self._flip_offsets
         return None if tables is None else _row_masks(tables[0] > 0)
 
+    @cached_property
+    def _zero_words(self) -> Optional[np.ndarray]:
+        """Whether each n_s-bit word, decoded alone, gives offset 0 with no
+        give-up, as a bool array over all 2^n_s words.  Built on first use
+        from `_decode_masks`, `_ZERO_CHUNK` words at a time, so the build's
+        temporaries stay small beside the table; None where 2^n_s passes
+        2^_MAX_TABLE_BITS."""
+        if self.n_s > _MAX_TABLE_BITS:
+            return None
+        out = np.empty(1 << self.n_s, dtype=bool)
+        for lo in range(0, len(out), _ZERO_CHUNK):
+            words = np.arange(lo, min(lo + _ZERO_CHUNK, len(out)), dtype=_mask_dtype(self.n_s))
+            offsets, ok = self._decode_masks(words)
+            out[lo : lo + len(words)] = ok & (offsets == 0)
+        return out
+
+    def _decodes_to_zero(self, flips: np.ndarray) -> np.ndarray:
+        """Whether each flip mask of an array decodes alone to offset 0 with
+        no give-up: a gather on `_zero_words`, or, where that is None, the
+        same test on `_decode_masks` of the array."""
+        table = self._zero_words
+        if table is not None:
+            return table[flips]
+        offsets, ok = self._decode_masks(flips)
+        return ok & (offsets == 0)
+
     @property
     def extra_measurements(self) -> int:
         return self.n_s - self.ell
@@ -334,6 +365,10 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
 # the most masks `_support_mask_blocks` puts in one block: with the site
 # indices, a few MB
 _SUPPORT_BLOCK = 1 << 16
+
+# words per `_decode_masks` call while `_zero_words` is built: a whole
+# 2^18-word repetition(3) readout at once held about 8 MB of temporaries
+_ZERO_CHUNK = 1 << 12
 
 
 def _support_mask_blocks(n: int, w: int) -> Iterator[np.ndarray]:

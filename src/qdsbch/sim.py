@@ -37,20 +37,29 @@ each cell has its own stream, so skipping one cell's draws moves no other
 cell's.  The certificate reads only the supports of the tables, as masks
 over the 2^ell offsets (two integer ANDs a cell).
 
-A sampled cell whose every weight-w_s flip pattern decodes alone to offset
-0, with no give-up (every w_s <= t_s), draws its errors and no flips: all
-24 sampled cells of BCH(t=3), 30 of 30 for BCH(t=4), 12 of 52 for
-repetition(3) and 6 of 6 for the identity.  It runs no kernel either: its
-count is `trials` less the errors that the decoder's `_corrected` table, a
-bool over all 4^n Paulis, marks as corrected, one gather.  Its bytes cannot
-change: the kernel's decoded syndrome there is the error's own whatever
-the flips are, and the flips are the last draws of the cell's stream, so
-the errors and the count are those of the full draw.  Both certificates
-read the tables through one gate, _offset_supports, called once per
-build_grid.  Certification and this skip are both off, and every cell
-drawn in full, unless the decoder is a LookupDecoder of the QDS code's own
-base code with a class array (ell <= 20) and 4^n <= 2^20 (n <= 10:
-Steane, [[5,1,3]] and Shor, not [[15,7,3]]).
+A sampled cell runs no kernel either.  The lookup correction for a
+decoded syndrome s ^ D has syndrome s ^ D, so the residual's syndrome is
+the offset D, and a residual with a nonzero syndrome is never in the
+stabilizer group: a trial passes exactly when its flips decode alone to
+offset 0 and the decoder's `_corrected` table, a bool over all 4^n Paulis,
+marks its error as corrected.  So a cell is two gathers, the flips on the
+SM code's `_zero_words` (a bool over all 2^n_s words, or `_decode_masks`
+past 2^20 of them) and the errors on `_corrected`, and its count is
+`trials` less the trials both mark: 40 of the 52 sampled cells of
+repetition(3), 80 of 98 for repetition(5).  A cell whose every weight-w_s
+flip pattern decodes alone to offset 0, with no give-up (every w_s <=
+t_s), draws no flips and gathers its errors only: all 24 sampled cells of
+BCH(t=3), 30 of 30 for BCH(t=4), 12 of 52 for repetition(3) and 6 of 6
+for the identity.  BCH never reaches the first path: its readout decodes
+a pattern to 0 exactly when w_s <= t_s, so each of its cells is certified
+or draws no flips.  The bytes cannot change: each trial's verdict is the
+kernel's, and the flips are the last draws of the cell's stream, so the
+errors and the count are those of the full draw.  Both certificates and
+the gathers read the tables through one gate, _offset_supports, called
+once per build_grid.  They are all off, and every cell drawn in full
+through the kernel, unless the decoder is a LookupDecoder of the QDS
+code's own base code with a class array (ell <= 20) and 4^n <= 2^20 (n <=
+10: Steane, [[5,1,3]] and Shor, not [[15,7,3]]).
 """
 
 from __future__ import annotations
@@ -250,21 +259,27 @@ def _draw_flips(n_s: int, w_s: int, trials: int, rng) -> np.ndarray:
 
 
 def _run_cell(
-    qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng, corrected=None
+    qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng, supports=None
 ) -> int:
     """Failure count over `trials` samples at exact weights (w_q, w_s).
 
-    `corrected` is the decoder's `LookupDecoder._corrected`, passed where
-    every weight-w_s flip pattern decodes alone to offset 0 with no
-    give-up.  The decoded syndrome is then each error's own whatever the
-    flips are, so the cell draws its errors only and a trial fails where
-    the table does not correct its error: one gather, no flips, no SM
-    decode.  The flips are the last draws of the stream, so the errors
-    and the count are those of the full draw."""
+    `supports` is `_offset_supports(qds, decoder)`.  Where it exists, a
+    trial passes exactly when its flips decode alone to offset 0 (the SM
+    code's `_decodes_to_zero`) and the decoder's `_corrected` table
+    corrects its error: the lookup correction for s ^ D has syndrome
+    s ^ D, so the residual's syndrome is D, and a residual with a nonzero
+    syndrome is never in the stabilizer group.  Two gathers, and no flips
+    at all where every weight-w_s pattern decodes to 0 (`_readout_certain`).
+    The flips are the last draws of the stream, so the errors are those
+    of the full draw and the count is the kernel's, `_count_failures`,
+    which runs where `supports` is None."""
     errors = _draw_errors(qds.base.n, w_q, trials, rng)
-    if corrected is not None:
-        return trials - int(np.count_nonzero(corrected[errors]))
-    return qds._count_failures(decoder, errors, _draw_flips(qds.sm.n_s, w_s, trials, rng))
+    if supports is None:
+        return qds._count_failures(decoder, errors, _draw_flips(qds.sm.n_s, w_s, trials, rng))
+    passed = supports[4][errors]
+    if not _readout_certain(supports, w_s):
+        passed &= qds.sm._decodes_to_zero(_draw_flips(qds.sm.n_s, w_s, trials, rng))
+    return trials - int(np.count_nonzero(passed))
 
 
 def default_code_meta(qds: QdsCode, decoder) -> dict:
@@ -320,9 +335,8 @@ def build_grid(
         if rate is not None:
             grid.add(wq, ws, trials, rate * trials)
             continue
-        corrected = supports[4] if _readout_certain(supports, ws) else None
         rng = _cell_generator(seed, wq, ws)
-        grid.add(wq, ws, trials, _run_cell(qds, decoder, wq, ws, trials, rng, corrected))
+        grid.add(wq, ws, trials, _run_cell(qds, decoder, wq, ws, trials, rng, supports))
     return grid
 
 
@@ -334,8 +348,9 @@ def _offset_supports(qds: QdsCode, decoder) -> Optional[tuple]:
     N(w_s, D) > 0, the count of weight-w_s patterns the SM decoder gives up
     on, and whether the table corrects each Pauli.  None when the decoder
     is not a `LookupDecoder` of qds.base itself or a table does not exist
-    (see those properties for when): the one gate of both certificates,
-    read once per build_grid (a plain tuple, as it is made per call)."""
+    (see those properties for when): the one gate of both certificates
+    and of `_run_cell`'s two gathers, read once per build_grid (a plain
+    tuple, as it is made per call)."""
     if type(decoder) is not LookupDecoder or decoder.code is not qds.base:
         return None
     failing, reached = decoder._failing_offsets, qds.sm._reached_offsets

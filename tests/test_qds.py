@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 import random
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdsbch import qds as qds_module
+from qdsbch import sim
 from qdsbch.bch import bch_construct, bch_select_m, bch_select_parameters, parity_bit_count
 from qdsbch.linalg import _MAX_TABLE_BITS, BinaryMatrix, _bits_to_mask, _mask_dtype
 from qdsbch.qds import (
@@ -953,6 +955,10 @@ def test_assembly_and_decoder_build_make_no_exact_table():
     assert "_reached_offsets" not in vars(q.sm)
     assert "_failing_offsets" not in vars(dec)
     assert "_corrected" not in vars(dec)
+    # nor by a first decode, for a readout whose word table would exist
+    for sm in (q.sm, repetition_sm(6, 3)):
+        sm.decode((0,) * sm.n_s)
+        assert "_zero_words" not in vars(sm)
 
 
 class _Enumerated(SyndromeMeasurementCode):
@@ -987,3 +993,114 @@ def test_exact_tables_stop_at_their_caps():
     small = _Enumerated(repetition_sm(6, 3))
     assert small._flip_offsets[0].tolist() == repetition_sm(6, 3)._flip_offsets[0].tolist()
     assert _Enumerated(repetition_sm(7, 3))._flip_offsets is None
+
+
+def _berlekamp_massey(sm):
+    """A BCH readout decoded word by word, without its coset-leader table:
+    `_decode_masks` is then the base class's loop, whose message is 0
+    where the decoder gives up."""
+    sm.__dict__["_fix_table"] = None  # the cached_property's slot
+    return sm
+
+
+# the readouts whose `_zero_words` table exists (n_s <= 20, the last at the
+# cap)
+_WORD_TABLE_SMS = [
+    repetition_sm(6, 3),
+    identity_sm(6),
+    bch_sm(6, 1),
+    bch_sm(6, 2),
+    repetition_sm(4, 5),
+    _berlekamp_massey(bch_sm(6, 1)),
+]
+_WORD_TABLE_IDS = ["rep3", "identity", "bch1", "bch2", "rep5-ell4-n_s20", "bch1-bm"]
+
+
+@pytest.mark.parametrize("sm", _WORD_TABLE_SMS, ids=_WORD_TABLE_IDS)
+def test_zero_words_is_the_decoder_on_every_word(sm):
+    words = np.arange(1 << sm.n_s, dtype=_mask_dtype(sm.n_s))
+    offsets, ok = sm._decode_masks(words)
+    table = sm._zero_words
+    assert table.dtype == bool and table.shape == words.shape
+    assert np.array_equal(table, ok & (offsets == 0))
+    # and as many words as the closed form of `_flip_offsets` puts at D = 0
+    assert table.sum() == sm._flip_offsets[0][:, 0].sum()
+
+
+def test_zero_words_stops_at_the_cap():
+    assert repetition_sm(6, 5).n_s == 30 and repetition_sm(6, 5)._zero_words is None
+    assert bch_sm(6, 3).n_s == 21 and bch_sm(6, 3)._zero_words is None
+
+
+def test_zero_words_builds_in_small_chunks():
+    """The 2^18-word table of repetition(3) is 256 KB; built in one
+    `_decode_masks` call its temporaries took several MB more."""
+    sm = repetition_sm(6, 3)
+    tracemalloc.start()
+    try:
+        sm._zero_words
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _kernel_passes(q, dec, errors, flips):
+    """Each trial's verdict in the kernel, `_count_failures`, for a
+    `LookupDecoder`: the decoded syndrome s ^ D(f) looked up, and the
+    correction's class compared with the error's.  The oracle of the
+    two-gather predicate, which reads neither of its steps."""
+    ell = q.sm.ell
+    offsets, ok = q.sm._decode_masks(flips)
+    product = q.base._syndrome_and_class._mul_masks(errors)
+    msgs = (product & ((1 << ell) - 1)).astype(_mask_dtype(ell), copy=False) ^ offsets
+    return ok & (dec._classes_of(np.where(ok, msgs, 0)) == product >> ell)
+
+
+def _low_weight_pairs(q, rng, per_cell=25):
+    """Random (error, flips) pairs over every w_q <= 3 and w_s <= t_s + 3,
+    where passes and failures of every kind mix, and as many uniform ones."""
+    n, n_s = q.base.n, q.sm.n_s
+    errors, flips = [], []
+    for w_q in range(4):
+        for w_s in range(min(n_s, q.sm.t_s + 3) + 1):
+            errors.append(sim._draw_errors(n, w_q, per_cell, rng))
+            flips.append(sim._draw_flips(n_s, w_s, per_cell, rng))
+    count = sum(map(len, errors))
+    errors.append(rng.integers(1 << 2 * n, size=count).astype(errors[0].dtype))
+    flips.append(rng.integers(1 << n_s, size=count).astype(flips[0].dtype))
+    return np.concatenate(errors), np.concatenate(flips)
+
+
+_PREDICATE_BASES = [steane_code(), _FIVE_QUBIT, _SHOR]
+
+
+def _predicate_readouts(ell):
+    """Fresh readouts of ell bits, so no table is shared between runs:
+    those of `_WORD_TABLE_SMS`, and repetition(5) and BCH(t=3), whose word
+    tables pass the cap for ell = 6 and 8."""
+    sms = [repetition_sm(ell, 3), identity_sm(ell), repetition_sm(ell, 5)]
+    return sms + [bch_sm(ell, t) for t in (1, 2, 3)] + [_berlekamp_massey(bch_sm(ell, 1))]
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+@pytest.mark.parametrize("base", _PREDICATE_BASES, ids=["steane", "five-qubit", "shor"])
+def test_two_gathers_are_the_kernel_on_random_pairs(base, radius):
+    """A trial passes the kernel exactly when its flips decode alone to
+    offset 0 and the table corrects its error, with the word table, with
+    its `_decode_masks` fallback (past the cap, and forced below it), and
+    with a readout decoder whose give-ups read as offset 0."""
+    ell = base.ell
+    dec = lookup_decoder_build(base, max_weight=radius)
+    rng = np.random.default_rng(17 + radius)
+    for forced in (False, True):
+        for sm in _predicate_readouts(ell):
+            if forced:
+                sm.__dict__["_zero_words"] = None  # the cached_property's slot
+            q = qds_assemble(base, sm)
+            errors, flips = _low_weight_pairs(q, rng)
+            want = _kernel_passes(q, dec, errors, flips)
+            assert q._count_failures(dec, errors, flips) == len(want) - want.sum()
+            got = dec._corrected[errors] & sm._decodes_to_zero(flips)
+            assert np.array_equal(got, want)
+            assert 0 < want.sum() < len(want)

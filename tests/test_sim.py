@@ -798,18 +798,25 @@ def test_a_readout_certain_cell_counts_the_same_without_its_flips(sm):
     for w_q in range(q.base.n + 1):
         for w_s in certain:
             counts = [
-                _run_cell(q, dec, w_q, w_s, 200, _cell_generator(4, w_q, w_s), corrected)
-                for corrected in (None, dec._corrected)
+                _run_cell(q, dec, w_q, w_s, 200, _cell_generator(4, w_q, w_s), given)
+                for given in (None, supports)
             ]
             assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("sm, skipped", [(bch_sm(6, 3), 24), (repetition_sm(6, 3), 12)])
+@pytest.mark.parametrize(
+    "sm, skipped",
+    [(bch_sm(6, 3), 24), (repetition_sm(6, 3), 12), (repetition_sm(6, 5), 18)],
+)
 def test_readout_certain_cells_draw_no_flips(monkeypatch, sm, skipped):
-    """Every sampled cell of BCH(t=3) and 12 of repetition(3)'s 52 draw no
-    flips and make no SM decode: exactly those at w_s <= t_s."""
+    """Every sampled cell of BCH(t=3), 12 of repetition(3)'s 52 and 18 of
+    repetition(5)'s draw no flips: exactly those at w_s <= t_s.  The others
+    gather their verdicts from `_zero_words` and make no SM decode, except
+    past its cap (repetition(5): n_s = 30), where exactly they decode."""
     q, dec = _steane_qds(sm)
-    _offset_supports(q, dec)  # the tables decode flips while they are built
+    # the tables decode flips while they are built
+    _offset_supports(q, dec)
+    q.sm._zero_words
     built = _counting_generators(monkeypatch)
     flipped, decoded = set(), set()
 
@@ -828,7 +835,22 @@ def test_readout_certain_cells_draw_no_flips(monkeypatch, sm, skipped):
     undrawn = [cell for cell in built if cell not in flipped]
     assert len(undrawn) == skipped
     assert [cell in undrawn for cell in built] == [ws <= q.sm.t_s for _, ws in built]
-    assert decoded == flipped
+    if q.sm._zero_words is None:
+        assert decoded == flipped
+    else:
+        assert decoded == set() and len(flipped) == len(built) - skipped > 0
+
+
+@pytest.mark.parametrize("seed", [7, 12])
+@pytest.mark.parametrize("sm", _EXACT_SMS + [repetition_sm(6, 5)], ids=_EXACT_IDS + ["rep5"])
+def test_every_gated_grid_cell_equals_the_ungated_kernel(sm, seed):
+    """Cell by cell, the gated grid (certified cells, the two gathers and
+    the undrawn flips) equals the one every cell of which a proxy decoder
+    draws in full through `_count_failures`."""
+    q, dec = _steane_qds(sm)
+    gated = build_grid(q, dec, seed=seed, boundary_trials=60, bulk_trials=12)
+    drawn = build_grid(q, _ProxyDecoder(dec), seed=seed, boundary_trials=60, bulk_trials=12)
+    assert gated.cells == drawn.cells
 
 
 # Hamming checks repeated over five blocks: 35 qubits, so 2n = 70 bits and
