@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import BinaryPolynomial, GF2m, minimal_polynomial
 from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits
@@ -225,17 +225,16 @@ def _designed_leaders(m: int, t: int) -> Tuple[list, int]:
     leaders <= 2t: the leaders of the 2-cyclotomic cosets mod 2^m - 1 that
     meet {1, ..., 2t}, one per minimal polynomial of the (m, t) generator.
     The walk of each m goes on from where it stopped."""
-    n = (1 << m) - 1 if m >= 1 else 0
     if t < 1:
         raise ValueError("t must be at least 1")
-    if 2 * t >= n:
-        raise ValueError(f"2t = {2 * t} must be below the code length {n}")
     top = 2 * t
-    record = _PER_M.get(m)
-    if record is None:
-        record = _PER_M[m] = [[], [], [], 0]
-    leaders, totals, _, walked = record
-    if top > walked:
+    record = _PER_M.get(m) or [[], [], [], 0]
+    # a record is only ever walked below its code length
+    if top > record[3]:
+        n = (1 << m) - 1 if m >= 1 else 0
+        if top >= n:
+            raise ValueError(f"2t = {top} must be below the code length {n}")
+        leaders, totals, _, walked = _PER_M[m] = record
         total = totals[-1] if totals else 0
         # an even e has e/2 in its coset, so only an odd e can lead; it
         # does when doubling comes back to it before going below it, and
@@ -249,7 +248,7 @@ def _designed_leaders(m: int, t: int) -> Tuple[list, int]:
                 leaders.append(e)
                 totals.append(total)
         record[3] = top
-    return record, bisect_right(leaders, top)
+    return record, bisect_right(record[0], top)
 
 
 def bch_construct(m: int, t: int) -> BchCode:
@@ -282,15 +281,25 @@ def bch_select_parameters(ell: int, t: int) -> Tuple[int, int]:
     counts coset sizes and builds no field, so m has no cap: the search
     always ends, because 2^m - m*t - 1 grows without bound.
     """
+    return next(_select_parameters(ell, [t]))
+
+
+def _select_parameters(ell: int, ts: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """bch_select_parameters(ell, t) for each t of ts, in order, from one
+    upward walk of m.  For fixed m, 2t < 2^m - 1 and ell <= 2^m - m*t - 1
+    both get harder as t grows, so the least admissible m never falls while
+    t rises; the walk starts over only where t falls.  A t below 1 leaves
+    the walk at once, for parity_bit_count to refuse."""
     if ell < 1:
         raise ValueError("ell must be positive")
-    if t < 1:
-        raise ValueError("t must be at least 1")
     # ell <= 2^m - m*t - 1 < 2^m, so no m below ell's bit length qualifies
-    m = max(2, ell.bit_length())
-    while 2 * t >= (1 << m) - 1 or ell > (1 << m) - m * t - 1:
-        m += 1
-    return m, parity_bit_count(m, t)
+    m = start = max(2, ell.bit_length())
+    for last, t in zip([0, *ts], ts):
+        if t < last:
+            m = start
+        while 2 * t >= (1 << m) - 1 or ell > (1 << m) - m * t - 1:
+            m += 1
+        yield m, parity_bit_count(m, t)
 
 
 def bch_select_m(ell: int, t: int) -> Tuple[int, BchCode]:

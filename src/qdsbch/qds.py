@@ -68,8 +68,12 @@ overhead_table tabulates all three against each other.  Both read one
 formula, _distinct_pair_counts: the stage widths m_i depend on (ell, i)
 alone, and the count for t is a running total over them, so
 overhead_table computes each ell's widths and totals once, for the
-largest applicable t it is asked, and reads every row from them; nothing
-is kept between calls.
+largest applicable t it is asked, and reads every row from them.  A width
+is the bit length of floor(d * e), one integer product of d with a
+fixed-point bracket of e * 2^b (_e_fixed_point, kept per 64-bit width b).
+The table's BCH column is bch._select_parameters, one upward walk of m
+across the t of each ell.  Each argument is read once, and apart from the
+brackets and bch's per-m memo nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -79,11 +83,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bch import BchCode, bch_select_m, bch_select_parameters
+from .bch import BchCode, _select_parameters, bch_select_m
 from .linalg import (
     _MAX_TABLE_BITS,
     BinaryMatrix,
@@ -491,34 +495,36 @@ def qds_assemble(base: StabilizerCode, sm: SyndromeMeasurementCode) -> QdsCode:
 
 
 @lru_cache(maxsize=None)
-def _e_bracket(terms: int) -> Tuple[int, int]:
-    """(p, q) with p/q = sum_{j<terms} 1/j! and q = (terms-1)!, by the
-    recurrence p_{K+1} = K*p_K + 1, q_{K+1} = K*q_K from p_1 = q_1 = 1.
-    It depends on terms alone, which takes the values 30, 50, 70, ..."""
-    p = q = 1
-    for k in range(1, terms):
-        p, q = k * p + 1, k * q
-    return p, q
+def _e_fixed_point(bits: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= e * 2^bits <= hi.  terms[j] = floor(2^bits / j!)
+    up to the first zero, and lo is their sum: each floor drops less than
+    1, and the exact terms 2^bits / j! from the first zero on, the first
+    below 1 and each below the one before over j, sum below 2.  Built once
+    per width, a multiple of 64."""
+    terms = [1 << bits]
+    while terms[-1]:
+        terms.append(terms[-1] // len(terms))
+    return sum(terms), sum(terms) + len(terms) + 1
 
 
 def _min_power_of_two_exponent_times_e(d: int) -> int:
     """Smallest z with 2^z >= d * e, computed exactly in integers.
 
-    Brackets e between p/q = sum_{j<K} 1/j! with q = (K-1)! and
-    p/q + 2/(Kq) (the tail after j = K-1 is below 2/K!), with (p, q) from
-    `_e_bracket`, built once per K.  For a bound a/b, z is the bit length
-    of ceil(d*a/b) - 1; K widens until both bounds give the same z.
+    d * e is irrational, so that is the least z with 2^z > floor(d * e),
+    the bit length of floor(d * e).  With (lo, hi) from `_e_fixed_point`,
+    floor(d * e) lies between d * lo and d * hi shifted down by the width,
+    which starts 65 to 128 bits past d's and widens by 64 until both
+    bounds have the same bit length.
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    terms = 30
+    bits = 64 * ((d.bit_length() >> 6) + 2)
     while True:
-        p, q = _e_bracket(terms)
-        z_low = (-(-d * p // q) - 1).bit_length()
-        z_high = (-(-d * (terms * p + 2) // (terms * q)) - 1).bit_length()
-        if z_low == z_high:
-            return z_low
-        terms += 20
+        lo, hi = _e_fixed_point(bits)
+        z = (d * lo >> bits).bit_length()
+        if z == (d * hi >> bits).bit_length():
+            return z
+        bits += 64
 
 
 def _distinct_pair_counts(ell: int, t_c: int) -> Tuple[List[int], List[int]]:
@@ -571,21 +577,24 @@ class OverheadEntry(NamedTuple):
     repetition: int
 
 
-def overhead_table(ells: Sequence[int], ts: Sequence[int]) -> List[OverheadEntry]:
-    """Extra-measurement comparison over a grid of syndrome lengths and t.
+def overhead_table(ells: Iterable[int], ts: Iterable[int]) -> List[OverheadEntry]:
+    """Extra-measurement comparison over a grid of syndrome lengths and t,
+    each argument read once.
 
-    bch: parity count R of the bound-rule-selected shortened BCH code;
-    repetition: (2t+1)-fold repetition costs 2*t*ell extra; fujiwara: the
-    distinct-pair count, None where the formula does not apply.
+    bch: parity count R of the bound-rule-selected shortened BCH code, one
+    walk of m across ts per ell; repetition: (2t+1)-fold repetition costs
+    2*t*ell extra; fujiwara: the distinct-pair count, None where the
+    formula does not apply.
     """
+    ts = list(ts)
+    t_top = max(ts, default=0)
     out = []
     for ell in ells:
-        # the totals of one ell for its largest applicable t serve every row
-        _, totals = _distinct_pair_counts(ell, max((t for t in ts if 2 * t <= ell), default=0))
-        for t in ts:
-            _, r = bch_select_parameters(ell, t)
-            fuji = totals[t] if 2 * t <= ell else None
-            out.append(OverheadEntry(ell, t, r, fuji, 2 * t * ell))
+        # the totals of one ell up to the largest t asked, capped at
+        # ell // 2 where the distinct-pair count stops, serve every row
+        _, totals = _distinct_pair_counts(ell, min(t_top, ell // 2))
+        for t, (_, r) in zip(ts, _select_parameters(ell, ts)):
+            out.append(OverheadEntry(ell, t, r, totals[t] if 2 * t <= ell else None, 2 * t * ell))
     return out
 
 

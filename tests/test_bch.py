@@ -1,6 +1,7 @@
 """BCH construction, encoding, decoding, and parameter selection."""
 
 import hashlib
+import itertools
 import random
 from functools import lru_cache
 from math import comb
@@ -16,6 +17,7 @@ from qdsbch.bch import (
     bch_decode,
     bch_encode,
     bch_select_m,
+    _select_parameters,
     bch_select_parameters,
     parity_bit_count,
 )
@@ -27,6 +29,7 @@ from qdsbch.fields import (
     minimal_polynomial,
     poly_lcm,
 )
+from qdsbch.qds import overhead_table
 
 # the systematic generator matrix of the [21,6,7] code built on x^5 + x^2 + 1
 SHORTENED_21_6_ROWS = [
@@ -431,6 +434,52 @@ def test_select_parameters_equals_the_search_from_two():
         for t in range(1, 17):
             m = _select_m_from_two(ell, t)
             assert bch_select_parameters(ell, t) == (m, parity_bit_count(m, t)), (ell, t)
+
+
+_WALK_ORDERS = {
+    "ascending": list(range(1, 17)),
+    "descending": list(range(16, 0, -1)),
+    "shuffled": random.Random(25).sample(range(1, 17), 16),
+    "repeated": [1, 1, 5, 5, 5, 2, 16, 16, 3, 3, 16, 1, 1],
+}
+
+
+def test_select_walk_equals_the_search_from_two():
+    """One walk of m across t, with t ascending, descending, shuffled and
+    repeated, gives each t the search from m = 2 and its parity count:
+    ell = 1..4096 and 2^k +- 1 up to k = 40, for t = 1..16.  A table's bch
+    column is the same walk, checked on ell = 1..128 and the 2^k +- 1."""
+    ells = set(range(1, 4097)) | {(1 << k) + d for k in range(1, 41) for d in (-1, 1)}
+    table_ells = set(range(1, 129)) | {e for e in ells if e > 4096}
+    for ell in sorted(ells):
+        want = {}
+        for t in range(1, 17):
+            m = _select_m_from_two(ell, t)
+            want[t] = (m, parity_bit_count(m, t))
+        for order, ts in _WALK_ORDERS.items():
+            assert list(_select_parameters(ell, ts)) == [want[t] for t in ts], (ell, order)
+            if ell in table_ells:
+                got = [r.bch for r in overhead_table([ell], ts)]
+                assert got == [want[t][1] for t in ts], (ell, order)
+
+
+@pytest.mark.parametrize(
+    "ells, ts",
+    [([5, 0], [1, 2]), ([-3, 5], [1]), ([5], [3, 1, 0, 2]), ([5, 6], [2, 4, -1]), ([0], [0])],
+)
+def test_table_refuses_what_selection_refuses(ells, ts):
+    """An ell < 1 or a t < 1 anywhere in a table raises the ValueError
+    that bch_select_parameters raises at the first such (ell, t) in row
+    order."""
+    for ell, t in itertools.product(ells, ts):
+        try:
+            bch_select_parameters(ell, t)
+        except ValueError as exc:
+            message = str(exc)
+            break
+    with pytest.raises(ValueError) as raised:
+        overhead_table(ells, ts)
+    assert str(raised.value) == message
 
 
 def test_select_parameters_infeasible():

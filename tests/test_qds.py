@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -23,9 +24,9 @@ from qdsbch.qds import (
     QdsCode,
     RepetitionSyndromeMeasurement,
     SyndromeMeasurementCode,
-    _support_masks,
-    _e_bracket,
+    _e_fixed_point,
     _min_power_of_two_exponent_times_e,
+    _support_masks,
     bch_sm,
     fujiwara_extra_measurements,
     identity_sm,
@@ -578,26 +579,64 @@ def test_overhead_table_fujiwara_column_equals_the_count_alone():
         assert r.fujiwara == want, (r.ell, r.t)
 
 
+def _straddling_powers_of_two(top):
+    """(z, d, e) for the d that straddle 2^z / e, z = 2..top, with e in
+    the caller's decimal precision, which must keep int(d * e) exact."""
+    e = decimal.Decimal(1).exp()
+    for z in range(2, top + 1):
+        near = int(decimal.Decimal(1 << z) / e)
+        for d in range(max(1, near - 1), near + 3):
+            yield z, d, e
+
+
 def test_e_bound_matches_a_decimal_oracle():
-    """The least z with 2^z >= d*e, against e to 200 digits, for the d that
-    straddle each power of two up to 2^400: there the first bracket of e
-    gives two answers and only the widening decides."""
+    """The least z with 2^z >= d*e, against e to 400 digits, for the d that
+    straddle each power of two up to 2^1000, past the d ~ 2^822 of
+    ell = 2^30 with t = 16: there d*e is within e of 2^z, and only a
+    bracket of e tight to d's width tells the two answers apart."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        for z, d, e in _straddling_powers_of_two(1000):
+            # d*e is irrational, so 2^z >= d*e exactly when 2^z > floor(d*e)
+            want = int(d * e).bit_length()
+            assert _min_power_of_two_exponent_times_e(d) == want, (z, d)
+
+
+def test_e_bound_widens_a_bracket_too_loose_to_decide(monkeypatch):
+    """With hi quadrupled at d's first width, the two bounds there differ
+    by two in bit length: z comes from the next width, 64 bits wider, and
+    still equals the oracle."""
+    widths = []
+
+    def loose(bits):
+        lo, hi = _e_fixed_point(bits)
+        widths.append(bits)
+        return (lo, 4 * hi) if len(widths) == 1 else (lo, hi)
+
+    monkeypatch.setattr(qds_module, "_e_fixed_point", loose)
     with decimal.localcontext() as ctx:
         ctx.prec = 200
-        e = decimal.Decimal(1).exp()
-        for z in range(2, 401):
-            near = int(decimal.Decimal(1 << z) / e)
-            for d in range(max(1, near - 1), near + 3):
-                # d*e is irrational, so 2^z >= d*e exactly when 2^z > floor(d*e)
-                want = int(d * e).bit_length()
-                assert _min_power_of_two_exponent_times_e(d) == want, (z, d)
+        for z, d, e in _straddling_powers_of_two(300):
+            widths.clear()
+            want = int(d * e).bit_length()
+            assert _min_power_of_two_exponent_times_e(d) == want, (z, d)
+            assert len(widths) == 2 and widths[1] == widths[0] + 64, (z, d)
 
 
-@pytest.mark.parametrize("terms", [30, 50, 70])
-def test_e_bracket_is_the_series_over_a_common_denominator(terms):
-    """(p, q) = (sum_{j<K} (K-1)!/j!, (K-1)!), term by term."""
-    q = math.factorial(terms - 1)
-    assert _e_bracket(terms) == (sum(q // math.factorial(j) for j in range(terms)), q)
+@pytest.mark.parametrize("bits", [64, 128, 192, 1024])
+def test_e_fixed_point_brackets_the_series(bits):
+    """lo <= e * 2^bits <= hi against the exact series: e lies between the
+    partial sum S_K = sum_{j<=K} 1/j! and S_K + 1/(K! K), here with
+    K = bits, far past the first j! > 2^bits.  The bracket is narrow, and
+    lo is the sum of the floors of 2^bits / j!."""
+    lo, hi = _e_fixed_point(bits)
+    q = math.factorial(bits)
+    partial = Fraction(sum(q // math.factorial(j) for j in range(bits + 1)), q)
+    assert lo <= partial * 2**bits
+    assert (partial + Fraction(1, q * bits)) * 2**bits <= hi
+    assert hi - lo <= bits
+    floors = itertools.takewhile(bool, ((1 << bits) // math.factorial(j) for j in itertools.count()))
+    assert lo == sum(floors)
 
 
 def test_overhead_scales_as_the_abstract_claims():
@@ -668,6 +707,13 @@ def test_overhead_table_computes_each_width_once(monkeypatch):
     assert len(calls) == 16
     monkeypatch.undo()
     assert [r.fujiwara for r in rows] == [fujiwara_extra_measurements(64, t)[0] for t in range(1, 17)]
+
+
+def test_overhead_table_reads_each_argument_once():
+    """Generators for both ells and ts give the rows that lists give."""
+    rows = overhead_table((ell for ell in [6, 10, 3]), (t for t in [1, 2, 3, 2]))
+    assert rows == overhead_table([6, 10, 3], [1, 2, 3, 2])
+    assert [(r.ell, r.t) for r in rows] == [(ell, t) for ell in [6, 10, 3] for t in [1, 2, 3, 2]]
 
 
 def test_overhead_entry_fields_keep_their_order():
