@@ -13,11 +13,13 @@ memo, _PER_M, holds a record per m: its coset leaders, found once up to
 the largest 2t asked so far, the running sum of their coset sizes, so
 R(m, t) is one read of it, and the running product of their minimal
 polynomials, so g for (m, t) is one entry of it and a call multiplies in
-only the leaders not yet there, each once per m.  The memo holds 39 KB
-after every code of m = 3..10, and 18.6 MB after
-`bch_construct(16, 32767)` alone, nearly all of it the 4,114 products, of
-degree up to 65,534 (tracemalloc, field tables built and the memo
-emptied first, codes dropped before reading).
+only the leaders not yet there, each once per m.  The record also keeps
+the GF2m that m's first bch_construct builds, so every later code of m
+(and every code shortened from one) shares that field; parity_bit_count
+builds none.  The memo holds 39 KB after every code of m = 3..10, and
+18.6 MB after `bch_construct(16, 32767)` alone, nearly all of it the
+4,114 products, of degree up to 65,534 (tracemalloc, field tables built
+and the memo emptied first, codes dropped before reading).
 Codewords are bit masks, position j = coefficient of x^j.  Encoding is
 systematic with the message in the first k positions: because x^n = 1
 (mod g), the matrix row for message bit i is x^i + x^k * (x^(i+r) mod g),
@@ -214,9 +216,10 @@ class BchCode:
 # m -> [the 2-cyclotomic coset leaders mod 2^m - 1 found so far, ascending;
 # the running sums of their coset sizes; the running products of their
 # minimal polynomials, as far as bch_construct has asked; the largest
-# exponent examined].  A leader is its coset's least element, so the cosets
-# meeting {1, ..., b} are those of the leaders <= b, and product i is the
-# generator of every (m, t) whose 2t reaches leader i but not leader i + 1.
+# exponent examined; GF(2^m), once bch_construct has built it].  A leader
+# is its coset's least element, so the cosets meeting {1, ..., b} are those
+# of the leaders <= b, and product i is the generator of every (m, t) whose
+# 2t reaches leader i but not leader i + 1.
 _PER_M: Dict[int, list] = {}
 
 
@@ -228,13 +231,13 @@ def _designed_leaders(m: int, t: int) -> Tuple[list, int]:
     if t < 1:
         raise ValueError("t must be at least 1")
     top = 2 * t
-    record = _PER_M.get(m) or [[], [], [], 0]
+    record = _PER_M.get(m) or [[], [], [], 0, None]
     # a record is only ever walked below its code length
     if top > record[3]:
         n = (1 << m) - 1 if m >= 1 else 0
         if top >= n:
             raise ValueError(f"2t = {top} must be below the code length {n}")
-        leaders, totals, _, walked = _PER_M[m] = record
+        leaders, totals, _, walked, _ = _PER_M[m] = record
         total = totals[-1] if totals else 0
         # an even e has e/2 in its coset, so only an odd e can lead; it
         # does when doubling comes back to it before going below it, and
@@ -253,8 +256,10 @@ def _designed_leaders(m: int, t: int) -> Tuple[list, int]:
 
 def bch_construct(m: int, t: int) -> BchCode:
     """The primitive narrow-sense BCH code of length 2^m - 1 correcting t errors."""
-    (leaders, _, products, _), count = _designed_leaders(m, t)
-    field = GF2m(m)
+    record, count = _designed_leaders(m, t)
+    leaders, _, products, _, field = record
+    if field is None:
+        field = record[4] = GF2m(m)
     g = products[-1] if products else BinaryPolynomial.one()
     for e in leaders[len(products) : count]:
         g = g * minimal_polynomial(field, e)
@@ -269,7 +274,7 @@ def parity_bit_count(m: int, t: int) -> int:
     """R(m, t) = deg g for the (m, t) code: the number of distinct roots of
     g, i.e. the total size of the cosets meeting {1, ..., 2t}.  No field is
     built, so m has no cap here."""
-    (_, totals, _, _), count = _designed_leaders(m, t)
+    (_, totals, _, _, _), count = _designed_leaders(m, t)
     return totals[count - 1]
 
 

@@ -229,10 +229,12 @@ class GF2m:
 
     Every field over one polynomial shares one immutable pair of tables
     (tuples), so a process that builds many codes of one m builds its
-    tables once.  At most len(PRIMITIVE_POLYNOMIALS) = 15 polynomials keep
-    their tables, the least recently used dropped first.  The cost is that
-    tables outlive their last field: m = 16's hold 5.75 MB and all 15
-    default fields' 11.4 MB (tracemalloc).
+    tables once, and bch_construct builds one field per m and keeps it.
+    At most len(PRIMITIVE_POLYNOMIALS) = 15 polynomials keep their tables,
+    the least recently used dropped first.  The cost is that tables
+    outlive their last field, and a field of each m that bch_construct
+    has built stays alive for the process: m = 16's tables hold 5.75 MB
+    and all 15 default fields' 11.4 MB (tracemalloc).
     """
 
     def __init__(self, m: int, primitive_polynomial=None):

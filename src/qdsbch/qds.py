@@ -68,12 +68,15 @@ overhead_table tabulates all three against each other.  Both read one
 formula, _distinct_pair_counts: the stage widths m_i depend on (ell, i)
 alone, and the count for t is a running total over them, so
 overhead_table computes each ell's widths and totals once, for the
-largest applicable t it is asked, and reads every row from them.  A width
-is the bit length of floor(d * e), one integer product of d with a
-fixed-point bracket of e * 2^b (_e_fixed_point, kept per 64-bit width b).
-The table's BCH column is bch._select_parameters, one upward walk of m
-across the t of each ell.  Each argument is read once, and apart from the
-brackets and bch's per-m memo nothing is kept between calls.
+largest applicable t it is asked, and reads every row from them.  With b
+the bit length of d, 2^b < d * e < 2^(b+2), so a width is b + 1, or b + 2
+where d passes floor(2^(b+1) / e): one compare with a threshold kept per
+b (_e_threshold), which is read off a fixed-point bracket of e * 2^w
+(_e_fixed_point, kept per 64-bit width w).  The table's BCH column is
+bch._select_parameters, one upward walk of m across the t of each ell,
+and its rows are built as plain tuples.  Each argument is read once, and
+apart from the thresholds, the brackets and bch's per-m memo nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -507,24 +510,34 @@ def _e_fixed_point(bits: int) -> Tuple[int, int]:
     return sum(terms), sum(terms) + len(terms) + 1
 
 
+@lru_cache(maxsize=None)
+def _e_threshold(b: int) -> int:
+    """floor(2^(b+1) / e), from the bracket lo <= e * 2^w <= hi of
+    `_e_fixed_point`: with top = 2^(b+1+w) it lies between top // hi and
+    top // lo.  w starts 65 to 128 bits past b and widens by 64 until the
+    two agree, which they do at last because 2^(b+1) / e is irrational.
+    Built once per b."""
+    bits = 64 * ((b >> 6) + 2)
+    while True:
+        lo, hi = _e_fixed_point(bits)
+        top = 1 << (b + 1 + bits)
+        if top // hi == top // lo:
+            return top // lo
+        bits += 64
+
+
 def _min_power_of_two_exponent_times_e(d: int) -> int:
     """Smallest z with 2^z >= d * e, computed exactly in integers.
 
-    d * e is irrational, so that is the least z with 2^z > floor(d * e),
-    the bit length of floor(d * e).  With (lo, hi) from `_e_fixed_point`,
-    floor(d * e) lies between d * lo and d * hi shifted down by the width,
-    which starts 65 to 128 bits past d's and widens by 64 until both
-    bounds have the same bit length.
+    With b the bit length of d, 2^(b-1) <= d < 2^b and 2 < e < 4 give
+    2^b < d * e < 2^(b+2), so z is b + 1 exactly when d * e <= 2^(b+1),
+    that is when d <= floor(2^(b+1) / e) (d * e is irrational), and b + 2
+    otherwise: one compare with `_e_threshold(b)`.
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    bits = 64 * ((d.bit_length() >> 6) + 2)
-    while True:
-        lo, hi = _e_fixed_point(bits)
-        z = (d * lo >> bits).bit_length()
-        if z == (d * hi >> bits).bit_length():
-            return z
-        bits += 64
+    b = d.bit_length()
+    return b + 1 + (d > _e_threshold(b))
 
 
 def _distinct_pair_counts(ell: int, t_c: int) -> Tuple[List[int], List[int]]:
@@ -594,7 +607,9 @@ def overhead_table(ells: Iterable[int], ts: Iterable[int]) -> List[OverheadEntry
         # ell // 2 where the distinct-pair count stops, serve every row
         _, totals = _distinct_pair_counts(ell, min(t_top, ell // 2))
         for t, (_, r) in zip(ts, _select_parameters(ell, ts)):
-            out.append(OverheadEntry(ell, t, r, totals[t] if 2 * t <= ell else None, 2 * t * ell))
+            # what OverheadEntry's own __new__ does, without its Python-level call
+            row = (ell, t, r, totals[t] if 2 * t <= ell else None, 2 * t * ell)
+            out.append(tuple.__new__(OverheadEntry, row))
     return out
 
 

@@ -77,8 +77,11 @@ def test_generator_has_the_designed_roots():
 
 @pytest.fixture
 def empty_memos():
-    """Drop the per-m construction memo (coset leaders, coset-size totals
-    and generator products), so a test sees it filled in its own order."""
+    """Drop the per-m construction memo (coset leaders, coset-size totals,
+    generator products and fields), so a test sees it filled in its own
+    order, and again afterwards, so what the test built is not kept."""
+    bch_module._PER_M.clear()
+    yield
     bch_module._PER_M.clear()
 
 
@@ -130,20 +133,37 @@ def test_construction_ignores_call_order(empty_memos, order):
 
 def test_parity_bit_count_ignores_call_order(empty_memos):
     """m = 17..40, past every field, t <= 64, asked in a shuffled order,
-    against the coset walk."""
+    against the coset walk; no record gets a field."""
     pairs = [(m, t) for m in range(17, 41) for t in range(1, 65)]
     random.Random(17).shuffle(pairs)
     for m, t in pairs:
         assert parity_bit_count(m, t) == sum(map(len, _designed_cosets(m, t))), (m, t)
+    assert sorted(bch_module._PER_M) == list(range(17, 41))
+    assert all(record[4] is None for record in bch_module._PER_M.values())
 
 
 def test_memos_walk_only_as_far_as_asked(empty_memos):
     """t = 1 walks exponents 1 and 2 of GF(2^16), not its 4,115 cosets,
-    and keeps one record: leader 1, its coset's 16 exponents, and one
-    generator product, the minimal polynomial of alpha."""
-    bch_construct(16, 1)
+    and keeps one record: leader 1, its coset's 16 exponents, one
+    generator product, the minimal polynomial of alpha, and the code's
+    field."""
+    code = bch_construct(16, 1)
     primitive = BinaryPolynomial(PRIMITIVE_POLYNOMIALS[16])
-    assert bch_module._PER_M == {16: [[1], [16], [primitive], 2]}
+    assert bch_module._PER_M == {16: [[1], [16], [primitive], 2, code.field]}
+    assert bch_module._PER_M[16][4] is code.field
+
+
+def test_codes_of_one_m_share_one_field(empty_memos):
+    """For m = 2..16, the t = 1 code, the code of the largest admissible t
+    and that code shortened to dimension 1 all use the one GF(2^m) that
+    m's first bch_construct built, over the default primitive polynomial."""
+    for m in range(2, 17):
+        field = bch_construct(m, 1).field
+        assert (field.m, field.primitive_polynomial.mask) == (m, PRIMITIVE_POLYNOMIALS[m])
+        largest = bch_construct(m, (1 << (m - 1)) - 1)
+        assert largest.field is field, m
+        assert largest.shortened(largest.k - 1).field is field, m
+        assert bch_module._PER_M[m][4] is field, m
 
 
 def test_generators_multiply_each_leader_in_once(empty_memos, monkeypatch):

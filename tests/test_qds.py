@@ -25,6 +25,7 @@ from qdsbch.qds import (
     RepetitionSyndromeMeasurement,
     SyndromeMeasurementCode,
     _e_fixed_point,
+    _e_threshold,
     _min_power_of_two_exponent_times_e,
     _support_masks,
     bch_sm,
@@ -603,9 +604,11 @@ def test_e_bound_matches_a_decimal_oracle():
 
 
 def test_e_bound_widens_a_bracket_too_loose_to_decide(monkeypatch):
-    """With hi quadrupled at d's first width, the two bounds there differ
-    by two in bit length: z comes from the next width, 64 bits wider, and
-    still equals the oracle."""
+    """With hi quadrupled at the threshold's first width, top // hi and
+    top // lo disagree there: floor(2^(b+1) / e) comes from the next width,
+    64 bits wider, and every straddling d still gets the oracle's z.  The
+    thresholds are cleared before each d, so each d builds its own, and
+    after the test, so none built from the loose bracket is kept."""
     widths = []
 
     def loose(bits):
@@ -614,13 +617,17 @@ def test_e_bound_widens_a_bracket_too_loose_to_decide(monkeypatch):
         return (lo, 4 * hi) if len(widths) == 1 else (lo, hi)
 
     monkeypatch.setattr(qds_module, "_e_fixed_point", loose)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 200
-        for z, d, e in _straddling_powers_of_two(300):
-            widths.clear()
-            want = int(d * e).bit_length()
-            assert _min_power_of_two_exponent_times_e(d) == want, (z, d)
-            assert len(widths) == 2 and widths[1] == widths[0] + 64, (z, d)
+    try:
+        with decimal.localcontext() as ctx:
+            ctx.prec = 200
+            for z, d, e in _straddling_powers_of_two(300):
+                _e_threshold.cache_clear()
+                widths.clear()
+                want = int(d * e).bit_length()
+                assert _min_power_of_two_exponent_times_e(d) == want, (z, d)
+                assert len(widths) == 2 and widths[1] == widths[0] + 64, (z, d)
+    finally:
+        _e_threshold.cache_clear()
 
 
 @pytest.mark.parametrize("bits", [64, 128, 192, 1024])
