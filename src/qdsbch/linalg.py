@@ -62,12 +62,6 @@ def _mask_dtype(width: int):
     return np.int64 if width <= 62 else object
 
 
-def _row_masks(rows: np.ndarray) -> Tuple[int, ...]:
-    """Each row of a 2-D bool array as a mask, entry j at bit j."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
 class BinaryMatrix:
     """An immutable rows x cols matrix over GF(2)."""
 

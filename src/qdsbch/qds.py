@@ -18,7 +18,7 @@ Three SM families are provided: a shortened BCH code of dimension ell
 and the identity (plain single measurement, no protection).
 
 Every trial that verify enumerates, that direct_monte_carlo draws, or
-that a grid draws outside the tables' gate (sim._offset_supports) goes
+that a grid draws outside the tables' gate (sim._grid_plan) goes
 through one batched kernel, QdsCode._count_failures, as whole-batch numpy
 operations on tables that are built on the first batch (never by QdsCode()
 or decode).  A batch is an array of error masks x | z << n and one of
@@ -97,7 +97,6 @@ from .linalg import (
     _bits_to_mask,
     _mask_dtype,
     _mask_to_bits,
-    _row_masks,
 )
 from .stabilizer import (
     BudgetExceededError,
@@ -165,42 +164,27 @@ class SyndromeMeasurementCode(ABC):
         msgs = np.array([msg or 0 for msg in out], dtype=_mask_dtype(self.ell))
         return msgs, ok
 
-    def _offset_counts(self, max_weight: int) -> np.ndarray:
-        """N[w, D] for w <= max_weight: how many weight-w flip patterns
-        decode, alone, to the offset D, as a (max_weight + 1) x 2^ell array
-        of the `_mask_dtype` of n_s (no count reaches 2^n_s).
-
-        This enumeration of every pattern through `_decode_masks` is the
-        reference that the subclasses' closed forms are tested against."""
-        counts = np.zeros((max_weight + 1, 1 << self.ell), dtype=_mask_dtype(self.n_s))
+    def _count_zero_decodes(self, max_weight: int) -> Tuple[int, ...]:
+        """For w <= max_weight, how many weight-w flip patterns decode alone
+        to offset 0 with no give-up, by decoding every one through
+        `_decode_masks`: the reference the subclasses' closed forms of
+        `_zero_counts` are tested against."""
+        out = []
         for w in range(max_weight + 1):
+            zero = 0
             for flips in _support_mask_blocks(self.n_s, w):
                 offsets, ok = self._decode_masks(flips)
-                counts[w] += np.bincount(offsets[ok].astype(np.intp), minlength=1 << self.ell)
-        return counts
+                zero += int(np.count_nonzero(ok & (offsets == 0)))
+            out.append(zero)
+        return tuple(out)
 
     @cached_property
-    def _flip_offsets(self) -> Optional[Tuple[np.ndarray, Tuple[int, ...]]]:
-        """(N, G) over every flip weight w = 0..n_s, built on first use: N
-        is `_offset_counts(n_s)` and G[w] = C(n_s, w) - sum_D N[w, D] counts
-        the weight-w patterns the decoder gives up on.  None where 2^ell
-        passes 2^_MAX_TABLE_BITS, or where a subclass without a closed form
-        would have to decode more than 2^_MAX_TABLE_BITS patterns."""
-        enumerated = type(self)._offset_counts is SyndromeMeasurementCode._offset_counts
-        if self.ell > _MAX_TABLE_BITS or (enumerated and self.n_s > _MAX_TABLE_BITS):
-            return None
-        counts = self._offset_counts(self.n_s)
-        gave_up = tuple(comb(self.n_s, w) - int(row.sum()) for w, row in enumerate(counts))
-        return counts, gave_up
-
-    @cached_property
-    def _reached_offsets(self) -> Optional[Tuple[int, ...]]:
-        """The support of N in `_flip_offsets` as masks over the 2^ell
-        offsets: bit D of entry w is set where some weight-w flip pattern
-        decodes alone to D.  None when `_flip_offsets` is; built on first
-        use."""
-        tables = self._flip_offsets
-        return None if tables is None else _row_masks(tables[0] > 0)
+    def _zero_counts(self) -> Optional[Tuple[int, ...]]:
+        """Z[w] for w = 0..n_s: how many weight-w flip patterns decode alone
+        to offset 0 with no give-up, as Python ints.  Built on first use by
+        `_count_zero_decodes`; None where that would decode more than
+        2^_MAX_TABLE_BITS patterns.  The subclasses count in closed form."""
+        return None if self.n_s > _MAX_TABLE_BITS else self._count_zero_decodes(self.n_s)
 
     @cached_property
     def _zero_words(self) -> Optional[np.ndarray]:
@@ -264,23 +248,13 @@ class BchSyndromeMeasurement(SyndromeMeasurementCode):
         fixes = fix[syndrome._mul_masks(words)]
         return (words & ((1 << self.ell) - 1)) ^ fixes, fixes >= 0
 
-    def _offset_counts(self, max_weight: int) -> np.ndarray:
-        """Ball counts.  The decoder is bounded-distance: it gives up past
-        t_s flips, and distance 2t_s+1 makes the codeword within t_s of a
-        word unique, so the patterns decoded to D are those within t_s of
-        encode(D).  With W = wt(encode(D)), such a pattern clears a of its
-        W ones and sets b of its n_s - W zeros, a + b <= t_s, and weighs
-        W - a + b: N[w, D] = sum C(W, a) C(n_s - W, b) over those (a, b)."""
-        n_s, t = self.n_s, self.t_s
-        words = self.encode_matrix._mul_masks(np.arange(1 << self.ell))
-        weights = np.array([int(c).bit_count() for c in words.tolist()], dtype=np.intp)
-        balls = np.zeros((n_s + 1, max_weight + 1), dtype=_mask_dtype(n_s))
-        for big in range(n_s + 1):
-            for a in range(min(big, t) + 1):
-                for b in range(min(n_s - big, t - a) + 1):
-                    if big - a + b <= max_weight:
-                        balls[big, big - a + b] += comb(big, a) * comb(n_s - big, b)
-        return balls[weights].T
+    @cached_property
+    def _zero_counts(self) -> Tuple[int, ...]:
+        """Every pattern of weight <= t_s, and none above: the decoder is
+        bounded-distance, so it decodes a word to the codeword within t_s
+        of it (distance 2t_s + 1 makes that one unique) or gives up, and 0
+        is within t_s of exactly those patterns."""
+        return tuple(comb(self.n_s, w) if w <= self.t_s else 0 for w in range(self.n_s + 1))
 
     @cached_property
     def _fix_table(self) -> Optional[Tuple[BinaryMatrix, np.ndarray]]:
@@ -350,23 +324,16 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
             at_least[0] |= copy
         return at_least[-1]
 
-    def _offset_counts(self, max_weight: int) -> np.ndarray:
-        """Bit b of the offset is set exactly when more than reps // 2 of
-        its copies flip, j of them in C(reps, j) ways.  With maj(x) the
-        binomial row of reps cut to j > reps // 2 and min(x) the rest,
-        N[w, D] is the x^w coefficient of maj(x)^wt(D) min(x)^(ell - wt(D))."""
-        row = np.array([comb(self.reps, j) for j in range(self.reps + 1)], dtype=object)
-        half = self.reps // 2 + 1
-        maj, low = np.where(np.arange(self.reps + 1) >= half, row, 0), row[:half]
-        polys = np.zeros((self.ell + 1, max_weight + 1), dtype=_mask_dtype(self.n_s))
-        for k in range(self.ell + 1):
-            poly = np.ones(1, dtype=object)
-            for factor in [maj] * k + [low] * (self.ell - k):
-                poly = np.convolve(poly, factor)
-            head = poly[: max_weight + 1]
-            polys[k, : len(head)] = head
-        weights = np.array([d.bit_count() for d in range(1 << self.ell)], dtype=np.intp)
-        return polys[weights].T
+    @cached_property
+    def _zero_counts(self) -> Tuple[int, ...]:
+        """The offset is 0 exactly when at most reps // 2 copies of each bit
+        flip, j of them in C(reps, j) ways: Z[w] is the x^w coefficient of
+        low(x)^ell, low(x) = sum_{j <= reps // 2} C(reps, j) x^j."""
+        low = [comb(self.reps, j) for j in range(self.reps // 2 + 1)]
+        poly = [1]
+        for _ in range(self.ell):
+            poly = np.convolve(np.array(poly, dtype=object), low).tolist()
+        return tuple(poly) + (0,) * (self.n_s + 1 - len(poly))
 
 
 # the most masks `_support_mask_blocks` puts in one block: with the site
@@ -422,6 +389,8 @@ class QdsCode:
         self.h_q = sm.encode_matrix.transpose().mat_mul(base.check_matrix)
         self.extra_measurements = sm.extra_measurements
         self.row_weights = tuple(PauliOperator._from_mask(base.n, r).weight for r in self.h_q.data)
+        # (decoder, plan) of sim.build_grid's last decoder, made by its first grid
+        self._grid_plan = None
 
     def measurement_pauli(self, i: int) -> PauliOperator:
         """Row i of H_Q as the product of generators it measures."""

@@ -25,47 +25,45 @@ each point's dropped mass.  Its weights are Python's `**` and its sums
 sequential (np.add.accumulate), so every value has the bits of a loop
 over one point's cells in row-major order.
 
-Most cells need no draw at all.  The readout decoders are bounded-distance
-and the base decoder a table, so a cell's failure count over all of its
-cases is an exact integer (see _certain_rate).  build_grid records a cell
-whose every case passes as 0 failures, and one whose every case fails as
-`trials` failures, without building its generator: 152 of the 176 cells of
-Steane + BCH(t=3), 100 of the 152 of Steane + repetition(3).  The bytes
-cannot change, because the sampler gives every case of the cell positive
-probability, so its count is 0 or `trials` whatever the seed, and because
-each cell has its own stream, so skipping one cell's draws moves no other
-cell's.  The certificate reads only the supports of the tables, as masks
-over the 2^ell offsets (two integer ANDs a cell).
-
-A sampled cell runs no kernel either.  The lookup correction for a
-decoded syndrome s ^ D has syndrome s ^ D, so the residual's syndrome is
-the offset D, and a residual with a nonzero syndrome is never in the
-stabilizer group: a trial passes exactly when its flips decode alone to
-offset 0 and the decoder's `_corrected` table, a bool over all 4^n Paulis,
-marks its error as corrected.  So a cell is two gathers, the flips on the
-SM code's `_zero_words` (a bool over all 2^n_s words, or `_decode_masks`
-past 2^20 of them) and the errors on `_corrected`, and its count is
-`trials` less the trials both mark: 40 of the 52 sampled cells of
-repetition(3), 80 of 98 for repetition(5).  A cell whose every weight-w_s
-flip pattern decodes alone to offset 0, with no give-up (every w_s <=
-t_s), draws no flips and gathers its errors only: all 24 sampled cells of
-BCH(t=3), 30 of 30 for BCH(t=4), 12 of 52 for repetition(3) and 6 of 6
-for the identity.  BCH never reaches the first path: its readout decodes
-a pattern to 0 exactly when w_s <= t_s, so each of its cells is certified
-or draws no flips.  The bytes cannot change: each trial's verdict is the
-kernel's, and the flips are the last draws of the cell's stream, so the
-errors and the count are those of the full draw.  Both certificates and
-the gathers read the tables through one gate, _offset_supports, called
-once per build_grid.  They are all off, and every cell drawn in full
-through the kernel, unless the decoder is a LookupDecoder of the QDS
-code's own base code with a class array (ell <= 20) and 4^n <= 2^20 (n <=
-10: Steane, [[5,1,3]] and Shor, not [[15,7,3]]).
+Most cells need no draw at all.  The lookup correction for a decoded
+syndrome s ^ D has syndrome s ^ D, so the residual's syndrome is the
+offset D the flips decode to alone, and a residual with a nonzero syndrome
+is never in the stabilizer group: a trial passes exactly when its flips
+decode alone to offset 0 with no give-up and the decoder's `_corrected`
+table, a bool over all 4^n Paulis, marks its error.  Errors and flips are
+drawn independently, so a cell passes on K(w_q) Z(w_s) of its |E_wq|
+C(n_s, w_s) cases: K is the decoder's `_corrected_counts`, the weight-w_q
+Paulis `_corrected` marks, and Z the SM code's `_zero_counts`, the
+weight-w_s patterns that decode alone to 0 (C(n_s, w) up to t_s and 0
+above for BCH, a power of a polynomial for repetition).  From the two
+counts, `_grid_plan` gives each cell one verdict, once per code and
+decoder.  A cell is certainly all passes where K and Z are all of their
+cases, and all failures where either is 0: build_grid records it as 0 or
+`trials` failures without building its generator, 152 of the 176 cells of
+Steane + BCH(t=3), 100 of the 152 of Steane + repetition(3).  A sampled
+cell is two gathers, its errors on `_corrected` and its flips on the SM
+code's `_zero_words` (a bool over all 2^n_s words, or `_decode_masks` past
+2^20 of them), and draws no flips where Z is all of its patterns (every
+w_s <= t_s): all 24 sampled cells of BCH(t=3), 12 of 52 for
+repetition(3).  BCH never needs its flips: each of its cells is certain or
+has w_s <= t_s.  The bytes cannot change.  The sampler gives every case of
+a cell positive probability, so a certain cell's count is 0 or `trials`
+whatever the seed.  Each cell has its own stream, so skipping one cell's
+draws moves no other cell's.  Each gathered verdict is the kernel's, and
+the flips are the last draws of a cell's stream, so the errors and the
+count are those of the full draw.  Every verdict is the kernel,
+`QdsCode._count_failures`, and every cell drawn in full, unless the
+decoder is a LookupDecoder of the QDS code's own base code with a class
+array (ell <= 20) and 4^n <= 2^20 (n <= 10: Steane, [[5,1,3]] and Shor,
+not [[15,7,3]]), and the SM code has Z in closed form or n_s <= 20.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, inf, prod, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -236,7 +234,7 @@ def _draw_errors(n: int, w_q: int, trials: int, rng) -> np.ndarray:
     if not w_q:
         return np.zeros(trials, dtype=_mask_dtype(2 * n))
     # the w_q smallest keys in order: letter i goes on the qubit of rank i
-    supports = np.argsort(rng.random((trials, n)), axis=1)[:, :w_q]
+    supports = rng.random((trials, n)).argsort(axis=1)[:, :w_q]
     letters = rng.integers(3, size=(trials, w_q))  # 0 = X, 1 = Y, 2 = Z
     return _pauli_masks(supports, letters, n)
 
@@ -254,30 +252,45 @@ def _draw_flips(n_s: int, w_s: int, trials: int, rng) -> np.ndarray:
     hit = keys <= np.sort(keys, axis=1)[:, w_s - 1 : w_s]
     if np.count_nonzero(hit) != trials * w_s:
         hit = np.zeros_like(hit)
-        np.put_along_axis(hit, np.argsort(keys, axis=1)[:, :w_s], True, axis=1)
-    return hit @ (np.array(1, dtype=_mask_dtype(n_s)) << np.arange(n_s))
+        np.put_along_axis(hit, keys.argsort(axis=1)[:, :w_s], True, axis=1)
+    return hit @ _bit_weights(n_s)
+
+
+@lru_cache(maxsize=None)
+def _bit_weights(width: int) -> np.ndarray:
+    """1 << i for i < width, of the `_mask_dtype` of width: a bool matrix
+    times it packs each row into a mask.  Made once per width, read-only as
+    every call shares it."""
+    weights = np.array(1, dtype=_mask_dtype(width)) << np.arange(width)
+    weights.flags.writeable = False
+    return weights
+
+
+# a cell's verdict in a grid plan: its failure rate where that is certain
+# (_PASS and _FAIL, so failures = verdict * trials), else how it is drawn
+_PASS, _FAIL, _GATHER_ERRORS, _GATHER_BOTH, _KERNEL = range(5)
 
 
 def _run_cell(
-    qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng, supports=None
+    qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng, verdict=_KERNEL, corrected=None
 ) -> int:
     """Failure count over `trials` samples at exact weights (w_q, w_s).
 
-    `supports` is `_offset_supports(qds, decoder)`.  Where it exists, a
-    trial passes exactly when its flips decode alone to offset 0 (the SM
-    code's `_decodes_to_zero`) and the decoder's `_corrected` table
-    corrects its error: the lookup correction for s ^ D has syndrome
-    s ^ D, so the residual's syndrome is D, and a residual with a nonzero
-    syndrome is never in the stabilizer group.  Two gathers, and no flips
-    at all where every weight-w_s pattern decodes to 0 (`_readout_certain`).
-    The flips are the last draws of the stream, so the errors are those
-    of the full draw and the count is the kernel's, `_count_failures`,
-    which runs where `supports` is None."""
+    `verdict` is the cell's in the grid plan (`_grid_plan`), and
+    `corrected` the plan's `_corrected` table.  _KERNEL draws the errors
+    and flips and counts them through `_count_failures`.  _GATHER_BOTH
+    gathers the errors on `_corrected` and the flips on the SM code's
+    `_decodes_to_zero`, and a trial passes where both do: the lookup
+    correction for s ^ D has syndrome s ^ D, so the residual's syndrome is
+    D, and a residual with a nonzero syndrome is never in the stabilizer
+    group.  _GATHER_ERRORS, where every weight-w_s pattern decodes to 0,
+    draws no flips at all.  The flips are the last draws of the stream, so
+    the errors are those of the full draw and the count is the kernel's."""
     errors = _draw_errors(qds.base.n, w_q, trials, rng)
-    if supports is None:
+    if verdict == _KERNEL:
         return qds._count_failures(decoder, errors, _draw_flips(qds.sm.n_s, w_s, trials, rng))
-    passed = supports[4][errors]
-    if not _readout_certain(supports, w_s):
+    passed = corrected[errors]
+    if verdict == _GATHER_BOTH:
         passed &= qds.sm._decodes_to_zero(_draw_flips(qds.sm.n_s, w_s, trials, rng))
     return trials - int(np.count_nonzero(passed))
 
@@ -312,79 +325,97 @@ def build_grid(
     get boundary_trials samples, the rest bulk_trials.  cells defaults to
     the full (n+1) x (n_s+1) domain.  The grid's code_meta is
     default_code_meta(qds, decoder); a caller that records more (the CLI
-    adds its provenance) updates grid.code_meta.
+    adds its provenance) updates grid.code_meta.  A seed or weight that is
+    not an integer (a bool or a float), or a negative seed, is a ValueError,
+    and numpy integers are stored as Python ones, so the grid's file can be
+    read back.
     """
     if boundary_trials < 1 or bulk_trials < 1:
         raise ValueError("trial counts must be positive")
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     n = qds.base.n
     n_s = qds.sm.n_s
     if cells is None:
         cells = [(wq, ws) for wq in range(n + 1) for ws in range(n_s + 1)]
     else:
-        cells = sorted(set(cells))
+        cells = sorted({(_as_int(wq, "weight"), _as_int(ws, "weight")) for wq, ws in cells})
         for wq, ws in cells:
             if not (0 <= wq <= n and 0 <= ws <= n_s):
                 raise ValueError(f"cell ({wq}, {ws}) outside the weight domain")
+    meta, corrected, verdicts = _grid_plan(qds, decoder)
     t_data = decoder.max_weight
     t_s = qds.sm.t_s
-    grid = SimGrid(default_code_meta(qds, decoder), seed)
-    supports = _offset_supports(qds, decoder)
+    grid = SimGrid(meta, seed)
     for wq, ws in cells:
         trials = boundary_trials if (wq <= t_data + 1 and ws <= t_s + 1) else bulk_trials
-        rate = _certain_rate(supports, wq, ws)
-        if rate is not None:
-            grid.add(wq, ws, trials, rate * trials)
-            continue
-        rng = _cell_generator(seed, wq, ws)
-        grid.add(wq, ws, trials, _run_cell(qds, decoder, wq, ws, trials, rng, supports))
+        verdict = verdicts[wq][ws]
+        if verdict <= _FAIL:
+            failures = verdict * trials
+        else:
+            rng = _cell_generator(seed, wq, ws)
+            failures = _run_cell(qds, decoder, wq, ws, trials, rng, verdict, corrected)
+        # the cells are distinct, so none needs `add`'s repeat check
+        grid.cells[wq, ws] = CellStats(trials, failures)
     return grid
 
 
-def _offset_supports(qds: QdsCode, decoder) -> Optional[tuple]:
-    """(fail_any, fail_all, reached, gave_up, corrected): the decoder's
-    `_failing_offsets`, the SM code's `_reached_offsets`, the G of its
-    `_flip_offsets` and the decoder's `_corrected`, so the masks over the
-    2^ell offsets D where F(w_q, D) > 0, where F(w_q, D) = |E_wq| and where
-    N(w_s, D) > 0, the count of weight-w_s patterns the SM decoder gives up
-    on, and whether the table corrects each Pauli.  None when the decoder
-    is not a `LookupDecoder` of qds.base itself or a table does not exist
-    (see those properties for when): the one gate of both certificates
-    and of `_run_cell`'s two gathers, read once per build_grid (a plain
-    tuple, as it is made per call)."""
-    if type(decoder) is not LookupDecoder or decoder.code is not qds.base:
-        return None
-    failing, reached = decoder._failing_offsets, qds.sm._reached_offsets
-    if failing is None or reached is None:
-        return None
-    return (*failing, reached, qds.sm._flip_offsets[1], decoder._corrected)
+def _as_int(value, what: str) -> int:
+    """value as a Python int, by operator.index.  A bool, which Python
+    counts an int, or anything operator.index refuses (a float) is a
+    ValueError naming the value."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _certain_rate(supports: Optional[tuple], w_q: int, w_s: int) -> Optional[int]:
-    """Cell (w_q, w_s)'s failure rate where it is certain, 0 or 1, else None.
+def _grid_plan(qds: QdsCode, decoder) -> tuple:
+    """(meta, corrected, verdicts) of build_grid for this code and decoder:
+    `default_code_meta`, which SimGrid copies, the decoder's `_corrected`
+    table, and verdicts[w_q][w_s], each cell's `_run_cell` verdict.  Made
+    on the first call and kept in the code's one-entry `_grid_plan` slot,
+    which a call with another decoder replaces.
 
-    The decode of a flip pattern f alone gives an offset D or gives up,
-    so the cell's failures are exactly G(w_s)|E_wq| + sum_D N(w_s, D)
-    F(w_q, D), with N and G from the SM code's `_flip_offsets` and F from
-    the decoder's `_offset_failures`.  The rate is 0 when nothing gives up
-    and F is 0 at every D that N reaches, and 1 when F is all of E_wq
-    there: two ANDs of the `_offset_supports` masks, which read only the
-    supports, so no count is multiplied.  None also where `supports` is."""
-    if supports is None:
-        return None
-    fail_any, fail_all, reached, gave_up, _ = supports
-    if not gave_up[w_s] and not fail_any[w_q] & reached[w_s]:
-        return 0
-    if not reached[w_s] & ~fail_all[w_q]:
-        return 1
-    return None
-
-
-def _readout_certain(supports: Optional[tuple], w_s: int) -> bool:
-    """Whether every weight-w_s flip pattern decodes alone to offset 0
-    (bit 0 alone is reached) with no give-up, by the `_offset_supports`
-    masks: true for every w_s <= t_s where they exist, false where
-    `supports` is None."""
-    return supports is not None and supports[2][w_s] == 1 and not supports[3][w_s]
+    A cell passes on K(w_q) Z(w_s) of its |E_wq| C(n_s, w_s) cases (see
+    the module docstring), with K the decoder's `_corrected_counts` and Z
+    the SM code's `_zero_counts`: its rate is certainly 0 where both are
+    all of their cases and certainly 1 where either is 0, and it draws no
+    flips where Z is all of its patterns.  Every verdict is _KERNEL unless
+    the decoder is a `LookupDecoder` of qds.base itself and both counts
+    exist (see those properties for when)."""
+    slot = qds._grid_plan
+    if slot is not None and slot[0] is decoder:
+        return slot[1]
+    n, n_s = qds.base.n, qds.sm.n_s
+    kept = zero = corrected = None
+    if type(decoder) is LookupDecoder and decoder.code is qds.base:
+        kept = decoder._corrected_counts
+        zero = None if kept is None else qds.sm._zero_counts
+    if zero is None:
+        verdicts = [[_KERNEL] * (n_s + 1)] * (n + 1)
+    else:
+        corrected = decoder._corrected
+        verdicts = []
+        for w_q, k in enumerate(kept):
+            row = []
+            for w_s, z in enumerate(zero):
+                every_flip = z == comb(n_s, w_s)
+                if every_flip and k == comb(n, w_q) * 3**w_q:
+                    row.append(_PASS)
+                elif not k or not z:
+                    row.append(_FAIL)
+                else:
+                    row.append(_GATHER_ERRORS if every_flip else _GATHER_BOTH)
+            verdicts.append(row)
+    plan = (default_code_meta(qds, decoder), corrected, verdicts)
+    qds._grid_plan = (decoder, plan)
+    return plan
 
 
 def _prefactors(
@@ -626,5 +657,5 @@ def direct_monte_carlo(
     letters = rng.integers(0, 3, size=(trials, n))  # 0 = X, 1 = Y, 2 = Z
     flipped = rng.random((trials, n_s)) < row_p
     errors = _pauli_masks(np.arange(n), np.where(hits, letters, 3), n)
-    flips = flipped @ (np.array(1, dtype=_mask_dtype(n_s)) << np.arange(n_s))
+    flips = flipped @ _bit_weights(n_s)
     return qds._count_failures(decoder, errors, flips) / trials

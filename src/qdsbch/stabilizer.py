@@ -34,7 +34,7 @@ only the class column, by one gather or one binary search.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb
 from typing import Iterator, Optional, Sequence, Tuple
@@ -47,7 +47,6 @@ from .linalg import (
     _bits_to_mask,
     _mask_dtype,
     _mask_to_bits,
-    _row_masks,
 )
 
 _LETTERS = "IXZY"  # index = x_bit + 2*z_bit
@@ -171,8 +170,17 @@ def _pauli_masks(qubits: np.ndarray, letters: np.ndarray, n: int) -> np.ndarray:
     """Symplectic masks x | z << n, of the `_mask_dtype` of 2n, of Paulis
     with letter codes (0 = X, 1 = Y, 2 = Z, 3 = I) on qubits given along
     the last axis of the broadcast arrays, which may be empty."""
-    letter_masks = np.array([1, 1 | 1 << n, 1 << n, 0], dtype=_mask_dtype(2 * n))
-    return np.bitwise_or.reduce(letter_masks[letters] << qubits, axis=-1)
+    return np.bitwise_or.reduce(_letter_masks(n)[letters] << qubits, axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _letter_masks(n: int) -> np.ndarray:
+    """The masks of X, Y, Z and I on qubit 0 of n, indexed by the letter
+    codes of `_pauli_masks`; made once per n, read-only as every call
+    shares it."""
+    masks = np.array([1, 1 | 1 << n, 1 << n, 0], dtype=_mask_dtype(2 * n))
+    masks.flags.writeable = False
+    return masks
 
 
 # the most Paulis `_weight_pauli_blocks` puts in one block: with the
@@ -408,40 +416,14 @@ class LookupDecoder:
         return np.where(keys[at] == syndromes, self._rows[at, 1], -1)
 
     @cached_property
-    def _offset_failures(self) -> Optional[np.ndarray]:
-        """F[w, D]: how many weight-w Paulis fail when their syndrome s
-        reaches the table as s ^ D, D the offset of an SM decode (no
-        correction there, or one of another class), as an (n + 1) x 2^ell
-        int64 array.  Built on first use: one `_syndrome_and_class` product
-        per weight, counted by (class, syndrome) and gathered against
-        `_correction_classes` at every s ^ D.  None when `_correction_classes`
-        is, or when the 4^n counts would pass 2^_MAX_TABLE_BITS entries."""
-        code = self.code
-        classes = self._correction_classes
-        if classes is None or 2 * code.n > _MAX_TABLE_BITS:
-            return None
-        size = 1 << code.ell
-        syndromes = np.arange(size)
-        # [s, D]: the class of the correction for s ^ D, -1 where there is none
-        fixed = classes[syndromes[:, None] ^ syndromes]
-        found = fixed >= 0
-        out = np.empty((code.n + 1, size), dtype=np.int64)
-        for w in range(code.n + 1):
-            products = code._syndrome_and_class._mul_masks(_weight_pauli_masks(code.n, w))
-            # [class, s]: the weight-w Paulis of each class and syndrome
-            counts = np.bincount(products, minlength=1 << 2 * code.n).reshape(-1, size)
-            passed = np.where(found, counts[np.where(found, fixed, 0), syndromes[:, None]], 0)
-            out[w] = len(products) - passed.sum(axis=0)
-        return out
-
-    @cached_property
     def _corrected(self) -> Optional[np.ndarray]:
         """Whether the table corrects each Pauli, as a bool array over all
         4^n symplectic masks: True where the correction for the Pauli's
         syndrome has the Pauli's class, so their product is in the
         stabilizer group.  One `_syndrome_and_class` product of every mask.
-        None where `_offset_failures` is; built on first use, for the grid
-        cells whose readout decode is certain."""
+        None where `_correction_classes` is, or where the 4^n masks would
+        pass 2^_MAX_TABLE_BITS entries; built on first use, for
+        `_corrected_counts` and the grid cells that are sampled."""
         code = self.code
         classes = self._correction_classes
         if classes is None or 2 * code.n > _MAX_TABLE_BITS:
@@ -450,17 +432,14 @@ class LookupDecoder:
         return classes[products & ((1 << code.ell) - 1)] == products >> code.ell
 
     @cached_property
-    def _failing_offsets(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """The supports of `_offset_failures` as masks over the 2^ell
-        offsets, (fail_any, fail_all): bit D of fail_any[w] is set where
-        some weight-w Pauli fails at offset D, and of fail_all[w] where
-        every one does.  None when `_offset_failures` is; built on first
-        use."""
-        failing = self._offset_failures
-        if failing is None:
+    def _corrected_counts(self) -> Optional[Tuple[int, ...]]:
+        """K[w] for w = 0..n: how many weight-w Paulis `_corrected` marks, as
+        Python ints.  None where `_corrected` is; built on first use."""
+        corrected = self._corrected
+        if corrected is None:
             return None
-        everyone = [comb(self.code.n, w) * 3**w for w in range(self.code.n + 1)]
-        return _row_masks(failing > 0), _row_masks(failing == np.array(everyone)[:, None])
+        n = self.code.n
+        return tuple(int(corrected[_weight_pauli_masks(n, w)].sum()) for w in range(n + 1))
 
     @property
     def covered(self) -> bool:

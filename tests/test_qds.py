@@ -847,12 +847,28 @@ def test_verify_budget_refusal():
     assert err.value.budget == 100
 
 
+_FIVE_QUBIT = StabilizerCode(
+    [PauliOperator.from_string(g) for g in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
+)
+_SHOR = StabilizerCode(
+    [
+        PauliOperator.from_string(g)
+        for g in (
+            "ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
+            "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX",
+        )
+    ]
+)
+
+
 # --- exact failure tables -----------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "sm, max_weight",
     [
+        (bch_sm(6, 1), 10),
+        (bch_sm(6, 2), 14),
         (bch_sm(6, 3), 21),
         (bch_sm(6, 4), 8),
         (repetition_sm(6, 3), 8),
@@ -860,15 +876,23 @@ def test_verify_budget_refusal():
         (repetition_sm(6, 5), 8),
         (repetition_sm(8, 3), 10),
     ],
-    ids=["bch3", "bch4", "rep3", "identity", "rep5", "rep3-ell8"],
+    ids=["bch1", "bch2", "bch3", "bch4", "rep3", "identity", "rep5", "rep3-ell8"],
 )
 def test_closed_form_offset_counts_equal_the_enumeration(sm, max_weight):
-    """The ball counts and the majority polynomial against every flip
-    pattern of each weight decoded through `_decode_masks`."""
-    want = SyndromeMeasurementCode._offset_counts(sm, max_weight)
-    got = sm._offset_counts(max_weight)
-    assert got.dtype == want.dtype
-    assert got.tolist() == want.tolist()
+    """Z, the count of the patterns that decode alone to offset 0, in
+    closed form (C(n_s, w) up to t_s for BCH, the majority polynomial for
+    repetition) against every flip pattern of each weight decoded through
+    `_decode_masks`."""
+    want = sm._count_zero_decodes(max_weight)
+    got = sm._zero_counts
+    assert len(got) == sm.n_s + 1
+    assert got[: max_weight + 1] == want
+    assert all(type(z) is int for z in got)
+
+
+def test_repetition_zero_counts_are_pinned():
+    assert repetition_sm(6, 3)._zero_counts[:5] == (1, 18, 135, 540, 1215)
+    assert identity_sm(6)._zero_counts == (1,) + (0,) * 6
 
 
 @pytest.mark.parametrize(
@@ -876,48 +900,46 @@ def test_closed_form_offset_counts_equal_the_enumeration(sm, max_weight):
     ids=["bch3", "bch4", "rep3", "identity", "bch10-object-counts"],
 )
 def test_flip_offsets_count_every_pattern_once(sm):
-    counts, gave_up = sm._flip_offsets
-    assert counts.shape == (sm.n_s + 1, 1 << sm.ell)
-    assert [int(row.sum()) + g for row, g in zip(counts, gave_up)] == [
-        comb(sm.n_s, w) for w in range(sm.n_s + 1)
-    ]
-    # inside the radius nothing gives up and the offset is 0
-    assert gave_up[: sm.t_s + 1] == (0,) * (sm.t_s + 1)
-    assert counts[: sm.t_s + 1, 1:].tolist() == [[0] * ((1 << sm.ell) - 1)] * (sm.t_s + 1)
+    """Z counts each pattern at most once: every pattern of weight <= t_s
+    decodes alone to offset 0, and no weight has more than C(n_s, w)."""
+    zero = sm._zero_counts
+    assert zero[: sm.t_s + 1] == tuple(comb(sm.n_s, w) for w in range(sm.t_s + 1))
+    assert all(0 <= z <= comb(sm.n_s, w) for w, z in enumerate(zero))
+
+
+_COUNT_BASES = [steane_code(), steane_code(), _FIVE_QUBIT, _SHOR]
 
 
 @pytest.mark.parametrize(
-    "sm",
-    [bch_sm(6, 3), repetition_sm(6, 3), bch_sm(6, 10)],
-    ids=["bch3", "rep3", "bch10-object-counts"],
+    "base, radius",
+    list(zip(_COUNT_BASES, [0, 1, 1, 1])),
+    ids=["steane-radius0", "steane-radius1", "five-qubit", "shor"],
 )
-def test_offset_masks_are_the_supports_of_the_tables(sm):
-    """Bit D of each mask against the count at D, one offset at a time."""
-    base = steane_code()
-    dec = lookup_decoder_build(base, max_weight=1)
-    counts, _ = sm._flip_offsets
-    failing = dec._offset_failures
-    everyone = [comb(base.n, w) * 3**w for w in range(base.n + 1)]
-    fail_any, fail_all = dec._failing_offsets
-    for d in range(1 << sm.ell):
-        assert [m >> d & 1 for m in sm._reached_offsets] == [int(c > 0) for c in counts[:, d]]
-        assert [m >> d & 1 for m in fail_any] == [int(f > 0) for f in failing[:, d]]
-        assert [m >> d & 1 for m in fail_all] == [
-            int(f == e) for f, e in zip(failing[:, d], everyone)
-        ]
-    assert max(sm._reached_offsets + fail_any + fail_all) < 1 << (1 << sm.ell)
+def test_corrected_counts_are_the_kernel_with_no_flips(base, radius):
+    """K[w] against the kernel: the weight-w Paulis that pass it with zero
+    flips, counted by `_count_failures` on each weight."""
+    q = qds_assemble(base, identity_sm(base.ell))
+    dec = lookup_decoder_build(base, max_weight=radius)
+    kept = dec._corrected_counts
+    assert len(kept) == base.n + 1 and all(type(k) is int for k in kept)
+    for w, k in enumerate(kept):
+        errors = _weight_pauli_masks(base.n, w)
+        no_flips = np.zeros(len(errors), dtype=_mask_dtype(q.sm.n_s))
+        assert len(errors) - q._count_failures(dec, errors, no_flips) == k
+
+
+def test_steane_corrected_counts_are_pinned():
+    dec = lookup_decoder_build(steane_code(), max_weight=1)
+    assert dec._corrected_counts == (1, 21, 42, 252, 609, 1281, 1428, 462)
 
 
 def _exact_cell(q, dec, w_q, w_s):
-    """(cases, failures) of cell (w_q, w_s) from the exact tables:
-    G(w_s)|E_wq| + sum_D N(w_s, D) F(w_q, D), in Python ints."""
-    counts, gave_up = q.sm._flip_offsets
-    errors = comb(q.base.n, w_q) * 3**w_q
-    failing = dec._offset_failures[w_q].tolist()
-    failures = gave_up[w_s] * errors + sum(
-        int(c) * f for c, f in zip(counts[w_s].tolist(), failing)
-    )
-    return errors * comb(q.sm.n_s, w_s), failures
+    """(cases, failures) of cell (w_q, w_s) from the two counts: a case
+    passes exactly when its flips decode alone to offset 0 (Z) and the
+    table corrects its error (K), so |E_wq| C(n_s, w_s) - K(w_q) Z(w_s)
+    fail."""
+    cases = comb(q.base.n, w_q) * 3**w_q * comb(q.sm.n_s, w_s)
+    return cases, cases - dec._corrected_counts[w_q] * q.sm._zero_counts[w_s]
 
 
 @pytest.mark.parametrize(
@@ -956,20 +978,6 @@ def test_exact_counts_equal_an_exhaustive_kernel_run():
             assert (len(errors) * len(flips), got) == _exact_cell(q, dec, w_q, w_s)
 
 
-_FIVE_QUBIT = StabilizerCode(
-    [PauliOperator.from_string(g) for g in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
-)
-_SHOR = StabilizerCode(
-    [
-        PauliOperator.from_string(g)
-        for g in (
-            "ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
-            "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX",
-        )
-    ]
-)
-
-
 @pytest.mark.parametrize(
     "base", [steane_code(), _FIVE_QUBIT, _SHOR], ids=["steane", "five-qubit", "shor-4^9"]
 )
@@ -1003,11 +1011,10 @@ def test_assembly_and_decoder_build_make_no_exact_table():
     base = steane_code()
     q = qds_assemble(base, bch_sm(6, 3))
     dec = lookup_decoder_build(base, max_weight=1)
-    assert "_flip_offsets" not in vars(q.sm)
-    assert "_offset_failures" not in vars(dec)
-    assert "_reached_offsets" not in vars(q.sm)
-    assert "_failing_offsets" not in vars(dec)
+    assert "_zero_counts" not in vars(q.sm)
+    assert "_corrected_counts" not in vars(dec)
     assert "_corrected" not in vars(dec)
+    assert q._grid_plan is None
     # nor by a first decode, for a readout whose word table would exist
     for sm in (q.sm, repetition_sm(6, 3)):
         sm.decode((0,) * sm.n_s)
@@ -1015,7 +1022,7 @@ def test_assembly_and_decoder_build_make_no_exact_table():
 
 
 class _Enumerated(SyndromeMeasurementCode):
-    """A repetition code's codec with no closed form for its offsets."""
+    """A repetition code's codec with no closed form for its Z."""
 
     name = "enumerated"
 
@@ -1031,21 +1038,20 @@ class _Enumerated(SyndromeMeasurementCode):
 
 
 def test_exact_tables_stop_at_their_caps():
-    """4^15 Paulis for the [[15,7,3]] code pass 2^20 counts, and a readout
-    has no table past 2^20 offsets, or past 2^20 flip patterns when only
-    the enumeration can count them."""
+    """4^15 Paulis for the [[15,7,3]] code pass 2^20 entries, and a readout
+    has no Z past 2^20 flip patterns when only the enumeration can count
+    them."""
     simplex = [sum(((c >> i) & 1) << (c - 1) for c in range(1, 16)) for i in range(4)]
     wide = css_from_parity(BinaryMatrix(4, 15, simplex))
     assert (wide.n, wide.k) == (15, 7)
     wide_decoder = lookup_decoder_build(wide, max_weight=1)
-    assert wide_decoder._offset_failures is None
-    assert wide_decoder._failing_offsets is None
     assert wide_decoder._corrected is None
-    assert repetition_sm(_MAX_TABLE_BITS + 1, 1)._flip_offsets is None
-    assert repetition_sm(_MAX_TABLE_BITS + 1, 1)._reached_offsets is None
+    assert wide_decoder._corrected_counts is None
     small = _Enumerated(repetition_sm(6, 3))
-    assert small._flip_offsets[0].tolist() == repetition_sm(6, 3)._flip_offsets[0].tolist()
-    assert _Enumerated(repetition_sm(7, 3))._flip_offsets is None
+    assert small._zero_counts == repetition_sm(6, 3)._zero_counts
+    assert _Enumerated(repetition_sm(7, 3))._zero_counts is None
+    # a closed form has no cap
+    assert repetition_sm(7, 3)._zero_counts[:3] == (1, 21, 189)
 
 
 def _berlekamp_massey(sm):
@@ -1076,8 +1082,8 @@ def test_zero_words_is_the_decoder_on_every_word(sm):
     table = sm._zero_words
     assert table.dtype == bool and table.shape == words.shape
     assert np.array_equal(table, ok & (offsets == 0))
-    # and as many words as the closed form of `_flip_offsets` puts at D = 0
-    assert table.sum() == sm._flip_offsets[0][:, 0].sum()
+    # and as many words as Z counts over every weight
+    assert table.sum() == sum(sm._zero_counts)
 
 
 def test_zero_words_stops_at_the_cap():

@@ -5,6 +5,7 @@ import hashlib
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -13,15 +14,18 @@ import pytest
 
 from qdsbch.bch import BchCode
 from qdsbch.linalg import BinaryMatrix, _bits_to_mask, _mask_dtype
-from qdsbch.qds import bch_sm, identity_sm, qds_assemble, repetition_sm
+from qdsbch.qds import _support_masks, bch_sm, identity_sm, qds_assemble, repetition_sm
 from qdsbch import sim
 from qdsbch.sim import (
     CellStats,
     ErrorModel,
     SimGrid,
+    _FAIL,
+    _GATHER_ERRORS,
+    _KERNEL,
+    _PASS,
     _cell_generator,
-    _certain_rate,
-    _offset_supports,
+    _grid_plan,
     _run_cell,
     binomial_weight_probability,
     build_grid,
@@ -34,7 +38,13 @@ from qdsbch.sim import (
     sweep,
     wilson_interval,
 )
-from qdsbch.stabilizer import LookupDecoder, css_from_parity, lookup_decoder_build, steane_code
+from qdsbch.stabilizer import (
+    LookupDecoder,
+    _weight_pauli_masks,
+    css_from_parity,
+    lookup_decoder_build,
+    steane_code,
+)
 
 
 def _steane_qds(sm=None):
@@ -301,6 +311,58 @@ def test_default_code_meta_contents():
     assert meta["t_s"] == 3
     assert meta["t_data"] == 1
     assert meta["sm"] == "bch"
+
+
+@pytest.mark.parametrize(
+    "seed, cells, bad",
+    [
+        pytest.param(-1, [(0, 0)], -1, id="seed-negative-certified-only"),
+        pytest.param(True, [(0, 0)], True, id="seed-bool"),
+        pytest.param(2.0, None, 2.0, id="seed-float"),
+        pytest.param(7, [(True, 0)], True, id="weight-bool"),
+        pytest.param(7, [(0, np.bool_(False))], np.bool_(False), id="weight-numpy-bool"),
+        pytest.param(7, [(1.0, 0)], 1.0, id="weight-float"),
+    ],
+)
+def test_build_grid_refuses_what_a_grid_file_cannot_hold(seed, cells, bad):
+    """Each of these once built a grid that `to_json_text` could not write
+    or `from_json_text` refused to read back."""
+    q, dec = _steane_qds()
+    with pytest.raises(ValueError, match=f"(integer|nonnegative), got {re.escape(repr(bad))}$"):
+        build_grid(q, dec, seed=seed, boundary_trials=4, bulk_trials=2, cells=cells)
+
+
+def test_a_grid_of_numpy_integers_round_trips():
+    q, dec = _steane_qds(repetition_sm(6, 3))
+    cells = [(np.int64(wq), np.int64(ws)) for wq in range(3) for ws in (0, 2, 5)]
+    grid = build_grid(q, dec, seed=np.int64(7), boundary_trials=20, bulk_trials=4, cells=cells)
+    assert type(grid.seed) is int
+    assert all(type(w) is int for cell in grid.cells for w in cell)
+    assert SimGrid.from_json_text(grid.to_json_text()) == grid
+    assert grid == build_grid(q, dec, seed=7, boundary_trials=20, bulk_trials=4, cells=cells)
+
+
+def test_alternating_decoders_on_one_code_give_the_fresh_grids():
+    """The code keeps one plan, for the last decoder; switching decoders
+    replaces it, and no grid may see the other decoder's."""
+    shared = qds_assemble(steane_code(), repetition_sm(6, 3))
+    decoders = [lookup_decoder_build(shared.base, max_weight=r) for r in (0, 1)]
+    for dec in decoders + decoders:
+        got = build_grid(shared, dec, seed=5, boundary_trials=30, bulk_trials=6)
+        base = steane_code()
+        fresh_q = qds_assemble(base, repetition_sm(6, 3))
+        fresh_dec = lookup_decoder_build(base, max_weight=dec.max_weight)
+        want = build_grid(fresh_q, fresh_dec, seed=5, boundary_trials=30, bulk_trials=6)
+        assert got.to_json_text() == want.to_json_text()
+        assert shared._grid_plan[0] is dec
+
+
+def test_updating_a_grids_meta_leaves_the_next_grids_alone():
+    q, dec = _steane_qds(bch_sm(6, 3))
+    first = build_grid(q, dec, seed=1, boundary_trials=4, bulk_trials=2, cells=[(0, 0)])
+    first.code_meta.update(command="sim grid", n=99)
+    second = build_grid(q, dec, seed=1, boundary_trials=4, bulk_trials=2, cells=[(0, 0)])
+    assert second.code_meta == default_code_meta(q, dec)
 
 
 # --- recombination ---------------------------------------------------------------
@@ -724,13 +786,13 @@ def test_certified_cells_build_no_generator(monkeypatch):
     q, dec = _steane_qds(bch_sm(6, 3))
     built = _counting_generators(monkeypatch)
     grid = build_grid(q, dec, seed=7, boundary_trials=40, bulk_trials=10)
-    supports = _offset_supports(q, dec)
-    rates = {cell: _certain_rate(supports, *cell) for cell in grid.cells}
-    assert sorted(built) == sorted(cell for cell, rate in rates.items() if rate is None)
+    verdicts = _grid_plan(q, dec)[2]
+    rates = {(wq, ws): verdicts[wq][ws] for wq, ws in grid.cells}
+    assert sorted(built) == sorted(cell for cell, rate in rates.items() if rate > _FAIL)
     assert len(built) == 24
-    assert list(rates.values()).count(0) == 8
+    assert list(rates.values()).count(_PASS) == 8
     for cell, rate in rates.items():
-        if rate is not None:
+        if rate <= _FAIL:
             assert grid.cells[cell].failures == rate * grid.cells[cell].trials
 
 
@@ -753,7 +815,8 @@ def test_certified_grid_is_byte_identical_to_the_sampled_one(monkeypatch, sm):
 def test_a_decoder_of_another_code_object_certifies_nothing(monkeypatch):
     q, _ = _steane_qds(bch_sm(6, 3))
     dec = lookup_decoder_build(steane_code(), max_weight=1)
-    assert _offset_supports(q, dec) is None  # so no `_corrected` table either
+    _, corrected, verdicts = _grid_plan(q, dec)
+    assert corrected is None and {v for row in verdicts for v in row} == {_KERNEL}
     built = _counting_generators(monkeypatch)
     grid = build_grid(q, dec, seed=7, boundary_trials=4, bulk_trials=2, cells=[(0, 0), (7, 21)])
     assert built == [(0, 0), (7, 21)]
@@ -764,25 +827,32 @@ _EXACT_SMS = [bch_sm(6, 3), bch_sm(6, 4), repetition_sm(6, 3), identity_sm(6)]
 _EXACT_IDS = ["bch3", "bch4", "rep3", "identity"]
 
 
-def _array_certificate(q, dec, w_q, w_s):
-    """The certificate as first written, on the count arrays themselves:
-    the oracle of the masks `_certain_rate` ANDs."""
-    counts, gave_up = q.sm._flip_offsets
-    reached = dec._offset_failures[w_q][counts[w_s] > 0]
-    if not gave_up[w_s] and not reached.any():
-        return 0
-    if (reached == comb(q.base.n, w_q) * 3**w_q).all():
-        return 1
-    return None
-
-
-@pytest.mark.parametrize("sm", _EXACT_SMS, ids=_EXACT_IDS)
-def test_mask_certificate_equals_the_array_one(sm):
+@pytest.mark.parametrize(
+    "sm", [bch_sm(6, 3), repetition_sm(6, 3), identity_sm(6)], ids=["bch3", "rep3", "identity"]
+)
+def test_verdicts_match_the_exhaustive_kernel_count(sm):
+    """Every cell small enough to enumerate (at most 2 * 10^5 cases)
+    through the kernel: its failures are |E| C - K Z, and its verdict is a
+    certain rate exactly where they are none or all of its cases."""
     q, dec = _steane_qds(sm)
-    supports = _offset_supports(q, dec)
+    kept, zero = dec._corrected_counts, q.sm._zero_counts
+    verdicts = _grid_plan(q, dec)[2]
+    checked = 0
     for w_q in range(q.base.n + 1):
+        errors = _weight_pauli_masks(q.base.n, w_q)
         for w_s in range(q.sm.n_s + 1):
-            assert _certain_rate(supports, w_q, w_s) == _array_certificate(q, dec, w_q, w_s)
+            cases = len(errors) * comb(q.sm.n_s, w_s)
+            if cases > 2 * 10**5:
+                continue
+            flips = _support_masks(q.sm.n_s, w_s)
+            failures = q._count_failures(
+                dec, np.repeat(errors, len(flips)), np.tile(flips, len(errors))
+            )
+            assert failures == cases - kept[w_q] * zero[w_s]
+            certain = {0: _PASS, cases: _FAIL}.get(failures)
+            assert (verdicts[w_q][w_s] if verdicts[w_q][w_s] <= _FAIL else None) == certain
+            checked += 1
+    assert checked > 2 * (q.base.n + 1)
 
 
 @pytest.mark.parametrize("sm", _EXACT_SMS, ids=_EXACT_IDS)
@@ -792,14 +862,14 @@ def test_a_readout_certain_cell_counts_the_same_without_its_flips(sm):
     the errors on the `_corrected` table, with no flips drawn, gives the
     count of the full draw through the kernel."""
     q, dec = _steane_qds(sm)
-    supports = _offset_supports(q, dec)
-    certain = [ws for ws in range(q.sm.n_s + 1) if sim._readout_certain(supports, ws)]
+    _, corrected, verdicts = _grid_plan(q, dec)
+    certain = [ws for ws in range(q.sm.n_s + 1) if _GATHER_ERRORS in [row[ws] for row in verdicts]]
     assert certain == list(range(q.sm.t_s + 1))
     for w_q in range(q.base.n + 1):
         for w_s in certain:
             counts = [
-                _run_cell(q, dec, w_q, w_s, 200, _cell_generator(4, w_q, w_s), given)
-                for given in (None, supports)
+                _run_cell(q, dec, w_q, w_s, 200, _cell_generator(4, w_q, w_s), verdict, corrected)
+                for verdict in (_KERNEL, _GATHER_ERRORS)
             ]
             assert counts[0] == counts[1]
 
@@ -815,7 +885,7 @@ def test_readout_certain_cells_draw_no_flips(monkeypatch, sm, skipped):
     past its cap (repetition(5): n_s = 30), where exactly they decode."""
     q, dec = _steane_qds(sm)
     # the tables decode flips while they are built
-    _offset_supports(q, dec)
+    _grid_plan(q, dec)
     q.sm._zero_words
     built = _counting_generators(monkeypatch)
     flipped, decoded = set(), set()
