@@ -167,8 +167,8 @@ class SyndromeMeasurementCode(ABC):
     def _count_zero_decodes(self, max_weight: int) -> Tuple[int, ...]:
         """For w <= max_weight, how many weight-w flip patterns decode alone
         to offset 0 with no give-up, by decoding every one through
-        `_decode_masks`: the reference the subclasses' closed forms of
-        `_zero_counts` are tested against."""
+        `_decode_masks`: the reference `_zero_counts`, in closed form or
+        from the word table, is tested against."""
         out = []
         for w in range(max_weight + 1):
             zero = 0
@@ -182,9 +182,14 @@ class SyndromeMeasurementCode(ABC):
     def _zero_counts(self) -> Optional[Tuple[int, ...]]:
         """Z[w] for w = 0..n_s: how many weight-w flip patterns decode alone
         to offset 0 with no give-up, as Python ints.  Built on first use by
-        `_count_zero_decodes`; None where that would decode more than
-        2^_MAX_TABLE_BITS patterns.  The subclasses count in closed form."""
-        return None if self.n_s > _MAX_TABLE_BITS else self._count_zero_decodes(self.n_s)
+        counting `_zero_words`' marked words by weight, so a grid that
+        reads both decodes each word once; None where that table is.  The
+        subclasses count in closed form."""
+        table = self._zero_words
+        if table is None:
+            return None
+        counts = np.bincount(_word_weights(self.n_s)[table], minlength=self.n_s + 1)
+        return tuple(counts.tolist())
 
     @cached_property
     def _zero_words(self) -> Optional[np.ndarray]:
@@ -343,6 +348,16 @@ _SUPPORT_BLOCK = 1 << 16
 # words per `_decode_masks` call while `_zero_words` is built: a whole
 # 2^18-word repetition(3) readout at once held about 8 MB of temporaries
 _ZERO_CHUNK = 1 << 12
+
+
+def _word_weights(n: int) -> np.ndarray:
+    """The weight of each n-bit word, over all 2^n words in order, as
+    uint8: the weights of the words below 2^i, then those plus 1, for each
+    bit i."""
+    weights = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        weights = np.concatenate((weights, weights + 1))
+    return weights
 
 
 def _support_mask_blocks(n: int, w: int) -> Iterator[np.ndarray]:

@@ -17,13 +17,18 @@ readouts, then recombine
 with binomial weight probabilities A.  One grid of cells serves every
 probability point, cells with negligible prefactor are dropped (the sum
 of their prefactors bounds what they would add), and each cell draws from
-its own seeded stream so grids are reproducible cell by cell.
+its own seeded stream so grids are reproducible cell by cell.  That stream
+is SeedSequence(seed, spawn_key=(w_q, w_s))'s, seeded straight from the
+entropy words numpy assembles for it: the seed's 32-bit words, padded
+with zeros to the pool size 4, then w_q and w_s.
 combine_grid, combine_grid_bounds, required_cells and a sweep's
 recombination share one pass, _prefactors, over all of their points at
 once: a (points, n + 1, n_s + 1) array of prefactors, its kept mask and
 each point's dropped mass.  Its weights are Python's `**` and its sums
 sequential (np.add.accumulate), so every value has the bits of a loop
-over one point's cells in row-major order.
+over one point's cells in row-major order; a weight whose C(n, w) passes
+the float range (n >= 1030) is summed in logs.  The grid itself is read
+once per recombination, by _read_cells, into flat indices and rates.
 
 Most cells need no draw at all.  The lookup correction for a decoded
 syndrome s ^ D has syndrome s ^ D, so the residual's syndrome is the
@@ -64,7 +69,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, inf, prod, sqrt
+from math import comb, exp, inf, log, prod, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -93,7 +98,29 @@ def binomial_weight_probability(w: int, p: float, n: int) -> float:
     """A(w; p, n) = C(n, w) p^w (1-p)^(n-w)."""
     if not 0 <= w <= n:
         raise ValueError("need 0 <= w <= n")
-    return comb(n, w) * p**w * (1.0 - p) ** (n - w)
+    c = _comb_factor(n, w)
+    if type(c) is int:
+        return _log_weight(c, p, 1.0 - p, w, n - w)
+    return c * p**w * (1.0 - p) ** (n - w)
+
+
+def _comb_factor(n: int, w: int):
+    """C(n, w) as the float that `int * float` converts it to, or as the
+    int where it passes the float range (from n = 1030)."""
+    c = comb(n, w)
+    try:
+        return float(c)
+    except OverflowError:
+        return c
+
+
+def _log_weight(c: int, p: float, q: float, w: float, v: float) -> float:
+    """c p^w q^v, q = 1 - p, for a c = C(w + v, w) past the float range,
+    summed in logs.  Such a c has 0 < w < w + v, so the term is 0 where p
+    or q is."""
+    if not p or not q:
+        return 0.0
+    return exp(log(c) + w * log(p) + v * log(q))
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> Tuple[float, float]:
@@ -223,9 +250,25 @@ class SimGrid:
 
 
 def _cell_generator(seed: int, w_q: int, w_s: int) -> np.random.Generator:
-    # one independent, reproducible stream per cell; grid build order and
-    # cell subsetting cannot change any cell's samples
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w_q, w_s)))
+    """The cell's own stream, that of SeedSequence(seed, spawn_key=(w_q,
+    w_s)): grid build order and cell subsetting cannot change any cell's
+    samples.  numpy assembles that sequence's entropy as the seed's words
+    padded to its pool size, then one word per weight (a weight is at most
+    n_s, below 2^32); passing those words as the entropy, with no spawn
+    key, gives the same pool and skips the coercion of both inputs."""
+    entropy = np.array([*_seed_words(seed), w_q, w_s], dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(entropy))
+
+
+@lru_cache(maxsize=None)
+def _seed_words(seed: int) -> Tuple[int, ...]:
+    """A nonnegative seed's little-endian 32-bit words ([0] for 0), padded
+    with zeros to SeedSequence's pool size of 4."""
+    words = [seed & 0xFFFFFFFF]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    return tuple(words) + (0,) * (4 - len(words))
 
 
 def _draw_errors(n: int, w_q: int, trials: int, rng) -> np.ndarray:
@@ -332,24 +375,33 @@ def build_grid(
     """
     if boundary_trials < 1 or bulk_trials < 1:
         raise ValueError("trial counts must be positive")
-    seed = _as_int(seed, "seed")
+    if type(seed) is not int:
+        seed = _as_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    n = qds.base.n
-    n_s = qds.sm.n_s
+    sm = qds.sm
+    n, n_s = qds.base.n, sm.n_s
     if cells is None:
         cells = [(wq, ws) for wq in range(n + 1) for ws in range(n_s + 1)]
     else:
-        cells = sorted({(_as_int(wq, "weight"), _as_int(ws, "weight")) for wq, ws in cells})
+        cells = [
+            (
+                wq if type(wq) is int else _as_int(wq, "weight"),
+                ws if type(ws) is int else _as_int(ws, "weight"),
+            )
+            for wq, ws in cells
+        ]
+        if len(cells) > 1:
+            cells = sorted(set(cells))
         for wq, ws in cells:
             if not (0 <= wq <= n and 0 <= ws <= n_s):
                 raise ValueError(f"cell ({wq}, {ws}) outside the weight domain")
     meta, corrected, verdicts = _grid_plan(qds, decoder)
-    t_data = decoder.max_weight
-    t_s = qds.sm.t_s
+    wq_edge, ws_edge = decoder.max_weight + 1, sm.t_s + 1
     grid = SimGrid(meta, seed)
+    stats = grid.cells
     for wq, ws in cells:
-        trials = boundary_trials if (wq <= t_data + 1 and ws <= t_s + 1) else bulk_trials
+        trials = boundary_trials if (wq <= wq_edge and ws <= ws_edge) else bulk_trials
         verdict = verdicts[wq][ws]
         if verdict <= _FAIL:
             failures = verdict * trials
@@ -357,7 +409,7 @@ def build_grid(
             rng = _cell_generator(seed, wq, ws)
             failures = _run_cell(qds, decoder, wq, ws, trials, rng, verdict, corrected)
         # the cells are distinct, so none needs `add`'s repeat check
-        grid.cells[wq, ws] = CellStats(trials, failures)
+        stats[wq, ws] = CellStats(trials, failures)
     return grid
 
 
@@ -451,14 +503,19 @@ def _prefactors(
 
 def _binomial_weights(n: int, probabilities: Sequence[float]) -> np.ndarray:
     """A(w; p, n) for w = 0..n at each p, as a (len(probabilities), n + 1)
-    array: binomial_weight_probability's expression, with each C(n, w)
+    array: binomial_weight_probability's values, with each C(n, w)
     computed once."""
     # float exponents: `**` converts an int one to the same float per call
-    terms = [(comb(n, w), float(w), float(n - w)) for w in range(n + 1)]
-    weights = []
-    for p in probabilities:
-        q = 1.0 - p
-        weights += [c * p**w * q**v for c, w, v in terms]
+    terms = [(_comb_factor(n, w), float(w), float(n - w)) for w in range(n + 1)]
+    pairs = [(p, 1.0 - p) for p in probabilities]
+    if type(terms[n // 2][0]) is int:  # the middle C(n, w) pass the float range
+        weights = [
+            _log_weight(c, p, q, w, v) if type(c) is int else c * p**w * q**v
+            for p, q in pairs
+            for c, w, v in terms
+        ]
+    else:
+        weights = [c * p**w * q**v for p, q in pairs for c, w, v in terms]
     return np.array(weights, dtype=float).reshape(len(probabilities), n + 1)
 
 
@@ -470,24 +527,32 @@ def _row_major_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(flat, axis=1)[:, -1]
 
 
-def _grid_cells(
+def _read_cells(
     grid: SimGrid, n: int, n_s: int, prefs: np.ndarray, kept: np.ndarray, truncation: float
-) -> Tuple[Tuple[np.ndarray, np.ndarray], List[CellStats]]:
-    """The grid's cells inside the domain: their w_q and w_s as index
-    arrays, and their stats.  A kept cell the grid lacks is an error
-    naming the first, the points in order and each point's cells in
-    row-major order."""
-    inside = [(k, st) for k, st in grid.cells.items() if 0 <= k[0] <= n and 0 <= k[1] <= n_s]
-    at = tuple(np.array([key for key, _ in inside], dtype=np.intp).reshape(len(inside), 2).T)
-    missing = kept.copy()
-    missing[:, at[0], at[1]] = False
+) -> Tuple[List[int], List[float], List[CellStats]]:
+    """The grid's cells inside the domain, read in one pass: their flat
+    indices w_q (n_s + 1) + w_s, failure rates and stats.  A kept cell the
+    grid lacks is an error naming the first, the points in order and each
+    point's cells in row-major order."""
+    width = n_s + 1
+    flat: List[int] = []
+    rates: List[float] = []
+    stats: List[CellStats] = []
+    for (wq, ws), st in grid.cells.items():
+        if 0 <= wq <= n and 0 <= ws <= n_s:
+            flat.append(wq * width + ws)
+            rates.append(st.failures / st.trials)
+            stats.append(st)
+    missing = kept.reshape(len(kept), (n + 1) * width).copy()
+    missing[:, flat] = False
     if missing.any():
-        point, wq, ws = np.argwhere(missing)[0].tolist()
+        point, index = np.argwhere(missing)[0].tolist()
+        wq, ws = divmod(index, width)
         raise ValueError(
             f"grid is missing cell ({wq}, {ws}) with prefactor {prefs[point, wq, ws]:.3g} "
             f">= truncation {truncation:.3g}"
         )
-    return at, [st for _, st in inside]
+    return flat, rates, stats
 
 
 def _combine(
@@ -496,11 +561,12 @@ def _combine(
     """p_err, truncation mass and dropped-cell count at each point."""
     n, n_s = _domain_from_meta(grid)
     prefs, kept, mass = _prefactors(n, n_s, points, truncation)
-    at, stats = _grid_cells(grid, n, n_s, prefs, kept, truncation)
-    rates = np.zeros((n + 1, n_s + 1))
-    rates[at] = [st.failures / st.trials for st in stats]
-    dropped = (n + 1) * (n_s + 1) - np.count_nonzero(kept, axis=(1, 2))
-    return _kept_sum(prefs, kept, rates).tolist(), mass.tolist(), dropped.tolist()
+    flat, rates, _ = _read_cells(grid, n, n_s, prefs, kept, truncation)
+    table = np.zeros((n + 1) * (n_s + 1))
+    table[flat] = rates
+    p_errs = _kept_sum(prefs, kept, table.reshape(n + 1, n_s + 1))
+    dropped = len(table) - np.count_nonzero(kept, axis=(1, 2))
+    return p_errs.tolist(), mass.tolist(), dropped.tolist()
 
 
 def _kept_sum(prefs: np.ndarray, kept: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -542,9 +608,10 @@ def combine_grid_bounds(
     t_s = grid.code_meta.get("t_s")
     n, n_s = _domain_from_meta(grid)
     prefs, kept, (mass,) = _prefactors(n, n_s, [(p_q, p_s)], truncation)
-    at, stats = _grid_cells(grid, n, n_s, prefs, kept, truncation)
+    flat, _, stats = _read_cells(grid, n, n_s, prefs, kept, truncation)
     ends = np.zeros((2, n + 1, n_s + 1))
-    for wq, ws, st in zip(*(w.tolist() for w in at), stats):
+    for index, st in zip(flat, stats):
+        wq, ws = divmod(index, n_s + 1)
         certified = t_data is not None and t_s is not None and wq <= t_data and ws <= t_s
         if kept[0, wq, ws] and not (certified and st.failures == 0):
             ends[:, wq, ws] = wilson_interval(st.failures, st.trials, z)

@@ -1054,6 +1054,22 @@ def test_exact_tables_stop_at_their_caps():
     assert repetition_sm(7, 3)._zero_counts[:3] == (1, 21, 189)
 
 
+def test_enumerated_zero_counts_decode_each_word_once():
+    """With no closed form, Z is `_zero_words`' marked words counted by
+    weight: the oracle's counts, from one decode of each word, which the
+    grid's word table then reuses."""
+    sm = _Enumerated(repetition_sm(4, 3))
+    decoded = []
+    decode = sm._decode_mask
+    sm._decode_mask = lambda mask: decoded.append(mask) or decode(mask)
+    zero = sm._zero_counts
+    sm._zero_words
+    assert sorted(decoded) == list(range(1 << sm.n_s))
+    del sm._decode_mask
+    assert zero == sm._count_zero_decodes(sm.n_s) == repetition_sm(4, 3)._zero_counts
+    assert all(type(z) is int for z in zero)
+
+
 def _berlekamp_massey(sm):
     """A BCH readout decoded word by word, without its coset-leader table:
     `_decode_masks` is then the base class's loop, whose message is 0

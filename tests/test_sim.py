@@ -88,6 +88,25 @@ def test_binomial_weight_probability():
     assert binomial_weight_probability(1, 0.0, 5) == 0.0
 
 
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, 1.0])
+def test_binomial_weights_past_the_float_range_of_the_binomial(p):
+    """From n = 1030 the middle C(n, w) pass the float range: those terms
+    are summed in logs, and every other term keeps its bits."""
+    float(comb(1029, 514))
+    with pytest.raises(OverflowError):
+        float(comb(1030, 515))
+    weights = sim._binomial_weights(1100, [p])
+    assert abs(weights.sum() - 1.0) <= 1e-9
+    for w in (0, 1, 7, 300, 550, 1099, 1100):
+        assert binomial_weight_probability(w, p, 1100) == weights[0, w]
+    for w in (0, 1, 7, 300, 1099, 1100):  # C(1100, w) is a float here
+        assert weights[0, w] == comb(1100, w) * p**w * (1.0 - p) ** (1100 - w)
+    small = sim._binomial_weights(1029, [p])
+    assert small[0].tolist() == [
+        comb(1029, w) * p**w * (1.0 - p) ** (1029 - w) for w in range(1030)
+    ]
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(10, 100)
     assert 0.0 < lo < 0.1 < hi < 0.2
@@ -149,6 +168,33 @@ def test_one_cell_grid_is_deterministic():
     # different seed gives an independent stream (values may coincide but
     # the draw sequence must not be forced to)
     assert 0.0 <= c <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3])
+def test_cell_generator_is_the_spawn_key_stream(seed):
+    """A cell's stream is seeded from its entropy words, and must be the
+    one SeedSequence(seed, spawn_key=(w_q, w_s)) gives, whatever the
+    seed's word count."""
+    for w_q, w_s in [(0, 0), (1, 0), (7, 21), (3, 18)]:
+        want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w_q, w_s)))
+        got = _cell_generator(seed, w_q, w_s)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(8).tolist() == want.random(8).tolist()
+        assert got.integers(3, size=8).tolist() == want.integers(3, size=8).tolist()
+
+
+@pytest.mark.parametrize("sm", [repetition_sm(6, 3), bch_sm(6, 3)], ids=["rep3", "bch3"])
+def test_a_grid_built_one_cell_per_call_is_the_one_shot_grid(sm):
+    """Each cell has its own stream, so a grid built one `build_grid` call
+    per cell, in reverse order, has the bytes of one built in one call."""
+    q, dec = _steane_qds(sm)
+    whole = build_grid(q, dec, seed=20260819, boundary_trials=40, bulk_trials=8)
+    pieces = SimGrid(default_code_meta(q, dec), 20260819)
+    for cell in sorted(whole.cells, reverse=True):
+        one = build_grid(q, dec, seed=20260819, boundary_trials=40, bulk_trials=8, cells=[cell])
+        assert list(one.cells) == [cell]
+        pieces.add(*cell, one.cells[cell].trials, one.cells[cell].failures)
+    assert pieces.to_json_text() == whole.to_json_text()
 
 
 def test_one_cell_grid_certified_region_is_zero():
@@ -436,6 +482,23 @@ def test_combine_missing_cell_raises():
     combine_grid(grid, 0.01, 0.01, truncation=1e-4)
     with pytest.raises(ValueError):
         combine_grid(grid, 0.01, 0.01, truncation=0.0)
+
+
+def test_a_grid_with_a_wide_readout_recombines():
+    """n_s = 1100 passes the float range of C(n_s, n_s // 2); a grid on it
+    recombines, and its bounds hold the point estimate."""
+    grid = SimGrid({"n": 3, "n_s": 1100}, 1)
+    for wq in range(4):
+        for ws in range(31):
+            grid.add(wq, ws, 10, min(10, ws))
+    points = [(p, p) for p in (1e-4, 10**-3.5, 1e-3)]
+    p_errs = [pt.p_err for pt in sim._recombine(grid, points, 1e-12)]
+    assert all(0.0 < p_err < 1.0 for p_err in p_errs)
+    for (p_q, p_s), p_err in zip(points, p_errs):
+        assert combine_grid(grid, p_q, p_s).p_err == p_err
+        lo, hi = combine_grid_bounds(grid, p_q, p_s)
+        assert lo <= p_err <= hi
+    assert required_cells(3, 1100, points, 1e-12) <= set(grid.cells)
 
 
 def test_combine_validates_probabilities():
