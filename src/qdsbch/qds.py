@@ -18,46 +18,48 @@ Three SM families are provided: a shortened BCH code of dimension ell
 and the identity (plain single measurement, no protection).
 
 Every trial that verify enumerates, that direct_monte_carlo draws, or
-that a grid draws outside the tables' gate (sim._grid_plan) goes
-through one batched kernel, QdsCode._count_failures, as whole-batch numpy
-operations on tables that are built on the first batch (never by QdsCode()
-or decode).  A batch is an array of error masks x | z << n and one of
-n_s-bit flip masks, the masks the one-trial path uses (sim._draw_flips
-draws a flip mask as the set of a row's w_s smallest random keys, in no
-order).  Inside the gate, sim._run_cell reads the kernel's verdict off
-two tables instead, SyndromeMeasurementCode._zero_words and
-LookupDecoder._corrected: the residual's syndrome is the flips' offset
-D(f), so a trial passes exactly when D(f) = 0 with no give-up and the
-table corrects its error.  That is 40 of the 52 sampled cells of
-repetition(3) and none of BCH's, which gather their errors alone, and no
-byte moves: each verdict is the kernel's, and the flips stay the last
-draws of a cell's stream.
-The kernel stays their oracle: verify reads neither table.  Every GF(2)
-product on a batch is BinaryMatrix._mul_masks, one gather per chunk of at
-most 16 matrix rows: a single gather for Steane's 14-row
-syndrome-and-class product, two for the 21-row syndrome of the [21,6,7]
-BCH code.  The kernel never forms the readout: the SM code is linear and
-its decoders commute with adding a codeword (the contract in
-SyndromeMeasurementCode), so decoding encode(s) ^ f gives s ^ D(f), and
-gives up exactly when decoding f alone does.
+that a grid draws (sim._run_cell) gets one verdict, taken as whole-batch
+numpy operations on tables that are built on the first batch (never by
+QdsCode() or decode).  A batch is an array of error masks x | z << n and
+one of n_s-bit flip masks, the masks the one-trial path uses
+(sim._draw_flips draws a flip mask as the set of a row's w_s smallest
+random keys, in no order).  QdsCode._count_failures is the verdict: a
+trial passes exactly when its flips decode alone to 0 with no give-up
+and the decoder corrects its error.  The readout is never formed: the SM
+code is linear and its decoders commute with adding a codeword (the
+contract in SyndromeMeasurementCode), so decoding encode(s) ^ f gives
+s ^ D(f), D(f) the decode of f alone, and gives up exactly when decoding
+f alone does.  The correction for s ^ D(f) has that syndrome, so the
+residual's syndrome is D(f), and only D(f) = 0 can leave it in the
+stabilizer group.  The verdict's two halves:
 
-- SM decode of the flips alone, giving each trial's offset D(f): a BCH
-  code looks the flips' syndrome (one product) up in a table of the coset
-  leaders of weight <= t; a repetition code takes the bit-sliced majority
-  of _decode_mask over the whole array.  A BCH code whose table would
-  pass 2^20 entries is decoded word by word with Berlekamp-Massey.
-- One product of the errors by StabilizerCode._syndrome_and_class gives
-  each error's syndrome s (the decoded syndrome is s ^ D(f)) and class,
-  the error times the annihilator of H: an error times a correction is
-  in the stabilizer group exactly when the two have the same class.
-- Lookup: LookupDecoder._classes_of, a gather on the decoder's correction
-  classes as an array over all 2^ell syndromes, or past ell = 20 one
-  binary search of its rows for the whole batch.  Any other decoder is
-  called once per trial whose SM decode succeeded, and its corrections'
-  classes come from the same product.
+- Readout, SyndromeMeasurementCode._decodes_to_zero: a gather on
+  _zero_words, a bool over all 2^n_s words (n_s <= 20), or else the SM
+  code's batched _decode_is_zero.  A BCH code looks the flips' syndrome
+  (one product) up in a table of the first ell bits of its coset leaders
+  of weight <= t, and a word decodes to 0 exactly when those are its own;
+  a repetition code takes the bit-sliced majority of _decode_mask over
+  the whole array.  A BCH code whose table would pass 2^20 entries is
+  decoded word by word with Berlekamp-Massey.
+- Data, QdsCode._corrects: a LookupDecoder answers for the whole batch,
+  by a gather on its _corrected table over all 4^n masks (n <= 10), or
+  else from one product of the errors by StabilizerCode._syndrome_and_class.
+  That gives each error's syndrome s and class, the error times the
+  annihilator of H: an error times a correction is in the stabilizer
+  group exactly when the two have the same class.  The correction's class
+  is LookupDecoder._classes_of(s), a gather on the correction classes as
+  an array over all 2^ell syndromes, or past ell = 20 one binary search
+  of its rows for the whole batch.  Any other decoder is called once per
+  error, and its corrections' classes come from the same product.
+
+Every GF(2) product on a batch is BinaryMatrix._mul_masks, one gather per
+chunk of at most 16 matrix rows: a single gather for Steane's 14-row
+syndrome-and-class product, two for the 21-row syndrome of the [21,6,7]
+BCH code.
 
 measure, decode_two_step and StabilizerCode.classify are the one-trial
-path the tests check the kernel against.  measure reads H_Q's rows, kept
+path the tests check the verdict against, beside the batched lookup of
+s ^ D(f) that the verdict replaced.  measure reads H_Q's rows, kept
 as symplectic masks in h_q, through stabilizer._anticommuting, the same
 helper the base code's syndrome uses; measurement_pauli and row_weights
 read the same rows, so QdsCode keeps no second copy of them.
@@ -117,12 +119,13 @@ class SyndromeMeasurementCode(ABC):
     maps a noisy readout back to an ell-bit syndrome estimate (None if the
     decoder gives up).  t_s is the guaranteed correction radius.
 
-    The trial kernel (QdsCode._count_failures) decodes the flips alone, so
+    The trial verdict (QdsCode._count_failures) decodes the flips alone, so
     every subclass must keep this contract for all s and f:
     _decode_mask(encode(s) ^ f) == s ^ _decode_mask(f), where either both
-    calls give up or neither does, and the same for _decode_masks.  A
-    syndrome decoder of a linear code keeps it (a codeword has a zero
-    syndrome), and so does a bitwise majority over copies.
+    calls give up or neither does; and _decode_is_zero(f) must be
+    _decode_mask(f) == 0.  A syndrome decoder of a linear code keeps it (a
+    codeword has a zero syndrome), and so does a bitwise majority over
+    copies.
     """
 
     ell: int
@@ -151,37 +154,29 @@ class SyndromeMeasurementCode(ABC):
     @abstractmethod
     def _decode_mask(self, mask: int) -> Optional[int]: ...
 
-    def _decode_masks(self, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """`_decode_mask` over an array of n_s-bit words (`_mask_dtype` of
-        n_s).  Returns the messages as an array of masks and a bool array
-        that is False where the decoder gave up (the message there is
-        meaningless).
+    def _decode_is_zero(self, words: np.ndarray) -> np.ndarray:
+        """Whether each n_s-bit word of an array (`_mask_dtype` of n_s)
+        decodes alone to 0 with no give-up, as a bool array.
 
         This loop over `_decode_mask` is the reference that the subclasses'
-        table decoders are tested against, and their fallback."""
-        out = [self._decode_mask(word) for word in words.tolist()]
-        ok = np.array([msg is not None for msg in out], dtype=bool)
-        msgs = np.array([msg or 0 for msg in out], dtype=_mask_dtype(self.ell))
-        return msgs, ok
+        batched tests are checked against, and their fallback."""
+        return np.array([self._decode_mask(word) == 0 for word in words.tolist()], dtype=bool)
 
     def _count_zero_decodes(self, max_weight: int) -> Tuple[int, ...]:
         """For w <= max_weight, how many weight-w flip patterns decode alone
-        to offset 0 with no give-up, by decoding every one through
-        `_decode_masks`: the reference `_zero_counts`, in closed form or
-        from the word table, is tested against."""
+        to 0 with no give-up, by testing every one with `_decode_is_zero`:
+        the reference `_zero_counts`, in closed form or from the word
+        table, is tested against."""
         out = []
         for w in range(max_weight + 1):
-            zero = 0
-            for flips in _support_mask_blocks(self.n_s, w):
-                offsets, ok = self._decode_masks(flips)
-                zero += int(np.count_nonzero(ok & (offsets == 0)))
-            out.append(zero)
+            blocks = _support_mask_blocks(self.n_s, w)
+            out.append(sum(int(np.count_nonzero(self._decode_is_zero(f))) for f in blocks))
         return tuple(out)
 
     @cached_property
     def _zero_counts(self) -> Optional[Tuple[int, ...]]:
         """Z[w] for w = 0..n_s: how many weight-w flip patterns decode alone
-        to offset 0 with no give-up, as Python ints.  Built on first use by
+        to 0 with no give-up, as Python ints.  Built on first use by
         counting `_zero_words`' marked words by weight, so a grid that
         reads both decodes each word once; None where that table is.  The
         subclasses count in closed form."""
@@ -193,9 +188,9 @@ class SyndromeMeasurementCode(ABC):
 
     @cached_property
     def _zero_words(self) -> Optional[np.ndarray]:
-        """Whether each n_s-bit word, decoded alone, gives offset 0 with no
-        give-up, as a bool array over all 2^n_s words.  Built on first use
-        from `_decode_masks`, `_ZERO_CHUNK` words at a time, so the build's
+        """Whether each n_s-bit word decodes alone to 0 with no give-up, as
+        a bool array over all 2^n_s words.  Built on first use from
+        `_decode_is_zero`, `_ZERO_CHUNK` words at a time, so the build's
         temporaries stay small beside the table; None where 2^n_s passes
         2^_MAX_TABLE_BITS."""
         if self.n_s > _MAX_TABLE_BITS:
@@ -203,19 +198,18 @@ class SyndromeMeasurementCode(ABC):
         out = np.empty(1 << self.n_s, dtype=bool)
         for lo in range(0, len(out), _ZERO_CHUNK):
             words = np.arange(lo, min(lo + _ZERO_CHUNK, len(out)), dtype=_mask_dtype(self.n_s))
-            offsets, ok = self._decode_masks(words)
-            out[lo : lo + len(words)] = ok & (offsets == 0)
+            out[lo : lo + len(words)] = self._decode_is_zero(words)
         return out
 
     def _decodes_to_zero(self, flips: np.ndarray) -> np.ndarray:
-        """Whether each flip mask of an array decodes alone to offset 0 with
-        no give-up: a gather on `_zero_words`, or, where that is None, the
-        same test on `_decode_masks` of the array."""
+        """The readout half of a trial's verdict: whether each flip mask of
+        an array decodes alone to 0 with no give-up, a gather on
+        `_zero_words`, or, where that is None, `_decode_is_zero` of the
+        array."""
         table = self._zero_words
         if table is not None:
             return table[flips]
-        offsets, ok = self._decode_masks(flips)
-        return ok & (offsets == 0)
+        return self._decode_is_zero(flips)
 
     @property
     def extra_measurements(self) -> int:
@@ -243,15 +237,15 @@ class BchSyndromeMeasurement(SyndromeMeasurementCode):
         out = self.code._decode_mask(mask)
         return None if out is None else out[0]
 
-    def _decode_masks(self, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Syndrome decoding by table: the code is systematic, so the
-        message is the word's first ell bits with the table's fix applied."""
+    def _decode_is_zero(self, words: np.ndarray) -> np.ndarray:
+        """Syndrome decoding by table: the code is systematic, so a word
+        decodes to 0 exactly when the table's fix is its first ell bits
+        (a give-up's -1 is no word's)."""
         table = self._fix_table
         if table is None:
-            return super()._decode_masks(words)
+            return super()._decode_is_zero(words)
         syndrome, fix = table
-        fixes = fix[syndrome._mul_masks(words)]
-        return (words & ((1 << self.ell) - 1)) ^ fixes, fixes >= 0
+        return fix[syndrome._mul_masks(words)] == words & ((1 << self.ell) - 1)
 
     @cached_property
     def _zero_counts(self) -> Tuple[int, ...]:
@@ -312,10 +306,9 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
             word |= mask << (c * self.ell)
         return word
 
-    def _decode_masks(self, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _decode_is_zero(self, words: np.ndarray) -> np.ndarray:
         # the bit-sliced majority runs unchanged on a whole array of words
-        msgs = self._decode_mask(words).astype(_mask_dtype(self.ell))
-        return msgs, np.ones(len(words), dtype=bool)
+        return self._decode_mask(words) == 0
 
     def _decode_mask(self, mask: int) -> int:
         # at_least[k] holds the bits set in more than k of the copies so far;
@@ -345,7 +338,7 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
 # indices, a few MB
 _SUPPORT_BLOCK = 1 << 16
 
-# words per `_decode_masks` call while `_zero_words` is built: a whole
+# words per `_decode_is_zero` call while `_zero_words` is built: a whole
 # 2^18-word repetition(3) readout at once held about 8 MB of temporaries
 _ZERO_CHUNK = 1 << 12
 
@@ -439,36 +432,31 @@ class QdsCode:
         """Failures over a batch of trials given as masks: errors[i] is
         trial i's data error as its symplectic mask x | z << n, flips[i]
         its n_s readout flips, each array of the `_mask_dtype` of its width.
-        A trial fails when the SM decoder gives up, the syndrome is missing
-        from the lookup table, or the residual is not in the stabilizer
-        group (the row space of H).
+        A trial passes exactly when its flips decode alone to 0 with no
+        give-up (`SyndromeMeasurementCode._decodes_to_zero`) and the
+        decoder corrects its error (`_corrects`); the module docstring says
+        why."""
+        passed = self.sm._decodes_to_zero(flips) & self._corrects(decoder, errors)
+        return len(errors) - int(np.count_nonzero(passed))
 
-        The flips are SM-decoded alone, to offsets D(f); one product gives
-        each error's syndrome s and class, the decoded syndrome is s ^ D(f),
-        and the residual is trivial exactly when the correction's class
-        equals the error's.  The module docstring lists the tables each
-        step uses and their fallbacks."""
-        ell = self.sm.ell
-        offsets, ok = self.sm._decode_masks(flips)
-        product = self.base._syndrome_and_class._mul_masks(errors)
-        msgs = (product & ((1 << ell) - 1)).astype(_mask_dtype(ell), copy=False) ^ offsets
-        classes = product >> ell
+    def _corrects(self, decoder, errors: np.ndarray) -> np.ndarray:
+        """The data half of a trial's verdict: whether the decoder's
+        correction for each error's syndrome times the error is in the
+        stabilizer group, as a bool array.  A `LookupDecoder` answers for
+        the whole batch (`LookupDecoder._corrects`); any other decoder is
+        called once per error, and its corrections' classes come from the
+        same product as the errors'."""
         if type(decoder) is LookupDecoder:
-            # a miss is -1, which no class equals
-            fixed = decoder._classes_of(np.where(ok, msgs, 0))
-        else:
-            # one call per trial the SM decoder did not give up on
-            found = [
-                decoder._decode_mask(m) if good else None
-                for m, good in zip(msgs.tolist(), ok.tolist())
-            ]
-            ok = np.array([c is not None for c in found], dtype=bool)
-            # a miss as 0, a valid index; ok is False there, so its class is unused
-            corrections = np.array(
-                [0 if c is None else c.symplectic_mask() for c in found], dtype=errors.dtype
-            )
-            fixed = self.base._syndrome_and_class._mul_masks(corrections) >> ell
-        return len(errors) - int(np.count_nonzero(ok & (fixed == classes)))
+            return decoder._corrects(errors)
+        ell = self.base.ell
+        product = self.base._syndrome_and_class._mul_masks(errors)
+        found = [decoder._decode_mask(s) for s in (product & ((1 << ell) - 1)).tolist()]
+        # a miss as 0, a valid mask; it fails on `found` alone
+        corrections = np.array(
+            [0 if c is None else c.symplectic_mask() for c in found], dtype=errors.dtype
+        )
+        fixed = self.base._syndrome_and_class._mul_masks(corrections) >> ell
+        return np.array([c is not None for c in found], dtype=bool) & (fixed == product >> ell)
 
     def __repr__(self) -> str:
         return f"QdsCode(base={self.base!r}, sm={self.sm!r})"

@@ -30,37 +30,36 @@ over one point's cells in row-major order; a weight whose C(n, w) passes
 the float range (n >= 1030) is summed in logs.  The grid itself is read
 once per recombination, by _read_cells, into flat indices and rates.
 
-Most cells need no draw at all.  The lookup correction for a decoded
-syndrome s ^ D has syndrome s ^ D, so the residual's syndrome is the
-offset D the flips decode to alone, and a residual with a nonzero syndrome
-is never in the stabilizer group: a trial passes exactly when its flips
-decode alone to offset 0 with no give-up and the decoder's `_corrected`
-table, a bool over all 4^n Paulis, marks its error.  Errors and flips are
-drawn independently, so a cell passes on K(w_q) Z(w_s) of its |E_wq|
+Every trial has one verdict, QdsCode._count_failures: it passes exactly
+when its flips decode alone to 0 with no give-up and the decoder corrects
+its error.  The readout code is linear and its decoder commutes with
+adding a codeword, so a readout of syndrome s with flips f decodes to
+s ^ D(f), D(f) what f decodes to alone; the lookup correction for that
+syndrome has it, so the residual's syndrome is D(f), and a residual with
+a nonzero syndrome is never in the stabilizer group.  Errors and flips
+are drawn independently, so a cell passes on K(w_q) Z(w_s) of its |E_wq|
 C(n_s, w_s) cases: K is the decoder's `_corrected_counts`, the weight-w_q
-Paulis `_corrected` marks, and Z the SM code's `_zero_counts`, the
-weight-w_s patterns that decode alone to 0 (C(n_s, w) up to t_s and 0
-above for BCH, a power of a polynomial for repetition).  From the two
-counts, `_grid_plan` gives each cell one verdict, once per code and
-decoder.  A cell is certainly all passes where K and Z are all of their
-cases, and all failures where either is 0: build_grid records it as 0 or
-`trials` failures without building its generator, 152 of the 176 cells of
-Steane + BCH(t=3), 100 of the 152 of Steane + repetition(3).  A sampled
-cell is two gathers, its errors on `_corrected` and its flips on the SM
-code's `_zero_words` (a bool over all 2^n_s words, or `_decode_masks` past
-2^20 of them), and draws no flips where Z is all of its patterns (every
-w_s <= t_s): all 24 sampled cells of BCH(t=3), 12 of 52 for
-repetition(3).  BCH never needs its flips: each of its cells is certain or
-has w_s <= t_s.  The bytes cannot change.  The sampler gives every case of
-a cell positive probability, so a certain cell's count is 0 or `trials`
-whatever the seed.  Each cell has its own stream, so skipping one cell's
-draws moves no other cell's.  Each gathered verdict is the kernel's, and
-the flips are the last draws of a cell's stream, so the errors and the
-count are those of the full draw.  Every verdict is the kernel,
-`QdsCode._count_failures`, and every cell drawn in full, unless the
-decoder is a LookupDecoder of the QDS code's own base code with a class
-array (ell <= 20) and 4^n <= 2^20 (n <= 10: Steane, [[5,1,3]] and Shor,
-not [[15,7,3]]), and the SM code has Z in closed form or n_s <= 20.
+Paulis it corrects, and Z the SM code's `_zero_counts`, the weight-w_s
+patterns that decode alone to 0 (C(n_s, w) up to t_s and 0 above for
+BCH, a power of a polynomial for repetition).  From the two counts,
+`_grid_plan` gives each cell one verdict, once per code and decoder: pass
+where K and Z are all of their cases, fail where either is 0, else draw.
+build_grid records a certain cell as 0 or `trials` failures without
+building its generator: 152 of the 176 cells of Steane + BCH(t=3), 100
+of the 152 of Steane + repetition(3).  A drawn cell takes its errors'
+half of the verdict (a gather on the decoder's `_corrected` table) and,
+only where w_s > t_s, draws its flips and ANDs in their half (a gather on
+the SM code's `_zero_words`), since every pattern of weight <= t_s
+decodes alone to 0.  So no sampled cell of BCH draws flips, and 12 of the
+52 of repetition(3) draw none.  The bytes cannot change.  The sampler
+gives every case of a cell positive probability, so a certain cell's
+count is 0 or `trials` whatever the seed.  Each cell has its own stream,
+so skipping one cell's draws moves no other cell's, and the flips are
+the last draws of a cell's stream, so a cell that skips them draws the
+same errors.  Cells are certified only where the decoder is a
+LookupDecoder of the QDS code's own base code with 4^n <= 2^20 (n <= 10:
+Steane, [[5,1,3]] and Shor, not [[15,7,3]]), and the SM code has Z in
+closed form or n_s <= 20.
 """
 
 from __future__ import annotations
@@ -95,9 +94,11 @@ def stabilizer_meas_error_prob(w: int, p_m: float) -> float:
 
 
 def binomial_weight_probability(w: int, p: float, n: int) -> float:
-    """A(w; p, n) = C(n, w) p^w (1-p)^(n-w)."""
+    """A(w; p, n) = C(n, w) p^w (1-p)^(n-w), for p in [0, 1]."""
     if not 0 <= w <= n:
         raise ValueError("need 0 <= w <= n")
+    if not 0.0 <= p <= 1.0:  # also true for NaN
+        raise ValueError(f"p must be a probability, got {p}")
     c = _comb_factor(n, w)
     if type(c) is int:
         return _log_weight(c, p, 1.0 - p, w, n - w)
@@ -310,30 +311,20 @@ def _bit_weights(width: int) -> np.ndarray:
 
 
 # a cell's verdict in a grid plan: its failure rate where that is certain
-# (_PASS and _FAIL, so failures = verdict * trials), else how it is drawn
-_PASS, _FAIL, _GATHER_ERRORS, _GATHER_BOTH, _KERNEL = range(5)
+# (_PASS and _FAIL, so failures = verdict * trials), else _DRAW
+_PASS, _FAIL, _DRAW = range(3)
 
 
-def _run_cell(
-    qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng, verdict=_KERNEL, corrected=None
-) -> int:
+def _run_cell(qds: QdsCode, decoder, w_q: int, w_s: int, trials: int, rng) -> int:
     """Failure count over `trials` samples at exact weights (w_q, w_s).
 
-    `verdict` is the cell's in the grid plan (`_grid_plan`), and
-    `corrected` the plan's `_corrected` table.  _KERNEL draws the errors
-    and flips and counts them through `_count_failures`.  _GATHER_BOTH
-    gathers the errors on `_corrected` and the flips on the SM code's
-    `_decodes_to_zero`, and a trial passes where both do: the lookup
-    correction for s ^ D has syndrome s ^ D, so the residual's syndrome is
-    D, and a residual with a nonzero syndrome is never in the stabilizer
-    group.  _GATHER_ERRORS, where every weight-w_s pattern decodes to 0,
-    draws no flips at all.  The flips are the last draws of the stream, so
-    the errors are those of the full draw and the count is the kernel's."""
-    errors = _draw_errors(qds.base.n, w_q, trials, rng)
-    if verdict == _KERNEL:
-        return qds._count_failures(decoder, errors, _draw_flips(qds.sm.n_s, w_s, trials, rng))
-    passed = corrected[errors]
-    if verdict == _GATHER_BOTH:
+    A trial passes exactly when the decoder corrects its error and its
+    flips decode alone to 0 (`QdsCode._count_failures`).  Every pattern
+    of weight <= t_s decodes alone to 0, so only past t_s are the flips
+    drawn and tested; they are the last draws of the stream, so the
+    errors are those of the full draw."""
+    passed = qds._corrects(decoder, _draw_errors(qds.base.n, w_q, trials, rng))
+    if w_s > qds.sm.t_s:
         passed &= qds.sm._decodes_to_zero(_draw_flips(qds.sm.n_s, w_s, trials, rng))
     return trials - int(np.count_nonzero(passed))
 
@@ -396,7 +387,7 @@ def build_grid(
         for wq, ws in cells:
             if not (0 <= wq <= n and 0 <= ws <= n_s):
                 raise ValueError(f"cell ({wq}, {ws}) outside the weight domain")
-    meta, corrected, verdicts = _grid_plan(qds, decoder)
+    meta, verdicts = _grid_plan(qds, decoder)
     wq_edge, ws_edge = decoder.max_weight + 1, sm.t_s + 1
     grid = SimGrid(meta, seed)
     stats = grid.cells
@@ -407,7 +398,7 @@ def build_grid(
             failures = verdict * trials
         else:
             rng = _cell_generator(seed, wq, ws)
-            failures = _run_cell(qds, decoder, wq, ws, trials, rng, verdict, corrected)
+            failures = _run_cell(qds, decoder, wq, ws, trials, rng)
         # the cells are distinct, so none needs `add`'s repeat check
         stats[wq, ws] = CellStats(trials, failures)
     return grid
@@ -428,44 +419,41 @@ def _as_int(value, what: str) -> int:
 
 
 def _grid_plan(qds: QdsCode, decoder) -> tuple:
-    """(meta, corrected, verdicts) of build_grid for this code and decoder:
-    `default_code_meta`, which SimGrid copies, the decoder's `_corrected`
-    table, and verdicts[w_q][w_s], each cell's `_run_cell` verdict.  Made
-    on the first call and kept in the code's one-entry `_grid_plan` slot,
-    which a call with another decoder replaces.
+    """(meta, verdicts) of build_grid for this code and decoder:
+    `default_code_meta`, which SimGrid copies, and verdicts[w_q][w_s],
+    each cell's _PASS, _FAIL or _DRAW.  Made on the first call and kept in
+    the code's one-entry `_grid_plan` slot, which a call with another
+    decoder replaces.
 
     A cell passes on K(w_q) Z(w_s) of its |E_wq| C(n_s, w_s) cases (see
     the module docstring), with K the decoder's `_corrected_counts` and Z
     the SM code's `_zero_counts`: its rate is certainly 0 where both are
-    all of their cases and certainly 1 where either is 0, and it draws no
-    flips where Z is all of its patterns.  Every verdict is _KERNEL unless
-    the decoder is a `LookupDecoder` of qds.base itself and both counts
-    exist (see those properties for when)."""
+    all of their cases and certainly 1 where either is 0.  Every verdict
+    is _DRAW unless the decoder is a `LookupDecoder` of qds.base itself and
+    both counts exist (see those properties for when)."""
     slot = qds._grid_plan
     if slot is not None and slot[0] is decoder:
         return slot[1]
     n, n_s = qds.base.n, qds.sm.n_s
-    kept = zero = corrected = None
+    kept = zero = None
     if type(decoder) is LookupDecoder and decoder.code is qds.base:
         kept = decoder._corrected_counts
         zero = None if kept is None else qds.sm._zero_counts
     if zero is None:
-        verdicts = [[_KERNEL] * (n_s + 1)] * (n + 1)
+        verdicts = [[_DRAW] * (n_s + 1)] * (n + 1)
     else:
-        corrected = decoder._corrected
         verdicts = []
         for w_q, k in enumerate(kept):
             row = []
             for w_s, z in enumerate(zero):
-                every_flip = z == comb(n_s, w_s)
-                if every_flip and k == comb(n, w_q) * 3**w_q:
-                    row.append(_PASS)
-                elif not k or not z:
+                if not k or not z:
                     row.append(_FAIL)
+                elif k == comb(n, w_q) * 3**w_q and z == comb(n_s, w_s):
+                    row.append(_PASS)
                 else:
-                    row.append(_GATHER_ERRORS if every_flip else _GATHER_BOTH)
+                    row.append(_DRAW)
             verdicts.append(row)
-    plan = (default_code_meta(qds, decoder), corrected, verdicts)
+    plan = (default_code_meta(qds, decoder), verdicts)
     qds._grid_plan = (decoder, plan)
     return plan
 
@@ -602,10 +590,11 @@ def combine_grid_bounds(
 
     Cells inside the certified-correctable region (w_q <= t_data and
     w_s <= t_s from code_meta) are exactly zero and contribute no
-    uncertainty.  The upper bound includes the truncation mass.
+    uncertainty.  The upper bound includes the truncation mass.  A grid
+    without either key certifies no cell; one that is not a nonnegative
+    JSON integer is a ValueError.
     """
-    t_data = grid.code_meta.get("t_data")
-    t_s = grid.code_meta.get("t_s")
+    t_data, t_s = (_certified_radius(grid.code_meta, key) for key in ("t_data", "t_s"))
     n, n_s = _domain_from_meta(grid)
     prefs, kept, (mass,) = _prefactors(n, n_s, [(p_q, p_s)], truncation)
     flat, _, stats = _read_cells(grid, n, n_s, prefs, kept, truncation)
@@ -630,6 +619,17 @@ def _json_int(obj, key: str, where: str) -> int:
     value = obj[key]
     if type(value) is not int:
         raise ValueError(f"{where} {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _certified_radius(meta: dict, key: str) -> Optional[int]:
+    """code_meta[key] as a nonnegative JSON integer, or None where the key
+    is missing."""
+    if key not in meta:
+        return None
+    value = _json_int(meta, key, "grid code_meta")
+    if value < 0:
+        raise ValueError(f"grid code_meta {key!r} must be nonnegative, got {value}")
     return value
 
 

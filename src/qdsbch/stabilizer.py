@@ -29,7 +29,10 @@ their products sparsely, as the XOR of one table row per letter.  A
 `lookup_decoder_build` picks, one (syndrome, class, mask) row per
 syndrome; a one-syndrome lookup binary-searches it and makes only the
 PauliOperator it returns, and a batch of syndromes (`_classes_of`) reads
-only the class column, by one gather or one binary search.
+only the class column, by one gather or one binary search.  Whether the
+table corrects each Pauli of a batch (`_corrects`, the data half of a
+trial's verdict) is one gather on `_corrected`, that answer for all 4^n
+Paulis, or past n = 10 one product of the batch and a `_classes_of`.
 """
 
 from __future__ import annotations
@@ -415,21 +418,30 @@ class LookupDecoder:
         at = np.minimum(np.searchsorted(keys, syndromes), len(keys) - 1)
         return np.where(keys[at] == syndromes, self._rows[at, 1], -1)
 
+    def _corrects(self, errors: np.ndarray) -> np.ndarray:
+        """Whether the table corrects each Pauli of an array of symplectic
+        masks: a gather on `_corrected` where that table exists, otherwise
+        `_matches_class` of the array."""
+        table = self._corrected
+        return self._matches_class(errors) if table is None else table[errors]
+
+    def _matches_class(self, errors: np.ndarray) -> np.ndarray:
+        """True where the correction for a Pauli's syndrome has the Pauli's
+        class, so their product is in the stabilizer group (a miss's -1 is
+        no class): one `_syndrome_and_class` product of the array."""
+        ell = self.code.ell
+        products = self.code._syndrome_and_class._mul_masks(errors)
+        syndromes = (products & ((1 << ell) - 1)).astype(_mask_dtype(ell), copy=False)
+        return self._classes_of(syndromes) == products >> ell
+
     @cached_property
     def _corrected(self) -> Optional[np.ndarray]:
-        """Whether the table corrects each Pauli, as a bool array over all
-        4^n symplectic masks: True where the correction for the Pauli's
-        syndrome has the Pauli's class, so their product is in the
-        stabilizer group.  One `_syndrome_and_class` product of every mask.
-        None where `_correction_classes` is, or where the 4^n masks would
-        pass 2^_MAX_TABLE_BITS entries; built on first use, for
-        `_corrected_counts` and the grid cells that are sampled."""
-        code = self.code
-        classes = self._correction_classes
-        if classes is None or 2 * code.n > _MAX_TABLE_BITS:
+        """`_matches_class` of all 4^n symplectic masks, as a bool array
+        indexed by mask.  None where the 4^n masks would pass
+        2^_MAX_TABLE_BITS entries; built on first use."""
+        if 2 * self.code.n > _MAX_TABLE_BITS:
             return None
-        products = code._syndrome_and_class._mul_masks(np.arange(1 << 2 * code.n))
-        return classes[products & ((1 << code.ell) - 1)] == products >> code.ell
+        return self._matches_class(np.arange(1 << 2 * self.code.n))
 
     @cached_property
     def _corrected_counts(self) -> Optional[Tuple[int, ...]]:

@@ -89,11 +89,10 @@ def test_repetition_sm_majority_exhaustive(ell, reps):
             for b in range(ell)
         )
         assert got == want
-    # the batched majority against the per-word one
+    # the batched majority's zero test against the per-word decode
     masks = np.arange(1 << n_s)
-    msgs, ok = sm._decode_masks(masks)
-    assert ok.all()
-    assert msgs.tolist() == [sm._decode_mask(mask) for mask in masks.tolist()]
+    want = [sm._decode_mask(mask) == 0 for mask in masks.tolist()]
+    assert sm._decode_is_zero(masks).tolist() == want and any(want)
 
 
 # every (m, t) with m = 3..6 whose syndrome table fits, so the table path runs
@@ -127,12 +126,20 @@ def test_bch_table_decode_matches_berlekamp_massey(sm, data):
                 word ^= 1 << p
             words.append(word)
     words += data.draw(st.lists(st.integers(0, (1 << sm.n_s) - 1), min_size=20, max_size=20))
-    msgs, ok = sm._decode_masks(np.array(words, dtype=np.int64))
     want = [code._decode_mask(word) for word in words]
-    assert ok.tolist() == [out is not None for out in want]
-    assert [msg for msg, good in zip(msgs.tolist(), ok) if good] == [
-        out[0] for out in want if out is not None
-    ]
+    # the table's decode: the first ell bits with the fix of the word's
+    # syndrome applied, a give-up where there is no fix
+    syndrome, fix = sm._fix_table
+    words = np.array(words, dtype=np.int64)
+    fixes = fix[syndrome._mul_masks(words)]
+    msgs = (words & ((1 << sm.ell) - 1)) ^ fixes
+    assert (fixes >= 0).tolist() == [out is not None for out in want]
+    assert msgs[fixes >= 0].tolist() == [out[0] for out in want if out is not None]
+    # and its zero test: the words of each decoded message, less that
+    # message's codeword, decode to 0 exactly where BM decodes them at all
+    decoded = np.where(fixes >= 0, msgs, 0)
+    shifted = words ^ np.array([code._encode_mask(msg) for msg in decoded.tolist()])
+    assert sm._decode_is_zero(shifted).tolist() == [out is not None for out in want]
 
 
 def _systematic_syndrome_matrix(sm):
@@ -182,10 +189,11 @@ _SPLIT_SMS = [
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_sm_decode_commutes_with_adding_a_codeword(sm, data):
-    """The contract the trial kernel's split relies on: decoding a codeword
-    plus flips f gives the codeword's message XOR the decode of f alone,
-    and gives up exactly when decoding f alone does; word by word and as
-    a batch."""
+    """The contract the trial verdict relies on: decoding a codeword plus
+    flips f gives the codeword's message XOR the decode of f alone, and
+    gives up exactly when decoding f alone does; and the batched zero test
+    is the word-by-word decode's, on the flips, the words and the words
+    whose message is the flips' offset."""
     flip_sets = [
         data.draw(st.sets(st.integers(0, sm.n_s - 1), min_size=w, max_size=w))
         for w in range(min(sm.n_s, sm.t_s + 4))  # inside the radius, at it and past it
@@ -197,19 +205,20 @@ def test_sm_decode_commutes_with_adding_a_codeword(sm, data):
         st.lists(st.integers(0, (1 << sm.ell) - 1), min_size=len(flips), max_size=len(flips))
     )
     words = [sm._encode_mask(m) ^ f for m, f in zip(msgs, flips)]
-    for m, f, word in zip(msgs, flips, words):
-        alone = sm._decode_mask(f)
+    offsets = [sm._decode_mask(f) for f in flips]
+    for m, alone, word in zip(msgs, offsets, words):
         got = sm._decode_mask(word)
         assert (got is None) == (alone is None)
         if alone is not None:
             assert got == m ^ alone
-    dtype = _mask_dtype(sm.n_s)
-    offsets, ok_alone = sm._decode_masks(np.array(flips, dtype=dtype))
-    got, ok = sm._decode_masks(np.array(words, dtype=dtype))
-    assert ok.tolist() == ok_alone.tolist()
-    assert ok[: 3 * (sm.t_s + 1)].all()  # up to t_s flips always decode
-    assert ok.all() == (sm.name != "bch")  # and BCH gives up past them
-    assert (got ^ offsets)[ok].tolist() == np.array(msgs, dtype=got.dtype)[ok].tolist()
+    ok = [alone is not None for alone in offsets]
+    assert all(ok[: 3 * (sm.t_s + 1)])  # up to t_s flips always decode
+    assert all(ok) == (sm.name != "bch")  # and BCH gives up past them
+    cancelled = [sm._encode_mask(a) ^ f for a, f in zip(offsets, flips) if a is not None]
+    for batch in (flips, words, cancelled):
+        got = sm._decode_is_zero(np.array(batch, dtype=_mask_dtype(sm.n_s)))
+        assert got.tolist() == [sm._decode_mask(word) == 0 for word in batch]
+    assert all(sm._decode_mask(word) == 0 for word in cancelled)
 
 
 def test_repetition_sm_encode_layout():
@@ -454,11 +463,9 @@ def test_trial_kernel_matches_the_public_chain(base, sm):
     flip_rate = 2.0 * sm.t_s / sm.n_s * rng.random((trials, 1))
     flips = (rng.random((trials, sm.n_s)) < flip_rate).astype(np.uint8)
     want = []
-    sm_decoded = 0
     for i in range(trials):
         e = PauliOperator(n, int(x[i] @ (1 << np.arange(n))), int(z[i] @ (1 << np.arange(n))))
         want.append(_oracle_fails(q, dec, e, tuple(flips[i].tolist())))
-        sm_decoded += sm.decode(q.measure(e, tuple(flips[i].tolist()))) is not None
     # both verdicts occur, so a wrong readout bit cannot hide
     assert 0 < sum(want) < trials
     errors = np.array(
@@ -468,14 +475,14 @@ def test_trial_kernel_matches_the_public_chain(base, sm):
     flip_masks = np.array(
         [_bits_to_mask(row, "flips") for row in flips.tolist()], dtype=_mask_dtype(sm.n_s)
     )
-    # the gathered lookup of a real decoder, then per-trial calls to a proxy
+    # the gathered lookup of a real decoder, then one call per error to a proxy
     proxy = _CountingDecoder(dec)
     for decoder in (dec, proxy):
         assert q._count_failures(decoder, errors, flip_masks) == sum(want)
         for i in range(trials):
             one = slice(i, i + 1)
             assert q._count_failures(decoder, errors[one], flip_masks[one]) == want[i]
-    assert proxy.calls == 2 * sm_decoded
+    assert proxy.calls == 2 * trials
 
 
 def test_trial_kernel_counts_lookup_misses():
@@ -881,8 +888,8 @@ _SHOR = StabilizerCode(
 def test_closed_form_offset_counts_equal_the_enumeration(sm, max_weight):
     """Z, the count of the patterns that decode alone to offset 0, in
     closed form (C(n_s, w) up to t_s for BCH, the majority polynomial for
-    repetition) against every flip pattern of each weight decoded through
-    `_decode_masks`."""
+    repetition) against every flip pattern of each weight tested by
+    `_decode_is_zero`."""
     want = sm._count_zero_decodes(max_weight)
     got = sm._zero_counts
     assert len(got) == sm.n_s + 1
@@ -982,17 +989,17 @@ def test_exact_counts_equal_an_exhaustive_kernel_run():
     "base", [steane_code(), _FIVE_QUBIT, _SHOR], ids=["steane", "five-qubit", "shor-4^9"]
 )
 def test_corrected_is_the_kernel_with_no_flips(base):
-    """Every Pauli the table corrects passes the kernel with zero flips,
-    and every other one fails it."""
+    """Every Pauli the table corrects passes the old kernel's lookup of
+    s ^ D(f) with zero flips, and every other one fails it."""
     q = qds_assemble(base, identity_sm(base.ell))
     dec = lookup_decoder_build(base, max_weight=1)
     paulis = np.arange(1 << 2 * base.n)
     corrected = dec._corrected
     assert corrected.dtype == bool and corrected.shape == paulis.shape
-    passed, failed = paulis[corrected], paulis[~corrected]
     no_flips = np.zeros(len(paulis), dtype=_mask_dtype(q.sm.n_s))
-    assert q._count_failures(dec, passed, no_flips[: len(passed)]) == 0
-    assert q._count_failures(dec, failed, no_flips[: len(failed)]) == len(failed)
+    assert np.array_equal(corrected, _kernel_passes(q, dec, paulis, no_flips))
+    failed = paulis[~corrected]
+    assert q._count_failures(dec, paulis, no_flips) == len(failed)
     assert corrected[_weight_pauli_masks(base.n, 1)].all() and len(failed) > 0
 
 
@@ -1072,8 +1079,8 @@ def test_enumerated_zero_counts_decode_each_word_once():
 
 def _berlekamp_massey(sm):
     """A BCH readout decoded word by word, without its coset-leader table:
-    `_decode_masks` is then the base class's loop, whose message is 0
-    where the decoder gives up."""
+    `_decode_is_zero` is then the base class's loop, which reads a
+    give-up as no zero."""
     sm.__dict__["_fix_table"] = None  # the cached_property's slot
     return sm
 
@@ -1094,10 +1101,10 @@ _WORD_TABLE_IDS = ["rep3", "identity", "bch1", "bch2", "rep5-ell4-n_s20", "bch1-
 @pytest.mark.parametrize("sm", _WORD_TABLE_SMS, ids=_WORD_TABLE_IDS)
 def test_zero_words_is_the_decoder_on_every_word(sm):
     words = np.arange(1 << sm.n_s, dtype=_mask_dtype(sm.n_s))
-    offsets, ok = sm._decode_masks(words)
     table = sm._zero_words
     assert table.dtype == bool and table.shape == words.shape
-    assert np.array_equal(table, ok & (offsets == 0))
+    assert table.tolist() == [sm._decode_mask(word) == 0 for word in words.tolist()]
+    assert np.array_equal(table, sm._decode_is_zero(words))
     # and as many words as Z counts over every weight
     assert table.sum() == sum(sm._zero_counts)
 
@@ -1109,7 +1116,7 @@ def test_zero_words_stops_at_the_cap():
 
 def test_zero_words_builds_in_small_chunks():
     """The 2^18-word table of repetition(3) is 256 KB; built in one
-    `_decode_masks` call its temporaries took several MB more."""
+    `_decode_is_zero` call its temporaries took several MB more."""
     sm = repetition_sm(6, 3)
     tracemalloc.start()
     try:
@@ -1121,12 +1128,15 @@ def test_zero_words_builds_in_small_chunks():
 
 
 def _kernel_passes(q, dec, errors, flips):
-    """Each trial's verdict in the kernel, `_count_failures`, for a
-    `LookupDecoder`: the decoded syndrome s ^ D(f) looked up, and the
-    correction's class compared with the error's.  The oracle of the
-    two-gather predicate, which reads neither of its steps."""
+    """Each trial's verdict as the kernel once took it, for a
+    `LookupDecoder`: the flips decoded alone word by word to their offsets
+    D(f), the decoded syndrome s ^ D(f) looked up, and the correction's
+    class compared with the error's.  The oracle of `_count_failures`,
+    which reads neither of its halves."""
     ell = q.sm.ell
-    offsets, ok = q.sm._decode_masks(flips)
+    offsets = [q.sm._decode_mask(f) for f in flips.tolist()]
+    ok = np.array([d is not None for d in offsets], dtype=bool)
+    offsets = np.array([d or 0 for d in offsets], dtype=_mask_dtype(ell))
     product = q.base._syndrome_and_class._mul_masks(errors)
     msgs = (product & ((1 << ell) - 1)).astype(_mask_dtype(ell), copy=False) ^ offsets
     return ok & (dec._classes_of(np.where(ok, msgs, 0)) == product >> ell)
@@ -1161,10 +1171,10 @@ def _predicate_readouts(ell):
 @pytest.mark.parametrize("radius", [0, 1])
 @pytest.mark.parametrize("base", _PREDICATE_BASES, ids=["steane", "five-qubit", "shor"])
 def test_two_gathers_are_the_kernel_on_random_pairs(base, radius):
-    """A trial passes the kernel exactly when its flips decode alone to
-    offset 0 and the table corrects its error, with the word table, with
-    its `_decode_masks` fallback (past the cap, and forced below it), and
-    with a readout decoder whose give-ups read as offset 0."""
+    """A trial passes the kernel's old lookup of s ^ D(f) exactly when its
+    flips decode alone to offset 0 and the table corrects its error, with
+    the word table, with its `_decode_is_zero` fallback (past the cap, and
+    forced below it), and with a readout decoder that gives up."""
     ell = base.ell
     dec = lookup_decoder_build(base, max_weight=radius)
     rng = np.random.default_rng(17 + radius)

@@ -20,9 +20,8 @@ from qdsbch.sim import (
     CellStats,
     ErrorModel,
     SimGrid,
+    _DRAW,
     _FAIL,
-    _GATHER_ERRORS,
-    _KERNEL,
     _PASS,
     _cell_generator,
     _grid_plan,
@@ -86,6 +85,17 @@ def test_binomial_weight_probability():
         )
     assert binomial_weight_probability(0, 0.0, 5) == 1.0
     assert binomial_weight_probability(1, 0.0, 5) == 0.0
+
+
+@pytest.mark.parametrize(
+    "w, p, n", [(2, 1.5, 7), (2, math.nan, 7), (550, 1.5, 1100), (2, -0.1, 7)],
+    ids=["above-1", "nan", "past-the-float-range", "negative"],
+)
+def test_binomial_weight_probability_refuses_a_p_outside_0_1(w, p, n):
+    """A p outside [0, 1] used to give -1.4765625 at (2, 1.5, 7), NaN for
+    NaN, and "math domain error" past the float range of C(n, w)."""
+    with pytest.raises(ValueError, match=f"p must be a probability, got {p}"):
+        binomial_weight_probability(w, p, n)
 
 
 @pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, 1.0])
@@ -516,6 +526,32 @@ def test_combine_validates_probabilities():
         required_cells(7, 6, [(1e-3, 1e-3), (-0.1, 0.1)], truncation=1e-2)
 
 
+def _all_pass_grid(**radii):
+    """A 2 x 2 grid whose every cell passes 100 of 100 trials."""
+    grid = SimGrid({"n": 1, "n_s": 1, **radii}, seed=0)
+    for wq in range(2):
+        for ws in range(2):
+            grid.add(wq, ws, 100, 0)
+    return grid
+
+
+def test_combine_bounds_read_the_certified_radii_as_json_integers():
+    """t_data and t_s certify their cells only as nonnegative JSON
+    integers: a missing key certifies nothing, and a string, bool, float
+    or negative value is refused (a string was a TypeError, and true or
+    1.0 read as 1)."""
+    uncertified = combine_grid_bounds(_all_pass_grid(), 0.1, 0.1)
+    assert combine_grid_bounds(_all_pass_grid(t_data=0), 0.1, 0.1) == uncertified
+    assert combine_grid_bounds(_all_pass_grid(t_data=0, t_s=0), 0.1, 0.1)[1] < uncertified[1]
+    assert combine_grid_bounds(_all_pass_grid(t_data=1, t_s=1), 0.1, 0.1) == (0.0, 0.0)
+    for key in ("t_data", "t_s"):
+        for bad in ("0", True, 1.0, -1, None):
+            grid = _all_pass_grid(t_data=0, t_s=0)
+            grid.code_meta[key] = bad
+            with pytest.raises(ValueError, match=f"grid code_meta '{key}' must be"):
+                combine_grid_bounds(grid, 0.1, 0.1)
+
+
 @pytest.mark.parametrize("truncation", [math.nan, math.inf], ids=["nan", "inf"])
 def test_combine_rejects_a_non_finite_truncation(truncation):
     """A NaN truncation compares false with every prefactor, so it used to
@@ -795,6 +831,20 @@ def test_slope_is_two_for_bare_syndrome_readout_in_data_noise():
             0.007187743800787022,
             (0.005293648013964337, 0.009674867770993854),
         ),
+        # n_s = 26: the readout's zero test is the coset-leader table's
+        (
+            bch_sm(6, 4),
+            "2aad98b81168357f1f4f4b58623408cd790cfd2da507acc954baf13e5fec380f",
+            0.006147640610973655,
+            (0.004930871941981551, 0.006943637324359895),
+        ),
+        # n_s = 30: past the word table's cap, the bit-sliced majority's
+        (
+            repetition_sm(6, 5),
+            "e1c7e1da100612ea2be1aaac001ac94c411def2a1eb9c6d0602997e888d8ffa5",
+            0.006176292530120003,
+            (0.004937019910245669, 0.007312093260946737),
+        ),
     ],
 )
 def test_pinned_grid_and_recombination(sm, digest, p_err, bounds):
@@ -849,9 +899,9 @@ def test_certified_cells_build_no_generator(monkeypatch):
     q, dec = _steane_qds(bch_sm(6, 3))
     built = _counting_generators(monkeypatch)
     grid = build_grid(q, dec, seed=7, boundary_trials=40, bulk_trials=10)
-    verdicts = _grid_plan(q, dec)[2]
+    verdicts = _grid_plan(q, dec)[1]
     rates = {(wq, ws): verdicts[wq][ws] for wq, ws in grid.cells}
-    assert sorted(built) == sorted(cell for cell, rate in rates.items() if rate > _FAIL)
+    assert sorted(built) == sorted(cell for cell, rate in rates.items() if rate == _DRAW)
     assert len(built) == 24
     assert list(rates.values()).count(_PASS) == 8
     for cell, rate in rates.items():
@@ -878,8 +928,8 @@ def test_certified_grid_is_byte_identical_to_the_sampled_one(monkeypatch, sm):
 def test_a_decoder_of_another_code_object_certifies_nothing(monkeypatch):
     q, _ = _steane_qds(bch_sm(6, 3))
     dec = lookup_decoder_build(steane_code(), max_weight=1)
-    _, corrected, verdicts = _grid_plan(q, dec)
-    assert corrected is None and {v for row in verdicts for v in row} == {_KERNEL}
+    _, verdicts = _grid_plan(q, dec)
+    assert {v for row in verdicts for v in row} == {_DRAW}
     built = _counting_generators(monkeypatch)
     grid = build_grid(q, dec, seed=7, boundary_trials=4, bulk_trials=2, cells=[(0, 0), (7, 21)])
     assert built == [(0, 0), (7, 21)]
@@ -899,7 +949,7 @@ def test_verdicts_match_the_exhaustive_kernel_count(sm):
     certain rate exactly where they are none or all of its cases."""
     q, dec = _steane_qds(sm)
     kept, zero = dec._corrected_counts, q.sm._zero_counts
-    verdicts = _grid_plan(q, dec)[2]
+    verdicts = _grid_plan(q, dec)[1]
     checked = 0
     for w_q in range(q.base.n + 1):
         errors = _weight_pauli_masks(q.base.n, w_q)
@@ -912,29 +962,27 @@ def test_verdicts_match_the_exhaustive_kernel_count(sm):
                 dec, np.repeat(errors, len(flips)), np.tile(flips, len(errors))
             )
             assert failures == cases - kept[w_q] * zero[w_s]
-            certain = {0: _PASS, cases: _FAIL}.get(failures)
-            assert (verdicts[w_q][w_s] if verdicts[w_q][w_s] <= _FAIL else None) == certain
+            assert verdicts[w_q][w_s] == {0: _PASS, cases: _FAIL}.get(failures, _DRAW)
             checked += 1
     assert checked > 2 * (q.base.n + 1)
 
 
 @pytest.mark.parametrize("sm", _EXACT_SMS, ids=_EXACT_IDS)
 def test_a_readout_certain_cell_counts_the_same_without_its_flips(sm):
-    """Where every weight-w_s pattern decodes alone to offset 0, the flips
-    cannot change a verdict, and they are drawn after the errors: counting
-    the errors on the `_corrected` table, with no flips drawn, gives the
-    count of the full draw through the kernel."""
+    """Every pattern of weight w_s <= t_s, and of no other weight, decodes
+    alone to offset 0, so there the flips cannot change a verdict, and
+    they are drawn after the errors: a cell that draws none counts what
+    the full draw counts through the kernel."""
     q, dec = _steane_qds(sm)
-    _, corrected, verdicts = _grid_plan(q, dec)
-    certain = [ws for ws in range(q.sm.n_s + 1) if _GATHER_ERRORS in [row[ws] for row in verdicts]]
+    n, n_s = q.base.n, q.sm.n_s
+    certain = [ws for ws, z in enumerate(q.sm._zero_counts) if z == comb(n_s, ws)]
     assert certain == list(range(q.sm.t_s + 1))
-    for w_q in range(q.base.n + 1):
+    for w_q in range(n + 1):
         for w_s in certain:
-            counts = [
-                _run_cell(q, dec, w_q, w_s, 200, _cell_generator(4, w_q, w_s), verdict, corrected)
-                for verdict in (_KERNEL, _GATHER_ERRORS)
-            ]
-            assert counts[0] == counts[1]
+            rng = _cell_generator(4, w_q, w_s)
+            errors = sim._draw_errors(n, w_q, 200, rng)
+            full = q._count_failures(dec, errors, sim._draw_flips(n_s, w_s, 200, rng))
+            assert _run_cell(q, dec, w_q, w_s, 200, _cell_generator(4, w_q, w_s)) == full
 
 
 @pytest.mark.parametrize(
@@ -942,10 +990,12 @@ def test_a_readout_certain_cell_counts_the_same_without_its_flips(sm):
     [(bch_sm(6, 3), 24), (repetition_sm(6, 3), 12), (repetition_sm(6, 5), 18)],
 )
 def test_readout_certain_cells_draw_no_flips(monkeypatch, sm, skipped):
-    """Every sampled cell of BCH(t=3), 12 of repetition(3)'s 52 and 18 of
-    repetition(5)'s draw no flips: exactly those at w_s <= t_s.  The others
-    gather their verdicts from `_zero_words` and make no SM decode, except
-    past its cap (repetition(5): n_s = 30), where exactly they decode."""
+    """The three-verdict plan draws the cells it cannot certify, and of
+    those every sampled cell of BCH(t=3), 12 of repetition(3)'s 52 and 18
+    of repetition(5)'s draw no flips: exactly those at w_s <= t_s.  The
+    others gather their flips' verdicts from `_zero_words` and test no
+    word, except past its cap (repetition(5): n_s = 30), where exactly
+    they test theirs with `_decode_is_zero`."""
     q, dec = _steane_qds(sm)
     # the tables decode flips while they are built
     _grid_plan(q, dec)
@@ -957,14 +1007,18 @@ def test_readout_certain_cells_draw_no_flips(monkeypatch, sm, skipped):
         flipped.add(built[-1])
         return draw_flips.inner(*args)
 
-    def decode_masks(self, words):
+    def decode_is_zero(self, words):
         decoded.add(built[-1])
-        return decode_masks.inner(self, words)
+        return decode_is_zero.inner(self, words)
 
-    draw_flips.inner, decode_masks.inner = sim._draw_flips, type(q.sm)._decode_masks
+    draw_flips.inner, decode_is_zero.inner = sim._draw_flips, type(q.sm)._decode_is_zero
     monkeypatch.setattr(sim, "_draw_flips", draw_flips)
-    monkeypatch.setattr(type(q.sm), "_decode_masks", decode_masks)
+    monkeypatch.setattr(type(q.sm), "_decode_is_zero", decode_is_zero)
     build_grid(q, dec, seed=7, boundary_trials=40, bulk_trials=10)
+    verdicts = _grid_plan(q, dec)[1]
+    assert {v for row in verdicts for v in row} == {_PASS, _FAIL, _DRAW}
+    drawn = [(wq, ws) for wq, row in enumerate(verdicts) for ws, v in enumerate(row) if v == _DRAW]
+    assert built == drawn
     undrawn = [cell for cell in built if cell not in flipped]
     assert len(undrawn) == skipped
     assert [cell in undrawn for cell in built] == [ws <= q.sm.t_s for _, ws in built]
@@ -977,13 +1031,19 @@ def test_readout_certain_cells_draw_no_flips(monkeypatch, sm, skipped):
 @pytest.mark.parametrize("seed", [7, 12])
 @pytest.mark.parametrize("sm", _EXACT_SMS + [repetition_sm(6, 5)], ids=_EXACT_IDS + ["rep5"])
 def test_every_gated_grid_cell_equals_the_ungated_kernel(sm, seed):
-    """Cell by cell, the gated grid (certified cells, the two gathers and
-    the undrawn flips) equals the one every cell of which a proxy decoder
-    draws in full through `_count_failures`."""
+    """Cell by cell, the gated grid (certified cells, the gathers and the
+    undrawn flips) equals one whose every cell draws its errors and flips
+    in full and counts them through `_count_failures` with a proxy
+    decoder, called once per error."""
     q, dec = _steane_qds(sm)
     gated = build_grid(q, dec, seed=seed, boundary_trials=60, bulk_trials=12)
-    drawn = build_grid(q, _ProxyDecoder(dec), seed=seed, boundary_trials=60, bulk_trials=12)
-    assert gated.cells == drawn.cells
+    proxy, n, n_s = _ProxyDecoder(dec), q.base.n, q.sm.n_s
+    for (wq, ws), st in gated.cells.items():
+        trials = 60 if wq <= dec.max_weight + 1 and ws <= q.sm.t_s + 1 else 12
+        rng = _cell_generator(seed, wq, ws)
+        errors = sim._draw_errors(n, wq, trials, rng)
+        flips = sim._draw_flips(n_s, ws, trials, rng)
+        assert (st.trials, st.failures) == (trials, q._count_failures(proxy, errors, flips))
 
 
 # Hamming checks repeated over five blocks: 35 qubits, so 2n = 70 bits and
@@ -1082,15 +1142,13 @@ def _bit_array_masks(n, n_s, w_q, w_s, trials, rng):
     ids=["steane", "wide-70bit-errors", "rep11-66bit-flips"],
 )
 def test_cell_sampler_matches_the_bit_array_reference(base, sm):
-    q = qds_assemble(base, sm)
-    batches = []
-    q._count_failures = lambda decoder, errors, flips: batches.append((errors, flips)) or 0
     n, n_s, trials = base.n, sm.n_s, 300
     low = (1 << n) - 1
     for w_q in (0, 1, n):
         for w_s in sorted({0, 1, 2, sm.t_s, n_s - 1, n_s}):
-            _run_cell(q, None, w_q, w_s, trials, _cell_generator(3, w_q, w_s))
-            errors, flips = batches.pop()
+            rng = _cell_generator(3, w_q, w_s)
+            errors = sim._draw_errors(n, w_q, trials, rng)
+            flips = sim._draw_flips(n_s, w_s, trials, rng)
             want_errors, want_flips = _bit_array_masks(
                 n, n_s, w_q, w_s, trials, _cell_generator(3, w_q, w_s)
             )
@@ -1119,14 +1177,12 @@ class _TiedKeys:
 def test_cell_sampler_breaks_key_ties_by_the_argsort_order(w_s):
     """Keys tied at the w_s-th smallest would put more than w_s keys at or
     below it; the flips must still weigh exactly w_s and be the argsort's."""
-    q = qds_assemble(steane_code(), bch_sm(6, 3))
-    batches = []
-    q._count_failures = lambda decoder, errors, flips: batches.append((errors, flips)) or 0
-    trials, n_s = 300, q.sm.n_s
+    trials, n_s = 300, bch_sm(6, 3).n_s
     keys = _TiedKeys(5).random((trials, n_s))
     assert np.count_nonzero(keys <= np.sort(keys, axis=1)[:, w_s - 1 : w_s]) > trials * w_s
-    _run_cell(q, None, 0, w_s, trials, _TiedKeys(5))
-    _, flips = batches.pop()
+    rng = _TiedKeys(5)
+    assert sim._draw_errors(7, 0, trials, rng).tolist() == [0] * trials
+    flips = sim._draw_flips(n_s, w_s, trials, rng)
     _, want_flips = _bit_array_masks(7, n_s, 0, w_s, trials, _TiedKeys(5))
     assert [f.bit_count() for f in flips.tolist()] == [w_s] * trials
     assert flips.tolist() == want_flips.tolist()
