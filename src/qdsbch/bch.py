@@ -10,16 +10,17 @@ of j mod n, and those of distinct cosets are distinct irreducibles, so
 pairwise coprime: g is the product of one minimal polynomial per coset
 meeting {1, ..., 2t}, and deg g is the total size of those cosets.  One
 memo, _PER_M, holds a record per m: its coset leaders, found once up to
-the largest 2t asked so far, the running sum of their coset sizes, so
-R(m, t) is one read of it, and the running product of their minimal
-polynomials, so g for (m, t) is one entry of it and a call multiplies in
-only the leaders not yet there, each once per m.  The record also keeps
-the GF2m that m's first bch_construct builds, so every later code of m
-(and every code shortened from one) shares that field; parity_bit_count
-builds none.  The memo holds 39 KB after every code of m = 3..10, and
-18.6 MB after `bch_construct(16, 32767)` alone, nearly all of it the
-4,114 products, of degree up to 65,534 (tracemalloc, field tables built
-and the memo emptied first, codes dropped before reading).
+the largest t asked so far; two lists indexed by t up to there, R(m, t)
+and the count of leaders <= 2t, so either is one index; and the running
+product of their minimal polynomials, so g for (m, t) is one entry of it
+and a call multiplies in only the leaders not yet there, each once per m.
+The record also keeps the GF2m that m's first bch_construct builds, so
+every later code of m (and every code shortened from one) shares that
+field; parity_bit_count builds none.  The memo holds 56 KB after every
+code of m = 3..10, and 20.1 MB after `bch_construct(16, 32767)` alone,
+nearly all of it the 4,114 products, of degree up to 65,534 (tracemalloc,
+field tables built and the memo emptied first, codes dropped before
+reading).
 Codewords are bit masks, position j = coefficient of x^j.  Encoding is
 systematic with the message in the first k positions: because x^n = 1
 (mod g), the matrix row for message bit i is x^i + x^k * (x^(i+r) mod g),
@@ -39,12 +40,11 @@ gives the proof).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import BinaryPolynomial, GF2m, minimal_polynomial
-from .linalg import BinaryMatrix, _bits_to_mask, _mask_to_bits
+from .linalg import BinaryMatrix, _as_int, _bits_to_mask, _mask_to_bits
 
 
 class BchCode:
@@ -214,52 +214,60 @@ class BchCode:
 
 
 # m -> [the 2-cyclotomic coset leaders mod 2^m - 1 found so far, ascending;
-# the running sums of their coset sizes; the running products of their
-# minimal polynomials, as far as bch_construct has asked; the largest
-# exponent examined; GF(2^m), once bch_construct has built it].  A leader
-# is its coset's least element, so the cosets meeting {1, ..., b} are those
-# of the leaders <= b, and product i is the generator of every (m, t) whose
-# 2t reaches leader i but not leader i + 1.
+# R(m, t) and the count of leaders <= 2t, each a list indexed by t = 0..T,
+# where T is how far the record has been walked; the running products of
+# the leaders' minimal polynomials, as far as bch_construct has asked;
+# GF(2^m), once bch_construct has built it].  A leader is its coset's least
+# element, so the cosets meeting {1, ..., 2t} are those of the leaders
+# <= 2t, and product i is the generator of every (m, t) with i + 1 of them.
 _PER_M: Dict[int, list] = {}
 
 
-def _designed_leaders(m: int, t: int) -> Tuple[list, int]:
-    """m's record in _PER_M, walked at least to 2t, and the count of its
-    leaders <= 2t: the leaders of the 2-cyclotomic cosets mod 2^m - 1 that
-    meet {1, ..., 2t}, one per minimal polynomial of the (m, t) generator.
-    The walk of each m goes on from where it stopped."""
+def _designed_record(m: int, t: int) -> list:
+    """m's record in _PER_M, walked at least to t: read as it is where it
+    reaches t, else walked on from where it stopped."""
+    record = _PER_M.get(m)
+    if record is None or not 0 < t < len(record[1]):
+        record = _walk(m, t)
+    return record
+
+
+def _walk(m: int, t: int) -> list:
+    """m's record walked on to t, t < 1 refused before any read."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    top = 2 * t
-    record = _PER_M.get(m) or [[], [], [], 0, None]
+    record = _PER_M.get(m) or [[], [0], [0], [], None]
+    leaders, rs, counts, _, _ = record
     # a record is only ever walked below its code length
-    if top > record[3]:
-        n = (1 << m) - 1 if m >= 1 else 0
-        if top >= n:
-            raise ValueError(f"2t = {top} must be below the code length {n}")
-        leaders, totals, _, walked, _ = _PER_M[m] = record
-        total = totals[-1] if totals else 0
-        # an even e has e/2 in its coset, so only an odd e can lead; it
-        # does when doubling comes back to it before going below it, and
-        # the doublings taken are its coset's size
-        for e in range((walked + 1) | 1, top + 1, 2):
-            c, size = 2 * e % n, 1
-            while c > e:
-                c, size = 2 * c % n, size + 1
-            if c == e:
-                total += size
-                leaders.append(e)
-                totals.append(total)
-        record[3] = top
-    return record, bisect_right(record[0], top)
+    n = (1 << m) - 1 if m >= 1 else 0
+    if 2 * t >= n:
+        raise ValueError(f"2t = {2 * t} must be below the code length {n}")
+    _PER_M[m] = record
+    total = rs[-1]
+    # an even e has e/2 in its coset, so of 2t - 1 and 2t only 2t - 1 can
+    # lead; it does when doubling comes back to it before going below it,
+    # and the doublings taken are its coset's size
+    for e in range(2 * len(rs) - 1, 2 * t, 2):
+        c, size = 2 * e % n, 1
+        while c > e:
+            c, size = 2 * c % n, size + 1
+        if c == e:
+            total += size
+            leaders.append(e)
+        rs.append(total)
+        counts.append(len(leaders))
+    return record
 
 
 def bch_construct(m: int, t: int) -> BchCode:
     """The primitive narrow-sense BCH code of length 2^m - 1 correcting t errors."""
-    record, count = _designed_leaders(m, t)
-    leaders, _, products, _, field = record
+    if type(m) is not int or type(t) is not int:
+        m, t = _as_int(m, "m"), _as_int(t, "t")
+    record = _designed_record(m, t)
+    leaders, _, counts, products, field = record
     if field is None:
         field = record[4] = GF2m(m)
+    count = counts[t]
     g = products[-1] if products else BinaryPolynomial.one()
     for e in leaders[len(products) : count]:
         g = g * minimal_polynomial(field, e)
@@ -274,8 +282,8 @@ def parity_bit_count(m: int, t: int) -> int:
     """R(m, t) = deg g for the (m, t) code: the number of distinct roots of
     g, i.e. the total size of the cosets meeting {1, ..., 2t}.  No field is
     built, so m has no cap here."""
-    (_, totals, _, _, _), count = _designed_leaders(m, t)
-    return totals[count - 1]
+    m, t = _as_int(m, "m"), _as_int(t, "t")
+    return _designed_record(m, t)[1][t]
 
 
 def bch_select_parameters(ell: int, t: int) -> Tuple[int, int]:
@@ -286,25 +294,29 @@ def bch_select_parameters(ell: int, t: int) -> Tuple[int, int]:
     counts coset sizes and builds no field, so m has no cap: the search
     always ends, because 2^m - m*t - 1 grows without bound.
     """
-    return next(_select_parameters(ell, [t]))
+    return next(_select_parameters(_as_int(ell, "ell"), [_as_int(t, "t")]))
 
 
 def _select_parameters(ell: int, ts: Sequence[int]) -> Iterator[Tuple[int, int]]:
-    """bch_select_parameters(ell, t) for each t of ts, in order, from one
-    upward walk of m.  For fixed m, 2t < 2^m - 1 and ell <= 2^m - m*t - 1
+    """bch_select_parameters(ell, t) for each int t of ts, in order, from
+    one upward walk of m.  For fixed m, 2t < 2^m - 1 and ell <= 2^m - m*t - 1
     both get harder as t grows, so the least admissible m never falls while
-    t rises; the walk starts over only where t falls.  A t below 1 leaves
-    the walk at once, for parity_bit_count to refuse."""
+    t rises; the walk starts over only where t falls.  R is read off the
+    walked m's list, fetched again only where m moves or t passes its end;
+    a t below 1 always fetches, for _walk to refuse."""
     if ell < 1:
         raise ValueError("ell must be positive")
     # ell <= 2^m - m*t - 1 < 2^m, so no m below ell's bit length qualifies
     m = start = max(2, ell.bit_length())
+    rs = []
     for last, t in zip([0, *ts], ts):
         if t < last:
-            m = start
+            m, rs = start, []
         while 2 * t >= (1 << m) - 1 or ell > (1 << m) - m * t - 1:
-            m += 1
-        yield m, parity_bit_count(m, t)
+            m, rs = m + 1, []
+        if not 0 < t < len(rs):
+            rs = _designed_record(m, t)[1]
+        yield m, rs[t]
 
 
 def bch_select_m(ell: int, t: int) -> Tuple[int, BchCode]:

@@ -16,7 +16,8 @@ walk of `_contains_mask` is the one-vector oracle of that test.
 This module also owns the bit-vector convention of the whole package:
 entry i of a 0/1 tuple is bit i of an integer mask, and any entry other
 than 0 or 1 is a ValueError.  Every public call that takes or returns
-such a tuple converts through `_bits_to_mask` and `_mask_to_bits`.
+such a tuple converts through `_bits_to_mask` and `_mask_to_bits`, and
+every integer argument that must not be a bool or float through `_as_int`.
 Tables indexed by a mask (a syndrome) are built only up to
 2^_MAX_TABLE_BITS entries.
 
@@ -26,6 +27,7 @@ characters per row.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
@@ -60,6 +62,20 @@ def _mask_dtype(width: int):
     """The dtype of an array of width-bit masks: int64 up to 62 bits,
     else object (Python ints)."""
     return np.int64 if width <= 62 else object
+
+
+def _as_int(value, what: str) -> int:
+    """value as a Python int, by operator.index.  A bool, which Python
+    counts an int, or anything operator.index refuses (a float) is a
+    ValueError naming the value."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class BinaryMatrix:

@@ -75,10 +75,10 @@ the bit length of d, 2^b < d * e < 2^(b+2), so a width is b + 1, or b + 2
 where d passes floor(2^(b+1) / e): one compare with a threshold kept per
 b (_e_threshold), which is read off a fixed-point bracket of e * 2^w
 (_e_fixed_point, kept per 64-bit width w).  The table's BCH column is
-bch._select_parameters, one upward walk of m across the t of each ell,
-and its rows are built as plain tuples.  Each argument is read once, and
-apart from the thresholds, the brackets and bch's per-m memo nothing is
-kept between calls.
+bch._select_parameters, one upward walk of m across the t of each ell
+reading R off the per-t lists of bch's per-m memo, and its rows are built
+as plain tuples.  Each argument is read once, and apart from the
+thresholds, the brackets and that memo nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ from .bch import BchCode, _select_parameters, bch_select_m
 from .linalg import (
     _MAX_TABLE_BITS,
     BinaryMatrix,
+    _as_int,
     _bits_to_mask,
     _mask_dtype,
     _mask_to_bits,
@@ -542,6 +543,7 @@ def fujiwara_extra_measurements(ell: int, t_c: int) -> Tuple[int, List[int]]:
     Returns (total_extra, [m_1, ..., m_tc]).  Requires 2*t_c <= ell;
     t_c = 0 costs nothing.
     """
+    ell, t_c = _as_int(ell, "ell"), _as_int(t_c, "t_c")
     if ell < 1:
         raise ValueError("ell must be positive")
     if t_c < 0:
@@ -571,10 +573,11 @@ def overhead_table(ells: Iterable[int], ts: Iterable[int]) -> List[OverheadEntry
     2*t*ell extra; fujiwara: the distinct-pair count, None where the
     formula does not apply.
     """
-    ts = list(ts)
+    ts = [t if type(t) is int else _as_int(t, "t") for t in ts]
     t_top = max(ts, default=0)
     out = []
     for ell in ells:
+        ell = _as_int(ell, "ell")
         # the totals of one ell up to the largest t asked, capped at
         # ell // 2 where the distinct-pair count stops, serve every row
         _, totals = _distinct_pair_counts(ell, min(t_top, ell // 2))

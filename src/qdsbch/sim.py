@@ -65,7 +65,6 @@ closed form or n_s <= 20.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, exp, inf, log, prod, sqrt
@@ -74,7 +73,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import __version__
-from .linalg import _mask_dtype
+from .linalg import _as_int, _mask_dtype
 from .qds import QdsCode
 from .stabilizer import LookupDecoder, _pauli_masks
 
@@ -402,20 +401,6 @@ def build_grid(
         # the cells are distinct, so none needs `add`'s repeat check
         stats[wq, ws] = CellStats(trials, failures)
     return grid
-
-
-def _as_int(value, what: str) -> int:
-    """value as a Python int, by operator.index.  A bool, which Python
-    counts an int, or anything operator.index refuses (a float) is a
-    ValueError naming the value."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _grid_plan(qds: QdsCode, decoder) -> tuple:

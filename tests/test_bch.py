@@ -6,6 +6,7 @@ import random
 from functools import lru_cache
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from qdsbch.fields import (
     minimal_polynomial,
     poly_lcm,
 )
-from qdsbch.qds import overhead_table
+from qdsbch.qds import fujiwara_extra_measurements, overhead_table
 
 # the systematic generator matrix of the [21,6,7] code built on x^5 + x^2 + 1
 SHORTENED_21_6_ROWS = [
@@ -77,9 +78,9 @@ def test_generator_has_the_designed_roots():
 
 @pytest.fixture
 def empty_memos():
-    """Drop the per-m construction memo (coset leaders, coset-size totals,
-    generator products and fields), so a test sees it filled in its own
-    order, and again afterwards, so what the test built is not kept."""
+    """Drop the per-m construction memo (coset leaders, per-t R and leader
+    counts, generator products and fields), so a test sees it filled in its
+    own order, and again afterwards, so what the test built is not kept."""
     bch_module._PER_M.clear()
     yield
     bch_module._PER_M.clear()
@@ -113,12 +114,25 @@ def _lcm_generator(m, t):
     return poly_lcm([minimal_polynomial(field, j) for j in range(1, 2 * t + 1)])
 
 
+def _assert_lists_match_cosets():
+    """Every record's per-t lists, R and the count of leaders <= 2t, for
+    every t it was walked to, against the coset walk."""
+    for m, (leaders, rs, counts, _, _) in bch_module._PER_M.items():
+        cosets = _designed_cosets(m, len(rs) - 1)
+        assert leaders == [c[0] for c in cosets], m
+        assert rs[0] == counts[0] == 0, m
+        for t in range(1, len(rs)):
+            hit = [c for c in cosets if c[0] <= 2 * t]
+            assert (rs[t], counts[t]) == (sum(map(len, hit)), len(hit)), (m, t)
+
+
 @pytest.mark.parametrize("order", ["shuffled", "descending-t"])
 def test_construction_ignores_call_order(empty_memos, order):
     """Every admissible (m, t) with m <= 8, built from empty memos in a
     shuffled order or with t descending (so each m's leaders are found in
     one walk and later calls read a prefix), equals the lcm of the minimal
-    polynomials of alpha^1..alpha^2t."""
+    polynomials of alpha^1..alpha^2t, and each m's per-t lists equal the
+    coset walk."""
     pairs = list(_SMALL_CODES)
     if order == "shuffled":
         random.Random(16).shuffle(pairs)
@@ -129,28 +143,36 @@ def test_construction_ignores_call_order(empty_memos, order):
         code = bch_construct(m, t)
         assert code.generator == _lcm_generator(m, t), (m, t)
         assert code.r == parity_bit_count(m, t) == sum(map(len, _designed_cosets(m, t)))
+    _assert_lists_match_cosets()
 
 
 def test_parity_bit_count_ignores_call_order(empty_memos):
-    """m = 17..40, past every field, t <= 64, asked in a shuffled order,
-    against the coset walk; no record gets a field."""
+    """m = 17..40, past every field, t <= 64, asked from empty memos in a
+    shuffled order and again with t descending, against the coset walk,
+    and so are the per-t lists; no record gets a field."""
     pairs = [(m, t) for m in range(17, 41) for t in range(1, 65)]
     random.Random(17).shuffle(pairs)
-    for m, t in pairs:
-        assert parity_bit_count(m, t) == sum(map(len, _designed_cosets(m, t))), (m, t)
-    assert sorted(bch_module._PER_M) == list(range(17, 41))
-    assert all(record[4] is None for record in bch_module._PER_M.values())
+    for order in (pairs, sorted(pairs, key=lambda mt: (mt[0], -mt[1]))):
+        bch_module._PER_M.clear()
+        for m, t in order:
+            assert parity_bit_count(m, t) == sum(map(len, _designed_cosets(m, t))), (m, t)
+        assert sorted(bch_module._PER_M) == list(range(17, 41))
+        assert all(record[4] is None for record in bch_module._PER_M.values())
+        assert all(len(record[1]) == 65 for record in bch_module._PER_M.values())
+        _assert_lists_match_cosets()
 
 
 def test_memos_walk_only_as_far_as_asked(empty_memos):
     """t = 1 walks exponents 1 and 2 of GF(2^16), not its 4,115 cosets,
-    and keeps one record: leader 1, its coset's 16 exponents, one
-    generator product, the minimal polynomial of alpha, and the code's
-    field."""
+    and keeps one record: leader 1, R and the leader count for t = 0, 1,
+    one generator product, the minimal polynomial of alpha, and the code's
+    field.  parity_bit_count(16, 3) then walks on to t = 3 only."""
     code = bch_construct(16, 1)
     primitive = BinaryPolynomial(PRIMITIVE_POLYNOMIALS[16])
-    assert bch_module._PER_M == {16: [[1], [16], [primitive], 2, code.field]}
+    assert bch_module._PER_M == {16: [[1], [0, 16], [0, 1], [primitive], code.field]}
     assert bch_module._PER_M[16][4] is code.field
+    assert parity_bit_count(16, 3) == 48
+    assert bch_module._PER_M[16][:4] == [[1, 3, 5], [0, 16, 32, 48], [0, 1, 2, 3], [primitive]]
 
 
 def test_codes_of_one_m_share_one_field(empty_memos):
@@ -182,7 +204,7 @@ def test_generators_multiply_each_leader_in_once(empty_memos, monkeypatch):
     for t in ts:
         bch_construct(10, t)
     leaders = len(_designed_cosets(10, ts[-1]))
-    assert leaders == len(bch_module._PER_M[10][2])
+    assert leaders == len(bch_module._PER_M[10][3])
     assert len(calls) == leaders
     calls.clear()
     for t in ts:
@@ -500,6 +522,83 @@ def test_table_refuses_what_selection_refuses(ells, ts):
     with pytest.raises(ValueError) as raised:
         overhead_table(ells, ts)
     assert str(raised.value) == message
+
+
+def _rows_one_at_a_time(ells, ts):
+    """The overhead rows built one (ell, t) at a time from
+    bch_select_parameters and fujiwara_extra_measurements."""
+    return [
+        (ell, t, bch_select_parameters(ell, t)[1],
+         fujiwara_extra_measurements(ell, t)[0] if 2 * t <= ell else None, 2 * t * ell)
+        for ell in ells for t in ts
+    ]
+
+
+@pytest.mark.parametrize(
+    "ells, ts", [(range(1, 257), range(1, 33)), (range(1, 65), [3, 1, 16, 2, 16])],
+    ids=["256x32", "64x5-unordered"],
+)
+def test_table_equals_rows_built_one_at_a_time(empty_memos, ells, ts):
+    """From empty memos, and again warm, a table equals its rows built one
+    (ell, t) at a time."""
+    cold = overhead_table(ells, ts)
+    want = _rows_one_at_a_time(ells, ts)
+    assert [tuple(r) for r in cold] == want
+    assert [tuple(r) for r in overhead_table(ells, ts)] == want
+
+
+def test_warm_table_makes_no_walk(empty_memos, monkeypatch):
+    """The 64 x 16 table walks a record 17 times from empty memos, once
+    each time a row's t passes the end of its m's lists, and not at all
+    warm: a row reads R off the list of the m it selects."""
+    calls = []
+    walk = bch_module._walk
+
+    def counting(m, t):
+        calls.append((m, t))
+        return walk(m, t)
+
+    monkeypatch.setattr(bch_module, "_walk", counting)
+    cold = overhead_table(range(1, 65), range(1, 17))
+    assert len(calls) == 17
+    calls.clear()
+    assert overhead_table(range(1, 65), range(1, 17)) == cold
+    assert calls == []
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["empty", "warm"])
+def test_counting_entry_points_read_integers_alone(empty_memos, warm):
+    """A bool or float m, t or ell is a ValueError naming it, whatever the
+    memo holds, and a t below 1 is refused as such; numpy integers count
+    as the Python ones."""
+    if warm:
+        bch_construct(3, 1)
+        bch_construct(4, 1)
+        overhead_table(range(1, 17), range(1, 5))
+    refused = [
+        (parity_bit_count, (4.0, 1), 4.0), (parity_bit_count, (4, 1.0), 1.0),
+        (parity_bit_count, (4, True), True), (bch_construct, (3, 1.0), 1.0),
+        (bch_construct, (4, True), True), (bch_construct, (4.0, 1), 4.0),
+        (bch_select_parameters, (10.0, 3), 10.0), (bch_select_parameters, (10, 3.0), 3.0),
+        (bch_select_m, (10, True), True), (bch_select_m, (10.5, 3), 10.5),
+        (fujiwara_extra_measurements, (10, True), True), (fujiwara_extra_measurements, (10.0, 3), 10.0),
+        (overhead_table, ([10.0], [3]), 10.0), (overhead_table, ([10], [1, 3.0]), 3.0),
+        (overhead_table, ([True], [1]), True), (overhead_table, ([10], [np.bool_(True)]), np.bool_(True)),
+    ]
+    for call, args, bad in refused:
+        with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}$"):
+            call(*args)
+    for m, t in [(4, 0), (4, -1), (3, -7)]:
+        for call in (parity_bit_count, bch_construct):
+            with pytest.raises(ValueError, match="^t must be at least 1$"):
+                call(m, t)
+    assert parity_bit_count(np.int64(4), np.int32(1)) == parity_bit_count(4, 1) == 4
+    code = bch_construct(np.int64(3), np.int64(1))
+    assert (type(code.t), code.distance) == (int, 3)
+    assert bch_select_parameters(np.int64(10), np.int16(3)) == bch_select_parameters(10, 3)
+    assert fujiwara_extra_measurements(np.int64(10), np.int64(3)) == (76, [6, 10, 10])
+    (row,) = overhead_table([np.int64(10)], [np.int64(3)])
+    assert row == (10, 3, 15, 76, 60) and all(type(v) is int for v in row)
 
 
 def test_select_parameters_infeasible():

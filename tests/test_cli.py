@@ -638,6 +638,14 @@ _DIGEST_SWEEP = "c8f795bbc6254777be5b44807a4ac0cb244bb491fdc9b6a13535e346c44a73f
             id="qds-count-out",
         ),
         pytest.param(
+            [["qds", "count", "--ell-range", "1:256", "--t-range", "1:32", "--out", "count.csv"]],
+            {
+                "stdout": "98524c3ecdf12f5276ac4db3a9522621e6e72ade8fcc440ded5369fe37c12bb9",
+                "count.csv": "1a6aef6b9c3460eb1934dfcfea1ca8778d7b1e4af9d56df3c2c5eca249baa1d9",
+            },
+            id="qds-count-256x32-out",
+        ),
+        pytest.param(
             [_GRID_BCH3],
             {
                 "stdout": "027ff04f70dd9e29ebb027f034a9e5262edcf5aa8c68df00065e55cf386d4552",
