@@ -17,10 +17,10 @@ Three SM families are provided: a shortened BCH code of dimension ell
 (the interesting one), the (2t+1)-fold repetition of all ell measurements,
 and the identity (plain single measurement, no protection).
 
-Every trial that verify enumerates, that direct_monte_carlo draws, or
-that a grid draws (sim._run_cell) gets one verdict, taken as whole-batch
-numpy operations on tables that are built on the first batch (never by
-QdsCode() or decode).  A batch is an array of error masks x | z << n and
+Every trial that direct_monte_carlo draws, or that a grid draws
+(sim._run_cell), gets one verdict, taken as whole-batch numpy operations
+on tables that are built on the first batch (never by QdsCode() or
+decode).  A batch is an array of error masks x | z << n and
 one of n_s-bit flip masks, the masks the one-trial path uses
 (sim._draw_flips draws a flip mask as the set of a row's w_s smallest
 random keys, in no order).  QdsCode._count_failures is the verdict: a
@@ -51,6 +51,11 @@ stabilizer group.  The verdict's two halves:
   an array over all 2^ell syndromes, or past ell = 20 one binary search
   of its rows for the whole batch.  Any other decoder is called once per
   error, and its corrections' classes come from the same product.
+
+Since neither half reads the other's input, verify_correction_guarantee
+never pairs them: it tests each error of the region once with _corrects
+and each flip pattern once with SyndromeMeasurementCode._count_zero_decodes,
+and a cell's passing cases are the product of the two counts.
 
 Every GF(2) product on a batch is BinaryMatrix._mul_masks, one gather per
 chunk of at most 16 matrix rows: a single gather for Steane's 14-row
@@ -166,8 +171,9 @@ class SyndromeMeasurementCode(ABC):
     def _count_zero_decodes(self, max_weight: int) -> Tuple[int, ...]:
         """For w <= max_weight, how many weight-w flip patterns decode alone
         to 0 with no give-up, by testing every one with `_decode_is_zero`:
-        the reference `_zero_counts`, in closed form or from the word
-        table, is tested against."""
+        the readout half of verify_correction_guarantee, which so builds no
+        `_zero_words` table, and the reference `_zero_counts`, in closed
+        form or from the word table, is tested against."""
         out = []
         for w in range(max_weight + 1):
             blocks = _support_mask_blocks(self.n_s, w)
@@ -601,12 +607,6 @@ class VerifyCell:
     failures: int
 
 
-# cases per kernel call: the kernel's temporaries, with the case-index
-# arrays, peak at about 80 bytes a case on int64 masks, so a batch keeps
-# them within 512 KB, inside a core's L2 cache
-_VERIFY_BATCH = (1 << 19) // 80
-
-
 def verify_correction_guarantee(
     qds: QdsCode, quantum_decoder, budget: int = 10**6
 ) -> List[VerifyCell]:
@@ -614,8 +614,13 @@ def verify_correction_guarantee(
     combined with every readout flip pattern of weight <= t_s must decode
     to a correction with trivial residual.
 
-    Runs all cases exhaustively; raises BudgetExceededError (with the
-    required count) instead of starting a run larger than budget.
+    A case passes exactly when its flips decode alone to 0 and the decoder
+    corrects its error (the module docstring says why), so each half is
+    enumerated once: K(w_q) of the weight-w_q errors pass `_corrects`, Z(w_s)
+    of the weight-w_s flip patterns pass `_count_zero_decodes`, and cell
+    (w_q, w_s) fails on its cases less K(w_q) Z(w_s).  Raises
+    BudgetExceededError (with the required count of cases) instead of
+    verifying a region of more cases than budget.
     """
     n = qds.base.n
     n_s = qds.sm.n_s
@@ -631,17 +636,12 @@ def verify_correction_guarantee(
             required=total,
             budget=budget,
         )
-    # all flip patterns of each weight, lexicographic by support
-    flip_sets = [_support_masks(n_s, w_s) for w_s in range(t_s + 1)]
+    zero = qds.sm._count_zero_decodes(t_s)
     cells = []
     for w_q in range(t_data + 1):
         errors = _weight_pauli_masks(n, w_q)
-        for w_s, flips in enumerate(flip_sets):
-            # case k is error k // F with flips k % F, in `_VERIFY_BATCH`es
-            cases = len(errors) * len(flips)
-            failures = 0
-            for lo in range(0, cases, _VERIFY_BATCH):
-                e, f = np.divmod(np.arange(lo, min(lo + _VERIFY_BATCH, cases)), len(flips))
-                failures += qds._count_failures(quantum_decoder, errors[e], flips[f])
-            cells.append(VerifyCell(w_q=w_q, w_s=w_s, cases=cases, failures=failures))
+        kept = int(np.count_nonzero(qds._corrects(quantum_decoder, errors)))
+        for w_s, z in enumerate(zero):
+            cases = len(errors) * comb(n_s, w_s)
+            cells.append(VerifyCell(w_q=w_q, w_s=w_s, cases=cases, failures=cases - kept * z))
     return cells

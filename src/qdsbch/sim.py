@@ -358,11 +358,14 @@ def build_grid(
     get boundary_trials samples, the rest bulk_trials.  cells defaults to
     the full (n+1) x (n_s+1) domain.  The grid's code_meta is
     default_code_meta(qds, decoder); a caller that records more (the CLI
-    adds its provenance) updates grid.code_meta.  A seed or weight that is
-    not an integer (a bool or a float), or a negative seed, is a ValueError,
-    and numpy integers are stored as Python ones, so the grid's file can be
-    read back.
+    adds its provenance) updates grid.code_meta.  A seed, trial count or
+    weight that is not an integer (a bool or a float), or a negative seed,
+    is a ValueError, and numpy integers are stored as Python ones, so the
+    grid's file can be read back.
     """
+    if type(boundary_trials) is not int or type(bulk_trials) is not int:
+        boundary_trials = _as_int(boundary_trials, "boundary_trials")
+        bulk_trials = _as_int(bulk_trials, "bulk_trials")
     if boundary_trials < 1 or bulk_trials < 1:
         raise ValueError("trial counts must be positive")
     if type(seed) is not int:
@@ -577,8 +580,11 @@ def combine_grid_bounds(
     w_s <= t_s from code_meta) are exactly zero and contribute no
     uncertainty.  The upper bound includes the truncation mass.  A grid
     without either key certifies no cell; one that is not a nonnegative
-    JSON integer is a ValueError.
+    JSON integer is a ValueError, and so is a z that is not finite and
+    nonnegative, whether or not any cell needs an interval.
     """
+    if not 0.0 <= z < inf:  # also false for NaN
+        raise ValueError(f"z must be finite and nonnegative, got {z}")
     t_data, t_s = (_certified_radius(grid.code_meta, key) for key in ("t_data", "t_s"))
     n, n_s = _domain_from_meta(grid)
     prefs, kept, (mass,) = _prefactors(n, n_s, [(p_q, p_s)], truncation)
@@ -691,10 +697,15 @@ def direct_monte_carlo(
     """Plain Monte Carlo under the full error model (no stratification).
 
     Useful as a cross-check of grid recombination and as the only way to
-    sample the weight-aware readout model.
+    sample the weight-aware readout model.  A trial count or seed that is
+    not an integer (a bool or a float), or a negative seed, is a
+    ValueError.
     """
+    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     n = qds.base.n
     n_s = qds.sm.n_s
     if model.weight_aware:

@@ -681,6 +681,21 @@ _DIGEST_SWEEP = "c8f795bbc6254777be5b44807a4ac0cb244bb491fdc9b6a13535e346c44a73f
             {"stdout": "76a7a0ea3792998639bc45e14571053959f97eb13a7fe13e0d956c2923f7648c"},
             id="verify",
         ),
+        pytest.param(
+            [["verify", "--sm", "bch", "--t", "4"]],
+            {"stdout": "0fdcf864cbfdfacded6f9eb0f4c1841757d3e9af78f2e684f0a722a9bd0bcd0b"},
+            id="verify-bch4",
+        ),
+        pytest.param(
+            [["verify", "--sm", "repetition", "--reps", "3"]],
+            {"stdout": "6eb7baf58a7d92eaf12f98485aa201efa53e25a15005b03acd3b521d05bb0df1"},
+            id="verify-rep3",
+        ),
+        pytest.param(
+            [["verify", "--sm", "identity"]],
+            {"stdout": "e4f64268ffb67e320418b85f29002771e1f931eefec0fd360ce487db51c6dec6"},
+            id="verify-identity",
+        ),
     ],
 )
 def test_every_output_is_pinned(tmp_path, capsys, monkeypatch, steps, digests):

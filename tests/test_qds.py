@@ -790,40 +790,49 @@ def test_verify_identity_sm():
     assert all(c.failures == 0 for c in cells)
 
 
-def test_verify_looks_up_every_case_once(monkeypatch):
-    """Inside the guarantee every case reaches the lookup decoder, so the
-    lookups must equal the cases, including cells split into batches."""
+def test_verify_tests_every_error_and_every_flip_pattern_once(monkeypatch):
+    """verify tests each half of the region once, never their pairs: a
+    decoder the kernel has no table for is looked up once per data error of
+    weight <= t_data, and the readout decodes each flip pattern of weight
+    <= t_s once."""
     base = steane_code()
     q = qds_assemble(base, bch_sm(6, 3))
-    dec = _CountingDecoder(lookup_decoder_build(base, max_weight=0))
-    # batches of 500 split the 1,330-case cell at two edges
-    monkeypatch.setattr("qdsbch.qds._VERIFY_BATCH", 500)
+    dec = _CountingDecoder(lookup_decoder_build(base, max_weight=1))
+    words = []
+    decode_is_zero = q.sm._decode_is_zero
+    monkeypatch.setattr(
+        q.sm, "_decode_is_zero", lambda f: words.append(len(f)) or decode_is_zero(f)
+    )
     cells = verify_correction_guarantee(q, dec)
-    assert [c.cases for c in cells] == [comb(21, w) for w in range(4)]
-    assert all(c.failures == 0 for c in cells)
-    assert dec.calls == sum(c.cases for c in cells)
-
-
-def test_verify_sends_every_case_to_the_kernel_once():
-    """Inside the guarantee a failure never depends on which flips meet
-    which error, so the pairing is checked on the batches themselves:
-    every (error, flips) case of a cell, each exactly once."""
-    base = steane_code()
-    q = qds_assemble(base, bch_sm(6, 3))
-    dec = lookup_decoder_build(base, max_weight=1)
-    seen = []
-    q._count_failures = lambda decoder, errors, flips: seen.extend(
-        zip(errors.tolist(), flips.tolist())
-    ) or 0
-    cells = verify_correction_guarantee(q, dec)
-    want = [
-        (e.symplectic_mask(), sum(1 << i for i in sites))
-        for cell in cells
-        for e in iter_weight_paulis(base.n, cell.w_q)
-        for sites in itertools.combinations(range(q.sm.n_s), cell.w_s)
+    assert [c.cases for c in cells] == [
+        comb(7, w_q) * 3**w_q * comb(21, w_s) for w_q in range(2) for w_s in range(4)
     ]
-    assert len(want) == 34364
-    assert sorted(seen) == sorted(want)
+    assert all(c.failures == 0 for c in cells)
+    assert dec.calls == 1 + 21
+    assert sum(words) == sum(comb(21, w) for w in range(4)) == 1562
+
+
+@pytest.mark.parametrize(
+    "sm, max_weight",
+    [(bch_sm(6, 3), 1), (bch_sm(6, 4), 1), (repetition_sm(6, 3), 1), (repetition_sm(6, 3), 2)],
+    ids=["bch3", "bch4", "rep3", "rep3-overreaching-decoder"],
+)
+def test_verify_cells_equal_the_kernel_over_every_pair(sm, max_weight):
+    """The pairing verify does not make is its oracle: every (error, flips)
+    case of each cell of the region, each exactly once, through the trial
+    kernel."""
+    base = steane_code()
+    q = qds_assemble(base, sm)
+    dec = lookup_decoder_build(base, max_weight=max_weight)
+    cells = verify_correction_guarantee(q, dec)
+    assert [(c.w_q, c.w_s) for c in cells] == [
+        (w_q, w_s) for w_q in range(max_weight + 1) for w_s in range(sm.t_s + 1)
+    ]
+    for c in cells:
+        errors = _weight_pauli_masks(base.n, c.w_q)
+        flips = _support_masks(sm.n_s, c.w_s)
+        pairs = np.repeat(errors, len(flips)), np.tile(flips, len(errors))
+        assert (c.cases, c.failures) == (len(pairs[0]), q._count_failures(dec, *pairs))
 
 
 def test_verify_counts_the_failures_of_an_overreaching_decoder():

@@ -391,11 +391,28 @@ def test_build_grid_refuses_what_a_grid_file_cannot_hold(seed, cells, bad):
 def test_a_grid_of_numpy_integers_round_trips():
     q, dec = _steane_qds(repetition_sm(6, 3))
     cells = [(np.int64(wq), np.int64(ws)) for wq in range(3) for ws in (0, 2, 5)]
-    grid = build_grid(q, dec, seed=np.int64(7), boundary_trials=20, bulk_trials=4, cells=cells)
+    grid = build_grid(
+        q, dec, seed=np.int64(7), boundary_trials=np.int64(20), bulk_trials=np.int64(4), cells=cells
+    )
     assert type(grid.seed) is int
     assert all(type(w) is int for cell in grid.cells for w in cell)
+    assert all(type(st.trials) is type(st.failures) is int for st in grid.cells.values())
     assert SimGrid.from_json_text(grid.to_json_text()) == grid
     assert grid == build_grid(q, dec, seed=7, boundary_trials=20, bulk_trials=4, cells=cells)
+
+
+@pytest.mark.parametrize("bad", [20.0, True, np.bool_(True)], ids=["float", "bool", "numpy-bool"])
+@pytest.mark.parametrize("which", ["boundary_trials", "bulk_trials"])
+def test_build_grid_and_sweep_refuse_a_trial_count_that_is_not_an_integer(which, bad):
+    """A float or bool trial count once built a grid that `from_json_text`
+    refused to read back."""
+    q, dec = _steane_qds()
+    counts = {"boundary_trials": 4, "bulk_trials": 2, which: bad}
+    message = f"^{which} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        build_grid(q, dec, seed=1, cells=[(0, 0), (5, 5)], **counts)
+    with pytest.raises(ValueError, match=message):
+        sweep(q, dec, [1e-2], ratio=1.0, seed=1, **counts)
 
 
 def test_alternating_decoders_on_one_code_give_the_fresh_grids():
@@ -565,6 +582,16 @@ def test_combine_rejects_a_non_finite_truncation(truncation):
         required_cells(7, 6, [(1e-3, 1e-3)], truncation=truncation)
     with pytest.raises(ValueError):
         required_cells(7, 6, [(1e-3, 1e-3)], truncation=-1.0)
+
+
+@pytest.mark.parametrize("z", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+def test_combine_bounds_refuse_a_bad_z_where_every_kept_cell_is_certified(z):
+    """A grid whose every cell is certified needs no interval, so a bad z
+    was once accepted there and refused at a point that needed one."""
+    grid = _all_pass_grid(t_data=1, t_s=1)
+    for p in (0.0, 0.1):
+        with pytest.raises(ValueError, match="z must be finite and nonnegative"):
+            combine_grid_bounds(grid, p, p, z=z)
 
 
 def test_combine_requires_domain_metadata():
@@ -756,6 +783,24 @@ def test_direct_monte_carlo_deterministic():
     a = direct_monte_carlo(q, dec, model, trials=2_000, seed=5)
     b = direct_monte_carlo(q, dec, model, trials=2_000, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "trials, seed, message",
+    [
+        pytest.param(True, 5, "trials must be an integer, got True", id="trials-bool"),
+        pytest.param(50.0, 5, "trials must be an integer, got 50.0", id="trials-float"),
+        pytest.param(50, 1.5, "seed must be an integer, got 1.5", id="seed-float"),
+        pytest.param(50, True, "seed must be an integer, got True", id="seed-bool"),
+        pytest.param(50, -1, "seed must be nonnegative, got -1", id="seed-negative"),
+    ],
+)
+def test_direct_monte_carlo_refuses_what_is_not_a_count_or_a_seed(trials, seed, message):
+    """A bool or float trial count and a float seed once raised numpy's
+    TypeErrors, and seed=True ran as seed 1."""
+    q, dec = _steane_qds()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        direct_monte_carlo(q, dec, ErrorModel(p_q=0.05, p_s=0.02), trials=trials, seed=seed)
 
 
 def test_weight_aware_model_runs():
