@@ -19,7 +19,9 @@ than 0 or 1 is a ValueError.  Every public call that takes or returns
 such a tuple converts through `_bits_to_mask` and `_mask_to_bits`, and
 every integer argument that must not be a bool or float through `_as_int`.
 Tables indexed by a mask (a syndrome) are built only up to
-2^_MAX_TABLE_BITS entries.
+2^_MAX_TABLE_BITS entries, and a bool table of a test over every mask of
+a width is built by `_mask_table`, `_TABLE_CHUNK` masks per call of the
+test.
 
 Text serialization: a header line "rows cols", then one line of '0'/'1'
 characters per row.
@@ -37,6 +39,10 @@ import numpy as np
 _MAX_TABLE_BITS = 20
 # the most matrix rows one `_mul_masks` table covers: 2^16 int64 entries is 512 KB
 _CHUNK_BITS = 16
+# masks per test call while `_mask_table` builds a table: a whole 2^18-word
+# repetition(3) readout at once held about 8 MB of temporaries, and all 4^10
+# Paulis of a 10-qubit code about 40 MB
+_TABLE_CHUNK = 1 << 12
 
 
 def _bits_to_mask(bits: Iterable[int], what: str, width: int | None = None) -> int:
@@ -76,6 +82,21 @@ def _as_int(value, what: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _mask_table(width: int, test) -> np.ndarray | None:
+    """test(masks) over all 2^width masks, as a bool array indexed by mask.
+    test takes an array of the `_mask_dtype` of width and is called on
+    `_TABLE_CHUNK` masks at a time, so the build's temporaries stay small
+    beside the table.  None, with no call of test, where 2^width passes
+    2^_MAX_TABLE_BITS."""
+    if width > _MAX_TABLE_BITS:
+        return None
+    out = np.empty(1 << width, dtype=bool)
+    for lo in range(0, len(out), _TABLE_CHUNK):
+        masks = np.arange(lo, min(lo + _TABLE_CHUNK, len(out)), dtype=_mask_dtype(width))
+        out[lo : lo + len(masks)] = test(masks)
+    return out
 
 
 class BinaryMatrix:

@@ -52,10 +52,18 @@ stabilizer group.  The verdict's two halves:
   of its rows for the whole batch.  Any other decoder is called once per
   error, and its corrections' classes come from the same product.
 
-Since neither half reads the other's input, verify_correction_guarantee
-never pairs them: it tests each error of the region once with _corrects
-and each flip pattern once with SyndromeMeasurementCode._count_zero_decodes,
-and a cell's passing cases are the product of the two counts.
+Both tables, _zero_words and _corrected, are linalg._mask_table of their
+half's batched test, built a few thousand masks per call.
+
+Since neither half reads the other's input, nothing exact pairs them.
+K(w), how many weight-w errors the decoder corrects, is
+QdsCode._corrected_counts, which tests each error once with _corrects;
+Z(w), how many weight-w flip patterns decode alone to 0, is the SM code's
+_count_zero_decodes (each pattern tested once) or _zero_counts (closed
+form or the word table).  A cell (w_q, w_s) passes on K(w_q) Z(w_s) of
+its |E_wq| C(n_s, w_s) cases, the one formula _exact_cells, which
+verify_correction_guarantee reads up to its radii and sim._grid_plan over
+the whole grid.
 
 Every GF(2) product on a batch is BinaryMatrix._mul_masks, one gather per
 chunk of at most 16 matrix rows: a single gather for Steane's 14-row
@@ -104,6 +112,7 @@ from .linalg import (
     _as_int,
     _bits_to_mask,
     _mask_dtype,
+    _mask_table,
     _mask_to_bits,
 )
 from .stabilizer import (
@@ -196,17 +205,10 @@ class SyndromeMeasurementCode(ABC):
     @cached_property
     def _zero_words(self) -> Optional[np.ndarray]:
         """Whether each n_s-bit word decodes alone to 0 with no give-up, as
-        a bool array over all 2^n_s words.  Built on first use from
-        `_decode_is_zero`, `_ZERO_CHUNK` words at a time, so the build's
-        temporaries stay small beside the table; None where 2^n_s passes
+        a bool array over all 2^n_s words: `_decode_is_zero` of every word,
+        by `_mask_table`.  Built on first use; None where 2^n_s passes
         2^_MAX_TABLE_BITS."""
-        if self.n_s > _MAX_TABLE_BITS:
-            return None
-        out = np.empty(1 << self.n_s, dtype=bool)
-        for lo in range(0, len(out), _ZERO_CHUNK):
-            words = np.arange(lo, min(lo + _ZERO_CHUNK, len(out)), dtype=_mask_dtype(self.n_s))
-            out[lo : lo + len(words)] = self._decode_is_zero(words)
-        return out
+        return _mask_table(self.n_s, self._decode_is_zero)
 
     def _decodes_to_zero(self, flips: np.ndarray) -> np.ndarray:
         """The readout half of a trial's verdict: whether each flip mask of
@@ -293,10 +295,13 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
     Layout is copy-major: the whole ell-bit syndrome repeated whole, so
     bit b of copy c sits at position b + c*ell.  Decoding is an
     independent majority vote per bit; it never reports failure.  reps=1
-    is the identity SM code (single unprotected measurement).
+    is the identity SM code (single unprotected measurement).  An ell or
+    reps that is not an integer (a bool or a float) is a ValueError, and
+    numpy integers are kept as Python ones, so n_s and t_s are too.
     """
 
     def __init__(self, ell: int, reps: int):
+        ell, reps = _as_int(ell, "ell"), _as_int(reps, "reps")
         if ell < 1:
             raise ValueError("ell must be positive")
         if reps < 1 or reps % 2 == 0:
@@ -344,10 +349,6 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
 # the most masks `_support_mask_blocks` puts in one block: with the site
 # indices, a few MB
 _SUPPORT_BLOCK = 1 << 16
-
-# words per `_decode_is_zero` call while `_zero_words` is built: a whole
-# 2^18-word repetition(3) readout at once held about 8 MB of temporaries
-_ZERO_CHUNK = 1 << 12
 
 
 def _word_weights(n: int) -> np.ndarray:
@@ -464,6 +465,14 @@ class QdsCode:
         )
         fixed = self.base._syndrome_and_class._mul_masks(corrections) >> ell
         return np.array([c is not None for c in found], dtype=bool) & (fixed == product >> ell)
+
+    def _corrected_counts(self, decoder, max_weight: int) -> Tuple[int, ...]:
+        """K(w) for w <= max_weight: how many weight-w Paulis the decoder
+        corrects, by testing every one with `_corrects`, as Python ints.
+        Any decoder of the base code and any n; a `LookupDecoder` with a
+        `_corrected` table answers by gathers on it."""
+        errors = (_weight_pauli_masks(self.base.n, w) for w in range(max_weight + 1))
+        return tuple(int(np.count_nonzero(self._corrects(decoder, e))) for e in errors)
 
     def __repr__(self) -> str:
         return f"QdsCode(base={self.base!r}, sm={self.sm!r})"
@@ -597,6 +606,20 @@ def overhead_table(ells: Iterable[int], ts: Iterable[int]) -> List[OverheadEntry
 # --- exhaustive verification -----------------------------------------------
 
 
+def _exact_cells(n: int, n_s: int, kept: Sequence[int], zero: Sequence[int]) -> Iterator[tuple]:
+    """((w_q, w_s), (cases, failures)) of each cell w_q < len(kept), w_s <
+    len(zero), in row-major order, from K = kept and Z = zero: a case
+    passes exactly when the decoder corrects its error and its flips
+    decode alone to 0 (the module docstring says why), and errors and
+    flips are independent, so of the |E_wq| C(n_s, w_s) cases
+    K(w_q) Z(w_s) pass."""
+    for w_q, k in enumerate(kept):
+        errors = comb(n, w_q) * 3**w_q
+        for w_s, z in enumerate(zero):
+            cases = errors * comb(n_s, w_s)
+            yield (w_q, w_s), (cases, cases - k * z)
+
+
 @dataclass(frozen=True)
 class VerifyCell:
     """Exhaustive two-step check over one (data weight, flip weight) cell."""
@@ -616,9 +639,9 @@ def verify_correction_guarantee(
 
     A case passes exactly when its flips decode alone to 0 and the decoder
     corrects its error (the module docstring says why), so each half is
-    enumerated once: K(w_q) of the weight-w_q errors pass `_corrects`, Z(w_s)
-    of the weight-w_s flip patterns pass `_count_zero_decodes`, and cell
-    (w_q, w_s) fails on its cases less K(w_q) Z(w_s).  Raises
+    enumerated once: K is `QdsCode._corrected_counts` up to t_data, Z the
+    SM code's `_count_zero_decodes` up to t_s, and the cells are
+    `_exact_cells` of the two.  Raises
     BudgetExceededError (with the required count of cases) instead of
     verifying a region of more cases than budget.
     """
@@ -636,12 +659,6 @@ def verify_correction_guarantee(
             required=total,
             budget=budget,
         )
+    kept = qds._corrected_counts(quantum_decoder, t_data)
     zero = qds.sm._count_zero_decodes(t_s)
-    cells = []
-    for w_q in range(t_data + 1):
-        errors = _weight_pauli_masks(n, w_q)
-        kept = int(np.count_nonzero(qds._corrects(quantum_decoder, errors)))
-        for w_s, z in enumerate(zero):
-            cases = len(errors) * comb(n_s, w_s)
-            cells.append(VerifyCell(w_q=w_q, w_s=w_s, cases=cases, failures=cases - kept * z))
-    return cells
+    return [VerifyCell(*cell, *count) for cell, count in _exact_cells(n, n_s, kept, zero)]

@@ -38,12 +38,13 @@ s ^ D(f), D(f) what f decodes to alone; the lookup correction for that
 syndrome has it, so the residual's syndrome is D(f), and a residual with
 a nonzero syndrome is never in the stabilizer group.  Errors and flips
 are drawn independently, so a cell passes on K(w_q) Z(w_s) of its |E_wq|
-C(n_s, w_s) cases: K is the decoder's `_corrected_counts`, the weight-w_q
-Paulis it corrects, and Z the SM code's `_zero_counts`, the weight-w_s
-patterns that decode alone to 0 (C(n_s, w) up to t_s and 0 above for
-BCH, a power of a polynomial for repetition).  From the two counts,
-`_grid_plan` gives each cell one verdict, once per code and decoder: pass
-where K and Z are all of their cases, fail where either is 0, else draw.
+C(n_s, w_s) cases (qds._exact_cells, the formula `verify` reads too): K
+is `QdsCode._corrected_counts`, the weight-w_q Paulis the decoder
+corrects, and Z the SM code's `_zero_counts`, the weight-w_s patterns
+that decode alone to 0 (C(n_s, w) up to t_s and 0 above for BCH, a
+power of a polynomial for repetition).  From those cells, `_grid_plan`
+gives each cell one verdict, once per code and decoder: pass where none
+of its cases fail, fail where all do, else draw.
 build_grid records a certain cell as 0 or `trials` failures without
 building its generator: 152 of the 176 cells of Steane + BCH(t=3), 100
 of the 152 of Steane + repetition(3).  A drawn cell takes its errors'
@@ -74,7 +75,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import _as_int, _mask_dtype
-from .qds import QdsCode
+from .qds import QdsCode, _exact_cells
 from .stabilizer import LookupDecoder, _pauli_masks
 
 Cell = Tuple[int, int]
@@ -413,34 +414,24 @@ def _grid_plan(qds: QdsCode, decoder) -> tuple:
     the code's one-entry `_grid_plan` slot, which a call with another
     decoder replaces.
 
-    A cell passes on K(w_q) Z(w_s) of its |E_wq| C(n_s, w_s) cases (see
-    the module docstring), with K the decoder's `_corrected_counts` and Z
-    the SM code's `_zero_counts`: its rate is certainly 0 where both are
-    all of their cases and certainly 1 where either is 0.  Every verdict
-    is _DRAW unless the decoder is a `LookupDecoder` of qds.base itself and
-    both counts exist (see those properties for when)."""
+    A cell's failures are `qds._exact_cells` of K, from
+    `QdsCode._corrected_counts`, and Z, the SM code's `_zero_counts` (see
+    the module docstring): its rate is certainly 0 where none of its cases
+    fail and certainly 1 where all do.  Every verdict is _DRAW unless the
+    decoder is a `LookupDecoder` of qds.base itself whose `_corrected`
+    table exists, so K is read off it, and the SM code has Z (see those
+    properties for when)."""
     slot = qds._grid_plan
     if slot is not None and slot[0] is decoder:
         return slot[1]
     n, n_s = qds.base.n, qds.sm.n_s
-    kept = zero = None
-    if type(decoder) is LookupDecoder and decoder.code is qds.base:
-        kept = decoder._corrected_counts
-        zero = None if kept is None else qds.sm._zero_counts
-    if zero is None:
-        verdicts = [[_DRAW] * (n_s + 1)] * (n + 1)
-    else:
-        verdicts = []
-        for w_q, k in enumerate(kept):
-            row = []
-            for w_s, z in enumerate(zero):
-                if not k or not z:
-                    row.append(_FAIL)
-                elif k == comb(n, w_q) * 3**w_q and z == comb(n_s, w_s):
-                    row.append(_PASS)
-                else:
-                    row.append(_DRAW)
-            verdicts.append(row)
+    verdicts = [[_DRAW] * (n_s + 1) for _ in range(n + 1)]
+    exact = type(decoder) is LookupDecoder and decoder.code is qds.base
+    zero = qds.sm._zero_counts if exact and decoder._corrected is not None else None
+    if zero is not None:
+        kept = qds._corrected_counts(decoder, n)
+        for (w_q, w_s), (cases, failures) in _exact_cells(n, n_s, kept, zero):
+            verdicts[w_q][w_s] = _PASS if not failures else _FAIL if failures == cases else _DRAW
     plan = (default_code_meta(qds, decoder), verdicts)
     qds._grid_plan = (decoder, plan)
     return plan

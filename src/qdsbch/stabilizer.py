@@ -32,7 +32,8 @@ PauliOperator it returns, and a batch of syndromes (`_classes_of`) reads
 only the class column, by one gather or one binary search.  Whether the
 table corrects each Pauli of a batch (`_corrects`, the data half of a
 trial's verdict) is one gather on `_corrected`, that answer for all 4^n
-Paulis, or past n = 10 one product of the batch and a `_classes_of`.
+Paulis built by `linalg._mask_table`, or past n = 10 one product of the
+batch and a `_classes_of`.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ import numpy as np
 from .linalg import (
     _MAX_TABLE_BITS,
     BinaryMatrix,
+    _as_int,
     _bits_to_mask,
     _mask_dtype,
+    _mask_table,
     _mask_to_bits,
 )
 
@@ -437,21 +440,9 @@ class LookupDecoder:
     @cached_property
     def _corrected(self) -> Optional[np.ndarray]:
         """`_matches_class` of all 4^n symplectic masks, as a bool array
-        indexed by mask.  None where the 4^n masks would pass
-        2^_MAX_TABLE_BITS entries; built on first use."""
-        if 2 * self.code.n > _MAX_TABLE_BITS:
-            return None
-        return self._matches_class(np.arange(1 << 2 * self.code.n))
-
-    @cached_property
-    def _corrected_counts(self) -> Optional[Tuple[int, ...]]:
-        """K[w] for w = 0..n: how many weight-w Paulis `_corrected` marks, as
-        Python ints.  None where `_corrected` is; built on first use."""
-        corrected = self._corrected
-        if corrected is None:
-            return None
-        n = self.code.n
-        return tuple(int(corrected[_weight_pauli_masks(n, w)].sum()) for w in range(n + 1))
+        indexed by mask (`_mask_table`).  None where the 4^n masks would
+        pass 2^_MAX_TABLE_BITS entries; built on first use."""
+        return _mask_table(2 * self.code.n, self._matches_class)
 
     @property
     def covered(self) -> bool:
@@ -488,7 +479,13 @@ def lookup_decoder_build(
     key within each block, then over the older rows and every block's
     winners together.  The older rows' tie keys are -1 by then, so a
     syndrome reached at a lower weight keeps its row.
+
+    A max_weight that is not an integer (a bool or a float) is a
+    ValueError, and a numpy integer is kept as a Python one, since a grid
+    records it as t_data.
     """
+    if type(max_weight) is not int:
+        max_weight = _as_int(max_weight, "max_weight")
     if max_weight < 0 or max_weight > code.n:
         raise ValueError("max_weight must be in [0, n]")
     n = code.n

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdsbch.linalg import BinaryMatrix, _bits_to_mask, _mask_dtype
+from qdsbch.linalg import (
+    _MAX_TABLE_BITS,
+    _TABLE_CHUNK,
+    BinaryMatrix,
+    _bits_to_mask,
+    _mask_dtype,
+    _mask_table,
+)
 from qdsbch.stabilizer import steane_code
 
 
@@ -282,3 +289,33 @@ def test_from_rows_row_bits_roundtrip(rows, data):
         BinaryMatrix.from_rows(rows)
     with pytest.raises(ValueError):
         m.in_row_space(rows[i])
+
+
+def _some_masks(masks):
+    """An arbitrary test of masks, true on about 3 in 7."""
+    return masks % 7 < 3
+
+
+@pytest.mark.parametrize("width", [10, 12, 13])
+def test_mask_table_is_one_call_of_the_test_over_every_mask(width):
+    """Below, at and past one `_TABLE_CHUNK` of masks, the table equals one
+    unchunked call of the test, which the build makes in chunks of every
+    mask in order."""
+    calls = []
+    table = _mask_table(width, lambda masks: calls.append(masks) or _some_masks(masks))
+    every = np.arange(1 << width, dtype=_mask_dtype(width))
+    assert table.dtype == bool and np.array_equal(table, _some_masks(every))
+    assert np.array_equal(np.concatenate(calls), every)
+    assert len(calls) == -(-len(every) // _TABLE_CHUNK)
+    assert all(len(masks) <= _TABLE_CHUNK and masks.dtype == every.dtype for masks in calls)
+
+
+def test_mask_table_stops_at_the_cap():
+    assert _MAX_TABLE_BITS == 20
+    table = _mask_table(20, lambda masks: masks & 1 == 0)
+    assert len(table) == 1 << 20 and table.sum() == 1 << 19
+
+    def never(masks):
+        raise AssertionError("the test was called past the cap")
+
+    assert _mask_table(21, never) is None

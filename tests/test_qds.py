@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -242,6 +243,32 @@ def test_repetition_sm_rejects_even_reps():
         repetition_sm(6, 2)
     with pytest.raises(ValueError):
         repetition_sm(6, 0)
+
+
+@pytest.mark.parametrize(
+    "ell, reps, bad",
+    [
+        (6, 3.0, 3.0),
+        (6.0, 3, 6.0),
+        (6, True, True),
+        (np.bool_(True), 3, np.bool_(True)),
+    ],
+    ids=["reps-float", "ell-float", "reps-bool", "ell-numpy-bool"],
+)
+def test_repetition_sm_refuses_what_is_not_an_integer(ell, reps, bad):
+    """A float reps was taken, with n_s = 18.0, until `qds_assemble` raised
+    a TypeError."""
+    which = "reps" if reps is bad else "ell"
+    message = f"^{which} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        RepetitionSyndromeMeasurement(ell, reps)
+
+
+def test_repetition_sm_keeps_numpy_integers_as_python_ints():
+    """n_s and t_s reach a grid's meta, which must stay JSON."""
+    for sm in (repetition_sm(np.int64(6), np.int64(3)), identity_sm(np.int64(6))):
+        assert all(type(v) is int for v in (sm.ell, sm.reps, sm.n_s, sm.t_s))
+    assert repetition_sm(np.int64(6), np.int64(3)).n_s == 18
 
 
 def test_encode_validates_length():
@@ -936,7 +963,7 @@ def test_corrected_counts_are_the_kernel_with_no_flips(base, radius):
     flips, counted by `_count_failures` on each weight."""
     q = qds_assemble(base, identity_sm(base.ell))
     dec = lookup_decoder_build(base, max_weight=radius)
-    kept = dec._corrected_counts
+    kept = q._corrected_counts(dec, base.n)
     assert len(kept) == base.n + 1 and all(type(k) is int for k in kept)
     for w, k in enumerate(kept):
         errors = _weight_pauli_masks(base.n, w)
@@ -945,8 +972,9 @@ def test_corrected_counts_are_the_kernel_with_no_flips(base, radius):
 
 
 def test_steane_corrected_counts_are_pinned():
-    dec = lookup_decoder_build(steane_code(), max_weight=1)
-    assert dec._corrected_counts == (1, 21, 42, 252, 609, 1281, 1428, 462)
+    q = qds_assemble(steane_code(), identity_sm(6))
+    dec = lookup_decoder_build(q.base, max_weight=1)
+    assert q._corrected_counts(dec, 7) == (1, 21, 42, 252, 609, 1281, 1428, 462)
 
 
 def _exact_cell(q, dec, w_q, w_s):
@@ -955,7 +983,7 @@ def _exact_cell(q, dec, w_q, w_s):
     table corrects its error (K), so |E_wq| C(n_s, w_s) - K(w_q) Z(w_s)
     fail."""
     cases = comb(q.base.n, w_q) * 3**w_q * comb(q.sm.n_s, w_s)
-    return cases, cases - dec._corrected_counts[w_q] * q.sm._zero_counts[w_s]
+    return cases, cases - q._corrected_counts(dec, q.base.n)[w_q] * q.sm._zero_counts[w_s]
 
 
 @pytest.mark.parametrize(
@@ -1028,7 +1056,6 @@ def test_assembly_and_decoder_build_make_no_exact_table():
     q = qds_assemble(base, bch_sm(6, 3))
     dec = lookup_decoder_build(base, max_weight=1)
     assert "_zero_counts" not in vars(q.sm)
-    assert "_corrected_counts" not in vars(dec)
     assert "_corrected" not in vars(dec)
     assert q._grid_plan is None
     # nor by a first decode, for a readout whose word table would exist
@@ -1054,15 +1081,16 @@ class _Enumerated(SyndromeMeasurementCode):
 
 
 def test_exact_tables_stop_at_their_caps():
-    """4^15 Paulis for the [[15,7,3]] code pass 2^20 entries, and a readout
-    has no Z past 2^20 flip patterns when only the enumeration can count
-    them."""
+    """4^15 Paulis for the [[15,7,3]] code pass 2^20 entries, so its grid
+    plan certifies no cell, and a readout has no Z past 2^20 flip patterns
+    when only the enumeration can count them."""
     simplex = [sum(((c >> i) & 1) << (c - 1) for c in range(1, 16)) for i in range(4)]
     wide = css_from_parity(BinaryMatrix(4, 15, simplex))
     assert (wide.n, wide.k) == (15, 7)
     wide_decoder = lookup_decoder_build(wide, max_weight=1)
     assert wide_decoder._corrected is None
-    assert wide_decoder._corrected_counts is None
+    _, verdicts = sim._grid_plan(qds_assemble(wide, identity_sm(wide.ell)), wide_decoder)
+    assert len(verdicts) == 16 and {v for row in verdicts for v in row} == {sim._DRAW}
     small = _Enumerated(repetition_sm(6, 3))
     assert small._zero_counts == repetition_sm(6, 3)._zero_counts
     assert _Enumerated(repetition_sm(7, 3))._zero_counts is None
@@ -1134,6 +1162,30 @@ def test_zero_words_builds_in_small_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_corrected_builds_in_small_chunks():
+    """The 4^10-entry table of two [[5,1,3]] blocks is 1 MB; built in one
+    `_matches_class` call its temporaries took about 40 MB.  Its counts
+    equal those of `_matches_class` run on each weight without it: every
+    weight-1 error, and the 5 * 5 * 9 weight-2 errors with one letter in
+    each block."""
+    five = [g.to_string() for g in _FIVE_QUBIT.generators]
+    base = StabilizerCode(
+        [PauliOperator.from_string(g + "IIIII") for g in five]
+        + [PauliOperator.from_string("IIIII" + g) for g in five]
+    )
+    dec = lookup_decoder_build(base, max_weight=1)
+    tracemalloc.start()
+    try:
+        dec._corrected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    q = qds_assemble(base, repetition_sm(base.ell, 3))
+    direct = [dec._matches_class(_weight_pauli_masks(10, w)).sum() for w in range(3)]
+    assert q._corrected_counts(dec, 2) == tuple(direct) == (1, 30, 225)
 
 
 def _kernel_passes(q, dec, errors, flips):

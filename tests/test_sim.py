@@ -401,6 +401,21 @@ def test_a_grid_of_numpy_integers_round_trips():
     assert grid == build_grid(q, dec, seed=7, boundary_trials=20, bulk_trials=4, cells=cells)
 
 
+def test_numpy_radius_and_reps_make_the_grid_of_python_ints():
+    """The decoder's radius and the readout's reps reach the grid meta as
+    t_data, n_s and t_s; numpy integers there once made a grid that
+    `to_json_text` could not write."""
+    base = steane_code()
+    q = qds_assemble(base, repetition_sm(base.ell, np.int64(3)))
+    dec = lookup_decoder_build(base, max_weight=np.int64(1))
+    grid = build_grid(q, dec, seed=7, boundary_trials=20, bulk_trials=4)
+    assert all(type(grid.code_meta[key]) is int for key in ("n_s", "t_s", "t_data"))
+    back = SimGrid.from_json_text(grid.to_json_text())
+    assert combine_grid_bounds(back, 1e-2, 1e-2) == combine_grid_bounds(grid, 1e-2, 1e-2)
+    q, dec = _steane_qds(repetition_sm(6, 3))
+    assert grid == build_grid(q, dec, seed=7, boundary_trials=20, bulk_trials=4)
+
+
 @pytest.mark.parametrize("bad", [20.0, True, np.bool_(True)], ids=["float", "bool", "numpy-bool"])
 @pytest.mark.parametrize("which", ["boundary_trials", "bulk_trials"])
 def test_build_grid_and_sweep_refuse_a_trial_count_that_is_not_an_integer(which, bad):
@@ -993,7 +1008,7 @@ def test_verdicts_match_the_exhaustive_kernel_count(sm):
     through the kernel: its failures are |E| C - K Z, and its verdict is a
     certain rate exactly where they are none or all of its cases."""
     q, dec = _steane_qds(sm)
-    kept, zero = dec._corrected_counts, q.sm._zero_counts
+    kept, zero = q._corrected_counts(dec, q.base.n), q.sm._zero_counts
     verdicts = _grid_plan(q, dec)[1]
     checked = 0
     for w_q in range(q.base.n + 1):

@@ -1,6 +1,7 @@
 """Pauli algebra and stabilizer codes, with a matrix-representation oracle."""
 
 import random
+import re
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -461,6 +462,17 @@ def test_lookup_decoder_rejects_bad_weight():
         lookup_decoder_build(code, max_weight=-1)
     with pytest.raises(ValueError):
         lookup_decoder_build(code, max_weight=8)
+
+
+@pytest.mark.parametrize(
+    "bad", [True, np.bool_(True), 1.0, "1"], ids=["bool", "numpy-bool", "float", "str"]
+)
+def test_lookup_decoder_refuses_a_weight_that_is_not_an_integer(bad):
+    """A bool weight was recorded as a grid's t_data, which the grid's file
+    then refused, and a float raised a bare TypeError from range."""
+    message = f"^max_weight must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        lookup_decoder_build(steane_code(), max_weight=bad)
 
 
 def test_decode_then_classify_is_trivial_up_to_t():
