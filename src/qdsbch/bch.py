@@ -294,7 +294,7 @@ def bch_select_parameters(ell: int, t: int) -> Tuple[int, int]:
     counts coset sizes and builds no field, so m has no cap: the search
     always ends, because 2^m - m*t - 1 grows without bound.
     """
-    return next(_select_parameters(_as_int(ell, "ell"), [_as_int(t, "t")]))
+    return next(_select_parameters(_as_int(ell, "ell", 1), [_as_int(t, "t")]))
 
 
 def _select_parameters(ell: int, ts: Sequence[int]) -> Iterator[Tuple[int, int]]:
@@ -303,9 +303,7 @@ def _select_parameters(ell: int, ts: Sequence[int]) -> Iterator[Tuple[int, int]]
     both get harder as t grows, so the least admissible m never falls while
     t rises; the walk starts over only where t falls.  R is read off the
     walked m's list, fetched again only where m moves or t passes its end;
-    a t below 1 always fetches, for _walk to refuse."""
-    if ell < 1:
-        raise ValueError("ell must be positive")
+    a t below 1 always fetches, for _walk to refuse.  ell is at least 1."""
     # ell <= 2^m - m*t - 1 < 2^m, so no m below ell's bit length qualifies
     m = start = max(2, ell.bit_length())
     rs = []

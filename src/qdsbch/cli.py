@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from .bch import bch_construct
+from .linalg import _as_int
 from .qds import (
     bch_sm,
     identity_sm,
@@ -250,11 +251,8 @@ def _cmd_sim_grid(args) -> int:
         ("--bulk-trials", args.bulk_trials, 1, None),
     )
     for flag, value, lowest, highest in limits:
-        if value is not None and value < lowest:
-            word = "positive" if lowest else "nonnegative"
-            raise UsageError(f"{flag} must be {word}, got {value}")
-        if value is not None and highest is not None and value > highest:
-            raise UsageError(f"{flag} must be at most {highest}, got {value}")
+        if value is not None:
+            _as_int(value, flag, lowest, highest)
     # sampling can take minutes: refuse an output with no directory first,
     # with the message a failed write would give
     if not Path(args.out).parent.is_dir():
@@ -317,8 +315,7 @@ def _cmd_sim_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     # no code meets a budget below 0, so it is a bad flag, not a refusal
-    if args.budget < 0:
-        raise UsageError(f"--budget must be nonnegative, got {args.budget}")
+    _as_int(args.budget, "--budget", 0)
     base, q, _ = _load_qds(args)
     decoder = _decoder_for(base)
     cells = verify_correction_guarantee(q, decoder, budget=args.budget)

@@ -16,8 +16,11 @@ walk of `_contains_mask` is the one-vector oracle of that test.
 This module also owns the bit-vector convention of the whole package:
 entry i of a 0/1 tuple is bit i of an integer mask, and any entry other
 than 0 or 1 is a ValueError.  Every public call that takes or returns
-such a tuple converts through `_bits_to_mask` and `_mask_to_bits`, and
-every integer argument that must not be a bool or float through `_as_int`.
+such a tuple converts through `_bits_to_mask` and `_mask_to_bits`.  It
+owns the argument checks too: every integer argument is read through
+`_as_int`, which refuses a bool or a float and a value outside its bounds
+(lo and hi, where given), and every probability through `_as_probability`,
+which refuses anything outside [0, 1] and NaN.
 Tables indexed by a mask (a syndrome) are built only up to
 2^_MAX_TABLE_BITS entries, and a bool table of a test over every mask of
 a width is built by `_mask_table`, `_TABLE_CHUNK` masks per call of the
@@ -70,18 +73,32 @@ def _mask_dtype(width: int):
     return np.int64 if width <= 62 else object
 
 
-def _as_int(value, what: str) -> int:
-    """value as a Python int, by operator.index.  A bool, which Python
-    counts an int, or anything operator.index refuses (a float) is a
-    ValueError naming the value."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, (bool, np.bool_)):
+def _as_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as a Python int, by operator.index, in [lo, hi] where those
+    are given.  A bool, which Python counts an int, anything
+    operator.index refuses (a float) and a value out of bounds are each a
+    ValueError naming what and the value."""
+    if type(value) is not int:
         try:
-            return operator.index(value)
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            value = operator.index(value)
         except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+            raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if lo is not None and value < lo:
+        bound = {0: "nonnegative", 1: "positive"}.get(lo, f"at least {lo}")
+        raise ValueError(f"{what} must be {bound}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{what} must be at most {hi}, got {value}")
+    return value
+
+
+def _as_probability(value: float, what: str) -> float:
+    """value where it is in [0, 1]; anything else, NaN too, is a ValueError
+    naming what and the value."""
+    if not 0.0 <= value <= 1.0:  # also true for NaN
+        raise ValueError(f"{what} must be a probability, got {value}")
+    return value
 
 
 def _mask_table(width: int, test) -> np.ndarray | None:

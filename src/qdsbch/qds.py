@@ -50,7 +50,10 @@ stabilizer group.  The verdict's two halves:
   is LookupDecoder._classes_of(s), a gather on the correction classes as
   an array over all 2^ell syndromes, or past ell = 20 one binary search
   of its rows for the whole batch.  Any other decoder is called once per
-  error, and its corrections' classes come from the same product.
+  error, and its corrections' classes come from the same product.  A
+  LookupDecoder reads its code's check matrix alone, so _corrects takes
+  one of any code object with the base code's check matrix and refuses
+  any other, whose table reads another code's syndromes and classes.
 
 Both tables, _zero_words and _corrected, are linalg._mask_table of their
 half's batched test, built a few thousand masks per call.
@@ -71,8 +74,7 @@ syndrome-and-class product, two for the 21-row syndrome of the [21,6,7]
 BCH code.
 
 measure, decode_two_step and StabilizerCode.classify are the one-trial
-path the tests check the verdict against, beside the batched lookup of
-s ^ D(f) that the verdict replaced.  measure reads H_Q's rows, kept
+path the tests check the verdict against.  measure reads H_Q's rows, kept
 as symplectic masks in h_q, through stabilizer._anticommuting, the same
 helper the base code's syndrome uses; measurement_pauli and row_weights
 read the same rows, so QdsCode keeps no second copy of them.
@@ -99,7 +101,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -116,11 +117,13 @@ from .linalg import (
     _mask_to_bits,
 )
 from .stabilizer import (
+    _PAULI_BLOCK,
     BudgetExceededError,
     LookupDecoder,
     PauliOperator,
     StabilizerCode,
     _anticommuting,
+    _subset_blocks,
     _weight_pauli_masks,
 )
 
@@ -296,16 +299,15 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
     bit b of copy c sits at position b + c*ell.  Decoding is an
     independent majority vote per bit; it never reports failure.  reps=1
     is the identity SM code (single unprotected measurement).  An ell or
-    reps that is not an integer (a bool or a float) is a ValueError, and
-    numpy integers are kept as Python ones, so n_s and t_s are too.
+    reps that is not a positive integer (a bool or a float, or below 1),
+    or an even reps, is a ValueError, and numpy integers are kept as
+    Python ones, so n_s and t_s are too.
     """
 
     def __init__(self, ell: int, reps: int):
-        ell, reps = _as_int(ell, "ell"), _as_int(reps, "reps")
-        if ell < 1:
-            raise ValueError("ell must be positive")
-        if reps < 1 or reps % 2 == 0:
-            raise ValueError("reps must be odd and positive")
+        ell, reps = _as_int(ell, "ell", 1), _as_int(reps, "reps", 1)
+        if reps % 2 == 0:
+            raise ValueError(f"reps must be odd, got {reps}")
         self.ell = ell
         self.reps = reps
         self.n_s = ell * reps
@@ -346,11 +348,6 @@ class RepetitionSyndromeMeasurement(SyndromeMeasurementCode):
         return tuple(poly) + (0,) * (self.n_s + 1 - len(poly))
 
 
-# the most masks `_support_mask_blocks` puts in one block: with the site
-# indices, a few MB
-_SUPPORT_BLOCK = 1 << 16
-
-
 def _word_weights(n: int) -> np.ndarray:
     """The weight of each n-bit word, over all 2^n words in order, as
     uint8: the weights of the words below 2^i, then those plus 1, for each
@@ -363,13 +360,9 @@ def _word_weights(n: int) -> np.ndarray:
 
 def _support_mask_blocks(n: int, w: int) -> Iterator[np.ndarray]:
     """Every w-subset of range(n) as a mask, lexicographic, in arrays of the
-    `_mask_dtype` of n of at most `_SUPPORT_BLOCK` masks."""
-    subsets = combinations(range(n), w)
+    `_mask_dtype` of n of at most `_PAULI_BLOCK` masks."""
     one = np.array(1, dtype=_mask_dtype(n))
-    for lo in range(0, comb(n, w), _SUPPORT_BLOCK):
-        count = min(_SUPPORT_BLOCK, comb(n, w) - lo)
-        flat = chain.from_iterable(islice(subsets, count))
-        sites = np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
+    for sites in _subset_blocks(n, w, _PAULI_BLOCK):
         yield np.bitwise_or.reduce(one << sites, axis=1)
 
 
@@ -453,8 +446,13 @@ class QdsCode:
         stabilizer group, as a bool array.  A `LookupDecoder` answers for
         the whole batch (`LookupDecoder._corrects`); any other decoder is
         called once per error, and its corrections' classes come from the
-        same product as the errors'."""
+        same product as the errors'.  A `LookupDecoder` of a code whose
+        check matrix is not the base code's is a ValueError: its table
+        reads another code's syndromes and classes."""
         if type(decoder) is LookupDecoder:
+            code = decoder.code
+            if code is not self.base and code.check_matrix != self.base.check_matrix:
+                raise ValueError("the decoder's code has a check matrix other than the base code's")
             return decoder._corrects(errors)
         ell = self.base.ell
         product = self.base._syndrome_and_class._mul_masks(errors)
@@ -558,13 +556,8 @@ def fujiwara_extra_measurements(ell: int, t_c: int) -> Tuple[int, List[int]]:
     Returns (total_extra, [m_1, ..., m_tc]).  Requires 2*t_c <= ell;
     t_c = 0 costs nothing.
     """
-    ell, t_c = _as_int(ell, "ell"), _as_int(t_c, "t_c")
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    if t_c < 0:
-        raise ValueError("t_c must be nonnegative")
-    if 2 * t_c > ell:
-        raise ValueError(f"need 2*t_c <= ell, got t_c={t_c}, ell={ell}")
+    ell = _as_int(ell, "ell", 1)
+    t_c = _as_int(t_c, "t_c", 0, ell // 2)
     widths, totals = _distinct_pair_counts(ell, t_c)
     return totals[t_c], widths
 
@@ -592,7 +585,7 @@ def overhead_table(ells: Iterable[int], ts: Iterable[int]) -> List[OverheadEntry
     t_top = max(ts, default=0)
     out = []
     for ell in ells:
-        ell = _as_int(ell, "ell")
+        ell = _as_int(ell, "ell", 1)
         # the totals of one ell up to the largest t asked, capped at
         # ell // 2 where the distinct-pair count stops, serve every row
         _, totals = _distinct_pair_counts(ell, min(t_top, ell // 2))
@@ -643,8 +636,10 @@ def verify_correction_guarantee(
     SM code's `_count_zero_decodes` up to t_s, and the cells are
     `_exact_cells` of the two.  Raises
     BudgetExceededError (with the required count of cases) instead of
-    verifying a region of more cases than budget.
+    verifying a region of more cases than budget; a budget that is not a
+    nonnegative integer is a plain ValueError.
     """
+    budget = _as_int(budget, "budget", 0)
     n = qds.base.n
     n_s = qds.sm.n_s
     # the data-error radius the decoder is on the hook for

@@ -58,9 +58,10 @@ count is 0 or `trials` whatever the seed.  Each cell has its own stream,
 so skipping one cell's draws moves no other cell's, and the flips are
 the last draws of a cell's stream, so a cell that skips them draws the
 same errors.  Cells are certified only where the decoder is a
-LookupDecoder of the QDS code's own base code with 4^n <= 2^20 (n <= 10:
-Steane, [[5,1,3]] and Shor, not [[15,7,3]]), and the SM code has Z in
-closed form or n_s <= 20.
+LookupDecoder with 4^n <= 2^20 (n <= 10: Steane, [[5,1,3]] and Shor, not
+[[15,7,3]]), and the SM code has Z in closed form or n_s <= 20.  Its code
+must have the base code's check matrix (an equal code object will do);
+QdsCode._corrects refuses any other, so every entry point here does.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import __version__
-from .linalg import _as_int, _mask_dtype
+from .linalg import _as_int, _as_probability, _mask_dtype
 from .qds import QdsCode, _exact_cells
 from .stabilizer import LookupDecoder, _pauli_masks
 
@@ -86,19 +87,14 @@ def stabilizer_meas_error_prob(w: int, p_m: float) -> float:
     when each of the w physical factors fails independently with
     probability p_m: the chance of an odd number of failures,
     (1 - (1 - 2 p_m)^w) / 2."""
-    if w < 1:
-        raise ValueError("measurement weight must be at least 1")
-    if not 0.0 <= p_m <= 1.0:
-        raise ValueError("p_m must be a probability")
+    w, p_m = _as_int(w, "w", 1), _as_probability(p_m, "p_m")
     return 0.5 * (1.0 - (1.0 - 2.0 * p_m) ** w)
 
 
 def binomial_weight_probability(w: int, p: float, n: int) -> float:
     """A(w; p, n) = C(n, w) p^w (1-p)^(n-w), for p in [0, 1]."""
-    if not 0 <= w <= n:
-        raise ValueError("need 0 <= w <= n")
-    if not 0.0 <= p <= 1.0:  # also true for NaN
-        raise ValueError(f"p must be a probability, got {p}")
+    n = _as_int(n, "n", 0)
+    w, p = _as_int(w, "w", 0, n), _as_probability(p, "p")
     c = _comb_factor(n, w)
     if type(c) is int:
         return _log_weight(c, p, 1.0 - p, w, n - w)
@@ -126,10 +122,8 @@ def _log_weight(c: int, p: float, q: float, w: float, v: float) -> float:
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> Tuple[float, float]:
     """Wilson score interval for a binomial fraction."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not 0 <= failures <= trials:
-        raise ValueError("failures must be in [0, trials]")
+    trials = _as_int(trials, "trials", 1)
+    failures = _as_int(failures, "failures", 0, trials)
     if not 0.0 <= z < inf:  # also false for NaN
         raise ValueError(f"z must be finite and nonnegative, got {z}")
     phat = failures / trials
@@ -158,9 +152,7 @@ class ErrorModel:
 
     def __post_init__(self):
         for name in ("p_q", "p_s"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {v}")
+            _as_probability(getattr(self, name), name)
 
 
 @dataclass
@@ -209,13 +201,12 @@ class SimGrid:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimGrid":
         """Parse a grid file, rejecting what no sampler could have written:
-        a missing key, a seed, weight or count that is not a JSON integer, a
-        negative seed, duplicates, cells outside the weight domain of n and
-        n_s in code_meta, and counts that are not 0 <= failures <= trials,
-        trials >= 1.  Every rejection is a ValueError."""
+        a missing key, a seed, weight, count, n or n_s that is not a
+        nonnegative integer (`_json_int`), duplicates, cells outside the
+        weight domain of n and n_s in code_meta, and counts that are not
+        0 <= failures <= trials, trials >= 1.  Every rejection is a
+        ValueError."""
         seed = _json_int(obj, "seed", "grid file")
-        if seed < 0:
-            raise ValueError(f"grid file 'seed' must be nonnegative, got {seed}")
         for key, kind, name in (("code_meta", dict, "object"), ("cells", list, "array")):
             if key not in obj:
                 raise ValueError(f"grid file is missing {key!r}")
@@ -360,19 +351,18 @@ def build_grid(
     the full (n+1) x (n_s+1) domain.  The grid's code_meta is
     default_code_meta(qds, decoder); a caller that records more (the CLI
     adds its provenance) updates grid.code_meta.  A seed, trial count or
-    weight that is not an integer (a bool or a float), or a negative seed,
-    is a ValueError, and numpy integers are stored as Python ones, so the
-    grid's file can be read back.
+    weight that is not an integer (a bool or a float), a negative seed, a
+    trial count below 1 or a cell outside the weight domain is a
+    ValueError, and so is a `LookupDecoder` whose code has a check matrix
+    other than qds.base's; numpy integers are stored as Python ones, so
+    the grid's file can be read back.
     """
-    if type(boundary_trials) is not int or type(bulk_trials) is not int:
-        boundary_trials = _as_int(boundary_trials, "boundary_trials")
-        bulk_trials = _as_int(bulk_trials, "bulk_trials")
-    if boundary_trials < 1 or bulk_trials < 1:
-        raise ValueError("trial counts must be positive")
-    if type(seed) is not int:
-        seed = _as_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if type(boundary_trials) is not int or boundary_trials < 1:
+        boundary_trials = _as_int(boundary_trials, "boundary_trials", 1)
+    if type(bulk_trials) is not int or bulk_trials < 1:
+        bulk_trials = _as_int(bulk_trials, "bulk_trials", 1)
+    if type(seed) is not int or seed < 0:
+        seed = _as_int(seed, "seed", 0)
     sm = qds.sm
     n, n_s = qds.base.n, sm.n_s
     if cells is None:
@@ -418,16 +408,17 @@ def _grid_plan(qds: QdsCode, decoder) -> tuple:
     `QdsCode._corrected_counts`, and Z, the SM code's `_zero_counts` (see
     the module docstring): its rate is certainly 0 where none of its cases
     fail and certainly 1 where all do.  Every verdict is _DRAW unless the
-    decoder is a `LookupDecoder` of qds.base itself whose `_corrected`
-    table exists, so K is read off it, and the SM code has Z (see those
-    properties for when)."""
+    decoder is a `LookupDecoder` whose `_corrected` table exists, so K is
+    read off it, and the SM code has Z (see those properties for when).
+    `QdsCode._corrects`, which K reads, refuses a decoder whose code has a
+    check matrix other than qds.base's."""
     slot = qds._grid_plan
     if slot is not None and slot[0] is decoder:
         return slot[1]
     n, n_s = qds.base.n, qds.sm.n_s
     verdicts = [[_DRAW] * (n_s + 1) for _ in range(n + 1)]
-    exact = type(decoder) is LookupDecoder and decoder.code is qds.base
-    zero = qds.sm._zero_counts if exact and decoder._corrected is not None else None
+    exact = type(decoder) is LookupDecoder and decoder._corrected is not None
+    zero = qds.sm._zero_counts if exact else None
     if zero is not None:
         kept = qds._corrected_counts(decoder, n)
         for (w_q, w_s), (cases, failures) in _exact_cells(n, n_s, kept, zero):
@@ -451,9 +442,8 @@ def _prefactors(
     bit, by the host's SIMD) and every sum is `_row_major_sum`, so each
     value has the bits of a loop over the cells of one point at a time."""
     for p_q, p_s in points:
-        for name, v in (("p_q", p_q), ("p_s", p_s)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {v}")
+        _as_probability(p_q, "p_q")
+        _as_probability(p_s, "p_s")
     if not 0.0 <= truncation < inf:  # also true for NaN
         raise ValueError(f"truncation must be finite and nonnegative, got {truncation}")
     rows = _binomial_weights(n, [p_q for p_q, _ in points])
@@ -576,7 +566,10 @@ def combine_grid_bounds(
     """
     if not 0.0 <= z < inf:  # also false for NaN
         raise ValueError(f"z must be finite and nonnegative, got {z}")
-    t_data, t_s = (_certified_radius(grid.code_meta, key) for key in ("t_data", "t_s"))
+    meta = grid.code_meta
+    t_data, t_s = (
+        _json_int(meta, key, "grid code_meta") if key in meta else None for key in ("t_data", "t_s")
+    )
     n, n_s = _domain_from_meta(grid)
     prefs, kept, (mass,) = _prefactors(n, n_s, [(p_q, p_s)], truncation)
     flat, _, stats = _read_cells(grid, n, n_s, prefs, kept, truncation)
@@ -591,35 +584,20 @@ def combine_grid_bounds(
 
 
 def _json_int(obj, key: str, where: str) -> int:
-    """obj[key] where it is a JSON integer.  A missing key, or a value of
-    any other type (a bool too, though Python counts it an int), is a
-    ValueError naming the key."""
+    """obj[key] where it is a nonnegative integer, as every integer of a
+    grid file is.  A missing key, a value of another type (a bool too,
+    though Python counts it an int) or a negative one is a ValueError
+    naming the key."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
     if key not in obj:
         raise ValueError(f"{where} is missing {key!r}")
-    value = obj[key]
-    if type(value) is not int:
-        raise ValueError(f"{where} {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _certified_radius(meta: dict, key: str) -> Optional[int]:
-    """code_meta[key] as a nonnegative JSON integer, or None where the key
-    is missing."""
-    if key not in meta:
-        return None
-    value = _json_int(meta, key, "grid code_meta")
-    if value < 0:
-        raise ValueError(f"grid code_meta {key!r} must be nonnegative, got {value}")
-    return value
+    return _as_int(obj[key], f"{where} {key!r}", 0)
 
 
 def _domain_from_meta(grid: SimGrid) -> Tuple[int, int]:
-    """code_meta's n and n_s, which must be nonnegative integers."""
+    """code_meta's n and n_s."""
     n, n_s = (_json_int(grid.code_meta, key, "grid code_meta") for key in ("n", "n_s"))
-    if n < 0 or n_s < 0:
-        raise ValueError(f"grid code_meta n and n_s must be nonnegative, got {n} and {n_s}")
     return n, n_s
 
 
@@ -627,6 +605,7 @@ def required_cells(
     n: int, n_s: int, points: Sequence[Tuple[float, float]], truncation: float
 ) -> Set[Cell]:
     """Cells whose prefactor reaches truncation at any (p_q, p_s) point."""
+    n, n_s = _as_int(n, "n", 0), _as_int(n_s, "n_s", 0)
     _, kept, _ = _prefactors(n, n_s, points, truncation)
     return set(map(tuple, np.argwhere(kept.any(axis=0)).tolist()))
 
@@ -689,14 +668,10 @@ def direct_monte_carlo(
 
     Useful as a cross-check of grid recombination and as the only way to
     sample the weight-aware readout model.  A trial count or seed that is
-    not an integer (a bool or a float), or a negative seed, is a
-    ValueError.
+    not an integer (a bool or a float), a trial count below 1 and a
+    negative seed are each a ValueError.
     """
-    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    trials, seed = _as_int(trials, "trials", 1), _as_int(seed, "seed", 0)
     n = qds.base.n
     n_s = qds.sm.n_s
     if model.weight_aware:

@@ -39,7 +39,7 @@ batch and a `_classes_of`.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -189,9 +189,21 @@ def _letter_masks(n: int) -> np.ndarray:
     return masks
 
 
-# the most Paulis `_weight_pauli_blocks` puts in one block: with the
-# temporaries of `_pauli_masks` or `StabilizerCode._pauli_products`, a few MB
+# the most Paulis `_weight_pauli_blocks` puts in one block, and the most
+# supports `qds._support_mask_blocks` does: with the temporaries of
+# `_pauli_masks` or `StabilizerCode._pauli_products`, a few MB
 _PAULI_BLOCK = 1 << 16
+
+
+def _subset_blocks(n: int, w: int, size: int) -> Iterator[np.ndarray]:
+    """Every w-subset of range(n), lexicographic, as (count, w) index arrays
+    of at most size subsets each, each block made only when it is asked
+    for."""
+    subsets = combinations(range(n), w)
+    for lo in range(0, comb(n, w), size):
+        count = min(size, comb(n, w) - lo)
+        flat = chain.from_iterable(islice(subsets, count))
+        yield np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
 
 
 def _weight_pauli_blocks(n: int, w: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -202,12 +214,10 @@ def _weight_pauli_blocks(n: int, w: int) -> Iterator[Tuple[np.ndarray, np.ndarra
     of the letters on one support.  A block is the index arrays (qubits,
     letters) of `_pauli_masks`, of shapes (S, 1, w) and (L, w): they
     broadcast to S x L Paulis, support-major."""
-    supports = np.array(list(combinations(range(n), w)), dtype=np.intp).reshape(comb(n, w), 1, w)
     letters = np.array(list(product(range(3), repeat=w)), dtype=np.intp).reshape(3**w, w)
-    step = max(1, _PAULI_BLOCK // 3**w)
-    for lo in range(0, len(supports), step):
+    for supports in _subset_blocks(n, w, max(1, _PAULI_BLOCK // 3**w)):
         for a in range(0, 3**w, _PAULI_BLOCK):
-            yield supports[lo : lo + step], letters[a : a + _PAULI_BLOCK]
+            yield supports[:, None, :], letters[a : a + _PAULI_BLOCK]
 
 
 def _weight_pauli_masks(n: int, w: int) -> np.ndarray:
@@ -480,15 +490,12 @@ def lookup_decoder_build(
     winners together.  The older rows' tie keys are -1 by then, so a
     syndrome reached at a lower weight keeps its row.
 
-    A max_weight that is not an integer (a bool or a float) is a
-    ValueError, and a numpy integer is kept as a Python one, since a grid
-    records it as t_data.
+    A max_weight outside [0, n], a negative budget, or either one not an
+    integer (a bool or a float) is a ValueError, and a numpy integer
+    max_weight is kept as a Python one, since a grid records it as t_data.
     """
-    if type(max_weight) is not int:
-        max_weight = _as_int(max_weight, "max_weight")
-    if max_weight < 0 or max_weight > code.n:
-        raise ValueError("max_weight must be in [0, n]")
     n = code.n
+    max_weight, budget = _as_int(max_weight, "max_weight", 0, n), _as_int(budget, "budget", 0)
     requested = sum(comb(n, w) * 3**w for w in range(max_weight + 1))
     if requested > budget:
         raise BudgetExceededError(

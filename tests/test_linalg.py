@@ -1,8 +1,10 @@
 """Packed GF(2) matrices checked against numpy mod-2 arithmetic."""
 
 import functools
+import math
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from qdsbch.linalg import (
     _MAX_TABLE_BITS,
     _TABLE_CHUNK,
     BinaryMatrix,
+    _as_int,
+    _as_probability,
     _bits_to_mask,
     _mask_dtype,
     _mask_table,
@@ -319,3 +323,36 @@ def test_mask_table_stops_at_the_cap():
         raise AssertionError("the test was called past the cap")
 
     assert _mask_table(21, never) is None
+
+
+@pytest.mark.parametrize(
+    "value, lo, hi, message",
+    [
+        pytest.param(-1, 0, None, "x must be nonnegative, got -1", id="below-0"),
+        pytest.param(0, 1, None, "x must be positive, got 0", id="below-1"),
+        pytest.param(2, 3, None, "x must be at least 3, got 2", id="below-3"),
+        pytest.param(8, 0, 7, "x must be at most 7, got 8", id="above"),
+        pytest.param(np.int64(-1), 0, None, "x must be nonnegative, got -1", id="numpy-below"),
+        pytest.param(True, 0, 7, "x must be an integer, got True", id="bool"),
+        pytest.param(np.bool_(False), 0, 7, "x must be an integer, got np.False_", id="numpy-bool"),
+        pytest.param(1.0, 0, 7, "x must be an integer, got 1.0", id="float"),
+        pytest.param("1", 0, 7, "x must be an integer, got '1'", id="str"),
+    ],
+)
+def test_as_int_names_the_argument_its_value_and_its_bound(value, lo, hi, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _as_int(value, "x", lo, hi)
+
+
+def test_as_int_keeps_its_bounds_and_reads_numpy_integers_as_python_ints():
+    assert _as_int(0, "x", 0, 0) == 0
+    assert _as_int(-5, "x") == -5
+    for value in (np.int64(7), np.uint8(7), 7):
+        assert type(_as_int(value, "x", 1, 7)) is int and _as_int(value, "x", 1, 7) == 7
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan, -math.inf], ids=["neg", "above", "nan", "-inf"])
+def test_as_probability_refuses_what_is_not_in_0_1(value):
+    with pytest.raises(ValueError, match=f"^p must be a probability, got {value}$"):
+        _as_probability(value, "p")
+    assert [_as_probability(v, "p") for v in (0.0, 0.25, 1.0)] == [0.0, 0.25, 1.0]

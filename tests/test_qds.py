@@ -890,6 +890,31 @@ def test_verify_budget_refusal():
     assert err.value.budget == 100
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param(True, "budget must be an integer, got True", id="bool"),
+        pytest.param("10", "budget must be an integer, got '10'", id="str"),
+        pytest.param(-1, "budget must be nonnegative, got -1", id="negative"),
+    ],
+)
+def test_decoder_build_and_verify_refuse_a_budget_that_is_not_a_count(bad, message):
+    """budget=True was refused as a BudgetExceededError saying "budget is
+    True", a string raised a bare TypeError from the compare, and -1 was a
+    refusal that no code could meet; each is now a plain ValueError."""
+    base = steane_code()
+    q = qds_assemble(base, repetition_sm(6, 3))
+    dec = lookup_decoder_build(base, max_weight=1)
+    calls = [
+        lambda: lookup_decoder_build(base, max_weight=1, budget=bad),
+        lambda: verify_correction_guarantee(q, dec, budget=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+            call()
+        assert type(err.value) is ValueError
+
+
 _FIVE_QUBIT = StabilizerCode(
     [PauliOperator.from_string(g) for g in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
 )

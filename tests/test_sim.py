@@ -14,7 +14,14 @@ import pytest
 
 from qdsbch.bch import BchCode
 from qdsbch.linalg import BinaryMatrix, _bits_to_mask, _mask_dtype
-from qdsbch.qds import _support_masks, bch_sm, identity_sm, qds_assemble, repetition_sm
+from qdsbch.qds import (
+    _support_masks,
+    bch_sm,
+    identity_sm,
+    qds_assemble,
+    repetition_sm,
+    verify_correction_guarantee,
+)
 from qdsbch import sim
 from qdsbch.sim import (
     CellStats,
@@ -39,6 +46,8 @@ from qdsbch.sim import (
 )
 from qdsbch.stabilizer import (
     LookupDecoder,
+    PauliOperator,
+    StabilizerCode,
     _weight_pauli_masks,
     css_from_parity,
     lookup_decoder_build,
@@ -96,6 +105,57 @@ def test_binomial_weight_probability_refuses_a_p_outside_0_1(w, p, n):
     NaN, and "math domain error" past the float range of C(n, w)."""
     with pytest.raises(ValueError, match=f"p must be a probability, got {p}"):
         binomial_weight_probability(w, p, n)
+
+
+_POINTS = [(1e-3, 1e-3)]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: binomial_weight_probability(True, 0.1, 3), "w must be an integer, got True",
+            id="binomial-w-bool",
+        ),
+        pytest.param(
+            lambda: binomial_weight_probability(1, 0.1, 3.0), "n must be an integer, got 3.0",
+            id="binomial-n-float",
+        ),
+        pytest.param(
+            lambda: binomial_weight_probability(4, 0.1, 3), "w must be at most 3, got 4",
+            id="binomial-w-above-n",
+        ),
+        pytest.param(
+            lambda: stabilizer_meas_error_prob(2.5, 0.1), "w must be an integer, got 2.5",
+            id="meas-w-float",
+        ),
+        pytest.param(
+            lambda: wilson_interval(0.5, 2), "failures must be an integer, got 0.5",
+            id="wilson-failures-float",
+        ),
+        pytest.param(
+            lambda: wilson_interval(0, True), "trials must be an integer, got True",
+            id="wilson-trials-bool",
+        ),
+        pytest.param(
+            lambda: required_cells(-1, 6, _POINTS, 1e-12), "n must be nonnegative, got -1",
+            id="required-n-negative",
+        ),
+        pytest.param(
+            lambda: required_cells(2.0, 6, _POINTS, 1e-12), "n must be an integer, got 2.0",
+            id="required-n-float",
+        ),
+        pytest.param(
+            lambda: required_cells(True, 6, _POINTS, 1e-12), "n must be an integer, got True",
+            id="required-n-bool",
+        ),
+    ],
+)
+def test_elementary_functions_refuse_a_count_that_is_not_one(call, message):
+    """Each of these once gave a value (0.243, 0.214, an interval, a cell
+    set), numpy's IndexError or a bare TypeError."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, 1.0])
@@ -985,15 +1045,48 @@ def test_certified_grid_is_byte_identical_to_the_sampled_one(monkeypatch, sm):
     assert certified.to_json_text() == sampled.to_json_text()
 
 
-def test_a_decoder_of_another_code_object_certifies_nothing(monkeypatch):
+def test_a_decoder_of_an_equal_code_object_certifies_and_a_reordered_one_is_refused():
+    """A decoder acts on its code's check matrix alone, so one built for an
+    equal code object certifies the same cells and gives the grid of the
+    base code's own decoder.  One built for Steane with its generators
+    reversed reads other syndromes: it once passed verify and certified
+    cells it fails, and is refused before any cell is built."""
+    q, own = _steane_qds(bch_sm(6, 3))
+    equal = lookup_decoder_build(steane_code(), max_weight=1)
+    assert equal.code is not q.base
+    own_grid = build_grid(q, own, seed=7, boundary_trials=4, bulk_trials=2)
+    assert build_grid(q, equal, seed=7, boundary_trials=4, bulk_trials=2) == own_grid
+    assert _grid_plan(q, equal)[1] == _grid_plan(q, own)[1]
+    reordered = lookup_decoder_build(StabilizerCode(q.base.generators[::-1]), max_weight=1)
+    with pytest.raises(ValueError, match="check matrix"):
+        build_grid(q, reordered, seed=7, boundary_trials=4, bulk_trials=2)
+
+
+def _mismatched_decoders():
+    """Decoders of Steane with its generators reversed and of [[5,1,3]]."""
+    reordered = StabilizerCode(steane_code().generators[::-1])
+    five = StabilizerCode(map(PauliOperator.from_string, ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]))
+    return [lookup_decoder_build(code, max_weight=1) for code in (reordered, five)]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["reordered-steane", "five-qubit"])
+def test_every_entry_point_refuses_a_decoder_of_another_check_matrix(which):
+    """The reordered Steane decoder once passed verify's 34,364 cases and
+    certified cells (1, 0) and (1, 1) that the one-trial chain fails, and
+    the [[5,1,3]] one raised numpy's IndexError from each of these."""
     q, _ = _steane_qds(bch_sm(6, 3))
-    dec = lookup_decoder_build(steane_code(), max_weight=1)
-    _, verdicts = _grid_plan(q, dec)
-    assert {v for row in verdicts for v in row} == {_DRAW}
-    built = _counting_generators(monkeypatch)
-    grid = build_grid(q, dec, seed=7, boundary_trials=4, bulk_trials=2, cells=[(0, 0), (7, 21)])
-    assert built == [(0, 0), (7, 21)]
-    assert [st.failures for st in grid.cells.values()] == [0, 2]
+    dec = _mismatched_decoders()[which]
+    masks = np.zeros(3, dtype=np.int64)
+    calls = [
+        lambda: verify_correction_guarantee(q, dec),
+        lambda: build_grid(q, dec, seed=1, boundary_trials=4, bulk_trials=2),
+        lambda: direct_monte_carlo(q, dec, ErrorModel(p_q=0.1, p_s=0.1), trials=10, seed=1),
+        lambda: q._count_failures(dec, masks, masks),
+    ]
+    message = "^the decoder's code has a check matrix other than the base code's$"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 _EXACT_SMS = [bch_sm(6, 3), bch_sm(6, 4), repetition_sm(6, 3), identity_sm(6)]

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -251,6 +252,19 @@ def test_weight_pauli_blocks_split_letters_past_the_bound(monkeypatch, n, w):
     blocks = _block_masks(n, w)
     assert max(len(b) for b in blocks) <= 100
     assert np.concatenate(blocks).tolist() == _reference_weight_masks(n, w)
+
+
+def test_iter_weight_paulis_streams_its_supports():
+    """The first Pauli of weight 5 on 40 qubits once listed all 658,008
+    supports first, a 100 MB peak; now only its block of them is made."""
+    tracemalloc.start()
+    try:
+        first = next(iter_weight_paulis(40, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == PauliOperator.from_string("XXXXX" + "I" * 35)
+    assert peak < 32 << 20
 
 
 def test_iter_weight_paulis_counts():
