@@ -260,7 +260,12 @@ def _walk(m: int, t: int) -> list:
 
 
 def bch_construct(m: int, t: int) -> BchCode:
-    """The primitive narrow-sense BCH code of length 2^m - 1 correcting t errors."""
+    """The primitive narrow-sense BCH code of length 2^m - 1 correcting t errors.
+
+    m's running generator products are extended only where they stop short
+    of the (m, t) code's leader count, so a warm call, on a record walked
+    to t with products that far, is one memo read, two list reads and one
+    BchCode: no minimal polynomial and no product."""
     if type(m) is not int or type(t) is not int:
         m, t = _as_int(m, "m"), _as_int(t, "t")
     record = _designed_record(m, t)
@@ -268,10 +273,11 @@ def bch_construct(m: int, t: int) -> BchCode:
     if field is None:
         field = record[4] = GF2m(m)
     count = counts[t]
-    g = products[-1] if products else BinaryPolynomial.one()
-    for e in leaders[len(products) : count]:
-        g = g * minimal_polynomial(field, e)
-        products.append(g)
+    if count > len(products):
+        g = products[-1] if products else BinaryPolynomial.one()
+        for e in leaders[len(products) : count]:
+            g = g * minimal_polynomial(field, e)
+            products.append(g)
     code = BchCode(field, t, products[count - 1])
     if code.r > m * t:
         raise AssertionError("parity count exceeded the m*t bound")

@@ -56,7 +56,6 @@ from .linalg import (
 )
 
 _LETTERS = "IXZY"  # index = x_bit + 2*z_bit
-_PAULI_LETTERS = "XYZI"  # the letter codes of `_pauli_masks`
 
 RESIDUAL_TRIVIAL = "trivial"
 RESIDUAL_LOGICAL = "logical"
@@ -98,12 +97,14 @@ class PauliOperator:
     def from_string(cls, s: str) -> "PauliOperator":
         if not s:
             raise ValueError("empty Pauli string")
+        x = z = 0
         for i, ch in enumerate(s):
-            if ch not in _PAULI_LETTERS:
+            code = _LETTERS.find(ch)
+            if code < 0:
                 raise ValueError(f"invalid Pauli letter {ch!r} at position {i}")
-        n = len(s)
-        letters = np.array([_PAULI_LETTERS.index(ch) for ch in s], dtype=np.intp)
-        return cls._from_mask(n, int(_pauli_masks(np.arange(n), letters, n)))
+            x |= (code & 1) << i
+            z |= (code >> 1) << i
+        return cls(len(s), x, z)
 
     @classmethod
     def _from_mask(cls, n: int, mask: int) -> "PauliOperator":
@@ -195,29 +196,42 @@ def _letter_masks(n: int) -> np.ndarray:
 _PAULI_BLOCK = 1 << 16
 
 
-def _subset_blocks(n: int, w: int, size: int) -> Iterator[np.ndarray]:
-    """Every w-subset of range(n), lexicographic, as (count, w) index arrays
-    of at most size subsets each, each block made only when it is asked
+def _tuple_blocks(tuples: Iterator[tuple], total: int, w: int, size: int) -> Iterator[np.ndarray]:
+    """The total w-tuples of `tuples`, in order, as (count, w) index arrays
+    of at most size tuples each, each block made only when it is asked
     for."""
-    subsets = combinations(range(n), w)
-    for lo in range(0, comb(n, w), size):
-        count = min(size, comb(n, w) - lo)
-        flat = chain.from_iterable(islice(subsets, count))
+    for lo in range(0, total, size):
+        count = min(size, total - lo)
+        flat = chain.from_iterable(islice(tuples, count))
         yield np.fromiter(flat, dtype=np.intp, count=count * w).reshape(count, w)
+
+
+def _subset_blocks(n: int, w: int, size: int) -> Iterator[np.ndarray]:
+    """Every w-subset of range(n), lexicographic, in `_tuple_blocks` of at
+    most size subsets."""
+    return _tuple_blocks(combinations(range(n), w), comb(n, w), w, size)
+
+
+def _letter_blocks(w: int) -> Iterator[np.ndarray]:
+    """Every letter word of length w, X, Y, Z per position (the last
+    position fastest), in `_tuple_blocks` of at most `_PAULI_BLOCK`."""
+    return _tuple_blocks(product(range(3), repeat=w), 3**w, w, _PAULI_BLOCK)
 
 
 def _weight_pauli_blocks(n: int, w: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Every weight-w Pauli on n qubits, supports in lexicographic order and,
     within a support, letters per position in X, Y, Z order (the last
     position fastest), in blocks of at most `_PAULI_BLOCK` Paulis: all
-    letters on a block of supports, or, past 3^w > `_PAULI_BLOCK`, a slice
-    of the letters on one support.  A block is the index arrays (qubits,
-    letters) of `_pauli_masks`, of shapes (S, 1, w) and (L, w): they
-    broadcast to S x L Paulis, support-major."""
-    letters = np.array(list(product(range(3), repeat=w)), dtype=np.intp).reshape(3**w, w)
+    letters on a block of supports, one array shared by every block, or,
+    past 3^w > `_PAULI_BLOCK`, a block of the letters on one support, made
+    afresh for each support, so no more than a block of letters is held.
+    A block is the index arrays (qubits, letters) of `_pauli_masks`, of
+    shapes (S, 1, w) and (L, w): they broadcast to S x L Paulis,
+    support-major."""
+    shared = list(_letter_blocks(w)) if 3**w <= _PAULI_BLOCK else None
     for supports in _subset_blocks(n, w, max(1, _PAULI_BLOCK // 3**w)):
-        for a in range(0, 3**w, _PAULI_BLOCK):
-            yield supports[:, None, :], letters[a : a + _PAULI_BLOCK]
+        for letters in shared or _letter_blocks(w):
+            yield supports[:, None, :], letters
 
 
 def _weight_pauli_masks(n: int, w: int) -> np.ndarray:

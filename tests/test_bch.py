@@ -212,6 +212,88 @@ def test_generators_multiply_each_leader_in_once(empty_memos, monkeypatch):
     assert calls == []
 
 
+def _count_construction_calls(monkeypatch):
+    """A list that gets "minpoly" for each minimal_polynomial bch_construct
+    asks for and "mul" for each BinaryPolynomial product."""
+    calls = []
+    minpoly = bch_module.minimal_polynomial
+    mul = BinaryPolynomial.__mul__
+
+    def counting_minpoly(field, e):
+        calls.append("minpoly")
+        return minpoly(field, e)
+
+    def counting_mul(a, b):
+        calls.append("mul")
+        return mul(a, b)
+
+    monkeypatch.setattr(bch_module, "minimal_polynomial", counting_minpoly)
+    monkeypatch.setattr(BinaryPolynomial, "__mul__", counting_mul)
+    return calls
+
+
+def test_a_warm_construct_makes_no_minimal_polynomial_and_no_product(empty_memos, monkeypatch):
+    """Once m's record is walked past t and its products past the (m, t)
+    leader count, bch_construct asks for neither a minimal polynomial nor a
+    product.  A record walked by parity_bit_count alone, or with products
+    short of a larger t, multiplies in each missing leader once."""
+    calls = _count_construction_calls(monkeypatch)
+    assert parity_bit_count(10, 100) == 745
+    counts = bch_module._PER_M[10][2]
+    assert (counts[50], counts[100]) == (46, 76)
+    assert calls == []
+    bch_construct(10, 50)
+    assert calls == ["minpoly", "mul"] * 46
+    calls.clear()
+    for t in (1, 2, 49, 50, 50):
+        bch_construct(10, t)
+    assert calls == []
+    bch_construct(10, 100)
+    assert calls == ["minpoly", "mul"] * 30
+    calls.clear()
+    for t in (100, 75, 1):
+        bch_construct(10, t)
+    assert calls == []
+
+
+_ADMISSIBLE_3_10 = [(m, t) for m in range(3, 11) for t in range(1, 1 << (m - 1))]
+
+
+@pytest.fixture(scope="module")
+def cold_builds():
+    """(n, k, r, generator) of each code of _ADMISSIBLE_3_10, built alone
+    on an empty memo."""
+    builds = {}
+    for m, t in _ADMISSIBLE_3_10:
+        bch_module._PER_M.clear()
+        code = bch_construct(m, t)
+        builds[m, t] = code.n, code.k, code.r, code.generator
+    bch_module._PER_M.clear()
+    return builds
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_every_code_of_m_3_to_10_equals_its_cold_build(empty_memos, cold_builds, order):
+    """All 1,012 admissible (m, t) with m = 3..10, built from an empty memo
+    in ascending t, descending t or a shuffled order, each equal in n, k, r
+    and generator to the code built alone on an empty memo.  Ascending and
+    shuffled orders extend a record's non-empty products past their end
+    (the warm record's extending branch); descending t walks each m once."""
+    pairs = list(_ADMISSIBLE_3_10)
+    if order == "descending":
+        pairs.sort(key=lambda mt: (mt[0], -mt[1]))
+    elif order == "shuffled":
+        random.Random(35).shuffle(pairs)
+    assert len(pairs) == 1012
+    extended = 0
+    for m, t in pairs:
+        before = len(bch_module._PER_M[m][3]) if m in bch_module._PER_M else 0
+        code = bch_construct(m, t)
+        assert (code.n, code.k, code.r, code.generator) == cold_builds[m, t], (m, t)
+        extended += 0 < before < len(bch_module._PER_M[m][3])
+    assert (extended > 0) == (order != "descending")
+
+
 def test_another_fields_minimal_polynomials_do_not_leak(empty_memos):
     """Minimal polynomials computed over x^4 + x^3 + 1 first leave
     bch_construct(4, t), over the default x^4 + x + 1, unchanged."""

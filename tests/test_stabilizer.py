@@ -68,6 +68,23 @@ def test_pauli_parse_rejects_garbage():
         PauliOperator.from_string("")
 
 
+def test_from_string_reads_back_every_three_qubit_pauli():
+    """from_string parses the letters to_string writes, for all 64 Paulis
+    on 3 qubits."""
+    for x, z in product(range(8), repeat=2):
+        p = PauliOperator(3, x, z)
+        assert PauliOperator.from_string(p.to_string()) == p
+
+
+def test_from_string_refusals_are_pinned():
+    with pytest.raises(ValueError) as empty:
+        PauliOperator.from_string("")
+    assert str(empty.value) == "empty Pauli string"
+    with pytest.raises(ValueError) as bad:
+        PauliOperator.from_string("XQ")
+    assert str(bad.value) == "invalid Pauli letter 'Q' at position 1"
+
+
 def test_pauli_weight_and_bits():
     p = PauliOperator.from_string("IXZY")
     assert p.weight == 3
@@ -244,13 +261,16 @@ def test_weight_pauli_blocks_keep_the_order_across_blocks():
     assert np.concatenate(blocks).tolist() == _reference_weight_masks(23, 4)
 
 
-@pytest.mark.parametrize("n, w", [(7, 3), (6, 5), (5, 5), (4, 0)])
+@pytest.mark.parametrize("n, w", [(7, 3), (6, 5), (5, 5), (8, 7), (4, 0)])
 def test_weight_pauli_blocks_split_letters_past_the_bound(monkeypatch, n, w):
-    """With a 100-mask bound, 3^5 letters no longer fit one block, so one
-    support's letters are sliced; 3^3 fit three supports a block."""
+    """With a 100-mask bound, 3^5 letters no longer fit one block, so each
+    support's letters come a block at a time; 3^3 fit three supports a
+    block.  The masks are those of the unpatched bound, in order."""
     monkeypatch.setattr(stabilizer_module, "_PAULI_BLOCK", 100)
     blocks = _block_masks(n, w)
     assert max(len(b) for b in blocks) <= 100
+    if 3**w > 100:
+        assert len(blocks) == comb(n, w) * -(-(3**w) // 100)
     assert np.concatenate(blocks).tolist() == _reference_weight_masks(n, w)
 
 
@@ -265,6 +285,27 @@ def test_iter_weight_paulis_streams_its_supports():
         tracemalloc.stop()
     assert first == PauliOperator.from_string("XXXXX" + "I" * 35)
     assert peak < 32 << 20
+
+
+def _first_pauli_peak(n, w):
+    tracemalloc.start()
+    try:
+        first = next(iter_weight_paulis(n, w))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == PauliOperator.from_string("X" * w + "I" * (n - w))
+    return peak
+
+
+def test_iter_weight_paulis_streams_its_letters():
+    """The first Pauli of weight 12 on 12 qubits once listed all 531,441
+    letter words first, a 138 MB peak, tripling with each further weight;
+    now only its block of them is made, so weight 13 peaks near weight 12."""
+    peak_12 = _first_pauli_peak(12, 12)
+    peak_13 = _first_pauli_peak(13, 13)
+    assert max(peak_12, peak_13) < 1.5 * min(peak_12, peak_13)
+    assert max(peak_12, peak_13) < 40 << 20
 
 
 def test_iter_weight_paulis_counts():
