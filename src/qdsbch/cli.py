@@ -155,7 +155,8 @@ def _write_atomic(*outputs: Tuple[str, str]) -> None:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         for tmp, _ in staged:
-            with contextlib.suppress(FileNotFoundError):
+            # a temp under a file, never made, raises NotADirectoryError
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
                 tmp.unlink()
 
 
@@ -199,6 +200,9 @@ def _cmd_bch_info(args) -> int:
 
 
 def _cmd_qds_assemble(args) -> int:
+    # a prefix like dir/ or dir/. would write hidden files such as dir/.txt
+    if args.out and os.path.basename(args.out) in ("", ".", ".."):
+        raise UsageError(f"--out {args.out} names a directory, not a file prefix")
     base, q, sm_meta = _load_qds(args)
     d = _min_logical_weight(base)
     params = {
@@ -253,10 +257,11 @@ def _cmd_sim_grid(args) -> int:
     for flag, value, lowest, highest in limits:
         if value is not None:
             _as_int(value, flag, lowest, highest)
-    # sampling can take minutes: refuse an output with no directory first,
-    # with the message a failed write would give
-    if not Path(args.out).parent.is_dir():
-        raise OSError(f"cannot write {args.out}: {os.strerror(errno.ENOENT)}")
+    # sampling can take minutes: refuse an output with no directory, or one
+    # that is a directory, first, with the message a failed write would give
+    if Path(args.out).is_dir() or not os.path.isdir(os.path.dirname(args.out) or "."):
+        why = errno.EISDIR if Path(args.out).is_dir() else errno.ENOENT
+        raise OSError(f"cannot write {args.out}: {os.strerror(why)}")
     decoder = _decoder_for(base)
     bulk = args.bulk_trials if args.bulk_trials is not None else max(1, args.trials // 10)
     cells = None
@@ -319,12 +324,10 @@ def _cmd_verify(args) -> int:
     base, q, _ = _load_qds(args)
     decoder = _decoder_for(base)
     cells = verify_correction_guarantee(q, decoder, budget=args.budget)
-    bad = 0
     for cell in cells:
         status = "ok" if cell.failures == 0 else "FAIL"
         print(f"w_q={cell.w_q} w_s={cell.w_s} cases={cell.cases} failures={cell.failures} {status}")
-        bad += cell.failures
-    total = sum(c.cases for c in cells)
+    bad, total = sum(c.failures for c in cells), sum(c.cases for c in cells)
     if bad:
         print(f"FAIL: {bad} of {total} cases left a nontrivial residual")
         return 2

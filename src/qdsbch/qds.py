@@ -36,11 +36,13 @@ stabilizer group.  The verdict's two halves:
 - Readout, SyndromeMeasurementCode._decodes_to_zero: a gather on
   _zero_words, a bool over all 2^n_s words (n_s <= 20), or else the SM
   code's batched _decode_is_zero.  A BCH code looks the flips' syndrome
-  (one product) up in a table of the first ell bits of its coset leaders
-  of weight <= t, and a word decodes to 0 exactly when those are its own;
-  a repetition code takes the bit-sliced majority of _decode_mask over
-  the whole array.  A BCH code whose table would pass 2^20 entries is
-  decoded word by word with Berlekamp-Massey.
+  (one product) up in a table of its coset leaders of weight <= t, and a
+  word decodes to 0 exactly when it is its own syndrome's leader: the
+  word plus the leader is the codeword it decodes to, which carries
+  message 0 exactly when it is 0, whatever the code's layout.  A
+  repetition code takes the bit-sliced majority of _decode_mask over the
+  whole array.  A BCH code whose table would pass 2^20 entries (R > 20)
+  is decoded word by word with Berlekamp-Massey.
 - Data, QdsCode._corrects: a LookupDecoder answers for the whole batch,
   by a gather on its _corrected table over all 4^n masks (n <= 10), or
   else from one product of the errors by StabilizerCode._syndrome_and_class.
@@ -50,7 +52,7 @@ stabilizer group.  The verdict's two halves:
   is LookupDecoder._classes_of(s), a gather on the correction classes as
   an array over all 2^ell syndromes, or past ell = 20 one binary search
   of its rows for the whole batch.  Any other decoder is called once per
-  error, and its corrections' classes come from the same product.  A
+  error, and the error times its correction must have product 0.  A
   LookupDecoder reads its code's check matrix alone, so _corrects takes
   one of any code object with the base code's check matrix and refuses
   any other, whose table reads another code's syndromes and classes.
@@ -250,14 +252,15 @@ class BchSyndromeMeasurement(SyndromeMeasurementCode):
         return None if out is None else out[0]
 
     def _decode_is_zero(self, words: np.ndarray) -> np.ndarray:
-        """Syndrome decoding by table: the code is systematic, so a word
-        decodes to 0 exactly when the table's fix is its first ell bits
-        (a give-up's -1 is no word's)."""
+        """Syndrome decoding by table: a word decodes to 0 exactly when it
+        is its own syndrome's coset leader (a give-up's -1 is no word).
+        The word plus its leader is the codeword it decodes to, and that
+        codeword carries message 0 exactly when it is 0, in any layout."""
         table = self._fix_table
         if table is None:
             return super()._decode_is_zero(words)
         syndrome, fix = table
-        return fix[syndrome._mul_masks(words)] == words & ((1 << self.ell) - 1)
+        return fix[syndrome._mul_masks(words)] == words
 
     @cached_property
     def _zero_counts(self) -> Tuple[int, ...]:
@@ -273,22 +276,21 @@ class BchSyndromeMeasurement(SyndromeMeasurementCode):
 
         Returns (syndrome, fix).  syndrome is the n_s x R matrix (R =
         n_s - ell) whose product with a word is its syndrome, the
-        `_annihilator` of the encode matrix: the code is systematic, so
-        row j < ell is the parity bits of message bit j and row ell + i is
-        bit i.  fix[s] is the first ell bits of the pattern of weight <= t
-        with syndrome s, or -1 where there is none.  Distance 2t+1 gives
-        those patterns distinct syndromes, so there are at most 2^R of
-        them.  None, and BM decoding, when 2^R passes 2^_MAX_TABLE_BITS or
-        a word does not fit an int64.
+        `_annihilator` of the encode matrix.  fix[s] is the pattern of
+        weight <= t with syndrome s, its coset leader, or -1 where there
+        is none, in the `_mask_dtype` of n_s.  Distance 2t+1 gives those
+        patterns distinct syndromes, so there are at most 2^R of them.
+        None, and BM decoding, when 2^R passes 2^_MAX_TABLE_BITS.  Only
+        the encode matrix, t_s and n_s are read.
         """
         r = self.n_s - self.ell
-        if r > _MAX_TABLE_BITS or self.n_s > 62:
+        if r > _MAX_TABLE_BITS:
             return None
         syndrome = self.encode_matrix._annihilator
-        fix = np.full(1 << r, -1, dtype=np.int64)
+        fix = np.full(1 << r, -1, dtype=_mask_dtype(self.n_s))
         for w in range(self.t_s + 1):
             patterns = _support_masks(self.n_s, w)
-            fix[syndrome._mul_masks(patterns)] = patterns & ((1 << self.ell) - 1)
+            fix[syndrome._mul_masks(patterns)] = patterns
         return syndrome, fix
 
 
@@ -445,8 +447,10 @@ class QdsCode:
         correction for each error's syndrome times the error is in the
         stabilizer group, as a bool array.  A `LookupDecoder` answers for
         the whole batch (`LookupDecoder._corrects`); any other decoder is
-        called once per error, and its corrections' classes come from the
-        same product as the errors'.  A `LookupDecoder` of a code whose
+        called once per error, and passes where it finds a correction and
+        the residual, error times correction, has a `_syndrome_and_class`
+        product of 0 (that class is 0 exactly on the stabilizer group, where
+        the syndrome is 0 too).  A `LookupDecoder` of a code whose
         check matrix is not the base code's is a ValueError: its table
         reads another code's syndromes and classes."""
         if type(decoder) is LookupDecoder:
@@ -454,15 +458,14 @@ class QdsCode:
             if code is not self.base and code.check_matrix != self.base.check_matrix:
                 raise ValueError("the decoder's code has a check matrix other than the base code's")
             return decoder._corrects(errors)
-        ell = self.base.ell
         product = self.base._syndrome_and_class._mul_masks(errors)
-        found = [decoder._decode_mask(s) for s in (product & ((1 << ell) - 1)).tolist()]
+        found = [decoder._decode_mask(s) for s in (product & ((1 << self.base.ell) - 1)).tolist()]
         # a miss as 0, a valid mask; it fails on `found` alone
         corrections = np.array(
             [0 if c is None else c.symplectic_mask() for c in found], dtype=errors.dtype
         )
-        fixed = self.base._syndrome_and_class._mul_masks(corrections) >> ell
-        return np.array([c is not None for c in found], dtype=bool) & (fixed == product >> ell)
+        residual = self.base._syndrome_and_class._mul_masks(errors ^ corrections)
+        return np.array([c is not None for c in found], dtype=bool) & (residual == 0)
 
     def _corrected_counts(self, decoder, max_weight: int) -> Tuple[int, ...]:
         """K(w) for w <= max_weight: how many weight-w Paulis the decoder

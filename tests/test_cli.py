@@ -276,8 +276,9 @@ def test_sim_grid_failed_rename_leaves_no_file(tmp_path, capsys, monkeypatch):
     [
         (["qds", "assemble", "--sm", "identity", "--out", "nodir/q"], "nodir/q.txt"),
         (_grid_args("nodir/g.json"), "nodir/g.json"),
+        (_grid_args("nodir/"), "nodir/"),
     ],
-    ids=["qds-assemble", "sim-grid"],
+    ids=["qds-assemble", "sim-grid", "sim-grid-trailing-separator"],
 )
 def test_out_into_missing_directory_names_the_target(tmp_path, capsys, monkeypatch, argv, target):
     monkeypatch.chdir(tmp_path)
@@ -291,6 +292,49 @@ def test_out_into_missing_directory_names_the_target(tmp_path, capsys, monkeypat
     assert target in err
     assert ".tmp" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_under_a_file_names_the_target(tmp_path, capsys, monkeypatch):
+    """The temp's failed unlink raised over the write's error, so the
+    message named the temp file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f").write_text("")
+    argv = ["qds", "count", "--ell-range", "1:2", "--t-range", "1:1", "--out", "f/c.csv"]
+    assert run(capsys, *argv) == (1, "", "error: cannot write f/c.csv: Not a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+def _refuse_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked on a command whose output is refused")
+
+    monkeypatch.setattr(cli, "build_grid", refuse)
+    monkeypatch.setattr(cli, "_min_logical_weight", refuse)
+
+
+def test_sim_grid_refuses_an_out_that_is_a_directory_before_sampling(tmp_path, capsys, monkeypatch):
+    """It sampled the whole grid before the write failed on the directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    _refuse_any_work(monkeypatch)
+    code, out, err = run(capsys, *_grid_args("d"))
+    assert (code, out, err) == (1, "", "error: cannot write d: Is a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
+@pytest.mark.parametrize("prefix", ["d/", "d/.", "d/.."])
+def test_qds_assemble_refuses_a_prefix_with_no_file_name(tmp_path, capsys, monkeypatch, prefix):
+    """--out d/ wrote the hidden files d/.txt and d/.json and exited 0, and
+    d/. wrote d/..txt and d/..json."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    _refuse_any_work(monkeypatch)
+    code, out, err = run(capsys, "qds", "assemble", "--sm", "identity", "--out", prefix)
+    assert (code, out) == (1, "")
+    assert err == f"error: --out {prefix} names a directory, not a file prefix\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def _library_grid():

@@ -96,10 +96,12 @@ def test_repetition_sm_majority_exhaustive(ell, reps):
     assert sm._decode_is_zero(masks).tolist() == want and any(want)
 
 
-# every (m, t) with m = 3..6 whose syndrome table fits, so the table path runs
+# every (m, t) with m = 3..7 whose syndrome table fits (R <= 20), so the
+# table path runs, on int64 words and, past 62 bits (m = 6 unshortened and
+# m = 7 shortened by up to 64), on object words too
 _TABULATED = [
     (m, t)
-    for m in range(3, 7)
+    for m in range(3, 8)
     for t in range(1, ((1 << m) - 2) // 2 + 1)
     if parity_bit_count(m, t) <= _MAX_TABLE_BITS
 ]
@@ -109,8 +111,7 @@ _TABULATED = [
 def _tabulated_bch_sms(draw):
     m, t = draw(st.sampled_from(_TABULATED))
     code = bch_construct(m, t)
-    # shortened to n_s <= 62, the widest word the table decodes
-    shorten = draw(st.integers(max(0, code.n - 62), code.k - 1))
+    shorten = draw(st.integers(0, code.k - 1))
     return BchSyndromeMeasurement(code.shortened(shorten))
 
 
@@ -128,19 +129,64 @@ def test_bch_table_decode_matches_berlekamp_massey(sm, data):
             words.append(word)
     words += data.draw(st.lists(st.integers(0, (1 << sm.n_s) - 1), min_size=20, max_size=20))
     want = [code._decode_mask(word) for word in words]
-    # the table's decode: the first ell bits with the fix of the word's
-    # syndrome applied, a give-up where there is no fix
+    # the table's decode: the word plus its syndrome's coset leader is the
+    # codeword, whose first ell bits are the message (bch.py puts it
+    # first), and a give-up where the syndrome has no leader
     syndrome, fix = sm._fix_table
-    words = np.array(words, dtype=np.int64)
+    words = np.array(words, dtype=_mask_dtype(sm.n_s))
     fixes = fix[syndrome._mul_masks(words)]
-    msgs = (words & ((1 << sm.ell) - 1)) ^ fixes
-    assert (fixes >= 0).tolist() == [out is not None for out in want]
-    assert msgs[fixes >= 0].tolist() == [out[0] for out in want if out is not None]
+    found = fixes >= 0
+    msgs = (words ^ fixes) & ((1 << sm.ell) - 1)
+    assert found.tolist() == [out is not None for out in want]
+    assert msgs[found].tolist() == [out[0] for out in want if out is not None]
     # and its zero test: the words of each decoded message, less that
     # message's codeword, decode to 0 exactly where BM decodes them at all
-    decoded = np.where(fixes >= 0, msgs, 0)
-    shifted = words ^ np.array([code._encode_mask(msg) for msg in decoded.tolist()])
-    assert sm._decode_is_zero(shifted).tolist() == [out is not None for out in want]
+    decoded = np.where(found, msgs, 0)
+    codewords = np.array([code._encode_mask(msg) for msg in decoded.tolist()], dtype=words.dtype)
+    assert sm._decode_is_zero(words ^ codewords).tolist() == [out is not None for out in want]
+
+
+def test_a_readout_past_62_bits_is_decoded_by_its_table():
+    """bch_sm(60, 1) has 67-bit object words but R = 7, so its coset
+    leaders are tabled, and the table's zero test is BM's word for word on
+    every pattern of weight <= 2, alone and plus a codeword."""
+    sm = bch_sm(60, 1)
+    assert (sm.n_s, sm.n_s - sm.ell) == (67, 7)
+    assert sm._fix_table is not None and sm._fix_table[1].dtype == object
+    rng = random.Random(67)
+    flips = np.concatenate([_support_masks(67, w) for w in range(3)])
+    codewords = np.array([sm._encode_mask(rng.getrandbits(60)) for _ in flips], dtype=object)
+    for words in (flips, flips ^ codewords):
+        got = sm._decode_is_zero(words)
+        assert got.tolist() == [sm._decode_mask(word) == 0 for word in words.tolist()]
+    assert int(np.count_nonzero(sm._decode_is_zero(flips))) == 1 + 67
+    assert sm._count_zero_decodes(2) == (1, 67, 0)
+
+
+def _bch_sms_up_to_39():
+    """Every bch_sm(ell, t) with ell <= 39 and t <= 7."""
+    return [bch_sm(ell, t) for ell in range(1, 40) for t in range(1, 8)]
+
+
+def test_bch_fix_table_holds_every_coset_leader_of_weight_up_to_t():
+    """On every tabled bch_sm(ell <= 39, t <= 7): the table holds
+    sum_{w <= t} C(n_s, w) leaders, each at its own syndrome, and their
+    weight counts are the closed-form Z of `_zero_counts`."""
+    tabled = 0
+    for sm in _bch_sms_up_to_39():
+        if sm.n_s - sm.ell > _MAX_TABLE_BITS:
+            assert sm._fix_table is None
+            continue
+        syndrome, fix = sm._fix_table
+        (at,) = np.nonzero(fix >= 0)
+        leaders = fix[at]
+        t = sm.t_s
+        assert len(leaders) == sum(comb(sm.n_s, w) for w in range(t + 1))
+        assert syndrome._mul_masks(leaders).tolist() == at.tolist()
+        weights = np.bincount([x.bit_count() for x in leaders.tolist()], minlength=t + 1)
+        assert tuple(weights.tolist()) == sm._zero_counts[: t + 1]
+        tabled += 1
+    assert tabled == 134
 
 
 def _systematic_syndrome_matrix(sm):
@@ -154,23 +200,23 @@ def _systematic_syndrome_matrix(sm):
 def test_bch_syndrome_matrix_is_the_encode_annihilator():
     """The table decode's syndrome matrix, the encode matrix's annihilator,
     against the parity-plus-identity matrix on every bch_sm(ell, t) with
-    ell <= 39 and t <= 7; the tabulated ones through `_fix_table`."""
+    ell <= 39 and t <= 7; the tabulated ones (R <= 20) through
+    `_fix_table`."""
     tabulated = 0
-    for ell in range(1, 40):
-        for t in range(1, 8):
-            sm = bch_sm(ell, t)
-            want = _systematic_syndrome_matrix(sm)
-            got = sm.encode_matrix._annihilator
-            assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data)
-            if sm.n_s - ell <= _MAX_TABLE_BITS and sm.n_s <= 62:
-                assert sm._fix_table[0].data == want.data
-                tabulated += 1
+    for sm in _bch_sms_up_to_39():
+        want = _systematic_syndrome_matrix(sm)
+        got = sm.encode_matrix._annihilator
+        assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data)
+        if sm.n_s - sm.ell <= _MAX_TABLE_BITS:
+            assert sm._fix_table[0].data == want.data
+            tabulated += 1
     assert tabulated == 134
 
 
-# the SM decode paths the trial kernel's split runs on: BCH by table, BCH by
-# Berlekamp-Massey on int64 words (bch_sm(6, 6), n_s = 39) and on 69-bit
-# object words (bch_sm(6, 10)), and majority up to the 66-bit readout
+# the SM decode paths the trial kernel's split runs on: BCH by table (R <=
+# 20), BCH by Berlekamp-Massey (R > 20) on int64 words (bch_sm(6, 6), n_s =
+# 39) and on 69-bit object words (bch_sm(6, 10)), and majority up to the
+# 66-bit readout
 _SPLIT_SMS = [
     bch_sm(6, 3),
     bch_sm(4, 2),
