@@ -22,6 +22,7 @@ import contextlib
 import errno
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 from math import inf
@@ -257,10 +258,18 @@ def _cmd_sim_grid(args) -> int:
     for flag, value, lowest, highest in limits:
         if value is not None:
             _as_int(value, flag, lowest, highest)
-    # sampling can take minutes: refuse an output with no directory, or one
-    # that is a directory, first, with the message a failed write would give
-    if Path(args.out).is_dir() or not os.path.isdir(os.path.dirname(args.out) or "."):
-        why = errno.EISDIR if Path(args.out).is_dir() else errno.ENOENT
+    # sampling can take minutes: refuse an output that is a directory, or
+    # whose directory part is missing or not a directory, first, with the
+    # message a failed write would give
+    if not args.out:
+        raise UsageError("--out must name a file, got ''")
+    why = errno.EISDIR if os.path.isdir(args.out) else None
+    try:
+        if not stat.S_ISDIR(os.stat(os.path.dirname(args.out) or ".").st_mode):
+            why = errno.ENOTDIR
+    except OSError as exc:
+        why = exc.errno
+    if why:
         raise OSError(f"cannot write {args.out}: {os.strerror(why)}")
     decoder = _decoder_for(base)
     bulk = args.bulk_trials if args.bulk_trials is not None else max(1, args.trials // 10)
@@ -300,7 +309,10 @@ def _cmd_sim_sweep(args) -> int:
             raise UsageError(f"--ps point {p_s} is not a probability in [0, 1]")
         if p_q > 1.0:
             raise UsageError(f"--ratio {args.ratio} times --ps point {p_s} gives p_q = {p_q} > 1")
-    grid = SimGrid.from_json_text(Path(args.grid).read_text())
+    try:
+        grid = SimGrid.from_json_text(Path(args.grid).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"grid file {args.grid} is not JSON: {exc}") from None
     lines = [
         _meta_comment(
             "sim sweep",

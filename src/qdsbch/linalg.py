@@ -7,8 +7,8 @@ A whole array of masks times a matrix is `BinaryMatrix._mul_masks`, the
 one batched GF(2) product.  It splits the rows into ceil(rows / 16) chunks
 of equal width (the last may be narrower) and tabulates, per chunk, the
 XOR of the rows picked by every value of its bits, at most 2^16 entries;
-a product is then one gather per chunk, and a matrix of at most 16 rows
-is a single gather indexed by the masks themselves.  The columns of
+a product is then the XOR of one gather per chunk, each indexed by that
+chunk's bits of the masks.  The columns of
 the `_annihilator` span the vectors orthogonal to every row, so a vector
 is in the row space exactly when its product with it is 0; the pivot
 walk of `_contains_mask` is the one-vector oracle of that test.
@@ -224,18 +224,12 @@ class BinaryMatrix:
 
     def _mul_masks(self, masks: np.ndarray) -> np.ndarray:
         """Each mask (rows bits, int64 or object) as a row vector times the
-        matrix, as an array of `_mask_dtype` of the column count: one gather
-        per chunk table of `_chunk_tables`, so a matrix of at most 16 rows
-        takes a single gather with the masks as the index."""
-        tables = self._chunk_tables
-        if not tables:
-            return np.zeros(len(masks), dtype=_mask_dtype(self.cols))
-        # the top chunk's bits need no AND and the bottom chunk's no shift
-        top, table = tables[-1]
-        out = table[(masks >> top if top else masks).astype(np.intp, copy=False)]
-        for lo, table in tables[:-1]:
-            index = (masks >> lo if lo else masks) & (len(table) - 1)
-            out ^= table[index.astype(np.intp, copy=False)]
+        matrix, as an array of `_mask_dtype` of the column count: the XOR
+        of one gather per chunk table of `_chunk_tables`, each indexed by
+        the chunk's bits of the masks."""
+        out = np.zeros(len(masks), dtype=_mask_dtype(self.cols))
+        for lo, table in self._chunk_tables:
+            out ^= table[((masks >> lo) & (len(table) - 1)).astype(np.intp, copy=False)]
         return out
 
     def __xor__(self, other: "BinaryMatrix") -> "BinaryMatrix":

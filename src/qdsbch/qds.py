@@ -70,10 +70,10 @@ its |E_wq| C(n_s, w_s) cases, the one formula _exact_cells, which
 verify_correction_guarantee reads up to its radii and sim._grid_plan over
 the whole grid.
 
-Every GF(2) product on a batch is BinaryMatrix._mul_masks, one gather per
-chunk of at most 16 matrix rows: a single gather for Steane's 14-row
-syndrome-and-class product, two for the 21-row syndrome of the [21,6,7]
-BCH code.
+Every GF(2) product on a batch is BinaryMatrix._mul_masks, the XOR of one
+gather per chunk of at most 16 matrix rows, each indexed by that chunk's
+bits of the masks: one gather for Steane's 14-row syndrome-and-class
+product, two for the 21-row syndrome of the [21,6,7] BCH code.
 
 measure, decode_two_step and StabilizerCode.classify are the one-trial
 path the tests check the verdict against.  measure reads H_Q's rows, kept

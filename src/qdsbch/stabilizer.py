@@ -551,10 +551,12 @@ def parse_stabilizer_code(text: str) -> StabilizerCode:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty stabilizer code text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError("header must be 'n k'")
-    n, k = int(header[0]), int(header[1])
+    try:
+        n, k = map(int, lines[0].split())
+    except ValueError:  # not two integers
+        n = k = 0
+    if not 0 <= k < n:
+        raise ValueError(f"header must be 'n k', integers with 0 <= k < n, got {lines[0]!r}")
     gens = [PauliOperator.from_string(s) for s in lines[1:]]
     if len(gens) != n - k:
         raise ValueError(f"expected {n - k} generators for n={n}, k={k}, got {len(gens)}")

@@ -134,6 +134,14 @@ def test_qds_assemble_rejects_invalid_code_file(tmp_path, capsys):
     assert err != ""
 
 
+def test_a_code_file_header_that_is_not_n_k_is_refused(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("5 x\nXZZXI\nIXZZX\nXIXZZ\nZXIXZ\n")
+    code, out, err = run(capsys, "verify", "--code-file", str(path), "--sm", "identity")
+    assert (code, out) == (1, "")
+    assert err == "error: header must be 'n k', integers with 0 <= k < n, got '5 x'\n"
+
+
 def test_qds_assemble_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     """Both outputs are staged before either is committed: a write that
     dies on the second file leaves neither target nor any temp."""
@@ -321,6 +329,25 @@ def test_sim_grid_refuses_an_out_that_is_a_directory_before_sampling(tmp_path, c
     assert (code, out, err) == (1, "", "error: cannot write d: Is a directory\n")
     assert [p.name for p in tmp_path.iterdir()] == ["d"]
     assert list((tmp_path / "d").iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["f.json/g.json", "f.json/sub/g.json", "f.json/"])
+def test_sim_grid_refuses_an_out_under_a_file_before_sampling(tmp_path, capsys, monkeypatch, target):
+    """The refusal gives the message the write itself gives under a file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text("")
+    _refuse_any_work(monkeypatch)
+    code, out, err = run(capsys, *_grid_args(target))
+    assert (code, out, err) == (1, "", f"error: cannot write {target}: Not a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
+
+def test_sim_grid_refuses_an_empty_out_before_sampling(tmp_path, capsys, monkeypatch):
+    """Path("") is ".", so the directory check alone would not name --out."""
+    monkeypatch.chdir(tmp_path)
+    _refuse_any_work(monkeypatch)
+    assert run(capsys, *_grid_args("")) == (1, "", "error: --out must name a file, got ''\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("prefix", ["d/", "d/.", "d/.."])
@@ -552,6 +579,17 @@ def test_sim_sweep_rejects_malformed_grid_file(tmp_path, capsys):
     assert code == 1
     assert "repeats cell (0, 0)" in err
     assert not curve_path.exists()
+
+
+def test_sim_sweep_names_a_grid_file_that_is_not_json(tmp_path, capsys, monkeypatch):
+    """json's reason alone does not say which file it is about."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text("not json\n")
+    code, out, err = run(capsys, "sim", "sweep", "--grid", "grid.json", "--ps", "1e-3", "--ratio", "0.1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: grid file grid.json is not JSON: Expecting value: line 1 column 1 (char 0)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -564,6 +564,19 @@ def test_parse_rejects_invalid_codes():
         parse_stabilizer_code("3 1\nXIX\n")  # line count inconsistent with k
 
 
+@pytest.mark.parametrize(
+    "header", ["-5 1", "5 6", "5 x", "5 5", "5", "5 1 0"],
+    ids=["negative-n", "k-past-n", "not-an-integer", "k-equal-n", "one-field", "three-fields"],
+)
+def test_parse_refuses_a_header_that_is_not_n_k(header):
+    """A header is refused before a generator count is derived from it,
+    with one message that quotes it."""
+    text = header + "\n" + "\n".join(FIVE_QUBIT_GENERATORS) + "\n"
+    message = f"header must be 'n k', integers with 0 <= k < n, got {header!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_stabilizer_code(text)
+
+
 _TWIN_CODES = [
     steane_code(),
     StabilizerCode([PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]),
